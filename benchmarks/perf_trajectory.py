@@ -14,11 +14,12 @@ trajectories from different machines stay distinguishable.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 from typing import Any
 
-from repro.perfwatch.baseline import validate_entry
+from repro.perfwatch.baseline import load_trajectory, validate_entry
 from repro.perfwatch.records import PerfDataError
 from repro.telemetry.manifest import host_manifest
 
@@ -57,16 +58,13 @@ def flush() -> None:
     The entry is validated against the perfwatch known-case registry and
     schema before it is written — a malformed append (unknown case key,
     missing rate) fails the session loudly instead of poisoning the
-    trajectory for every later diff.
+    trajectory for every later diff.  An existing file that does not parse
+    raises :class:`PerfDataError` untouched, and the append goes through a
+    temp file and ``os.replace`` so an interrupted write cannot truncate it.
     """
     if not _cases:
         return
-    entries: list[dict[str, Any]] = []
-    if BENCH_PATH.exists():
-        try:
-            entries = json.loads(BENCH_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            entries = []
+    entries = load_trajectory(BENCH_PATH) if BENCH_PATH.exists() else []
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **host_manifest(),
@@ -78,7 +76,9 @@ def flush() -> None:
             "refusing to append a malformed trajectory entry: " + "; ".join(problems)
         )
     entries.append(entry)
-    BENCH_PATH.write_text(json.dumps(entries, indent=2) + "\n")
+    tmp = BENCH_PATH.with_name(BENCH_PATH.name + ".tmp")
+    tmp.write_text(json.dumps(entries, indent=2) + "\n")
+    os.replace(tmp, BENCH_PATH)
     _last_flushed.clear()
     _last_flushed.update(_cases)
     _cases.clear()

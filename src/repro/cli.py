@@ -64,10 +64,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
 __all__ = ["main"]
+
+
+def _out_exists(args: argparse.Namespace) -> bool:
+    """True, with a note on stderr, when ``--out`` exists and ``--force`` was not given."""
+    if args.out and Path(args.out).exists() and not args.force:
+        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+        return True
+    return False
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -212,8 +221,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .dataflow import Tracer, simulate
     from .dataflow.tracing import analyze_trace, render_waterfall
 
@@ -222,8 +229,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_exists(args):
         return 2
     tracer = Tracer()
     run = simulate(graph, images, fast=not args.exhaustive, trace=tracer)
@@ -263,7 +269,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .telemetry.loadgen import run_load, sweep
 
@@ -272,8 +277,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_exists(args):
         return 2
 
     if args.sweep:
@@ -330,7 +334,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .fleet import (
         FleetConfig,
@@ -351,8 +354,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_exists(args):
         return 2
 
     def emit(payload: dict, what: str) -> None:
@@ -543,13 +545,11 @@ def _parse_topology(spec: str) -> tuple[str, int | None, float | None]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .dataflow.verify import verify
 
     specs = args.topologies or DEFAULT_CHECK_TOPOLOGIES
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_exists(args):
         return 2
     n_errors = n_warnings = 0
     reports = []
@@ -602,7 +602,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .planner import PlanError, neighbor_partitions, plan_partition
 
@@ -612,8 +611,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"plan {args.topology}: {exc}", file=sys.stderr)
         return 2
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_exists(args):
         return 2
     if args.device == "stratix10":
         from .hardware.device import STRATIX_10_PROJECTION as device
@@ -725,7 +723,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_perf_report(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .perfwatch import (
         PerfDataError,
@@ -746,8 +743,7 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
         return 2
     for problem in validate_trajectory(entries):
         print(f"perf report: warning: {problem}", file=sys.stderr)
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_exists(args):
         return 2
 
     if args.json:
@@ -768,7 +764,6 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
 
 def _cmd_perf_diff(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .perfwatch import (
         PerfDataError,
@@ -806,8 +801,7 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
         print(f"perf diff: {exc}", file=sys.stderr)
         return 2
 
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
+    if _out_exists(args):
         return 2
     if args.json or args.out:
         text = json.dumps(result.as_dict(), indent=2)

@@ -51,16 +51,16 @@ __all__ = ["build_pipeline", "simulate", "StreamingRun", "LinkCrossing", "Pipeli
 DEFAULT_STREAM_CAPACITY = 4
 
 # Skip-path delay buffers get their *exact* §III-B5 size from the static
-# verifier (`skip_sizing="exact"`, the default): the solver replays the
-# value-independent schedule on a zero batch and reads the high-water mark.
-# The engine's measured high-water is asserted back against that static
+# verifier (`skip_sizing="exact"`, the default).  The solver reads the
+# high-water marks off the geometry's zero-batch timing replay
+# (`schedule.replay_schedule`: REPLAY_IMAGES images, cached on the graph),
+# the same replay the partition planner's exact prediction reads.  The
+# engine's measured high-water is asserted back against that static
 # prediction after every run (see verify.check_skip_high_water), turning the
 # paper's "never creates delays by itself" claim into a round-trip check.
 #
 # `skip_sizing="bound"` sizes by the closed-form §III-B5 formula plus an
-# in-flight slack (no replay — cheap for paper-scale graphs), and
-# `skip_sizing="replay"` is the solver's own unbounded-in-practice mode.
-_REPLAY_SKIP_CAPACITY = 1 << 22
+# in-flight slack (no replay — cheap for paper-scale graphs).
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class Pipeline:
     partition: list[list[str]] | None = None
     link: LinkSpec = MAXRING
     fclk_mhz: float = 105.0
-    skip_sizing: str = "exact"  # "exact" | "bound" | "replay" | "custom"
+    skip_sizing: str = "exact"  # "exact" | "bound" | "custom"
     skip_capacities: dict[str, int] = field(default_factory=dict)
 
 
@@ -149,7 +149,7 @@ def _resolve_skip_capacities(
             raise ValueError(f"skip_sizing mapping misses residual adders: {missing}")
         return caps, "custom"
     if not adds:
-        return {}, skip_sizing if skip_sizing in ("exact", "bound", "replay") else "exact"
+        return {}, skip_sizing if skip_sizing in ("exact", "bound") else "exact"
     if skip_sizing == "exact":
         # Lazy import: verify's solver builds a replay pipeline through this
         # very module.
@@ -166,11 +166,7 @@ def _resolve_skip_capacities(
             {n: skip_formula_bound(graph, n) + SKIP_FORMULA_SLACK for n in adds},
             "bound",
         )
-    if skip_sizing == "replay":
-        return {n: _REPLAY_SKIP_CAPACITY for n in adds}, "replay"
-    raise ValueError(
-        f"skip_sizing must be 'exact', 'bound', 'replay' or a mapping, got {skip_sizing!r}"
-    )
+    raise ValueError(f"skip_sizing must be 'exact', 'bound' or a mapping, got {skip_sizing!r}")
 
 
 def build_pipeline(
@@ -206,10 +202,9 @@ def build_pipeline(
     skip_sizing:
         How skip delay FIFOs are sized: ``"exact"`` (default) asks the
         static verifier's §III-B5 solver for the sharp per-adder minimum,
-        ``"bound"`` uses the paper's closed-form formula plus slack,
-        ``"replay"`` is the effectively-unbounded mode the solver itself
-        builds with, and a ``{add_node: capacity}`` mapping overrides
-        everything (fault injection, experiments).
+        ``"bound"`` uses the paper's closed-form formula plus slack, and a
+        ``{add_node: capacity}`` mapping overrides everything (the timing
+        replay, fault injection, experiments).
     """
     graph.validate()
     skip_caps, skip_mode = _resolve_skip_capacities(graph, skip_sizing, partition, link, fclk_mhz)

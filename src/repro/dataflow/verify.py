@@ -28,19 +28,15 @@ shipped model topologies verify clean (tested property).
 
 The exact §III-B5 solver
 ------------------------
-Kernel scheduling in this simulator is completely *value-independent*: the
-cycle at which any kernel consumes or emits depends only on tensor
-geometry, never on the data.  The solver exploits that by replaying the
-pipeline's schedule on a zero image batch with the convolution arithmetic
-stubbed out (an "abstract interpretation" that preserves timing exactly)
-and reading each skip stream's ``max_occupancy``.  Sizing the real skip
-FIFO to exactly that high-water mark is behaviour-preserving: every push in
-the unbounded replay happened at occupancy ``<= C - 1``, and the fork
-feeding the skip path checks space before pushing, so no rejection or
-retiming can occur.  The closed-form §III-B5 bound
-(:func:`skip_formula_bound`) remains as the solver's cross-check — the
-exact requirement must stay within the paper's formula plus a small
-in-flight slack, or V402 fires.
+Kernel timing never depends on data values, so each skip stream's exact
+requirement is its high-water mark in one zero-batch timing replay of the
+geometry (:func:`repro.dataflow.schedule.replay_schedule`: four images,
+convolution arithmetic stubbed, skip FIFOs unbounded, cached on the graph).
+The partition planner's exact prediction reads the same replay.  A FIFO
+sized to that mark never retimes the run (argued in that module).  The
+closed-form §III-B5 bound (:func:`skip_formula_bound`) remains the solver's
+cross-check: the exact requirement must stay within the paper's formula
+plus a small in-flight slack, or V402 fires.
 """
 
 from __future__ import annotations
@@ -60,6 +56,7 @@ from ..nn.graph import (
     LayerGraph,
 )
 from .links import MAXRING, LinkSpec
+from .schedule import replay_schedule
 from .window import depth_first_buffer_elements
 
 if TYPE_CHECKING:
@@ -85,9 +82,9 @@ __all__ = [
     "verify",
 ]
 
-# Images the solver replays.  The skip high-water mark reaches steady state
-# from the second image on (the first image fills an empty pipeline and can
-# peak slightly lower); replaying two is exact for any longer run (tested).
+# The skip high-water mark reaches steady state from this image count on
+# (the first image fills an empty pipeline and can peak slightly lower): the
+# sanitizer holds runs of at least this many images to exact equality.
 SOLVER_IMAGES = 2
 
 # Allowed excess of the exact skip requirement over the §III-B5 closed-form
@@ -282,20 +279,15 @@ def skip_formula_bound(graph: LayerGraph, add_name: str) -> int:
     return graph.specs[add_name].elements
 
 
-def _partition_key(
-    partition: list[list[str]] | None,
-) -> tuple[tuple[str, ...], ...] | None:
-    if partition is None:
-        return None
-    return tuple(tuple(group) for group in partition)
+def estimated_replay_cost(graph: LayerGraph) -> int:
+    """Rough kernel-tick cost of the skip solver (drives the budget check).
 
-
-def estimated_replay_cost(graph: LayerGraph, n_images: int = SOLVER_IMAGES) -> int:
-    """Rough kernel-tick count of one solver replay (drives the budget check)."""
+    Counts ``SOLVER_IMAGES`` images, the count ``DEFAULT_REPLAY_BUDGET`` is set against.
+    """
     from ..hardware.timing import estimate_network_timing
 
     timing = estimate_network_timing(graph)
-    return n_images * timing.sequential_cycles
+    return SOLVER_IMAGES * timing.sequential_cycles
 
 
 def solve_skip_capacities(
@@ -303,56 +295,17 @@ def solve_skip_capacities(
     partition: list[list[str]] | None = None,
     link: LinkSpec = MAXRING,
     fclk_mhz: float = 105.0,
-    n_images: int = SOLVER_IMAGES,
-    max_cycles: int = 500_000_000,
 ) -> dict[str, int]:
-    """Exact §III-B5 skip capacity per residual adder, by abstract replay.
+    """Exact §III-B5 skip capacity per residual adder: ``{add_node: high-water}``.
 
-    Builds the pipeline on a zero image batch with every convolution's
-    arithmetic stubbed to emit zeros (kernel *timing* is value-independent,
-    so the schedule — and therefore each skip stream's high-water mark — is
-    exactly that of any real run with the same geometry), runs the fast
-    engine, and returns ``{add_node: max_occupancy}``.  Results are cached
-    on the graph instance per (partition, link, f_clk, n_images).
+    A view over the geometry's zero-batch timing replay
+    (:func:`repro.dataflow.schedule.replay_schedule`, cached on the graph
+    and shared with the partition planner's exact prediction).
     """
-    adds = [n for n in graph.order if isinstance(graph.nodes[n], AddNode)]
-    if not adds:
+    if not any(isinstance(node, AddNode) for node in graph.nodes.values()):
         return {}
-    key = (_partition_key(partition), link, float(fclk_mhz), int(n_images))
-    cache: dict[Any, dict[str, int]] | None = getattr(graph, "_skip_capacity_cache", None)
-    if cache is None:
-        cache = {}
-        graph._skip_capacity_cache = cache  # type: ignore[attr-defined]
-    hit = cache.get(key)
-    if hit is not None:
-        return dict(hit)
-
-    from ..kernels.conv import ConvKernel
-    from .manager import build_pipeline
-
-    spec = graph.input_spec
-    zeros = np.zeros((n_images, spec.height, spec.width, spec.channels), dtype=np.int64)
-    pipeline = build_pipeline(
-        graph,
-        zeros,
-        partition=partition,
-        link=link,
-        fclk_mhz=fclk_mhz,
-        skip_sizing="replay",
-    )
-    for kernel in pipeline.engine.kernels:
-        if isinstance(kernel, ConvKernel):
-            # Timing abstraction: emit the right *number* of outputs with no
-            # arithmetic.  Instance attribute shadows the method.
-            zero_out = [0] * kernel.out_channels
-            kernel._compute_outputs = lambda window, _z=zero_out: _z  # type: ignore[method-assign]
-    pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles)
-    solution = {
-        add: max(1, stream.stats.max_occupancy)
-        for add, stream in pipeline.skip_streams.items()
-    }
-    cache[key] = dict(solution)
-    return solution
+    schedule = replay_schedule(graph, partition=partition, link=link, fclk_mhz=fclk_mhz)
+    return {add: max(1, hw) for add, hw in schedule.skip_high_water.items()}
 
 
 def check_skip_high_water(pipeline: "Pipeline", n_images: int) -> None:

@@ -15,7 +15,7 @@ from .plan import (
     PredictedTiming,
     PrunedCandidate,
 )
-from .replay import PREDICT_IMAGES, predict_partition_timing
+from .replay import predict_partition_timing
 from .search import allowed_cut_positions, neighbor_partitions, plan_partition
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "PlanError",
     "PredictedTiming",
     "PrunedCandidate",
-    "PREDICT_IMAGES",
     "predict_partition_timing",
     "allowed_cut_positions",
     "neighbor_partitions",

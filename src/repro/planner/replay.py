@@ -1,41 +1,24 @@
-"""Exact plan timing by value-independent abstract replay.
+"""Exact plan timing, read off the value-independent timing replay.
 
-The analytic rate model (:mod:`repro.hardware.timing`) is good enough to
-rank candidates inside the search loop but only ~5% accurate on absolute
-cycles.  The *shipped* prediction has to be exact: the acceptance contract
-is that the plan's predicted steady-state interval equals the simulated
-interval of the planned partitioning bit-for-bit.
-
-That exactness is free here because kernel scheduling is completely
-value-independent (the same property the §III-B5 skip solver and the leap
-scheduler's periodicity proof rest on): the cycle at which any kernel
-consumes or emits depends only on tensor geometry.  So we build the real
-pipeline on a zero batch, stub out the convolution arithmetic, run the
-fast engine once, and read the sink's completion instants — the identical
-schedule any real run of the same geometry walks, at a fraction of the
-compute.  No search-loop candidate is ever replayed; only the winner (and,
-in tests, its neighbors) pays this cost.
+The analytic rate model (:mod:`repro.hardware.timing`) ranks candidates in
+the search loop but is only ~5% accurate on absolute cycles; the shipped
+prediction must equal the simulated interval bit-for-bit.  Kernel timing
+never depends on data values, so the geometry's zero-batch replay
+(:func:`repro.dataflow.schedule.replay_schedule`) walks the schedule of any
+real run of the partition.  The replay is cached on the graph and shared
+with the §III-B5 skip solver, so planning and then simulating the winner
+replays once.  Only the winner (and, in tests, its neighbors) is replayed.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
 from ..dataflow.interval import exact_completion_period, mean_completion_interval
 from ..dataflow.links import MAXRING, LinkSpec
+from ..dataflow.schedule import replay_schedule
 from ..nn.graph import LayerGraph
 from .plan import PredictedTiming
 
-__all__ = ["PREDICT_IMAGES", "predict_partition_timing"]
-
-# Images the predictor replays.  Four gives three completion gaps — enough
-# for `exact_completion_period` to certify a steady-state period — while
-# keeping the replay a few pipeline fills long.  Tests that compare against
-# a real simulation must stream the same count (the mean interval is
-# count-dependent; the exact period is not).
-PREDICT_IMAGES = 4
+__all__ = ["predict_partition_timing"]
 
 
 def predict_partition_timing(
@@ -44,69 +27,21 @@ def predict_partition_timing(
     *,
     link: LinkSpec = MAXRING,
     fclk_mhz: float = 105.0,
-    n_images: int = PREDICT_IMAGES,
-    max_cycles: int = 500_000_000,
 ) -> PredictedTiming:
-    """Exact interval/latency of ``partition`` via one zero-batch replay.
+    """Exact interval/latency of ``partition``, from the geometry's timing replay.
 
     Bit-equal to a real ``simulate(...)`` of the same partition and image
-    count in any mode (exhaustive/fast/leap) — tested property.  Results
-    are cached on the graph per (partition, link, f_clk, n_images).
+    count (``REPLAY_IMAGES``) in any mode (exhaustive/fast/leap) — tested
+    property.
     """
-    key = (
-        tuple(tuple(group) for group in partition),
-        link,
-        float(fclk_mhz),
-        int(n_images),
-    )
-    cache: dict[Any, PredictedTiming] | None = getattr(graph, "_plan_replay_cache", None)
-    if cache is None:
-        cache = {}
-        graph._plan_replay_cache = cache  # type: ignore[attr-defined]
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-
-    from ..kernels.conv import ConvKernel
-    from ..dataflow.manager import build_pipeline
-    from ..telemetry.latency import segment_summaries
-
-    spec = graph.input_spec
-    zeros = np.zeros((n_images, spec.height, spec.width, spec.channels), dtype=np.int64)
-    pipeline = build_pipeline(
-        graph,
-        zeros,
-        partition=partition,
-        link=link,
-        fclk_mhz=fclk_mhz,
-        skip_sizing="exact",
-    )
-    for kernel in pipeline.engine.kernels:
-        if isinstance(kernel, ConvKernel):
-            # Timing abstraction (as in verify.solve_skip_capacities): emit
-            # the right *number* of outputs with no arithmetic.
-            zero_out = [0] * kernel.out_channels
-            kernel._compute_outputs = lambda window, _z=zero_out: _z  # type: ignore[method-assign]
-    cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles)
-    if not pipeline.sink.done:
-        raise RuntimeError(
-            f"plan replay of {graph.name!r} did not finish within {max_cycles:,} "
-            "cycles — run `python -m repro check` on this partition"
-        )
-    completions = list(pipeline.sink.completion_cycles)
-    segments = tuple(
-        (label, float(summary.mean))
-        for label, summary in segment_summaries(pipeline)
-        if summary.mean is not None
-    )
-    timing = PredictedTiming(
-        n_images=n_images,
-        replay_cycles=cycles,
+    schedule = replay_schedule(graph, partition, link=link, fclk_mhz=fclk_mhz)
+    completions = list(schedule.completion_cycles)
+    return PredictedTiming(
+        n_images=len(completions),
+        replay_cycles=schedule.cycles,
         latency_cycles=completions[0],
-        completion_cycles=tuple(completions),
+        completion_cycles=schedule.completion_cycles,
         interval=mean_completion_interval(completions),
         period=exact_completion_period(completions),
-        segments=segments,
+        segments=schedule.segments,
     )
-    cache[key] = timing
-    return timing

@@ -48,7 +48,7 @@ from ..hardware.resources import estimate_node
 from ..hardware.timing import estimate_network_timing
 from ..nn.graph import AddNode, InputNode, LayerGraph
 from .plan import DeviceLedger, PartitionPlan, PlanError, PredictedTiming, PrunedCandidate
-from .replay import PREDICT_IMAGES, predict_partition_timing
+from .replay import predict_partition_timing
 
 __all__ = ["plan_partition", "neighbor_partitions", "allowed_cut_positions"]
 
@@ -331,7 +331,6 @@ def plan_partition(
     link: LinkSpec = MAXRING,
     fclk_mhz: float = 105.0,
     predict: bool = True,
-    n_images: int = PREDICT_IMAGES,
     audit_limit: int = 64,
 ) -> PartitionPlan:
     """Search the cut space and return the optimal :class:`PartitionPlan`.
@@ -423,9 +422,7 @@ def plan_partition(
     ]
     predicted: PredictedTiming | None = None
     if predict:
-        predicted = predict_partition_timing(
-            graph, partition, link=link, fclk_mhz=fclk_mhz, n_images=n_images
-        )
+        predicted = predict_partition_timing(graph, partition, link=link, fclk_mhz=fclk_mhz)
     return PartitionPlan(
         graph_name=graph.name,
         objective=objective,

@@ -190,6 +190,27 @@ def test_flush_appends_valid_entry_and_peek(tmp_path, monkeypatch):
         perf_trajectory._last_flushed.clear()
 
 
+def test_flush_refuses_truncated_trajectory(tmp_path, monkeypatch):
+    from benchmarks import perf_trajectory
+
+    path = tmp_path / "traj.json"
+    monkeypatch.setattr(perf_trajectory, "BENCH_PATH", path)
+    perf_trajectory.record("tiny_chain", 5614, 0.05)
+    perf_trajectory.flush()
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) // 2])
+    truncated = path.read_bytes()
+    perf_trajectory.record("tiny_chain", 5614, 0.05)
+    try:
+        with pytest.raises(PerfDataError, match="cannot read trajectory"):
+            perf_trajectory.flush()
+        assert path.read_bytes() == truncated
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.json"]
+    finally:
+        perf_trajectory._cases.clear()
+        perf_trajectory._last_flushed.clear()
+
+
 # ---------------------------------------------------------------------------
 # diff gate
 

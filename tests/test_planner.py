@@ -112,7 +112,64 @@ class TestExactPrediction:
         partition = [list(graph.order[1:])]
         a = predict_partition_timing(graph, partition)
         b = predict_partition_timing(graph, partition)
-        assert a is b
+        assert a == b
+        assert len(graph._schedule_cache) == 1
+
+
+def _count_timing_replays(monkeypatch):
+    """Count engine runs over a stubbed (zero-batch timing replay) datapath."""
+    from repro.dataflow.engine import Engine
+    from repro.kernels.conv import ConvKernel
+
+    replays = []
+    original = Engine.run
+
+    def run(engine, *args, **kwargs):
+        if any(
+            isinstance(k, ConvKernel) and "_compute_outputs" in vars(k) for k in engine.kernels
+        ):
+            replays.append(engine.name)
+        return original(engine, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "run", run)
+    return replays
+
+
+class TestSharedReplay:
+    def test_plan_then_simulate_replays_once(self, monkeypatch):
+        graph = FAMILIES["resnet18"]()
+        cap = _forcing_cap(graph)
+        replays = _count_timing_replays(monkeypatch)
+        plan = plan_partition(graph, fill_cap=cap)
+        assert plan.n_dfes == 2
+        run = simulate(graph, _images(graph, plan.predicted.n_images), partition=plan.groups)
+        assert tuple(run.run.completion_cycles) == plan.predicted.completion_cycles
+        assert len(replays) == 1
+
+        # No partition and one group covering every node are one geometry.
+        from repro.dataflow.schedule import replay_schedule
+
+        whole = replay_schedule(graph)
+        assert replay_schedule(graph, [list(graph.order[1:])]) is whole
+        assert len(replays) == 2
+
+    def test_replay_budget_abort_caches_nothing(self, monkeypatch):
+        from repro.dataflow import schedule, solve_skip_capacities
+
+        graph = FAMILIES["resnet18"]()
+        groups = [list(graph.order[1:])]
+        monkeypatch.setattr(schedule, "REPLAY_MAX_CYCLES", 50)
+        with pytest.raises(RuntimeError, match="python -m repro check"):
+            solve_skip_capacities(graph)
+        with pytest.raises(RuntimeError, match="python -m repro check"):
+            predict_partition_timing(graph, groups)
+        assert not getattr(graph, "_schedule_cache", {})
+
+        monkeypatch.undo()
+        retried = predict_partition_timing(graph, groups)
+        assert len(retried.completion_cycles) == schedule.REPLAY_IMAGES
+        assert retried == predict_partition_timing(FAMILIES["resnet18"](), groups)
+        assert solve_skip_capacities(graph) == solve_skip_capacities(FAMILIES["resnet18"]())
 
 
 class TestNeighborDominance:

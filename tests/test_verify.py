@@ -124,7 +124,7 @@ class TestSkipSolver:
 
     def test_solution_cached_on_graph(self, tiny_resnet_graph):
         first = solve_skip_capacities(tiny_resnet_graph)
-        assert tiny_resnet_graph._skip_capacity_cache
+        assert tiny_resnet_graph._schedule_cache
         assert solve_skip_capacities(tiny_resnet_graph) == first
 
     def test_sanitizer_catches_doctored_prediction(self, tiny_resnet_graph, resnet_levels):
