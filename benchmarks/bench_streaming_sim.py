@@ -275,15 +275,15 @@ def test_streaming_resnet18_224_leap(benchmark):
 
     ``skip_sizing="bound"`` uses the closed-form §III-B5 capacity instead
     of the exact replay solver (which alone costs ~a minute at this scale);
-    the bound is proven safe, only the high-water sanitizer's exactness
-    claim needs the solver, so it is skipped here.
+    the bound is proven safe, and under it the high-water sanitizer only
+    checks occupancy against capacity.
     """
     graph = direct_resnet18_graph()
     rng = np.random.default_rng(4)
     images = rng.integers(0, 4, size=(6, 224, 224, 3))
 
     sr = benchmark.pedantic(
-        lambda: simulate(graph, images, mode="leap", skip_sizing="bound", sanitize=False),
+        lambda: simulate(graph, images, mode="leap", skip_sizing="bound"),
         rounds=1,
         iterations=1,
     )

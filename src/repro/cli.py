@@ -79,6 +79,20 @@ def _out_exists(args: argparse.Namespace) -> bool:
     return False
 
 
+def _emit(args: argparse.Namespace, text: str, what: str) -> None:
+    """Write ``text`` to ``--out`` (and say so on stdout), or print it."""
+    if args.out:
+        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
+        print(f"wrote {what} to {args.out}")
+    else:
+        print(text)
+
+
+def _mode(args: argparse.Namespace) -> str:
+    """The scheduler an ``--exhaustive`` flag selects."""
+    return "exhaustive" if args.exhaustive else "fast"
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     from .eval import EXPERIMENTS
 
@@ -232,7 +246,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if _out_exists(args):
         return 2
     tracer = Tracer()
-    run = simulate(graph, images, fast=not args.exhaustive, trace=tracer)
+    run = simulate(graph, images, mode=_mode(args), trace=tracer)
     path = tracer.write_chrome_trace(args.out)
     print(
         f"{args.images} image(s) through {graph.name}: {run.cycles:,} cycles; "
@@ -287,15 +301,14 @@ def _cmd_load(args: argparse.Namespace) -> int:
             args.sweep,
             process=args.process,
             seed=args.seed,
-            fast=not args.exhaustive,
+            mode=_mode(args),
             max_cycles=args.max_cycles,
         )
-        text = json.dumps(payload, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            print(f"wrote {len(payload['points'])}-point latency-throughput sweep to {args.out}")
-        else:
-            print(text)
+        _emit(
+            args,
+            json.dumps(payload, indent=2),
+            f"{len(payload['points'])}-point latency-throughput sweep",
+        )
         return 0
 
     if args.rate is None:
@@ -307,16 +320,11 @@ def _cmd_load(args: argparse.Namespace) -> int:
         rate_fps=args.rate,
         process=args.process,
         seed=args.seed,
-        fast=not args.exhaustive,
+        mode=_mode(args),
         max_cycles=args.max_cycles,
     )
     if args.json:
-        text = json.dumps(result.as_dict(), indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            print(f"wrote load result to {args.out}")
-        else:
-            print(text)
+        _emit(args, json.dumps(result.as_dict(), indent=2), "load result")
     else:
         print(result.render())
     if args.slo_p99_cycles is not None and result.slo_violated(args.slo_p99_cycles):
@@ -357,14 +365,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if _out_exists(args):
         return 2
 
-    def emit(payload: dict, what: str) -> None:
-        text = json.dumps(payload, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            print(f"wrote {what} to {args.out}")
-        else:
-            print(text)
-
     if args.plan_dfes:
         from .fleet import plan_fleet_dfes
         from .planner import PlanError
@@ -375,7 +375,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print(f"fleet --plan-dfes: {exc}", file=sys.stderr)
             return 1
         if args.json or args.out:
-            emit(answer, "fleet DFE plan")
+            _emit(args, json.dumps(answer, indent=2), "fleet DFE plan")
         else:
             for rep in answer["replicas"]:
                 print(
@@ -409,7 +409,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
         if args.json or args.out:
-            emit(answer, "capacity answer")
+            _emit(args, json.dumps(answer, indent=2), "capacity answer")
         else:
             n = answer["min_replicas"]
             verdict = (
@@ -443,7 +443,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
         payload = fleet_sweep(config, rates, policies)
-        emit(payload, f"{len(rates)}-point fleet frontier ({', '.join(policies)})")
+        _emit(
+            args,
+            json.dumps(payload, indent=2),
+            f"{len(rates)}-point fleet frontier ({', '.join(policies)})",
+        )
         return 0
 
     if args.rate is None:
@@ -467,7 +471,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 2
     report = simulate_fleet(config)
     if args.json or args.out:
-        emit(report.as_dict(), "fleet report")
+        _emit(args, json.dumps(report.as_dict(), indent=2), "fleet report")
     else:
         print(report.render())
     if args.slo_p99_cycles is not None and report.slo_violated(args.slo_p99_cycles):
@@ -514,7 +518,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         images,
         skip_sizing=skip_sizing,
         max_cycles=args.max_cycles,
-        fast=not args.exhaustive,
+        mode=_mode(args),
     )
     print(report.render())
     return 1 if report.aborted else 0
@@ -589,12 +593,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         n_warnings += len(report.warnings)
     if args.json or args.out:
         payload = {"schema": "repro-check/1", "reports": reports}
-        text = json.dumps(payload, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            print(f"wrote {len(reports)} check report(s) to {args.out}")
-        else:
-            print(text)
+        _emit(args, json.dumps(payload, indent=2), f"{len(reports)} check report(s)")
     if n_errors or (args.strict and n_warnings):
         return 1
     return 0
@@ -704,12 +703,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 rc = 1
 
     if args.json or args.out:
-        text = json.dumps(plan.as_dict(), indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            print(f"wrote plan to {args.out}")
-        else:
-            print(text)
+        _emit(args, json.dumps(plan.as_dict(), indent=2), "plan")
     else:
         print(plan.render())
         if args.audit:
@@ -754,11 +748,7 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
         text = render_markdown(entries)
     else:
         text = render_table(entries)
-    if args.out:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
-        print(f"wrote perf trajectory report to {args.out}")
-    else:
-        print(text)
+    _emit(args, text, "perf trajectory report")
     return 0
 
 
@@ -804,12 +794,7 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
     if _out_exists(args):
         return 2
     if args.json or args.out:
-        text = json.dumps(result.as_dict(), indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            print(f"wrote perf diff to {args.out}")
-        else:
-            print(text)
+        _emit(args, json.dumps(result.as_dict(), indent=2), "perf diff")
     else:
         print(result.render())
     if not result.ok:

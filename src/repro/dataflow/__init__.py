@@ -1,7 +1,7 @@
 """Maxeler-style streaming dataflow substrate: streams, kernels, engine, manager."""
 
-from .engine import Engine, RunResult
-from .interval import exact_completion_period, mean_completion_interval
+from .engine import CycleBudgetExceeded, Engine, RunResult
+from .interval import achieved_fps, exact_completion_period, mean_completion_interval
 from .kernel import Kernel, KernelStats
 from .leap import LeapController, LeapReport, batch_reference_outputs
 from .links import MAXRING, PCIE_GEN2_X8, LinkSpec, required_bandwidth_mbps
@@ -41,6 +41,7 @@ from .window import (
 )
 
 __all__ = [
+    "CycleBudgetExceeded",
     "Engine",
     "RunResult",
     "Kernel",
@@ -48,6 +49,7 @@ __all__ = [
     "LeapController",
     "LeapReport",
     "batch_reference_outputs",
+    "achieved_fps",
     "exact_completion_period",
     "mean_completion_interval",
     "MAXRING",

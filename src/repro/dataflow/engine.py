@@ -29,8 +29,20 @@ from .trace import Tracer
 if TYPE_CHECKING:
     from ..telemetry.collector import Telemetry
     from .leap import LeapController
+    from .manager import Pipeline
 
-__all__ = ["Engine", "RunResult"]
+__all__ = ["CycleBudgetExceeded", "Engine", "RunResult"]
+
+
+class CycleBudgetExceeded(RuntimeError):
+    """A run that did not finish within its cycle budget (deadlock or too small a budget).
+
+    :func:`repro.dataflow.manager.simulate` attaches the partly run
+    ``pipeline`` so callers that report on aborted runs (load generation,
+    bottleneck attribution, fleet replicas) can read its settled state.
+    """
+
+    pipeline: "Pipeline | None" = None
 
 
 @dataclass
@@ -139,9 +151,9 @@ class Engine:
         it every ``telemetry.sample_every`` simulated cycles (mirroring the
         aggregate counters into its metrics registry) and seal it with a
         final sample at the run's cycle count, which therefore reconciles
-        exactly with :meth:`collect_stats`.  On a non-converging run the
-        collector is left unsealed for the caller (see
-        :func:`repro.telemetry.attribution.run_attributed`).
+        exactly with :meth:`collect_stats`.  A run that exhausts its budget
+        raises :class:`CycleBudgetExceeded` and leaves the collector
+        unsealed.
 
         ``leap`` accepts a :class:`~repro.dataflow.leap.LeapController`
         (built by ``LeapController.for_engine``): on top of the fast
@@ -355,7 +367,7 @@ class Engine:
                 kernel._wake_at = WAKE_NEVER
         raise self._no_convergence(max_cycles)
 
-    def _no_convergence(self, max_cycles: int) -> RuntimeError:
+    def _no_convergence(self, max_cycles: int) -> CycleBudgetExceeded:
         """Build the abort error, naming the starved/blocked edges at abort.
 
         A deadlocked pipeline shows a cycle of blame: some kernel blocked on
@@ -396,7 +408,7 @@ class Engine:
                 + "\n  hint: `python -m repro check` statically verifies FIFO sizing, "
                 "bitwidths and partition feasibility before any cycle is simulated"
             )
-        return RuntimeError(message)
+        return CycleBudgetExceeded(message)
 
     def _account(self, kernel: Kernel, skipped: int) -> None:
         """Replay ``skipped`` stall cycles' worth of counters on a parked kernel."""

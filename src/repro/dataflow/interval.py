@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = ["mean_completion_interval", "exact_completion_period"]
+__all__ = ["achieved_fps", "mean_completion_interval", "exact_completion_period"]
 
 
 def mean_completion_interval(completion_cycles: Sequence[int]) -> float | None:
@@ -34,6 +34,19 @@ def mean_completion_interval(completion_cycles: Sequence[int]) -> float | None:
         return None
     span = completion_cycles[-1] - completion_cycles[0]
     return span / (len(completion_cycles) - 1)
+
+
+def achieved_fps(completion_cycles: Sequence[int], fclk_mhz: float) -> float | None:
+    """Completed images per second over the first-to-last completion span.
+
+    Load generation, fleet replicas and the fleet aggregate all report this
+    figure.  Returns ``None`` with fewer than two completions or a zero span
+    (simultaneous completions have no measurable rate).
+    """
+    if len(completion_cycles) < 2 or completion_cycles[-1] <= completion_cycles[0]:
+        return None
+    span = completion_cycles[-1] - completion_cycles[0]
+    return (len(completion_cycles) - 1) / span * fclk_mhz * 1e6
 
 
 def exact_completion_period(completion_cycles: Sequence[int], window: int = 2) -> int | None:

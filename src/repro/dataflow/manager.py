@@ -36,7 +36,7 @@ from ..nn.graph import (
     TensorSpec,
     ThresholdNode,
 )
-from .engine import Engine, RunResult
+from .engine import CycleBudgetExceeded, Engine, RunResult
 from .kernel import Kernel
 from .leap import LeapController, LeapReport, batch_reference_outputs
 from .links import MAXRING, PCIE_GEN2_X8, LinkSpec, required_bandwidth_mbps
@@ -391,51 +391,49 @@ def simulate(
     link: LinkSpec = MAXRING,
     fclk_mhz: float = 105.0,
     max_cycles: int = 50_000_000,
-    fast: bool = True,
     trace: Tracer | None = None,
     telemetry: "Telemetry | None" = None,
     skip_sizing: str | dict[str, int] = "exact",
-    sanitize: bool = True,
     arrival_cycles: list[int] | None = None,
-    mode: str | None = None,
+    mode: str = "fast",
 ) -> StreamingRun:
     """Cycle-accurately stream ``images`` through ``graph``.
 
     Returns the reassembled integer outputs together with latency and
     throughput measurements; the outputs are bit-exact with
-    :func:`repro.nn.inference.run_graph` (tested property).  ``fast``
-    selects the event-driven scheduler (default) or the exhaustive
-    tick-everything reference loop; both produce identical results and
-    statistics (tested property).  Passing a fresh
+    :func:`repro.nn.inference.run_graph` (tested property).  Passing a fresh
     :class:`~repro.dataflow.trace.Tracer` as ``trace`` records the run's
-    full cycle-exact event log (identical for both schedulers) for
+    full cycle-exact event log (identical for every scheduler) for
     Perfetto export and occupancy analysis.  Passing a fresh
     :class:`~repro.telemetry.collector.Telemetry` as ``telemetry`` samples
     live metrics (kernel utilization, FIFO occupancy, link bandwidth,
     throughput) into its registry as the run progresses; the collector
     adopts the pipeline's fabric clock and link crossings.
 
-    ``sanitize=True`` (default) asserts every skip stream's measured
-    high-water mark against the static §III-B5 prediction after the run
-    (exact equality in steady state — the verifier's solver and the engine
-    must agree, or the run raises).
+    After every run each skip stream's measured high-water mark is
+    asserted against the static §III-B5 prediction
+    (:func:`~repro.dataflow.verify.check_skip_high_water`): the verifier's
+    solver and the engine must agree, or the run raises.
 
-    ``mode`` names the scheduler explicitly — ``"exhaustive"``, ``"fast"``
-    or ``"leap"`` — and overrides the legacy ``fast`` flag.  ``"leap"``
-    runs the fast scheduler plus the steady-state leap controller
-    (:mod:`repro.dataflow.leap`): once the pipeline's period is proven,
-    whole periods are skipped and their outputs recomputed through the
-    kernels' batched functional paths.  Results (cycles, outputs, stats,
-    traces, per-image instants) are bit-identical across all three modes;
-    pipelines outside the leap contract (open-loop arrivals, custom
+    ``mode`` names the scheduler: ``"fast"`` (default) is the event-driven
+    park/wake scheduler, ``"exhaustive"`` the tick-everything reference
+    loop, and ``"leap"`` runs the fast scheduler plus the steady-state leap
+    controller (:mod:`repro.dataflow.leap`): once the pipeline's period is
+    proven, whole periods are skipped and their outputs recomputed through
+    the kernels' batched functional paths.  Results (cycles, outputs,
+    stats, traces, per-image instants) are bit-identical across all three
+    modes; pipelines outside the leap contract (open-loop arrivals, custom
     kernels) degrade to the fast path with
     ``StreamingRun.leap_report.demoted`` set and ``demotion_reason``
     naming the cause — check the report to see whether leaps happened.
+
+    A run that does not finish within ``max_cycles`` raises
+    :class:`~repro.dataflow.engine.CycleBudgetExceeded` carrying the partly
+    run ``pipeline``, whose settled counters and completed images are what
+    load generation, attribution and fleet replicas report on.
     """
-    if mode is not None:
-        if mode not in ("exhaustive", "fast", "leap"):
-            raise ValueError(f"mode must be 'exhaustive', 'fast' or 'leap', got {mode!r}")
-        fast = mode != "exhaustive"
+    if mode not in ("exhaustive", "fast", "leap"):
+        raise ValueError(f"mode must be 'exhaustive', 'fast' or 'leap', got {mode!r}")
     images = np.asarray(images)
     if images.ndim == 3:
         images = images[None]
@@ -464,15 +462,19 @@ def simulate(
                 demoted=True,
                 demotion_reason=LeapController.ineligibility(pipeline.engine),
             )
-    cycles = pipeline.engine.run(
-        lambda: pipeline.sink.done,
-        max_cycles=max_cycles,
-        fast=fast,
-        trace=trace,
-        telemetry=telemetry,
-        leap=controller,
-    )
-    if sanitize and pipeline.skip_streams:
+    try:
+        cycles = pipeline.engine.run(
+            lambda: pipeline.sink.done,
+            max_cycles=max_cycles,
+            fast=mode != "exhaustive",
+            trace=trace,
+            telemetry=telemetry,
+            leap=controller,
+        )
+    except CycleBudgetExceeded as err:
+        err.pipeline = pipeline
+        raise
+    if pipeline.skip_streams:
         from .verify import check_skip_high_water
 
         check_skip_high_water(pipeline, n_images=int(images.shape[0]))

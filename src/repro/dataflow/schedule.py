@@ -28,6 +28,7 @@ import numpy as np
 
 from ..kernels.conv import ConvKernel
 from ..nn.graph import AddNode, LayerGraph
+from .engine import CycleBudgetExceeded
 from .links import MAXRING, LinkSpec
 from .manager import build_pipeline
 
@@ -96,7 +97,7 @@ def replay_schedule(
             kernel._compute_outputs = lambda window, _z=zero_out: _z  # type: ignore[method-assign]
     try:
         cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=REPLAY_MAX_CYCLES)
-    except RuntimeError as exc:
+    except CycleBudgetExceeded as exc:
         raise RuntimeError(
             f"timing replay of {graph.name!r} did not finish within {REPLAY_MAX_CYCLES:,} "
             "cycles — run `python -m repro check` on this geometry"

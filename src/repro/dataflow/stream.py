@@ -169,11 +169,6 @@ class Stream:
                     writer._wake_at = cycle
         return value
 
-    def head_ready_cycle(self) -> int | None:
-        """Ready cycle of the head element, or None when empty."""
-        fifo = self._fifo
-        return fifo[0][1] if fifo else None
-
     def peek(self, cycle: int) -> int:
         if not self.can_pop(cycle):
             raise RuntimeError(f"stream {self.name!r}: peek on empty/unready stream")

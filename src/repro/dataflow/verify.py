@@ -315,7 +315,7 @@ def check_skip_high_water(pipeline: "Pipeline", n_images: int) -> None:
     the measured mark must *equal* the capacity the solver predicted; a
     single-image run only fills the pipeline once and may peak lower, so it
     is held to ``<=``.  Called by :func:`repro.dataflow.manager.simulate`
-    after every successful run (``sanitize=True``).
+    after every successful run.
     """
     for add_name, stream in pipeline.skip_streams.items():
         occ = stream.stats.max_occupancy

@@ -92,10 +92,6 @@ class ScanWindow:
         self._pixel = 0  # r * width + c
 
     @property
-    def total_elements(self) -> int:
-        return self._total
-
-    @property
     def position(self) -> tuple[int, int, int]:
         """Current (row, col, channel) about to be written."""
         return self._r, self._c, self._i

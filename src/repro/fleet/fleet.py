@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..dataflow.interval import achieved_fps
 from ..dataflow.links import PCIE_GEN2_X8, LinkSpec
 from ..telemetry.latency import latency_report, summarize
 from ..telemetry.loadgen import make_schedule, spawn_poisson_schedules
@@ -378,7 +379,8 @@ def _replica_worker(job: tuple[Any, ...]) -> dict[str, Any]:
     }
     if not requests:
         return result
-    from ..dataflow.manager import build_pipeline
+    from ..dataflow.engine import CycleBudgetExceeded
+    from ..dataflow.manager import simulate
 
     graph = spec.graph()
     ispec = graph.input_spec
@@ -388,29 +390,27 @@ def _replica_worker(job: tuple[Any, ...]) -> dict[str, Any]:
             for request in requests
         ]
     )
-    pipeline = build_pipeline(
-        graph, images, fclk_mhz=fclk_mhz, arrival_cycles=list(fabric_arrivals)
-    )
     try:
-        cycles = pipeline.engine.run(
-            lambda: pipeline.sink.done, max_cycles=max_cycles, fast=True
+        run = simulate(
+            graph,
+            images,
+            fclk_mhz=fclk_mhz,
+            max_cycles=max_cycles,
+            arrival_cycles=list(fabric_arrivals),
         )
-    except RuntimeError as err:
+    except CycleBudgetExceeded as err:
         result["aborted"] = True
         result["abort_message"] = str(err)
-        cycles = max_cycles
-    report = latency_report(pipeline, cycles)
+        pipeline, cycles = err.pipeline, max_cycles
+    else:
+        pipeline, cycles = run.pipeline, run.cycles
+        result["output_checksum"] = int(run.output.sum())
     completions = pipeline.sink.completion_cycles
     result["n_completed"] = len(completions)
     result["cycles"] = cycles
-    result["latency"] = report.as_dict()
+    result["latency"] = latency_report(pipeline, cycles).as_dict()
     result["completions"] = list(completions)
-    if len(completions) >= 2 and completions[-1] > completions[0]:
-        result["achieved_fps"] = (
-            (len(completions) - 1) / (completions[-1] - completions[0]) * fclk_mhz * 1e6
-        )
-    if not result["aborted"]:
-        result["output_checksum"] = int(pipeline.sink.output_tensor().sum())
+    result["achieved_fps"] = achieved_fps(completions, fclk_mhz)
     return result
 
 
@@ -456,9 +456,6 @@ class FleetReport:
         # Completions live on the global clock (fabric arrivals are global
         # cycles and every replica engine starts at cycle 0), so they merge.
         merged = sorted(c for rep in self.replicas for c in rep["completions"])
-        achieved = None
-        if len(merged) >= 2 and merged[-1] > merged[0]:
-            achieved = (len(merged) - 1) / (merged[-1] - merged[0]) * config.fclk_mhz * 1e6
         sojourn: list[int] = []
         service: list[int] = []
         queue_wait: list[int] = []
@@ -482,7 +479,7 @@ class FleetReport:
             and all(rep["n_completed"] == rep["n_dispatched"] for rep in self.replicas),
             "aborted_replicas": sum(1 for rep in self.replicas if rep["aborted"]),
             "offered_fps": config.rate_fps,
-            "achieved_fps": achieved,
+            "achieved_fps": achieved_fps(merged, config.fclk_mhz),
             "makespan_cycles": merged[-1] if merged else 0,
             "sojourn_cycles": summarize(sojourn).as_dict(),
             "service_cycles": summarize(service).as_dict(),

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from ..dataflow.window import depth_first_buffer_elements
 from ..nn.graph import (
     AddNode,
@@ -132,11 +130,6 @@ class NetworkResources:
 
     def max_utilization(self, device: FPGASpec) -> float:
         return max(self.utilization(device).values())
-
-    def dfes_required(self, device: FPGASpec, fill_cap: float = 0.8) -> int:
-        """Lower bound on DFEs needed at a routing-friendly fill cap."""
-        util = self.max_utilization(device)
-        return max(1, int(np.ceil(util / fill_cap)))
 
 
 def weight_cache_blocks(node: ConvNode) -> tuple[int, float]:

@@ -124,10 +124,6 @@ class NetworkTiming:
         return 1000.0 / self.interval_ms
 
     @property
-    def sequential_ms(self) -> float:
-        return self.sequential_cycles / (self.fclk_mhz * 1e3)
-
-    @property
     def overlap_speedup(self) -> float:
         """How much layer overlap beats run-to-completion scheduling."""
         return self.sequential_cycles / self.latency_cycles

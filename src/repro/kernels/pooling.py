@@ -86,11 +86,6 @@ class MaxPoolKernel(Kernel):
         windows = windows[:, :: self.stride, :: self.stride]
         return windows.max(axis=(-2, -1))
 
-    def _position(self) -> tuple[int, int, int]:
-        pixel, i = divmod(self._pos, self.channels)
-        r, c = divmod(pixel, self.w)
-        return r, c, i
-
     def _emits_at(self, r: int, c: int) -> bool:
         if r < self.k - 1 or c < self.k - 1:
             return False

@@ -34,7 +34,6 @@ class ThresholdKernel(Kernel):
         # Pre-compute per-channel endpoint tables once (the normalization
         # cache of the paper: two parameters per channel, expanded here).
         ends = self.unit.endpoints()
-        self._endpoints: list[np.ndarray] = [np.asarray(ends[c]) for c in range(self.channels)]
         self._signs = [int(s) for s in self.unit.slope_sign]
         self._const = [int(v) for v in self.unit.const_level]
         # Ascending per-channel endpoint lists for the hot path: plain
@@ -74,17 +73,6 @@ class ThresholdKernel(Kernel):
             else:
                 out[..., c] = self._n_ends - np.searchsorted(self._asc[c], v, side="left")
         return out
-
-    def _level(self, value: float, chan: int) -> int:
-        sign = self._signs[chan]
-        if sign == 0:
-            return self._const[chan]
-        ends = self._endpoints[chan]
-        # Binary search over the (monotone in alpha) endpoints.
-        if sign > 0:
-            return int(np.searchsorted(ends, value, side="right"))
-        rev = ends[::-1]
-        return len(ends) - int(np.searchsorted(rev, value, side="left"))
 
     def tick(self, cycle: int) -> None:
         inp = self.inputs[0]

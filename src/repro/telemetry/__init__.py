@@ -40,7 +40,6 @@ from .exporters import (
     render_prometheus,
     snapshot_registry,
     validate_exposition,
-    write_text_file,
 )
 from .latency import (
     LATENCY_BUCKETS,

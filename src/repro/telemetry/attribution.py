@@ -26,11 +26,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..dataflow.interval import mean_completion_interval
+
 if TYPE_CHECKING:
     from ..dataflow.engine import Engine
     from ..dataflow.manager import Pipeline
     from ..nn.graph import LayerGraph
-    from .collector import Telemetry
 
 __all__ = [
     "KernelAttribution",
@@ -247,14 +248,10 @@ def attribute_run(
     ]
     kernels.sort(key=lambda k: (k.utilization, k.name))
 
-    completions = sorted(pipeline.sink.completion_cycles)
+    completions = pipeline.sink.completion_cycles
     latency = completions[0] if completions else None
-    interval: float | None = None
-    fps: float | None = None
-    if len(completions) >= 2:
-        interval = (completions[-1] - completions[0]) / (len(completions) - 1)
-        if interval > 0:
-            fps = pipeline.fclk_mhz * 1e6 / interval
+    interval = mean_completion_interval(completions)
+    fps = pipeline.fclk_mhz * 1e6 / interval if interval else None
 
     root_edge: str | None = None
     root_capacity: int | None = None
@@ -324,51 +321,23 @@ def run_attributed(
     graph: "LayerGraph",
     images: np.ndarray,
     *,
-    partition: list[list[str]] | None = None,
-    fclk_mhz: float = 105.0,
     max_cycles: int = 50_000_000,
-    fast: bool = True,
-    use_bitops: bool = False,
+    mode: str = "fast",
     skip_sizing: "str | dict[str, int]" = "exact",
-    telemetry: "Telemetry | None" = None,
 ) -> AttributionReport:
     """Run ``images`` through ``graph`` and attribute the result.
 
-    Unlike :func:`repro.dataflow.manager.simulate`, a non-converging run
-    (deadlock / exhausted cycle budget) does not propagate: the engine's
-    settled stall counters at the abort point are exactly what the
-    attribution needs, so the report is built either way and carries the
-    abort message.
+    Unlike :func:`repro.dataflow.manager.simulate`, a run that exhausts its
+    cycle budget (deadlock or too small a budget) does not propagate: the
+    engine's settled stall counters at the abort point are exactly what
+    the attribution needs, so the report is built either way and carries
+    the abort message.  Any other error propagates.
     """
-    from ..dataflow.manager import build_pipeline
+    from ..dataflow.engine import CycleBudgetExceeded
+    from ..dataflow.manager import simulate
 
-    images = np.asarray(images)
-    if images.ndim == 3:
-        images = images[None]
-    pipeline = build_pipeline(
-        graph,
-        images,
-        use_bitops=use_bitops,
-        partition=partition,
-        fclk_mhz=fclk_mhz,
-        skip_sizing=skip_sizing,
-    )
-    if telemetry is not None:
-        telemetry.attach_pipeline(pipeline)
-    aborted = False
-    abort_message: str | None = None
-    cycles = 0
     try:
-        cycles = pipeline.engine.run(
-            lambda: pipeline.sink.done,
-            max_cycles=max_cycles,
-            fast=fast,
-            telemetry=telemetry,
-        )
-    except RuntimeError as err:
-        aborted = True
-        abort_message = str(err)
-        cycles = max_cycles
-        if telemetry is not None and not telemetry.finished:
-            telemetry.finish(cycles)
-    return attribute_run(pipeline, cycles, aborted=aborted, abort_message=abort_message)
+        run = simulate(graph, images, max_cycles=max_cycles, skip_sizing=skip_sizing, mode=mode)
+    except CycleBudgetExceeded as err:
+        return attribute_run(err.pipeline, max_cycles, aborted=True, abort_message=str(err))
+    return attribute_run(run.pipeline, run.cycles)

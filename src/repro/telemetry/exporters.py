@@ -14,10 +14,6 @@ Two serialisations of one :class:`~repro.telemetry.registry.MetricsRegistry`:
 format (name/label grammar, header presence, histogram invariants) used by
 the CI smoke job and the test suite, so the exporter cannot silently drift
 from what a real Prometheus scraper would accept.
-
-File writes go through :func:`write_text_file`, which refuses to overwrite
-an existing file unless ``force`` is set — the same contract ``repro trace
---out`` follows.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ __all__ = [
     "render_prometheus",
     "snapshot_registry",
     "validate_exposition",
-    "write_text_file",
     "PeriodicExporter",
 ]
 
@@ -218,18 +213,6 @@ def validate_exposition(text: str) -> list[str]:
         if not math.isinf(last_le):
             problems.append(f"histogram {base!r}: bucket run does not end at le=+Inf")
     return problems
-
-
-def write_text_file(path: str | Path, text: str, force: bool = False) -> Path:
-    """Write ``text`` to ``path``; refuse to overwrite unless ``force``."""
-    target = Path(path)
-    if target.exists() and not force:
-        raise FileExistsError(
-            f"{target} exists; pass --force (or force=True) to overwrite"
-        )
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text)
-    return target
 
 
 class PeriodicExporter:

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..dataflow.interval import achieved_fps
 from .latency import LatencyReport, latency_report
 
 if TYPE_CHECKING:
@@ -229,57 +230,47 @@ def run_load(
     process: str = "fixed",
     seed: int = 0,
     fclk_mhz: float = DEFAULT_FCLK_MHZ,
-    fast: bool = True,
+    mode: str = "fast",
     max_cycles: int = 50_000_000,
-    partition: list[list[str]] | None = None,
-    use_bitops: bool = False,
-    skip_sizing: "str | dict[str, int]" = "exact",
 ) -> LoadResult:
     """Stream ``images`` through ``graph`` at a target offered rate.
 
-    A non-converging run (deadlock, or a rate so far beyond capacity the
-    cycle budget runs out) does not propagate: the per-image records of the
-    images that *did* complete are exactly what the latency report needs,
-    and the result carries the abort message and an SLO-violating verdict.
+    A run that exhausts its cycle budget (deadlock, or a rate so far beyond
+    capacity the budget runs out) does not propagate: the per-image records
+    of the images that *did* complete are exactly what the latency report
+    needs, and the result carries the abort message and an SLO-violating
+    verdict.  Any other error propagates.
     """
-    from ..dataflow.manager import build_pipeline
+    from ..dataflow.engine import CycleBudgetExceeded
+    from ..dataflow.manager import simulate
 
     images = np.asarray(images)
     if images.ndim == 3:
         images = images[None]
     schedule = make_schedule(int(images.shape[0]), rate_fps, process, seed, fclk_mhz)
-    pipeline = build_pipeline(
-        graph,
-        images,
-        use_bitops=use_bitops,
-        partition=partition,
-        fclk_mhz=fclk_mhz,
-        skip_sizing=skip_sizing,
-        arrival_cycles=schedule.cycles,
-    )
-    aborted = False
     abort_message: str | None = None
     try:
-        cycles = pipeline.engine.run(
-            lambda: pipeline.sink.done, max_cycles=max_cycles, fast=fast
+        run = simulate(
+            graph,
+            images,
+            fclk_mhz=fclk_mhz,
+            max_cycles=max_cycles,
+            arrival_cycles=schedule.cycles,
+            mode=mode,
         )
-    except RuntimeError as err:
-        aborted = True
+    except CycleBudgetExceeded as err:
         abort_message = str(err)
-        cycles = max_cycles
-    report = latency_report(pipeline, cycles)
-    completions = pipeline.sink.completion_cycles
-    achieved: float | None = None
-    if len(completions) >= 2 and completions[-1] > completions[0]:
-        achieved = (len(completions) - 1) / (completions[-1] - completions[0]) * fclk_mhz * 1e6
+        pipeline, cycles = err.pipeline, max_cycles
+    else:
+        pipeline, cycles = run.pipeline, run.cycles
     return LoadResult(
         schedule=schedule,
         cycles=cycles,
-        report=report,
+        report=latency_report(pipeline, cycles),
         offered_fps=float(rate_fps),
-        achieved_fps=achieved,
+        achieved_fps=achieved_fps(pipeline.sink.completion_cycles, fclk_mhz),
         queue_depth_peak=_queue_depth_peak(schedule, pipeline.source.admission_cycles),
-        aborted=aborted,
+        aborted=abort_message is not None,
         abort_message=abort_message,
     )
 
@@ -292,9 +283,8 @@ def sweep(
     process: str = "fixed",
     seed: int = 0,
     fclk_mhz: float = DEFAULT_FCLK_MHZ,
-    fast: bool = True,
+    mode: str = "fast",
     max_cycles: int = 50_000_000,
-    partition: list[list[str]] | None = None,
 ) -> dict[str, Any]:
     """The FINN-style latency-throughput curve: one open-loop run per rate.
 
@@ -315,9 +305,8 @@ def sweep(
             process=process,
             seed=seed,
             fclk_mhz=fclk_mhz,
-            fast=fast,
+            mode=mode,
             max_cycles=max_cycles,
-            partition=partition,
         )
         service = result.report.service
         points.append(

@@ -26,6 +26,16 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def inject_maxpool_fault(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make every max-pool tick raise a plain ``RuntimeError``: a fault, not a budget abort."""
+    from repro.kernels.pooling import MaxPoolKernel
+
+    def tick(self, cycle):
+        raise RuntimeError("injected max-pool fault")
+
+    monkeypatch.setattr(MaxPoolKernel, "tick", tick)
+
+
 def make_tiny_chain_model(seed: int = 7):
     """A small conv+pool+fc chain with diverse BatchNorm statistics."""
     model = build_vgg_like(input_size=16, width=0.0625, classes=4, seed=seed)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.engine import Engine
+from repro.dataflow.engine import CycleBudgetExceeded, Engine
 from repro.dataflow.kernel import Kernel
 from repro.dataflow.manager import simulate
 from repro.dataflow.stream import Stream
@@ -72,8 +72,8 @@ def _case(name: str):
 def test_fast_path_matches_exhaustive(topology):
     graph, kwargs = _case(topology)
     images = _images(0)
-    slow = simulate(graph, images, fast=False, **kwargs)
-    fast = simulate(graph, images, fast=True, **kwargs)
+    slow = simulate(graph, images, mode="exhaustive", **kwargs)
+    fast = simulate(graph, images, mode="fast", **kwargs)
     _assert_runs_identical(slow, fast)
 
 
@@ -112,8 +112,8 @@ def test_fast_path_matches_exhaustive_random(seed, size, depth, with_residual):
     rng = np.random.default_rng(seed + 1)
     channels = graph.input_spec.channels
     images = rng.integers(0, 4, size=(5, size, size, channels), dtype=np.int64)
-    slow = simulate(graph, images, fast=False)
-    fast = simulate(graph, images, fast=True)
+    slow = simulate(graph, images, mode="exhaustive")
+    fast = simulate(graph, images, mode="fast")
     leap = simulate(graph, images, mode="leap")
     _assert_runs_identical(slow, fast)
     _assert_runs_identical(slow, leap)
@@ -302,6 +302,16 @@ def test_deadlock_aborts_at_max_cycles(fast):
     engine.connect(b, a, Stream("ba", capacity=2))
     with pytest.raises(RuntimeError, match="no convergence after 500 cycles"):
         engine.run(lambda: False, max_cycles=500, fast=fast)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "fast", "leap"])
+def test_budget_abort_carries_the_partly_run_pipeline(mode):
+    graph, _ = _case("chain")
+    with pytest.raises(CycleBudgetExceeded, match="no convergence after 100 cycles") as info:
+        simulate(graph, _images(0), max_cycles=100, mode=mode)
+    pipeline = info.value.pipeline
+    assert pipeline is not None and pipeline.graph is graph
+    assert pipeline.sink.completion_cycles == []
 
 
 def test_deadlock_abort_settles_identical_stall_counters():

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.dataflow import CycleBudgetExceeded
 from repro.dataflow.links import LinkSpec
 from repro.fleet import (
     FleetConfig,
@@ -33,6 +34,7 @@ from repro.fleet import (
     profile_replica,
     simulate_fleet,
 )
+from tests.conftest import inject_maxpool_fault
 
 FAST = ReplicaSpec("vgg", 16, width=0.0625)
 SLOW = ReplicaSpec("vgg", 16, width=0.25)
@@ -219,6 +221,26 @@ class TestByteIdentity:
         assert json.dumps(serial.as_dict(), sort_keys=True) == json.dumps(
             pooled.as_dict(), sort_keys=True
         )
+
+    def test_budget_abort_is_a_partial_byte_identical_report(self):
+        kwargs = dict(replicas=[FAST, FAST], rate_fps=20_000.0, n_requests=8, seed=3, max_cycles=20_000)
+        serial = simulate_fleet(FleetConfig(workers=0, **kwargs))
+        pooled = simulate_fleet(FleetConfig(workers=2, **kwargs))
+        assert json.dumps(serial.as_dict()) == json.dumps(pooled.as_dict())
+        aborted = [rep for rep in serial.replicas if rep["aborted"]]
+        assert aborted and not serial.aggregate["conserved"]
+        for rep in aborted:
+            assert rep["output_checksum"] is None and rep["cycles"] == 20_000
+            assert "no convergence" in rep["abort_message"]
+        assert 0 < serial.aggregate["completed"] < 8
+
+    def test_kernel_fault_propagates(self, monkeypatch):
+        config = _config()
+        plan = plan_fleet(config)
+        inject_maxpool_fault(monkeypatch)
+        with pytest.raises(RuntimeError, match="injected max-pool fault") as info:
+            simulate_fleet(config, plan)
+        assert not isinstance(info.value, CycleBudgetExceeded)
 
     def test_reruns_are_deterministic(self):
         first = simulate_fleet(_config(policy="jsq", process="poisson"))

@@ -100,8 +100,8 @@ def test_percentiles_bit_identical_fast_vs_exhaustive(topology, open_loop):
     images = _images(graph)
     arrivals = _open_loop_schedule(N_IMAGES) if open_loop else None
     kwargs = dict(partition=partition, arrival_cycles=arrivals)
-    slow = simulate(graph, images, fast=False, **kwargs)
-    fast = simulate(graph, images, fast=True, **kwargs)
+    slow = simulate(graph, images, mode="exhaustive", **kwargs)
+    fast = simulate(graph, images, mode="fast", **kwargs)
     rep_slow = latency_report(slow.pipeline, slow.cycles)
     rep_fast = latency_report(fast.pipeline, fast.cycles)
     assert rep_fast.service == rep_slow.service

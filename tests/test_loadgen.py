@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.dataflow import CycleBudgetExceeded
 from repro.models import direct_vgg_graph
 from repro.telemetry import (
     fixed_rate_schedule,
@@ -18,6 +19,7 @@ from repro.telemetry import (
     sweep,
 )
 from repro.telemetry.loadgen import cycles_per_image
+from tests.conftest import inject_maxpool_fault
 
 
 def _graph():
@@ -92,7 +94,7 @@ class TestRunLoad:
         kwargs = dict(rate_fps=20_000.0, process="poisson", seed=11)
         first = run_load(_graph(), _images(), **kwargs)
         again = run_load(_graph(), _images(), **kwargs)
-        exhaustive = run_load(_graph(), _images(), fast=False, **kwargs)
+        exhaustive = run_load(_graph(), _images(), mode="exhaustive", **kwargs)
         assert first.as_dict() == again.as_dict()
         assert first.as_dict() == exhaustive.as_dict()
 
@@ -110,6 +112,21 @@ class TestRunLoad:
         assert result.report.queue_wait.max > 0
         assert result.queue_depth_peak > 0
         assert "offered" in result.render() and "achieved" in result.render()
+
+    def test_budget_abort_keeps_completed_images(self):
+        full = run_load(_graph(), _images(), rate_fps=2_000.0)
+        budget = full.report.records[1].completion + 1
+        result = run_load(_graph(), _images(), rate_fps=2_000.0, max_cycles=budget)
+        assert result.aborted and "no convergence" in result.abort_message
+        assert result.cycles == budget
+        assert result.report.records == full.report.records[:2]
+        assert result.slo_violated(10**9)
+
+    def test_kernel_fault_propagates(self, monkeypatch):
+        inject_maxpool_fault(monkeypatch)
+        with pytest.raises(RuntimeError, match="injected max-pool fault") as info:
+            run_load(_graph(), _images(), rate_fps=2_000.0)
+        assert not isinstance(info.value, CycleBudgetExceeded)
 
     def test_slo_verdicts(self):
         result = run_load(_graph(), _images(), rate_fps=2_000.0)

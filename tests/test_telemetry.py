@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.dataflow import Tracer, simulate
+from repro.dataflow import CycleBudgetExceeded, Tracer, simulate
 from repro.dataflow.manager import build_pipeline
 from repro.dataflow.tracing import analyze_trace
 from repro.dataflow.verify import solve_skip_capacities, verify_pipeline
@@ -27,9 +27,8 @@ from repro.telemetry import (
     run_manifest,
     snapshot_registry,
     validate_exposition,
-    write_text_file,
 )
-from tests.conftest import make_tiny_chain_model
+from tests.conftest import inject_maxpool_fault, make_tiny_chain_model
 
 
 # -- registry primitives ---------------------------------------------------
@@ -124,22 +123,22 @@ def _assert_reconciles(telemetry, run):
     assert telemetry.registry.get("repro_cycles")._default().value == run.cycles
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "exhaustive"])
-def test_telemetry_reconciles_with_collect_stats(chain_case, fast):
+@pytest.mark.parametrize("mode", ["fast", "exhaustive"])
+def test_telemetry_reconciles_with_collect_stats(chain_case, mode):
     graph, levels = chain_case
     telemetry = Telemetry(sample_every=100)
-    run = simulate(graph, levels, fast=fast, telemetry=telemetry)
+    run = simulate(graph, levels, mode=mode, telemetry=telemetry)
     assert telemetry.finished and telemetry.total_cycles == run.cycles
     _assert_reconciles(telemetry, run)
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "exhaustive"])
-def test_telemetry_reconciles_with_pipeline_trace(chain_case, fast):
+@pytest.mark.parametrize("mode", ["fast", "exhaustive"])
+def test_telemetry_reconciles_with_pipeline_trace(chain_case, mode):
     """The sealed counters equal the Tracer-derived PipelineTrace's."""
     graph, levels = chain_case
     telemetry = Telemetry(sample_every=100)
     tracer = Tracer()
-    run = simulate(graph, levels, fast=fast, trace=tracer, telemetry=telemetry)
+    run = simulate(graph, levels, mode=mode, trace=tracer, telemetry=telemetry)
     trace = analyze_trace(tracer, skip_idle=False)
     kc = telemetry.registry.get("repro_kernel_cycles_total")
     for window in trace.windows:
@@ -166,11 +165,11 @@ def test_fast_midrun_samples_match_exhaustive(chain_case):
 
     exhaustive: dict = {}
     simulate(
-        graph, levels, fast=False, telemetry=Telemetry(sample_every=1, on_sample=capture(exhaustive))
+        graph, levels, mode="exhaustive", telemetry=Telemetry(sample_every=1, on_sample=capture(exhaustive))
     )
     fast: dict = {}
     simulate(
-        graph, levels, fast=True, telemetry=Telemetry(sample_every=97, on_sample=capture(fast))
+        graph, levels, mode="fast", telemetry=Telemetry(sample_every=97, on_sample=capture(fast))
     )
     assert len(fast) > 5
     for cycle, rows in fast.items():
@@ -246,14 +245,6 @@ class TestExporters:
         fam = snapshot_registry(reg)[0]
         assert fam["samples"][0]["buckets"][-1][0] == "+Inf"
 
-    def test_write_text_file_refuses_overwrite(self, tmp_path):
-        target = tmp_path / "out.prom"
-        write_text_file(target, "a\n")
-        with pytest.raises(FileExistsError):
-            write_text_file(target, "b\n")
-        write_text_file(target, "b\n", force=True)
-        assert target.read_text() == "b\n"
-
     def test_periodic_exporter_guards_and_writes(self, chain_case, tmp_path):
         graph, levels = chain_case
         prom = tmp_path / "metrics.prom"
@@ -326,8 +317,8 @@ def test_attribution_on_healthy_run(tiny_residual):
     assert "stall-adjusted utilization" in report.render()
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "exhaustive"])
-def test_attribution_names_v301_edge_on_undersized_skip(tiny_residual, fast):
+@pytest.mark.parametrize("mode", ["fast", "exhaustive"])
+def test_attribution_names_v301_edge_on_undersized_skip(tiny_residual, mode):
     """Fault injection: `repro stats` and `repro check` must point at the
     same edge when a skip FIFO is deliberately undersized (V301)."""
     graph, images = tiny_residual
@@ -342,13 +333,22 @@ def test_attribution_names_v301_edge_on_undersized_skip(tiny_residual, fast):
     assert len(v301) == 1 and v301[0].severity == "error"
 
     report = run_attributed(
-        graph, images, skip_sizing=injected, max_cycles=100_000, fast=fast
+        graph, images, skip_sizing=injected, max_cycles=100_000, mode=mode
     )
     assert report.aborted
     assert report.root_edge == v301[0].where
     assert report.root_required == exact[victim]
     assert report.root_capacity == exact[victim] - 1
     assert f"minimum safe capacity {exact[victim]}" in report.render()
+
+
+def test_attribution_propagates_kernel_faults(tiny_residual, monkeypatch):
+    """Only a budget abort becomes an aborted report; any other error propagates."""
+    graph, images = tiny_residual
+    inject_maxpool_fault(monkeypatch)
+    with pytest.raises(RuntimeError, match="injected max-pool fault") as info:
+        run_attributed(graph, images)
+    assert not isinstance(info.value, CycleBudgetExceeded)
 
 
 def test_deadlock_root_edge_none_on_healthy_engine(tiny_residual):

@@ -60,8 +60,8 @@ def traced_runs():
         graph, kwargs = _case(name)
         images = _images(0)
         t_fast, t_slow = Tracer(), Tracer()
-        fast = simulate(graph, images, fast=True, trace=t_fast, **kwargs)
-        slow = simulate(graph, images, fast=False, trace=t_slow, **kwargs)
+        fast = simulate(graph, images, mode="fast", trace=t_fast, **kwargs)
+        slow = simulate(graph, images, mode="exhaustive", trace=t_slow, **kwargs)
         runs[name] = (fast, slow, t_fast, t_slow)
     return runs
 
@@ -81,7 +81,7 @@ def test_tracing_is_observationally_free(traced_runs, topology):
     """A traced run has bit-identical stats to an untraced one."""
     graph, kwargs = _case(topology)
     fast, _, _, _ = traced_runs[topology]
-    bare = simulate(graph, _images(0), fast=True, **kwargs)
+    bare = simulate(graph, _images(0), mode="fast", **kwargs)
     assert bare.cycles == fast.cycles
     assert bare.run.completion_cycles == fast.run.completion_cycles
     assert np.array_equal(bare.output, fast.output)
