@@ -58,9 +58,10 @@ def flush() -> None:
     The entry is validated against the perfwatch known-case registry and
     schema before it is written — a malformed append (unknown case key,
     missing rate) fails the session loudly instead of poisoning the
-    trajectory for every later diff.  An existing file that does not parse
-    raises :class:`PerfDataError` untouched, and the append goes through a
-    temp file and ``os.replace`` so an interrupted write cannot truncate it.
+    trajectory for every later diff.  So does an entry stamped before the
+    file's last one.  An existing file that does not parse raises
+    :class:`PerfDataError` untouched, and the append goes through a temp
+    file and ``os.replace`` so an interrupted write cannot truncate it.
     """
     if not _cases:
         return
@@ -71,6 +72,14 @@ def flush() -> None:
         "cases": dict(sorted(_cases.items())),
     }
     problems = validate_entry(entry, len(entries))
+    # Fixed-width UTC ISO stamps, so string order is time order.  The last
+    # entry can be stamped after now (clock skew, a hand edit).
+    last_ts = entries[-1].get("timestamp") if entries and isinstance(entries[-1], dict) else None
+    if isinstance(last_ts, str) and entry["timestamp"] < last_ts:
+        problems.append(
+            f"entry[{len(entries)}]: timestamp {entry['timestamp']} precedes the last entry's "
+            f"{last_ts} — the trajectory must be append-only"
+        )
     if problems:
         raise PerfDataError(
             "refusing to append a malformed trajectory entry: " + "; ".join(problems)

@@ -32,6 +32,9 @@ from ..nn.graph import ConvNode, TensorSpec
 
 __all__ = ["ConvKernel"]
 
+# float32 represents every integer below 2**24 exactly.
+_FLOAT32_EXACT = 1 << 24
+
 
 class ConvKernel(Kernel):
     """Streaming convolution of one IR :class:`ConvNode`.
@@ -69,10 +72,15 @@ class ConvKernel(Kernel):
         self.channels = in_spec.channels
         self.out_channels = node.out_channels
         self.use_bitops = use_bitops
-        self._wmat = node.weights.reshape(-1, node.out_channels).astype(np.int64)
-        # Float64 weight matrix routes the per-window GEMM through BLAS; all
-        # magnitudes stay far below 2**53, so the product is exact.
-        self._wmat_f = self._wmat.astype(np.float64)
+        # Largest accumulator magnitude: k*k*C taps of ±1 weights times the
+        # largest input level, the pad level included.  Every partial sum of
+        # a GEMM is an integer no larger than this, so a float type that
+        # holds all integers up to it is exact in any BLAS summation order:
+        # float32 below 2**24, float64 (exact below 2**53) otherwise.
+        max_level = max((1 << in_spec.bits) - 1, abs(int(node.pad_level)))
+        self.acc_bound = self.k * self.k * self.channels * max_level
+        gemm_dtype = np.float32 if self.acc_bound < _FLOAT32_EXACT else np.float64
+        self._wmat = node.weights.reshape(-1, node.out_channels).astype(gemm_dtype)
         # Bitops operands hoisted out of the per-position path: the packed
         # weight words, activation bit width, and a reusable plane-packing
         # buffer sized to the window vector (tail bits stay zero).
@@ -156,7 +164,7 @@ class ConvKernel(Kernel):
             acc = self._accumulate_bitpacked(window.reshape(-1))
             acc_f = acc.astype(np.float64)
         else:
-            acc_f = window.reshape(-1).astype(np.float64) @ self._wmat_f
+            acc_f = window.reshape(-1).astype(self._wmat.dtype) @ self._wmat
         ends = self._th_ends
         if ends is None:
             return acc_f.astype(np.int64).tolist()
@@ -176,17 +184,18 @@ class ConvKernel(Kernel):
         """All output pixels of a batch of images as one blocked GEMM.
 
         ``x`` is ``(N, H, W, C)`` level-space int64; the result is
-        ``(N, Ho, Wo, O)``.  The W-windows × N-images im2col matrix goes
-        through the same float64 weight matrix and vectorized threshold
-        cascade as the streaming per-window path — every product and sum is
-        an exact integer far below 2**53, so the batched result is
-        bit-identical regardless of BLAS blocking (and to the bitops route,
-        a tested property).  The leap scheduler uses this to synthesize the
-        outputs of images whose cycles it fast-forwarded over.
+        ``(N, Ho, Wo, O)``.  The taps go through the same weight matrix and
+        threshold endpoints as the streaming per-window path.  The GEMM runs
+        in float32 when :attr:`acc_bound` is below 2**24 and in float64
+        otherwise, so every product and partial sum is an exact integer and
+        the result is bit-identical regardless of BLAS blocking (and to the
+        bitops route, a tested property).  The leap scheduler uses this to
+        synthesize the outputs of images whose cycles it fast-forwarded over.
         """
         n = x.shape[0]
         k, stride = self.k, self.stride
-        grid = np.full((n, self.hp, self.wp, self.channels), float(self._pad_value))
+        wmat = self._wmat
+        grid = np.full((n, self.hp, self.wp, self.channels), self._pad_value, dtype=wmat.dtype)
         p = self.pad
         grid[:, p : self.hp - p, p : self.wp - p, :] = x
         n_out_r = (self.hp - k) // stride + 1
@@ -195,8 +204,8 @@ class ConvKernel(Kernel):
         # im2col would gather the same data into one giant matrix, but the
         # strided 6D copy dwarfs the GEMM itself at batch scale.  The weight
         # matrix unflattens back to (k, k, C, O) — the ScanWindow tap order.
-        taps = self._wmat_f.reshape(k, k, self.channels, self.out_channels)
-        acc = np.zeros((n, n_out_r, n_out_c, self.out_channels))
+        taps = wmat.reshape(k, k, self.channels, self.out_channels)
+        acc = np.zeros((n, n_out_r, n_out_c, self.out_channels), dtype=wmat.dtype)
         for dr in range(k):
             for dc in range(k):
                 rows = grid[:, dr : dr + (n_out_r - 1) * stride + 1 : stride,
@@ -204,11 +213,14 @@ class ConvKernel(Kernel):
                 acc += rows @ taps[dr, dc]
         ends = self._th_ends
         if ends is None:
-            out = acc.astype(np.int64)
-        else:
-            out = ((acc * self._th_sv)[..., None] >= ends).sum(axis=-1, dtype=np.int64)
-            out = np.where(self._th_is_const, self._th_const, out)
-        return out
+            return acc.astype(np.int64)
+        # The streaming path's cascade, one level at a time: count the
+        # sign-folded endpoints at-or-below each accumulator, in float64.
+        folded = acc * self._th_sv
+        out = np.zeros(folded.shape, dtype=np.int64)
+        for level_ends in ends.T:
+            out += folded >= level_ends
+        return np.where(self._th_is_const, self._th_const, out)
 
     def _accumulate_bitpacked(self, vec: np.ndarray) -> np.ndarray:
         """One AND-popcount GEMM for a single window vector.

@@ -37,9 +37,12 @@ from repro.dataflow import (
     mean_completion_interval,
     simulate,
 )
+from repro.dataflow.leap import _CHUNK_IMAGES
 from repro.hardware.timing import estimate_network_timing
 from repro.models import direct_resnet18_graph, direct_vgg_graph
 from repro.nn import run_graph
+from repro.nn.graph import ConvNode, InputNode, LayerGraph, ThresholdNode
+from repro.quantization.thresholds import ThresholdUnit
 from repro.telemetry import latency_report
 
 
@@ -55,6 +58,43 @@ def _images(graph, n, seed=0):
     rng = np.random.default_rng(seed)
     spec = graph.input_spec
     return rng.integers(0, 4, size=(n, spec.height, spec.width, spec.channels))
+
+
+def _signs(rng, shape):
+    return (rng.integers(0, 2, size=shape) * 2 - 1).astype(np.int8)
+
+
+def _wide_input_graph():
+    """One raw conv over 24-bit inputs: its accumulator bound is past 2**24."""
+    rng = np.random.default_rng(5)
+    graph = LayerGraph(name="wide-input")
+    graph.add(InputNode("input", 5, 5, 2, 24))
+    graph.add(ConvNode("conv", _signs(rng, (3, 3, 2, 3)), pad=1), ["input"])
+    return graph
+
+
+def _mixed_slope_unit(rng, channels):
+    """Positive-, negative- and zero-slope channels, zero slope as BatchNorm folds it."""
+    sign = np.resize([1, -1, 0], channels)
+    return ThresholdUnit(
+        tau=np.where(sign == 0, 0.0, rng.normal(0.0, 4.0, channels)),
+        step=np.where(sign == 0, 0.0, rng.uniform(0.5, 3.0, channels) * sign),
+        slope_sign=sign,
+        const_level=np.resize([0, 1, 3, 2], channels),
+        bits=2,
+    )
+
+
+def _mixed_slope_graph():
+    """A fused and a standalone threshold, each with every slope polarity."""
+    rng = np.random.default_rng(9)
+    graph = LayerGraph(name="mixed-slopes")
+    graph.add(InputNode("input", 6, 6, 2, 2))
+    unit = _mixed_slope_unit(rng, 6)
+    graph.add(ConvNode("conv1", _signs(rng, (3, 3, 2, 6)), pad=1, threshold=unit), ["input"])
+    graph.add(ConvNode("conv2", _signs(rng, (3, 3, 6, 6)), pad=1), ["conv1"])
+    graph.add(ThresholdNode("bnact", _mixed_slope_unit(rng, 6)), ["conv2"])
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +296,48 @@ class TestSynthesis:
         ref = run_graph(graph, images)
         np.testing.assert_array_equal(run.output, ref.output)
         np.testing.assert_array_equal(batch_reference_outputs(run.pipeline, images), ref.output)
+
+    @pytest.mark.parametrize("topology", ["chain", "residual"])
+    @pytest.mark.parametrize(
+        "n", [1, _CHUNK_IMAGES - 1, _CHUNK_IMAGES, _CHUNK_IMAGES + 1, 2 * _CHUNK_IMAGES + 5]
+    )
+    def test_chunked_outputs_match_run_graph(self, topology, n):
+        # Chunk boundaries must not show: a lone image, a short last chunk,
+        # an exact fit and a remainder all equal the reference executor.
+        graph = _chain_graph() if topology == "chain" else _residual_graph()
+        images = _images(graph, n, seed=n)
+        pipeline = build_pipeline(graph, images)
+        np.testing.assert_array_equal(
+            batch_reference_outputs(pipeline, images), run_graph(graph, images).output
+        )
+
+    def test_accumulator_bound_past_float32_selects_float64(self):
+        graph = _wide_input_graph()
+        rng = np.random.default_rng(1)
+        images = rng.integers(1 << 23, 1 << 24, size=(3, 5, 5, 2))
+        ref = run_graph(graph, images).output
+        # The data really needs the wide type: float32 would round these.
+        assert np.abs(ref).max() >= 1 << 24
+        run = simulate(graph, images, mode="fast")
+        kernel = run.pipeline.kernels_by_node["conv"]
+        assert kernel.acc_bound >= 1 << 24
+        assert kernel._wmat.dtype == np.float64
+        np.testing.assert_array_equal(run.output, ref)
+        np.testing.assert_array_equal(batch_reference_outputs(run.pipeline, images), ref)
+
+    def test_zero_and_negative_slope_channels(self):
+        graph = _mixed_slope_graph()
+        images = _images(graph, 6, seed=4)
+        ref = run_graph(graph, images).output
+        run = simulate(graph, images, mode="fast")
+        conv1 = run.pipeline.kernels_by_node["conv1"]
+        assert conv1._wmat.dtype == np.float32
+        # The fused cascade on its own, then the whole graph streamed.
+        np.testing.assert_array_equal(
+            conv1.batch_compute(images), graph.nodes["conv1"].compute([images])
+        )
+        np.testing.assert_array_equal(run.output, ref)
+        np.testing.assert_array_equal(batch_reference_outputs(run.pipeline, images), ref)
 
     @pytest.mark.parametrize("topology", ["chain", "residual"])
     def test_latency_records_bit_identical_across_a_leap(self, topology):

@@ -211,6 +211,30 @@ def test_flush_refuses_truncated_trajectory(tmp_path, monkeypatch):
         perf_trajectory._last_flushed.clear()
 
 
+def test_flush_refuses_out_of_order_trajectory(tmp_path, monkeypatch):
+    from benchmarks import perf_trajectory
+
+    path = tmp_path / "traj.json"
+    monkeypatch.setattr(perf_trajectory, "BENCH_PATH", path)
+    perf_trajectory.record("tiny_chain", 5614, 0.05)
+    perf_trajectory.flush()
+    # A last entry stamped in the future (clock skew, a hand edit).
+    entries = json.loads(path.read_text())
+    entries[-1]["timestamp"] = "2999-01-01T00:00:00Z"
+    path.write_text(json.dumps(entries, indent=2) + "\n")
+    skewed = path.read_bytes()
+    perf_trajectory.record("tiny_chain", 5614, 0.05)
+    try:
+        with pytest.raises(PerfDataError, match="precedes the last entry's 2999-01-01T00:00:00Z"):
+            perf_trajectory.flush()
+        assert path.read_bytes() == skewed
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.json"]
+        assert validate_trajectory(json.loads(skewed)) == []
+    finally:
+        perf_trajectory._cases.clear()
+        perf_trajectory._last_flushed.clear()
+
+
 # ---------------------------------------------------------------------------
 # diff gate
 

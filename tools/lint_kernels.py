@@ -19,8 +19,9 @@ KC002  Kernels must not mutate streams outside ``push``/``pop``: no calls
 KC003  No float arithmetic inside ``tick`` bodies (the quantized hot
        control path): no float literals, no true division, no ``float()``
        calls.  Numeric lowering lives in helpers like ``_compute_outputs``
-       whose float64 GEMM is exact by magnitude (< 2**53) and out of the
-       per-cycle path.
+       and ``batch_compute``, out of the per-cycle path.  Their GEMMs are
+       exact by magnitude: float32 when the layer's accumulator bound is
+       below 2**24, float64 (exact below 2**53) otherwise.
 KC004  ``@dataclass`` declarations in hot-path modules must pass
        ``slots=True`` — per-cycle attribute access on stats/trace records
        is measurably faster and catches typo'd fields.
