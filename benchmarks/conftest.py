@@ -11,18 +11,6 @@ from __future__ import annotations
 import pytest
 
 
-def pytest_configure(config):
-    """Register the perfwatch plugin for PYTHONPATH=src runs.
-
-    Installed checkouts get it through the ``pytest11`` entry point; this
-    path covers uninstalled trees.  Registration is idempotent, so running
-    tests/ and benchmarks/ in one session is fine.
-    """
-    from repro.perfwatch import plugin as perfwatch_plugin
-
-    perfwatch_plugin.pytest_configure(config)
-
-
 def report(benchmark, result) -> None:
     """Attach a rendered table to the benchmark and print it."""
     text = result.render()
@@ -33,10 +21,3 @@ def report(benchmark, result) -> None:
 @pytest.fixture()
 def reporter():
     return report
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Flush the simulator perf trajectory recorded by bench_streaming_sim."""
-    from benchmarks.perf_trajectory import flush
-
-    flush()

@@ -47,15 +47,6 @@ Commands
     ``--check`` re-verifies the winner strictly; ``--simulate`` streams
     images through the planned partition and asserts the measured
     interval equals the prediction bit-for-bit.
-``perf report [--trajectory F] [--markdown|--html|--json] [--out F] [--force]``
-    Render the full perf trajectory in ``BENCH_streaming.json`` — every
-    case across every recorded revision — as an ANSI sparkline table
-    (default), markdown, HTML, or the ``repro-perf-trajectory/1`` JSON.
-``perf diff [--baseline F] [--report F] [--strict] [--against prev|best]``
-    The perf-regression gate: diff each case's newest recording against
-    its previous (or best) one under the shared strict/loose threshold
-    policy (5% / 40%), or diff two ``repro-perf/1`` plugin reports on
-    wall time and peak RSS.  Exits non-zero naming the worst offender.
 ``list``
     List available experiment ids.
 """
@@ -715,94 +706,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return rc
 
 
-def _cmd_perf_report(args: argparse.Namespace) -> int:
-    import json
-
-    from .perfwatch import (
-        PerfDataError,
-        default_trajectory_path,
-        load_trajectory,
-        render_html,
-        render_markdown,
-        render_table,
-        trajectory_payload,
-        validate_trajectory,
-    )
-
-    path = Path(args.trajectory) if args.trajectory else default_trajectory_path()
-    try:
-        entries = load_trajectory(path)
-    except PerfDataError as exc:
-        print(f"perf report: {exc}", file=sys.stderr)
-        return 2
-    for problem in validate_trajectory(entries):
-        print(f"perf report: warning: {problem}", file=sys.stderr)
-    if _out_exists(args):
-        return 2
-
-    if args.json:
-        text = json.dumps(trajectory_payload(entries), indent=2)
-    elif args.html:
-        text = render_html(entries)
-    elif args.markdown:
-        text = render_markdown(entries)
-    else:
-        text = render_table(entries)
-    _emit(args, text, "perf trajectory report")
-    return 0
-
-
-def _cmd_perf_diff(args: argparse.Namespace) -> int:
-    import json
-
-    from .perfwatch import (
-        PerfDataError,
-        PerfReport,
-        default_trajectory_path,
-        diff_reports,
-        diff_trajectory,
-        load_trajectory,
-        validate_trajectory,
-    )
-
-    strict = True if args.strict else None  # None defers to REPRO_BENCH_STRICT
-    try:
-        if args.report:
-            if not args.baseline:
-                print(
-                    "perf diff --report needs --baseline (a repro-perf/1 report to diff against)",
-                    file=sys.stderr,
-                )
-                return 2
-            result = diff_reports(
-                PerfReport.load(args.report), PerfReport.load(args.baseline), strict=strict
-            )
-        else:
-            path = Path(args.baseline) if args.baseline else default_trajectory_path()
-            entries = load_trajectory(path)
-            problems = validate_trajectory(entries)
-            if problems:
-                for problem in problems:
-                    print(f"perf diff: {problem}", file=sys.stderr)
-                print(f"perf diff: trajectory {path} is malformed", file=sys.stderr)
-                return 2
-            result = diff_trajectory(entries, strict=strict, against=args.against)
-    except PerfDataError as exc:
-        print(f"perf diff: {exc}", file=sys.stderr)
-        return 2
-
-    if _out_exists(args):
-        return 2
-    if args.json or args.out:
-        _emit(args, json.dumps(result.as_dict(), indent=2), "perf diff")
-    else:
-        print(result.render())
-    if not result.ok:
-        print(f"PERF REGRESSION: {result.worst.violation}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1206,74 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="overwrite an existing --out file"
     )
     p_plan.set_defaults(func=_cmd_plan)
-
-    p_perf = sub.add_parser(
-        "perf", help="perf-regression harness: trajectory reports and the diff gate"
-    )
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-
-    pp_report = perf_sub.add_parser(
-        "report", help="render the full per-case cycles/s trajectory across all revisions"
-    )
-    pp_report.add_argument(
-        "--trajectory",
-        default=None,
-        metavar="PATH",
-        help="trajectory file (default: BENCH_streaming.json at the repo root)",
-    )
-    fmt = pp_report.add_mutually_exclusive_group()
-    fmt.add_argument(
-        "--markdown", action="store_true", help="emit markdown instead of the ANSI table"
-    )
-    fmt.add_argument("--html", action="store_true", help="emit a standalone HTML page")
-    fmt.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable repro-perf-trajectory/1 payload",
-    )
-    pp_report.add_argument("--out", default=None, help="write the report to this file")
-    pp_report.add_argument(
-        "--force", action="store_true", help="overwrite an existing --out file"
-    )
-    pp_report.set_defaults(func=_cmd_perf_report)
-
-    pp_diff = perf_sub.add_parser(
-        "diff", help="regression gate: exit non-zero naming the worst offender"
-    )
-    pp_diff.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline file: the trajectory to self-diff (default: BENCH_streaming.json), "
-            "or with --report a repro-perf/1 report to diff against"
-        ),
-    )
-    pp_diff.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="diff this repro-perf/1 plugin report (wall time + peak RSS) against --baseline",
-    )
-    pp_diff.add_argument(
-        "--strict",
-        action="store_true",
-        help="apply the 5%% quiet-machine floor (default: 40%%, or REPRO_BENCH_STRICT=1)",
-    )
-    pp_diff.add_argument(
-        "--against",
-        choices=["prev", "best"],
-        default="prev",
-        help="trajectory baseline per case: previous recording (default) or all-time best",
-    )
-    pp_diff.add_argument(
-        "--json", action="store_true", help="emit the repro-perf-diff/1 payload instead of text"
-    )
-    pp_diff.add_argument("--out", default=None, help="write the JSON payload to this file")
-    pp_diff.add_argument(
-        "--force", action="store_true", help="overwrite an existing --out file"
-    )
-    pp_diff.set_defaults(func=_cmd_perf_diff)
     return parser
 
 

@@ -1,12 +1,12 @@
 """Run manifests: who/what/where a measurement came from.
 
-Every exported telemetry snapshot (and every perf-trajectory entry in
-``BENCH_streaming.json``) carries enough host and topology metadata to be
-comparable across machines and commits: interpreter and numpy versions, CPU
-count, platform, and the git revision the tree was at.  The helpers here
-are the single source of that metadata — the exporters, the benchmark
-trajectory, and the CLI all call :func:`host_manifest` /
-:func:`run_manifest` rather than rolling their own.
+Every exported telemetry snapshot (and every ``bench/run.py`` results
+file) carries enough host and topology metadata to be comparable across
+machines and commits: interpreter and numpy versions, CPU count, platform,
+and the git revision the tree was at.  The helpers here are the single
+source of that metadata — the exporters, the benchmark and the CLI all
+call :func:`host_manifest` / :func:`run_manifest` rather than rolling
+their own.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ import numpy as np
 if TYPE_CHECKING:
     from ..nn.graph import LayerGraph
 
-__all__ = ["COMPARABLE_KEYS", "host_manifest", "run_manifest", "manifest_delta"]
-
-# The host-manifest fields that make two measurements speed-comparable.
-# Revision is deliberately absent: trajectory entries differ by revision
-# by design — what must match for a fair perf comparison is the toolchain
-# and the machine.
-COMPARABLE_KEYS = ("python", "numpy", "platform", "machine", "cpu_count")
+__all__ = ["host_manifest", "run_manifest"]
 
 _REPO_DIR = Path(__file__).resolve().parent
 
@@ -61,20 +55,6 @@ def host_manifest() -> dict[str, Any]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
     }
-
-
-def manifest_delta(
-    a: dict[str, Any],
-    b: dict[str, Any],
-    keys: tuple[str, ...] = COMPARABLE_KEYS,
-) -> dict[str, tuple[Any, Any]]:
-    """Host-manifest fields that differ between two manifests/entries.
-
-    An empty dict means the two measurements came from an equivalent host
-    and toolchain; anything else annotates a cross-host comparison (the
-    perf diff engine surfaces it rather than judging such deltas blindly).
-    """
-    return {k: (a.get(k), b.get(k)) for k in keys if a.get(k) != b.get(k)}
 
 
 def run_manifest(

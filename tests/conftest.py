@@ -9,18 +9,6 @@ from repro.models import build_resnet, build_vgg_like, randomize_batchnorm
 from repro.nn import export_model
 
 
-def pytest_configure(config):
-    """Register the perfwatch perf-recording plugin (idempotent).
-
-    Zero-modification for every test: wall/CPU/RSS are metered per test,
-    and a ``repro-perf/1`` report is written when ``REPRO_PERF_REPORT``
-    (or ``--perf-report``, for entry-point loads) names a path.
-    """
-    from repro.perfwatch import plugin as perfwatch_plugin
-
-    perfwatch_plugin.pytest_configure(config)
-
-
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
