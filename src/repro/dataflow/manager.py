@@ -426,6 +426,14 @@ def simulate(
     ``StreamingRun.leap_report.demoted`` set and ``demotion_reason``
     naming the cause — check the report to see whether leaps happened.
 
+    A fast-path run with no ``trace``, ``telemetry`` or ``use_bitops`` (a
+    demoted leap included) does not tick:
+    :func:`~repro.dataflow.schedule.solve_run` solves every op's cycle
+    from the kernels' op recurrences and derives the counters and
+    instants from them, and the outputs come from the batched functional
+    pass.  A run over budget or deadlocked ticks after all, so it raises
+    as below.
+
     A run that does not finish within ``max_cycles`` raises
     :class:`~repro.dataflow.engine.CycleBudgetExceeded` carrying the partly
     run ``pipeline``, whose settled counters and completed images are what
@@ -461,30 +469,41 @@ def simulate(
                 demoted=True,
                 demotion_reason=LeapController.ineligibility(pipeline.engine),
             )
-    try:
-        cycles = pipeline.engine.run(
-            lambda: pipeline.sink.done,
-            max_cycles=max_cycles,
-            fast=mode != "exhaustive",
-            trace=trace,
-            telemetry=telemetry,
-            leap=controller,
-        )
-    except CycleBudgetExceeded as err:
-        err.pipeline = pipeline
-        raise
+    solved: int | None = None
+    ticked = trace is not None or telemetry is not None or use_bitops
+    if mode != "exhaustive" and controller is None and not ticked:
+        from .schedule import solve_run
+
+        solved = solve_run(pipeline, max_cycles)
+    if solved is not None:
+        cycles = solved
+    else:
+        try:
+            cycles = pipeline.engine.run(
+                lambda: pipeline.sink.done,
+                max_cycles=max_cycles,
+                fast=mode != "exhaustive",
+                trace=trace,
+                telemetry=telemetry,
+                leap=controller,
+            )
+        except CycleBudgetExceeded as err:
+            err.pipeline = pipeline
+            raise
     if pipeline.skip_streams:
         from .verify import check_skip_high_water
 
         check_skip_high_water(pipeline, n_images=int(images.shape[0]))
     kstats, sstats = pipeline.engine.collect_stats()
     leap_report = controller.report if controller is not None else demoted_report
-    output = pipeline.sink.output_tensor()
-    if leap_report is not None and leap_report.windows > 0:
-        # Leaped windows streamed placeholder values through the sink; the
-        # batched functional path recomputes every image exactly (it is
-        # bit-identical to the streaming datapath — tested property).
+    if solved is not None or (leap_report is not None and leap_report.windows > 0):
+        # No values streamed (a solved run), or leaped windows streamed
+        # placeholders through the sink: the batched functional path
+        # computes every image exactly (it is bit-identical to the
+        # streaming datapath — tested property).
         output = batch_reference_outputs(pipeline, images)
+    else:
+        output = pipeline.sink.output_tensor()
     run = RunResult(
         cycles=cycles,
         completion_cycles=pipeline.sink.completion_cycles,

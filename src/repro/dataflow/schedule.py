@@ -37,10 +37,16 @@ unbounded replay happened at occupancy ``<= C - 1``, and the fork feeding
 the skip arm checks space before pushing — so an exact-sized run completes
 on the same cycles.  The mark is flat from the second image on, so the
 :data:`REPLAY_IMAGES` replay sizes runs of any length (tested).
+
+The same solve runs an untraced ``simulate`` (:func:`solve_run`).  There
+each open-loop image's first push waits for its arrival, every skip FIFO
+keeps its built capacity, and the counters the engine keeps live are
+derived from the op times (``tests/test_schedule_run.py``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
@@ -48,11 +54,12 @@ from typing import Any
 import numpy as np
 
 from ..nn.graph import AddNode, LayerGraph
+from .kernel import STALL_BLOCKED, STALL_IDLE, STALL_STARVED, Kernel, KernelStats
 from .links import MAXRING, LinkSpec
 from .manager import Pipeline, build_pipeline
-from .stream import Stream
+from .stream import Stream, StreamStats
 
-__all__ = ["REPLAY_IMAGES", "REPLAY_MAX_CYCLES", "Schedule", "replay_schedule"]
+__all__ = ["REPLAY_IMAGES", "REPLAY_MAX_CYCLES", "Schedule", "replay_schedule", "solve_run"]
 
 # Four images give three completion gaps — enough for
 # `exact_completion_period` to certify a steady-state period.  Tests that
@@ -116,13 +123,17 @@ def replay_schedule(
     pipeline = build_pipeline(
         graph, zeros, partition=partition, link=link, skip_sizing={add: 1 for add in adds}
     )
-    cycles, skip_high_water = _solve(pipeline)
-    if cycles >= REPLAY_MAX_CYCLES:
+    solution = _solve(pipeline)
+    if solution is None:
         raise _over_budget(graph)
+    _stamp_instants(solution, pipeline)
     cache[key] = Schedule(
-        cycles=cycles,
+        cycles=solution.cycles,
         completion_cycles=tuple(pipeline.sink.completion_cycles),
-        skip_high_water=skip_high_water,
+        skip_high_water={
+            add: _max_occupancy(solution, solution.edges[id(stream)])
+            for add, stream in pipeline.skip_streams.items()
+        },
         segments=tuple(
             (label, float(summary.mean))
             for label, summary in segment_summaries(pipeline)
@@ -130,6 +141,43 @@ def replay_schedule(
         ),
     )
     return cache[key]
+
+
+def solve_run(pipeline: Pipeline, max_cycles: int) -> int | None:
+    """Run ``pipeline`` by solving its schedule instead of ticking; the cycle count.
+
+    The solve takes the source's open-loop arrivals and every stream's
+    built capacity, skip FIFOs included.  From the op times it stamps what
+    a ticked run leaves behind, equal to the engine's: the per-image
+    admission, mark and completion instants, every kernel's
+    :class:`~repro.dataflow.kernel.KernelStats` and stream's
+    :class:`~repro.dataflow.stream.StreamStats`, and each FIFO's residual
+    elements (values are placeholders: outputs come from the batched
+    functional pass).  Kernels' datapath state is left as built.
+
+    Returns ``None`` and changes nothing when the engine has to run it
+    instead: no images, a kernel without an op program or stall order, a
+    kernel that pushes before its first pop in an image, a run that would
+    not finish within ``max_cycles``, or a deadlock.  The engine then
+    raises the same :class:`~repro.dataflow.engine.CycleBudgetExceeded`
+    it always did.
+    """
+    kernels = pipeline.engine.kernels
+    if not pipeline.source.n_images or not all(kernel.stall_order for kernel in kernels):
+        return None
+    try:
+        solution = _solve(pipeline, bounded_skips=True, limit=min(max_cycles, REPLAY_MAX_CYCLES))
+    except NotImplementedError:  # a kernel without an op program
+        return None
+    if solution is None or any(node.lead < 0 for node in solution.nodes):
+        return None
+    _stamp_instants(solution, pipeline)
+    stats = [_kernel_stats(solution, node, kernel) for node, kernel in zip(solution.nodes, kernels)]
+    for kernel, kernel_stats in zip(kernels, stats):
+        kernel.stats = kernel_stats
+    for stream in pipeline.engine.streams:
+        _stamp_stream(solution, stream, stats)
+    return solution.cycles
 
 
 def _over_budget(graph: LayerGraph) -> RuntimeError:
@@ -149,7 +197,10 @@ def _span(index: np.ndarray) -> np.ndarray | slice:
 class _Node:
     """One kernel's ops: their times and the current slab window ``[lo, hi)``."""
 
-    __slots__ = ("n", "total", "t", "lo", "hi", "ins", "outs", "terms", "neighbors")
+    __slots__ = (
+        "n", "total", "t", "lo", "hi", "ins", "outs", "terms", "neighbors",
+        "arrivals", "ran", "lead",
+    )
 
     def __init__(self, n: int, images: int) -> None:
         self.n = n
@@ -162,6 +213,12 @@ class _Node:
         # Per slab: (own ops, partner times, partner ops, delay) per constraint.
         self.terms: list[tuple[Any, np.ndarray, Any, int]] = []
         self.neighbors: list[int] = []
+        # Open-loop source only: image m's first op runs no earlier than arrivals[m].
+        self.arrivals: np.ndarray | None = None
+        # After the solve: ops run before the sink finished, and how many
+        # leading ops of an image need no input (-1: one pushes first).
+        self.ran = 0
+        self.lead = 0
 
 
 @dataclass(slots=True)
@@ -173,11 +230,20 @@ class _Edge:
     push: np.ndarray
     pop: np.ndarray
     latency: int
-    capacity: int | None  # None on skip edges: no slot bound
+    capacity: int | None  # None on skip edges of the replay: no slot bound
 
     @property
     def per_image(self) -> int:
         return int(self.push.size)
+
+
+@dataclass(slots=True)
+class _Solution:
+    """Every kernel's solved op times (engine order) and the run's cycle count."""
+
+    nodes: list[_Node]
+    edges: dict[int, _Edge]  # keyed by id(stream)
+    cycles: int
 
 
 def _elements_before(table: np.ndarray, n: int, per_image: int, op: int) -> int:
@@ -197,15 +263,26 @@ def _ops_of(table: np.ndarray, n: int, per_image: int, first: int, stop: int) ->
     return np.concatenate(parts) if len(parts) != 1 else parts[0]
 
 
-def _solve(pipeline: Pipeline) -> tuple[int, dict[str, int]]:
-    """Solve every op's cycle; fill the pipeline's instant lists; return cycles and skip marks."""
+def _solve(
+    pipeline: Pipeline, bounded_skips: bool = False, limit: int | None = None
+) -> _Solution | None:
+    """Solve every op's cycle; ``None`` on a deadlock or a run of ``limit`` cycles or more.
+
+    ``limit`` defaults to :data:`REPLAY_MAX_CYCLES`.  Skip edges are
+    unbounded unless ``bounded_skips`` (the replay sizes them from this
+    very solve).  Reads the pipeline, writes nothing to it.
+    """
+    if limit is None:
+        limit = REPLAY_MAX_CYCLES
     engine = pipeline.engine
     kernels = engine.kernels
     images = pipeline.source.n_images
     position = {id(kernel): i for i, kernel in enumerate(kernels)}
     programs = [kernel.op_program() for kernel in kernels]
     nodes = [_Node(program.ops, images) for program in programs]
-    skip_streams = {id(stream): add for add, stream in pipeline.skip_streams.items()}
+    skip_streams: set[int] = set()
+    if not bounded_skips:
+        skip_streams = {id(stream) for stream in pipeline.skip_streams.values()}
     edges: dict[int, _Edge] = {}
     for stream in engine.streams:
         assert stream.writer is not None and stream.reader is not None
@@ -220,10 +297,18 @@ def _solve(pipeline: Pipeline) -> tuple[int, dict[str, int]]:
         edges[id(stream)] = edge
         nodes[writer].outs.append(edge)
         nodes[reader].ins.append(edge)
-    for node in nodes:
+    for node, program in zip(nodes, programs):
         bounded_writers = {e.writer for e in node.ins if e.capacity is not None}
         node.neighbors = sorted(bounded_writers | {e.reader for e in node.outs})
+        first_pop = min((int(table[0]) for table in program.pops), default=0)
+        first_push = min((int(table[0]) for table in program.pushes), default=first_pop)
+        node.lead = first_pop if first_push >= first_pop else -1
     del programs
+    arrivals = pipeline.source.arrival_cycles
+    if arrivals is not None:
+        nodes[position[id(pipeline.source)]].arrivals = np.minimum(
+            np.asarray(arrivals, dtype=np.int64), _NEVER
+        ).astype(np.int32)
 
     sink = nodes[position[id(pipeline.sink)]]
     delta = _DELTA_START
@@ -239,7 +324,7 @@ def _solve(pipeline: Pipeline) -> tuple[int, dict[str, int]]:
             # No fixed point within the cap: a dependency cycle (deadlock)
             # or a slab too wide to settle.  Narrow it; at one op it is a cycle.
             if delta == _DELTA_MIN:
-                raise _over_budget(pipeline.graph)
+                return None
             delta = max(_DELTA_MIN, delta // 2)
             continue
         end = min(
@@ -247,9 +332,9 @@ def _solve(pipeline: Pipeline) -> tuple[int, dict[str, int]]:
             default=_NEVER,
         )
         for node in nodes:
-            node.lo += int(np.searchsorted(node.t[node.lo : node.hi], end))
-        if sink.lo < sink.total and end >= REPLAY_MAX_CYCLES:
-            raise _over_budget(pipeline.graph)
+            node.lo += int(np.searchsorted(node.t[node.lo : node.hi], np.int32(end)))
+        if sink.lo < sink.total and end >= limit:
+            return None
         floor = end
         if sweeps <= _FEW_SWEEPS:
             delta *= 2
@@ -259,37 +344,201 @@ def _solve(pipeline: Pipeline) -> tuple[int, dict[str, int]]:
         node.terms = []
 
     cycles = int(sink.t[-1]) + 1
+    if cycles >= limit:
+        return None
     # Ops the engine would have run before it stopped: a prefix per kernel.
-    ran = [int(np.searchsorted(node.t[: node.lo], cycles)) for node in nodes]
-
-    def pushes(stream: Stream) -> np.ndarray:
-        edge = edges[id(stream)]
-        return _moved(nodes[edge.writer], edge.push, edge.per_image, ran[edge.writer])
-
-    def pops(stream: Stream) -> np.ndarray:
-        edge = edges[id(stream)]
-        return _moved(nodes[edge.reader], edge.pop, edge.per_image, ran[edge.reader])
-
-    source, sink_kernel, graph = pipeline.source, pipeline.sink, pipeline.graph
-    source.admission_cycles = pushes(source.outputs[0])[:: graph.input_spec.elements].tolist()
-    last = graph.output_spec.elements
-    sink_kernel.completion_cycles = pops(sink_kernel.inputs[0])[last - 1 :: last].tolist()
-    for stream in engine.streams:
-        if stream.mark_every:
-            stream.mark_cycles = pushes(stream)[:: stream.mark_every].tolist()
-    skip_high_water: dict[str, int] = {}
-    for add, stream in pipeline.skip_streams.items():
-        pushed = pushes(stream)
-        occupancy = np.arange(1, pushed.size + 1) - np.searchsorted(pops(stream), pushed)
-        skip_high_water[add] = int(occupancy.max(initial=0))
-    return cycles, skip_high_water
+    # (An int32 needle: a Python int would make numpy copy ``t`` to int64.)
+    for node in nodes:
+        node.ran = int(np.searchsorted(node.t[: node.lo], np.int32(cycles)))
+    return _Solution(nodes, edges, cycles)
 
 
-def _moved(node: _Node, table: np.ndarray, per_image: int, ran: int) -> np.ndarray:
-    """The cycles at which ``node``'s first ``ran`` ops moved the elements of one port."""
-    count = _elements_before(table, node.n, per_image, ran)
-    times: np.ndarray = node.t[_ops_of(table, node.n, per_image, 0, count)]
+def _times(node: _Node, table: np.ndarray, per_image: int, elements: np.ndarray) -> np.ndarray:
+    """The cycles at which ``node`` moves ``elements`` of one port; ``_NEVER`` past its last image."""
+    image, index = np.divmod(elements, per_image)
+    ops = image * node.n + table[index]
+    times = np.full(ops.shape, _NEVER, dtype=np.int64)
+    inside = ops < node.total
+    times[inside] = node.t[ops[inside]]
     return times
+
+
+def _element_of(table: np.ndarray, n: int, per_image: int, ops: np.ndarray) -> np.ndarray:
+    """The element each of ``ops`` moves on one port, ``-1`` where it moves none."""
+    image, local = np.divmod(ops, n)
+    index = np.minimum(np.searchsorted(table, local), table.size - 1)
+    return np.where(table[index] == local, image * per_image + index, -1)
+
+
+def _stamp_instants(solution: _Solution, pipeline: Pipeline) -> None:
+    """The per-image instants the engine stamps live: admissions, completions, stream marks."""
+
+    def moved(stream: Stream, every: int, offset: int, popped: bool) -> list[int]:
+        edge = solution.edges[id(stream)]
+        node = solution.nodes[edge.reader if popped else edge.writer]
+        table = edge.pop if popped else edge.push
+        count = _elements_before(table, node.n, edge.per_image, node.ran)
+        elements = np.arange(offset, count, every)
+        times: list[int] = _times(node, table, edge.per_image, elements).tolist()
+        return times
+
+    source, sink, graph = pipeline.source, pipeline.sink, pipeline.graph
+    source.admission_cycles = moved(source.outputs[0], graph.input_spec.elements, 0, False)
+    last = graph.output_spec.elements
+    sink.completion_cycles = moved(sink.inputs[0], last, last - 1, True)
+    for stream in pipeline.engine.streams:
+        if stream.mark_every:
+            stream.mark_cycles = moved(stream, stream.mark_every, 0, False)
+
+
+def _moved_counts(solution: _Solution, edge: _Edge) -> tuple[int, int]:
+    """Elements of ``edge`` pushed and popped before the run ended."""
+    writer, reader = solution.nodes[edge.writer], solution.nodes[edge.reader]
+    return (
+        _elements_before(edge.push, writer.n, edge.per_image, writer.ran),
+        _elements_before(edge.pop, reader.n, edge.per_image, reader.ran),
+    )
+
+
+def _max_occupancy(solution: _Solution, edge: _Edge) -> int:
+    """The stream's high-water mark: the most pushes less earlier pops, one image at a time.
+
+    A pop at ``t`` lands after a push at ``t`` (the reader ticks later), so
+    each push counts the pops strictly before it.  Pops before an image's
+    last push are of its elements or earlier ones, so the pop times
+    gathered per image stay within one image plus the occupancy.
+    """
+    writer, reader = solution.nodes[edge.writer], solution.nodes[edge.reader]
+    per_image = edge.per_image
+    pushed, popped = _moved_counts(solution, edge)
+    best = done = 0
+    for first in range(0, pushed, per_image):
+        stop = min(first + per_image, pushed)
+        push = writer.t[_ops_of(edge.push, writer.n, per_image, first, stop)]
+        upto = min(stop, popped)
+        if upto > done:
+            pop = reader.t[_ops_of(edge.pop, reader.n, per_image, done, upto)]
+            before = np.searchsorted(pop, push)
+        else:
+            before = np.zeros(push.size, dtype=np.int64)
+        occupancy = np.arange(first + 1 - done, stop + 1 - done) - before
+        best = max(best, int(occupancy.max()))
+        done += int(before[-1])
+    return best
+
+
+# Ops per chunk of the stall derivation (bounds its temporaries).
+_STALL_CHUNK = 1 << 16
+
+
+def _readiness(solution: _Solution, node: _Node, kind: int, ops: np.ndarray) -> np.ndarray:
+    """The first cycle at which each of ``ops`` passes ``kind``'s check; -1 where it has none.
+
+    ``STALL_STARVED`` waits for every element the op pops to become
+    visible, ``STALL_BLOCKED`` for the pop freeing every slot it pushes
+    into, ``STALL_IDLE`` for its image's arrival (an image's first push).
+    Ops past the kernel's last image never see input.
+    """
+    ready = np.full(ops.shape, -1, dtype=np.int64)
+    nodes = solution.nodes
+    if kind == STALL_STARVED:
+        for edge in node.ins:
+            element = _element_of(edge.pop, node.n, edge.per_image, ops)
+            hit = element >= 0
+            visible = _times(nodes[edge.writer], edge.push, edge.per_image, element[hit])
+            ready[hit] = np.maximum(ready[hit], visible + 1 + edge.latency)
+    elif kind == STALL_BLOCKED:
+        for edge in node.outs:
+            if edge.capacity is None:
+                continue
+            slot = _element_of(edge.push, node.n, edge.per_image, ops) - edge.capacity
+            hit = slot >= 0
+            freed = _times(nodes[edge.reader], edge.pop, edge.per_image, slot[hit])
+            ready[hit] = np.maximum(ready[hit], freed + 1)
+    elif node.arrivals is not None:
+        edge = node.outs[0]
+        element = _element_of(edge.push, node.n, edge.per_image, ops)
+        image, index = np.divmod(element, edge.per_image)
+        hit = (element >= 0) & (index == 0)
+        ready[hit] = node.arrivals[image[hit]]
+    return ready
+
+
+def _kernel_stats(solution: _Solution, node: _Node, kernel: Kernel) -> KernelStats:
+    """The counters a ticked run leaves on ``kernel``, from its op times.
+
+    Active cycles are the ops run before the end, plus, for a kernel that
+    wraps into the next image, its leading input-free ops after the last
+    image.  Every other cycle waits for the next op and takes the class of
+    the first check in :attr:`~repro.dataflow.kernel.Kernel.stall_order`
+    still failing then; after its last op a host endpoint idles.
+    """
+    cycles, t, ran = solution.cycles, node.t, node.ran
+    drained = ran == node.total
+    extra = 0
+    if drained and not kernel.idles_when_done:
+        extra = min(node.lead, cycles - 1 - int(t[-1]))
+    stats = KernelStats(active_cycles=ran + extra)
+    last = int(t[ran - 1]) + extra if ran else -1
+    if ran:
+        stats.first_active_cycle = int(t[0])
+        stats.last_active_cycle = last
+    counts = dict.fromkeys((STALL_STARVED, STALL_BLOCKED, STALL_IDLE), 0)
+    order = kernel.stall_order
+
+    def classify(ops: np.ndarray, start: np.ndarray, length: np.ndarray) -> None:
+        first = np.clip(_readiness(solution, node, order[0], ops) - start, 0, length)
+        waited = int(first.sum())
+        counts[order[0]] += waited
+        rest = int(length.sum()) - waited
+        if rest:
+            counts[order[1]] += rest
+
+    for lo in range(0, ran, _STALL_CHUNK):
+        hi = min(ran, lo + _STALL_CHUNK)
+        times = t[lo:hi].astype(np.int64)
+        start = np.empty_like(times)
+        start[0] = int(t[lo - 1]) + 1 if lo else 0
+        start[1:] = times[:-1] + 1
+        length = times - start
+        waits = np.flatnonzero(length)
+        if waits.size:
+            classify(waits + lo, start[waits], length[waits])
+    # The wait for the op after the last one run, to the end of the run.
+    if last + 1 < cycles:
+        if drained and kernel.idles_when_done:
+            counts[STALL_IDLE] += cycles - last - 1
+        else:
+            following = node.total + node.lead if drained else ran
+            classify(np.array([following]), np.array([last + 1]), np.array([cycles - last - 1]))
+    stats.input_starved_cycles = counts[STALL_STARVED]
+    stats.output_blocked_cycles = counts[STALL_BLOCKED]
+    stats.idle_cycles = counts[STALL_IDLE]
+    for edge in node.ins:
+        stats.elements_in += _moved_counts(solution, edge)[1]
+    for edge in node.outs:
+        stats.elements_out += _moved_counts(solution, edge)[0]
+    return stats
+
+
+def _stamp_stream(solution: _Solution, stream: Stream, kernel_stats: list[KernelStats]) -> None:
+    """A stream's counters and residual FIFO (placeholder values) after the solved run."""
+    edge = solution.edges[id(stream)]
+    pushed, popped = _moved_counts(solution, edge)
+    writer = stream.writer
+    assert writer is not None
+    rejections = 0
+    if writer.blocked_rejects_output and writer.outputs[0] is stream:
+        rejections = kernel_stats[edge.writer].output_blocked_cycles
+    stream.stats = StreamStats(
+        pushes=pushed,
+        pops=popped,
+        full_rejections=rejections,
+        max_occupancy=_max_occupancy(solution, edge),
+    )
+    node = solution.nodes[edge.writer]
+    visible = _times(node, edge.push, edge.per_image, np.arange(popped, pushed)) + 1 + edge.latency
+    stream._fifo = deque((0, ready) for ready in visible.tolist())
 
 
 def _open_window(node: _Node, delta: int, floor: int) -> None:
@@ -334,6 +583,14 @@ def _build_terms(node: _Node, nodes: list[_Node]) -> None:
                     edge.pop, reader.n, edge.per_image, first - edge.capacity, stop - edge.capacity
                 )
                 terms.append((_span(own), reader.t, _span(partner), 1))
+        if node.arrivals is not None:
+            # An open-loop image's first push waits for its arrival.
+            first_op = int(node.outs[0].push[0])
+            begin = max(0, -((first_op - lo) // n))
+            end = (hi - 1 - first_op) // n + 1
+            if end > begin:
+                own = np.arange(begin, end) * n + first_op - lo
+                terms.append((_span(own), node.arrivals, slice(begin, end), 0))
     node.terms = terms
 
 

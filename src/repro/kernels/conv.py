@@ -26,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from ..dataflow.kernel import Kernel, OpProgram
+from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
 from ..dataflow.window import ScanWindow, depth_first_buffer_elements
 from ..nn.graph import ConvNode, TensorSpec
 
@@ -55,6 +55,8 @@ class ConvKernel(Kernel):
     """
 
     blocked_rejects_output = True
+    # Each op checks one port: a feed its input, an emit its output slot.
+    stall_order = (STALL_STARVED, STALL_BLOCKED)
     supports_leap = True
     leap_counters = ("images_done",)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataflow.kernel import Kernel, OpProgram
+from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
 
 __all__ = ["AddKernel", "ForkKernel"]
 
@@ -24,6 +24,7 @@ class AddKernel(Kernel):
     output has space; the skip path carries 16-bit integers in hardware.
     """
 
+    stall_order = (STALL_STARVED, STALL_BLOCKED)
     supports_leap = True
     leap_counters = ("images_done",)
 
@@ -84,6 +85,7 @@ class ForkKernel(Kernel):
     has no storage of its own.
     """
 
+    stall_order = (STALL_STARVED, STALL_BLOCKED)
     supports_leap = True
     leap_counters = ("images_done",)
 

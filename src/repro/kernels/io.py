@@ -10,9 +10,11 @@ measurement point for latency, throughput and initiation-interval claims.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from ..dataflow.kernel import Kernel, OpProgram
+from ..dataflow.kernel import STALL_BLOCKED, STALL_IDLE, STALL_STARVED, Kernel, OpProgram
 from ..nn.graph import TensorSpec
 
 __all__ = ["HostSource", "HostSink"]
@@ -36,6 +38,8 @@ class HostSource(Kernel):
     """
 
     blocked_rejects_output = True
+    stall_order = (STALL_IDLE, STALL_BLOCKED)
+    idles_when_done = True
     leap_counters = ("_pos", "_boundary")
     leap_cycle_lists = ("admission_cycles",)
 
@@ -54,11 +58,8 @@ class HostSource(Kernel):
         if images.shape[1:] != expected:
             raise ValueError(f"images shape {images.shape[1:]} != input spec {expected}")
         self.n_images = images.shape[0]
-        # Depth-first flattening: row, column, channel — C order of HWC.
-        # Stored as plain Python ints: the per-cycle push path then never
-        # touches numpy scalars.
-        self._flat = images.reshape(-1).astype(np.int64).tolist()
-        self._n = len(self._flat)
+        self._images = images
+        self._n = images.size
         self._per_image = spec.elements
         self._pos = 0
         # Position of the next image boundary: pos == _boundary means the
@@ -85,6 +86,17 @@ class HostSource(Kernel):
     @property
     def done(self) -> bool:
         return self._pos >= self._n
+
+    @cached_property
+    def _flat(self) -> list[int]:
+        """The depth-first element stream (row, column, channel — C order of HWC).
+
+        Plain Python ints, so the per-cycle push path never touches numpy
+        scalars.  Built on the first tick: a run the schedule path solves
+        without ticking never needs it.
+        """
+        flat: list[int] = self._images.reshape(-1).astype(np.int64).tolist()
+        return flat
 
     def op_program(self) -> OpProgram:
         """One push per element (closed loop: the replay never withholds an image)."""
@@ -152,6 +164,8 @@ class HostSource(Kernel):
 class HostSink(Kernel):
     """Collects the output stream and reassembles per-image tensors."""
 
+    stall_order = (STALL_STARVED,)
+    idles_when_done = True
     supports_leap = True
     leap_counters = ("_pos",)
     leap_cycle_lists = ("completion_cycles",)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataflow.kernel import Kernel, OpProgram
+from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
 from ..dataflow.window import depth_first_buffer_elements
 from ..nn.graph import MaxPoolNode, TensorSpec
 
@@ -28,6 +28,7 @@ __all__ = ["MaxPoolKernel"]
 class MaxPoolKernel(Kernel):
     """Max pooling over a depth-first pixel stream, one in / up to one out per cycle."""
 
+    stall_order = (STALL_BLOCKED, STALL_STARVED)  # an emit pixel checks its slot first
     supports_leap = True
     leap_counters = ("images_done",)
 

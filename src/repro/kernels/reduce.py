@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataflow.kernel import Kernel, OpProgram
+from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
 from ..nn.graph import TensorSpec
 
 __all__ = ["GlobalAvgSumKernel"]
@@ -20,6 +20,7 @@ class GlobalAvgSumKernel(Kernel):
     """Per-channel integer sum over the full spatial extent."""
 
     blocked_rejects_output = True
+    stall_order = (STALL_STARVED, STALL_BLOCKED)  # each op checks one port
     supports_leap = True
     leap_counters = ("images_done",)
 

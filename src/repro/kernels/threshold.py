@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from ..dataflow.kernel import Kernel, OpProgram
+from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
 from ..nn.graph import TensorSpec, ThresholdNode
 
 __all__ = ["ThresholdKernel"]
@@ -22,6 +22,7 @@ __all__ = ["ThresholdKernel"]
 class ThresholdKernel(Kernel):
     """Streaming fused BatchNorm + n-bit activation."""
 
+    stall_order = (STALL_STARVED, STALL_BLOCKED)
     supports_leap = True
     leap_counters = ("images_done",)
 

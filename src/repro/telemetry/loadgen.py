@@ -212,14 +212,16 @@ class LoadResult:
 
 
 def _queue_depth_peak(schedule: ArrivalSchedule, admissions: list[int]) -> int:
-    """Peak count of images arrived but not yet admitted, over all admissions."""
-    peak = 0
-    for i, admitted_at in enumerate(admissions):
-        arrived = sum(1 for a in schedule.cycles if a <= admitted_at)
-        waiting = arrived - (i + 1)  # image i just left the queue
-        if waiting > peak:
-            peak = waiting
-    return peak
+    """Peak count of images arrived but not yet admitted, over all admissions.
+
+    Arrivals are non-decreasing, so the images arrived by an admission are
+    one binary search away.
+    """
+    if not admissions:
+        return 0
+    arrived = np.searchsorted(schedule.cycles, admissions, side="right")
+    waiting = arrived - np.arange(1, len(admissions) + 1)  # image i just left the queue
+    return max(0, int(waiting.max()))
 
 
 def run_load(

@@ -15,13 +15,19 @@ def rng():
 
 
 def inject_maxpool_fault(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Make every max-pool tick raise a plain ``RuntimeError``: a fault, not a budget abort."""
+    """Make max pooling raise a plain ``RuntimeError``: a fault, not a budget abort.
+
+    The fault hits every route a run can take through a max-pool kernel: its
+    ``tick`` (engine runs), its ``op_program`` (schedule solves) and its
+    ``batch_compute`` (batched outputs).
+    """
     from repro.kernels.pooling import MaxPoolKernel
 
-    def tick(self, cycle):
+    def fault(self, *args):
         raise RuntimeError("injected max-pool fault")
 
-    monkeypatch.setattr(MaxPoolKernel, "tick", tick)
+    for method in ("tick", "op_program", "batch_compute"):
+        monkeypatch.setattr(MaxPoolKernel, method, fault)
 
 
 def make_tiny_chain_model(seed: int = 7):

@@ -1,12 +1,14 @@
 """Scheduler equivalence for the cycle simulator: exhaustive / fast / leap.
 
-The park/wake scheduler (``Engine.run(..., fast=True)``) and the
-steady-state leap scheduler (``simulate(..., mode="leap")``) must both be
-*observably identical* to the exhaustive per-cycle tick loop: same total
-cycles, same per-image completion cycles, same output tensors, bit-identical
-kernel and stream statistics — stall counters included, since the paper's
-occupancy and bottleneck analyses are computed from them — and byte-identical
-event traces.  These tests drive every tiny topology used across the suite
+The park/wake scheduler (``Engine.run(..., fast=True)``, driven directly or
+traced: an untraced ``simulate(mode="fast")`` solves its schedule instead,
+see test_schedule_run.py) and the steady-state leap scheduler
+(``simulate(..., mode="leap")``) must both be *observably identical* to
+the exhaustive per-cycle tick loop: same total cycles, same per-image
+completion cycles, same output tensors, bit-identical kernel and stream
+statistics — stall counters included, since the paper's occupancy and
+bottleneck analyses are computed from them — and byte-identical event
+traces.  These tests drive every tiny topology used across the suite
 through all three paths, plus hypothesis-randomized networks for the long
 tail of shapes.  (Deeper leap-specific behaviour — demotion, vetoes, the
 paper-scale interval check — lives in test_leap.py.)
@@ -30,6 +32,7 @@ from repro.nn import export_model
 
 from .conftest import make_tiny_chain_model, make_tiny_resnet_model
 from .test_random_topologies import build_random_graph
+from .test_schedule_run import engine_run
 
 
 def _half_partition(graph):
@@ -73,8 +76,9 @@ def test_fast_path_matches_exhaustive(topology):
     graph, kwargs = _case(topology)
     images = _images(0)
     slow = simulate(graph, images, mode="exhaustive", **kwargs)
-    fast = simulate(graph, images, mode="fast", **kwargs)
+    fast = simulate(graph, images, mode="fast", **kwargs)  # solved unless bitops
     _assert_runs_identical(slow, fast)
+    _assert_runs_identical(slow, engine_run(graph, images, fast=True, **kwargs))
 
 
 @pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
@@ -117,6 +121,7 @@ def test_fast_path_matches_exhaustive_random(seed, size, depth, with_residual):
     leap = simulate(graph, images, mode="leap")
     _assert_runs_identical(slow, fast)
     _assert_runs_identical(slow, leap)
+    _assert_runs_identical(slow, engine_run(graph, images, fast=True))
 
 
 # -- synthetic regression topologies ------------------------------------

@@ -19,13 +19,14 @@ def _codes(source: str, tmp_path: Path, *, whole_kernel: bool = False) -> list[s
     """Violation codes of ``source``.
 
     Most fixtures below are partial kernels that exercise one per-method
-    rule; KC006 (a ``tick`` without an ``op_program``) is a whole-class rule
-    and is reported only when ``whole_kernel`` is set.
+    rule; KC006 (a ``tick`` without an ``op_program``) and KC007 (a
+    ``tick`` without a ``stall_order``) are whole-class rules and are
+    reported only when ``whole_kernel`` is set.
     """
     path = tmp_path / "probe.py"
     path.write_text(source)
     codes = [v.code for v in lint_kernels.lint_file(path)]
-    return codes if whole_kernel else [code for code in codes if code != "KC006"]
+    return codes if whole_kernel else [code for code in codes if code not in ("KC006", "KC007")]
 
 
 class TestRepoIsClean:
@@ -329,6 +330,8 @@ class TestOpProgram:
     def test_tick_without_op_program_flagged(self, tmp_path):
         src = """
 class BadKernel(Kernel):
+    stall_order = (STALL_STARVED,)
+
     def tick(self, cycle):
         return None
 """
@@ -337,6 +340,8 @@ class BadKernel(Kernel):
     def test_tick_with_op_program_passes(self, tmp_path):
         src = """
 class GoodKernel(Kernel):
+    stall_order = (STALL_STARVED,)
+
     def op_program(self):
         return OpProgram(ops=1, pops=(), pushes=())
 
@@ -346,6 +351,61 @@ class GoodKernel(Kernel):
         assert _codes(src, tmp_path, whole_kernel=True) == []
 
     def test_kernel_without_tick_needs_no_op_program(self, tmp_path):
+        src = """
+class Base(Kernel):
+    def reset(self):
+        pass
+"""
+        assert _codes(src, tmp_path, whole_kernel=True) == []
+
+
+class TestStallOrder:
+    def test_tick_without_stall_order_flagged(self, tmp_path):
+        src = """
+class BadKernel(Kernel):
+    def op_program(self):
+        return OpProgram(ops=1, pops=(), pushes=())
+
+    def tick(self, cycle):
+        return None
+"""
+        assert _codes(src, tmp_path, whole_kernel=True) == ["KC007"]
+
+    @pytest.mark.parametrize(
+        "declaration",
+        [
+            "stall_order = (STALL_BLOCKED, STALL_STARVED)",
+            "stall_order: ClassVar[tuple[int, ...]] = (STALL_STARVED,)",
+        ],
+    )
+    def test_declared_stall_order_passes(self, tmp_path, declaration):
+        src = f"""
+class GoodKernel(Kernel):
+    {declaration}
+
+    def op_program(self):
+        return OpProgram(ops=1, pops=(), pushes=())
+
+    def tick(self, cycle):
+        return None
+"""
+        assert _codes(src, tmp_path, whole_kernel=True) == []
+
+    def test_order_set_outside_the_class_body_is_flagged(self, tmp_path):
+        src = """
+class BadKernel(Kernel):
+    def __init__(self):
+        self.stall_order = (STALL_STARVED,)
+
+    def op_program(self):
+        return OpProgram(ops=1, pops=(), pushes=())
+
+    def tick(self, cycle):
+        return None
+"""
+        assert _codes(src, tmp_path, whole_kernel=True) == ["KC007"]
+
+    def test_kernel_without_tick_needs_no_stall_order(self, tmp_path):
         src = """
 class Base(Kernel):
     def reset(self):

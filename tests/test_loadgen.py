@@ -18,7 +18,7 @@ from repro.telemetry import (
     spawn_poisson_schedules,
     sweep,
 )
-from repro.telemetry.loadgen import cycles_per_image
+from repro.telemetry.loadgen import _queue_depth_peak, cycles_per_image
 from tests.conftest import inject_maxpool_fault
 
 
@@ -87,6 +87,29 @@ class TestSchedules:
         assert make_schedule(3, 100.0, "poisson", seed=1).kind == "poisson"
         with pytest.raises(ValueError):
             make_schedule(3, 100.0, "uniform")
+
+
+def _queue_depth_peak_by_scan(schedule, admissions):
+    """The quadratic definition: per admission, count every arrival at or before it."""
+    peak = 0
+    for i, admitted_at in enumerate(admissions):
+        arrived = sum(1 for a in schedule.cycles if a <= admitted_at)
+        peak = max(peak, arrived - (i + 1))
+    return peak
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_queue_depth_peak_matches_the_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    schedule = poisson_schedule(n, float(rng.choice([1e3, 2e4, 1e6])), seed=seed)
+    # Admissions never precede their arrival; an aborted run admits a prefix.
+    waits = rng.integers(0, 30_000, size=n)
+    admissions = np.maximum.accumulate(np.asarray(schedule.cycles) + waits).tolist()
+    admissions = admissions[: int(rng.integers(0, n + 1))]
+    assert _queue_depth_peak(schedule, admissions) == _queue_depth_peak_by_scan(
+        schedule, admissions
+    )
 
 
 class TestRunLoad:

@@ -15,6 +15,7 @@ from repro.nn.graph import (
     MaxPoolNode,
     ThresholdNode,
 )
+from repro.dataflow import simulate
 from repro.nn.verify import verify_backends
 
 
@@ -97,6 +98,9 @@ def test_random_network_backends_agree(seed, size, depth, with_residual):
     levels = rng.integers(0, 4, size=(1, size, size, graph.input_spec.channels))
     report = verify_backends(graph, levels, max_cycles=5_000_000)
     assert report.all_agree, report.summary()
+    # The schedule path's outputs (the batched pass) equal the streamed ones.
+    streamed = simulate(graph, levels, mode="exhaustive").output
+    np.testing.assert_array_equal(simulate(graph, levels).output, streamed)
 
 
 class TestVerifyBackendsAPI:

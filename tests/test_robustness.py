@@ -92,9 +92,10 @@ class TestOddConfigurations:
         rng = np.random.default_rng(26)
         x = rng.uniform(0, 1, size=(1, 16, 16, 1))
         levels = input_to_levels(x, model.layers[0].quantizer)
-        sr = simulate(graph, levels)
+        sr = simulate(graph, levels, mode="exhaustive")  # the streamed datapath
         ref = run_graph(graph, levels)
         assert (sr.output == ref.output.reshape(sr.output.shape)).all()
+        assert (simulate(graph, levels).output == sr.output).all()
 
     def test_wide_quantizer_range_export(self):
         """Unusually coarse activation quantizer still exports exactly."""

@@ -14,17 +14,22 @@ def levels_for(model, images):
 
 
 class TestBitExactness:
+    # The streamed datapath is the subject, so these pin the exhaustive loop:
+    # an untraced "fast" run solves its schedule and takes its values from
+    # the batched functional pass instead.  That path must agree too.
     def test_chain_network(self, tiny_chain_model, tiny_chain_graph, images16):
         lv = levels_for(tiny_chain_model, images16)
         ref = run_graph(tiny_chain_graph, lv)
-        sr = simulate(tiny_chain_graph, lv)
+        sr = simulate(tiny_chain_graph, lv, mode="exhaustive")
         assert (sr.output == ref.output).all()
+        assert (simulate(tiny_chain_graph, lv).output == sr.output).all()
 
     def test_residual_network(self, tiny_resnet_model, tiny_resnet_graph, images16):
         lv = levels_for(tiny_resnet_model, images16)
         ref = run_graph(tiny_resnet_graph, lv)
-        sr = simulate(tiny_resnet_graph, lv)
+        sr = simulate(tiny_resnet_graph, lv, mode="exhaustive")
         assert (sr.output == ref.output.reshape(sr.output.shape)).all()
+        assert (simulate(tiny_resnet_graph, lv).output == sr.output).all()
 
     def test_bitops_route(self, tiny_chain_model, tiny_chain_graph, images16):
         lv = levels_for(tiny_chain_model, images16[:1])

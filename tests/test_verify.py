@@ -149,6 +149,31 @@ class TestSkipSolver:
         sr = simulate(tiny_resnet_graph, resnet_levels[:1])
         assert sr.output.shape[0] == 1
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "fast"])
+    def test_open_loop_gaps_held_to_at_most(self, tiny_resnet_graph, resnet_levels, mode):
+        # Images arriving far apart each enter a drained pipeline: the skip
+        # FIFOs peak below the closed-loop mark, and the run is still valid.
+        sr = simulate(tiny_resnet_graph, resnet_levels, arrival_cycles=[0, 100_000], mode=mode)
+        exact = solve_skip_capacities(tiny_resnet_graph)
+        marks = {add: s.stats.max_occupancy for add, s in sr.pipeline.skip_streams.items()}
+        assert all(marks[add] <= exact[add] for add in exact)
+        assert any(marks[add] < exact[add] for add in exact)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "fast"])
+    def test_skip_edge_across_dfes_checked_against_prediction(self, mode):
+        # A skip edge crossing DFEs gets the link's buffering as capacity,
+        # above the predicted mark; the sanitizer compares the prediction.
+        from tests.test_random_topologies import build_random_graph
+        from tests.test_schedule import halves
+
+        graph = build_random_graph(1096467456, 8, 3, True)
+        partition = halves(graph)
+        levels = np.zeros((3, 8, 8, graph.input_spec.channels), dtype=np.int64)
+        sr = simulate(graph, levels, partition=partition, mode=mode)
+        stream = sr.pipeline.skip_streams["res.add2"]
+        predicted = solve_skip_capacities(graph, partition=partition)["res.add2"]
+        assert stream.stats.max_occupancy == predicted < stream.capacity
+
 
 # -- fault injection: every class is caught statically ---------------------
 

@@ -35,6 +35,11 @@ KC006  A Kernel subclass that defines ``tick()`` must also define
        ``op_program()``: the timing replay solves every op's cycle from
        the op program instead of ticking, so a kernel without one has no
        schedule.
+KC007  A Kernel subclass that defines ``tick()`` must declare its
+       ``stall_order`` in its class body: the schedule path classifies
+       every cycle a kernel waits by the first of its checks still failing
+       (idle arrival, starved input, blocked output), in the order tick()
+       makes them, so an inherited or missing order misclassifies stalls.
 
 Usage: ``python tools/lint_kernels.py [--select KC001,KC005] [paths...]``
 (default paths: the kernel and hot-path dataflow/fleet/planner modules).
@@ -88,6 +93,8 @@ KC005_EXEMPT = {"__init__", "__post_init__", "reset"}
 
 # KC006: the method the schedule solver reads instead of ticking.
 OP_PROGRAM = "op_program"
+# KC007: the class attribute the schedule path's stall derivation reads.
+STALL_ORDER = "stall_order"
 
 
 class Violation:
@@ -456,6 +463,30 @@ def _check_op_program(path: Path, cls: ast.ClassDef, out: list[Violation]) -> No
         )
 
 
+def _class_attributes(cls: ast.ClassDef) -> set[str]:
+    """Names assigned (plainly or annotated) in the class body itself."""
+    names: set[str] = set()
+    for item in cls.body:
+        if isinstance(item, ast.Assign):
+            names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.add(item.target.id)
+    return names
+
+
+def _check_stall_order(path: Path, cls: ast.ClassDef, out: list[Violation]) -> None:
+    methods = {item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)}
+    if "tick" in methods and STALL_ORDER not in _class_attributes(cls):
+        out.append(
+            Violation(
+                path,
+                methods["tick"].lineno,
+                "KC007",
+                f"{cls.name} defines tick() but does not declare its {STALL_ORDER}",
+            )
+        )
+
+
 def lint_file(path: Path) -> list[Violation]:
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -469,6 +500,7 @@ def lint_file(path: Path) -> list[Violation]:
         _check_float_free_tick(path, cls, out)
         _check_state_mutation_scope(path, cls, slots_classes, out)
         _check_op_program(path, cls, out)
+        _check_stall_order(path, cls, out)
     _check_slots_dataclasses(path, tree, out)
     out.sort(key=lambda v: (str(v.path), v.line, v.code))
     return out
