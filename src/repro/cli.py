@@ -12,7 +12,9 @@ Commands
     through the cycle-accurate simulator and print the pipeline waterfall
     (or, with ``--json``, a machine-readable telemetry snapshot).
     ``--mode`` picks the scheduler — ``exhaustive``, ``fast`` (default) or
-    ``leap`` — all bit-identical, fastest last.
+    ``leap`` (``fast`` plus a report of how far the solved prefix was
+    extended) — all bit-identical.  ``--json``, ``--prom`` and
+    ``--snapshot`` attach telemetry, which ticks the engine, so leap warns.
 ``trace [--size N] [--images M] [--out trace.json] [--force]``
     Stream a network with event tracing enabled and write the full
     cycle-exact event log as Chrome-trace JSON (load it at
@@ -211,11 +213,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rep = run.leap_report
         if rep.leaps:
             print(
-                f"leap: skipped {rep.leaped_cycles:,} cycles in {rep.leaps} jump(s) "
-                f"({rep.windows} period(s) of {rep.period:,} cycles)"
+                f"leap: extended the solved prefix by {rep.windows} image(s) of "
+                f"{rep.period:,} cycles ({rep.leaped_cycles:,} cycles not solved)"
             )
         elif not rep.demoted:  # demotion already warned on stderr above
-            print("leap: no steady-state window found (ran on the fast path)")
+            print("leap: the solved prefix covered every image (nothing to extend)")
     trace = analyze_run(run.run)
     print(render_waterfall(trace))
     if args.prom:
@@ -735,8 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["exhaustive", "fast", "leap"],
         default="fast",
-        help="scheduler: exhaustive tick loop, park/wake fast path, or "
-        "steady-state leap (bit-identical results; see DESIGN.md §4.6)",
+        help="scheduler: exhaustive tick loop, fast (solved from op recurrences "
+        "unless telemetry ticks it), or leap (fast, reporting the images the "
+        "certified period added past the solved prefix); bit-identical results, "
+        "see DESIGN.md §4.6",
     )
     p_sim.add_argument(
         "--rate",

@@ -3,7 +3,7 @@
 from .engine import CycleBudgetExceeded, Engine, RunResult
 from .interval import achieved_fps, exact_completion_period, mean_completion_interval
 from .kernel import Kernel, KernelStats
-from .leap import LeapController, LeapReport, batch_reference_outputs
+from .leap import LeapReport, batch_reference_outputs
 from .links import MAXRING, PCIE_GEN2_X8, LinkSpec, required_bandwidth_mbps
 from .manager import (
     DEFAULT_STREAM_CAPACITY,
@@ -46,7 +46,6 @@ __all__ = [
     "RunResult",
     "Kernel",
     "KernelStats",
-    "LeapController",
     "LeapReport",
     "batch_reference_outputs",
     "achieved_fps",

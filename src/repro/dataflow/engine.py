@@ -28,7 +28,6 @@ from .trace import Tracer
 
 if TYPE_CHECKING:
     from ..telemetry.collector import Telemetry
-    from .leap import LeapController
     from .manager import Pipeline
 
 __all__ = ["CycleBudgetExceeded", "Engine", "RunResult"]
@@ -126,7 +125,6 @@ class Engine:
         fast: bool = True,
         trace: Tracer | None = None,
         telemetry: "Telemetry | None" = None,
-        leap: "LeapController | None" = None,
     ) -> int:
         """Tick kernels until ``done()`` is true; returns the cycle count.
 
@@ -154,25 +152,12 @@ class Engine:
         exactly with :meth:`collect_stats`.  A run that exhausts its budget
         raises :class:`CycleBudgetExceeded` and leaves the collector
         unsealed.
-
-        ``leap`` accepts a :class:`~repro.dataflow.leap.LeapController`
-        (built by ``LeapController.for_engine``): on top of the fast
-        scheduler, proven steady-state periods are skipped wholesale, with
-        every counter, list, park offset and trace event synthesized to
-        stay bit-identical to the exhaustive loop.  Requires ``fast=True``.
         """
         if max_cycles <= 0:
             raise ValueError(
                 f"engine {self.name!r}: max_cycles must be a positive cycle budget, "
                 f"got {max_cycles!r}"
             )
-        if leap is not None:
-            if not fast:
-                raise ValueError(
-                    f"engine {self.name!r}: the leap scheduler extends the fast path; "
-                    "pass fast=True (or drop the controller)"
-                )
-            trace = leap.begin_run(max_cycles, trace)
         if trace is not None:
             trace.attach(self)
         if telemetry is not None:
@@ -181,7 +166,7 @@ class Engine:
         self._telemetry = telemetry
         try:
             if fast:
-                cycles = self._run_fast(done, max_cycles, leap)
+                cycles = self._run_fast(done, max_cycles)
             else:
                 cycles = self._run_exhaustive(done, max_cycles)
             if trace is not None:
@@ -252,12 +237,7 @@ class Engine:
     #   tick every cycle, so arbitrary user kernels degrade to the
     #   exhaustive semantics rather than to wrong schedules.
 
-    def _run_fast(
-        self,
-        done: Callable[[], bool],
-        max_cycles: int,
-        leap: "LeapController | None" = None,
-    ) -> int:
+    def _run_fast(self, done: Callable[[], bool], max_cycles: int) -> int:
         kernels = self.kernels
         tracer = self._tracer
         telemetry = self._telemetry
@@ -326,17 +306,6 @@ class Engine:
                         # next image arrives.  Other STALL_IDLE kernels never
                         # wake and are settled at end of run.
                         kernel._wake_at = kernel._wake_hint
-            if leap is not None:
-                # After the sweep the cycle's state is final: the controller
-                # snapshots at sink completions and, once periodicity is
-                # proven, fast-forwards whole steady-state periods.  The
-                # jump lands on the same all-counters-exact state the loop
-                # would reach by simulating them, so everything below
-                # (telemetry sampling, budget abort, park bookkeeping)
-                # continues unchanged.
-                jumped = leap.on_cycle_end(cycle)
-                if jumped is not None:
-                    cycle = jumped
             cycle += 1
             if telemetry is not None and cycle >= telemetry.next_sample_at:
                 # Mid-run samples virtually account parked kernels' pending

@@ -4,9 +4,9 @@ The steady-state interval — mean cycles between consecutive image
 completions, the paper's initiation-interval measurement (§IV-B4) — used to
 be derived independently by :class:`~repro.dataflow.engine.RunResult`, the
 telemetry collector's per-sample throughput gauges, and the benchmark
-harness's ``extra_info`` rows.  One closed form lives here now; the leap
-scheduler's periodicity detector (:mod:`repro.dataflow.leap`) builds on the
-same completion-cycle anchors via :func:`exact_completion_period`.
+harness's ``extra_info`` rows.  One closed form lives here now;
+:func:`exact_completion_period` reads an exact period off the same
+completion-cycle anchors.
 
 Both helpers take the host sink's ``completion_cycles`` list (monotone
 non-decreasing ints, one per completed image).
@@ -54,9 +54,10 @@ def exact_completion_period(completion_cycles: Sequence[int], window: int = 2) -
 
     Returns the common cycle gap ``P`` between the last ``window + 1``
     completions when every one of those gaps equals ``P`` (the pipeline is
-    *plausibly* periodic — the leap scheduler still verifies full control
-    state before trusting it), or ``None`` when the gaps disagree or there
-    are not enough completions yet.
+    *plausibly* periodic — :func:`repro.dataflow.schedule.solve_run`
+    certifies a period from every kernel's op times before extending a
+    run by it), or ``None`` when the gaps disagree or there are not enough
+    completions yet.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window!r}")

@@ -108,30 +108,6 @@ class Kernel:
     # run its leading ops that need no input (padding feeds), then wait.
     idles_when_done: ClassVar[bool] = False
 
-    # -- leap-mode contract (see dataflow/leap.py) ----------------------
-    # A kernel that opts in guarantees its *control flow* never branches on
-    # stream element values (only on counts, positions and stream state), and
-    # exposes that control state through leap_phase().  The leap scheduler
-    # refuses to fast-forward an engine containing any kernel that has not
-    # opted in — unknown kernels degrade to the plain fast path, mirroring
-    # the park/wake scheduler's own "no classification, no parking" rule.
-    # Declared as a plain class attribute (not ClassVar) so instances may
-    # veto support at construction time (the open-loop host source does).
-    supports_leap: bool = False
-    # Attribute names extrapolated linearly across a leap: monotone
-    # per-period accumulators beyond KernelStats (e.g. ``images_done``,
-    # the host source's flat read position).
-    leap_counters: ClassVar[tuple[str, ...]] = ()
-    # Attribute names holding cycle-stamped lists that grow once per
-    # steady-state period and are replayed shifted by the period (e.g. the
-    # source's admission_cycles, the sink's completion_cycles).
-    leap_cycle_lists: ClassVar[tuple[str, ...]] = ()
-    # Attribute names holding per-element *value* lists that grow once per
-    # period; a leap replicates the window's slice unshifted (the values are
-    # placeholders — leap-mode outputs come from the batched functional
-    # path, see leap.batch_reference_outputs).
-    leap_value_lists: ClassVar[tuple[str, ...]] = ()
-
     def __init__(self, name: str) -> None:
         self.name = name
         self.inputs: list[Stream] = []
@@ -178,18 +154,6 @@ class Kernel:
         the engine on every kernel class).
         """
         raise NotImplementedError(f"{type(self).__name__} has no op program")
-
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        """The kernel's value-independent control state, as a comparable tuple.
-
-        Two equal phases at two sink-completion instants mean the kernel
-        will repeat the exact same tick-by-tick behaviour (shifted in time)
-        over the next period — the periodicity test the leap scheduler
-        anchors on.  Cycle-stamped quantities must be encoded *relative* to
-        ``cycle`` (the scheduler adds the park/wake bookkeeping itself).
-        Only called when :attr:`supports_leap` is true.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not support leap mode")
 
     def reset(self) -> None:
         """Clear run state (image-independent parameters persist)."""

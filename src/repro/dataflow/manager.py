@@ -38,13 +38,14 @@ from ..nn.graph import (
 )
 from .engine import CycleBudgetExceeded, Engine, RunResult
 from .kernel import Kernel
-from .leap import LeapController, LeapReport, batch_reference_outputs
+from .leap import LeapReport, batch_reference_outputs
 from .links import MAXRING, PCIE_GEN2_X8, LinkSpec, required_bandwidth_mbps
 from .stream import Stream
 from .trace import Tracer
 
 if TYPE_CHECKING:
     from ..telemetry.collector import Telemetry
+    from .schedule import SolvedRun
 
 __all__ = ["build_pipeline", "simulate", "StreamingRun", "LinkCrossing", "Pipeline"]
 
@@ -102,9 +103,9 @@ class StreamingRun:
     cycles: int
     run: RunResult
     pipeline: Pipeline
-    # Set on every mode="leap" run (None for other modes): how many
-    # steady-state periods were skipped and at what period, or — when no
-    # controller could be built at all — the demotion flag and reason.
+    # Set on every mode="leap" run (None for other modes): how many images
+    # the solved prefix was extended by and at what period, or — when the
+    # run could not be extended at all — the demotion flag and reason.
     leap_report: LeapReport | None = None
 
     @property
@@ -382,6 +383,27 @@ def _wire(
         skip_streams[to_node] = stream
 
 
+def _leap_report(pipeline: Pipeline, solved: SolvedRun | None, hooked: list[str]) -> LeapReport:
+    """What ``mode="leap"`` did: how far the period extended the solved run, or why it could not."""
+    if solved is None:
+        from .schedule import unsolvable
+
+        reason = hooked[0] if hooked else unsolvable(pipeline) or "its op schedule did not solve"
+        return LeapReport(demoted=True, demotion_reason=reason)
+    if pipeline.source.arrival_cycles is not None:
+        return LeapReport(
+            demoted=True,
+            demotion_reason=f"open-loop arrival schedule on source {pipeline.source.name!r} "
+            "(leap extends closed-loop, back-to-back runs only)",
+        )
+    return LeapReport(
+        leaps=int(solved.windows > 0),
+        windows=solved.windows,
+        leaped_cycles=solved.windows * solved.period,
+        period=solved.period,
+    )
+
+
 def simulate(
     graph: LayerGraph,
     images: np.ndarray,
@@ -414,25 +436,24 @@ def simulate(
     (:func:`~repro.dataflow.verify.check_skip_high_water`): the verifier's
     solver and the engine must agree, or the run raises.
 
-    ``mode`` names the scheduler: ``"fast"`` (default) is the event-driven
-    park/wake scheduler, ``"exhaustive"`` the tick-everything reference
-    loop, and ``"leap"`` runs the fast scheduler plus the steady-state leap
-    controller (:mod:`repro.dataflow.leap`): once the pipeline's period is
-    proven, whole periods are skipped and their outputs recomputed through
-    the kernels' batched functional paths.  Results (cycles, outputs,
-    stats, traces, per-image instants) are bit-identical across all three
-    modes; pipelines outside the leap contract (open-loop arrivals, custom
-    kernels) degrade to the fast path with
-    ``StreamingRun.leap_report.demoted`` set and ``demotion_reason``
-    naming the cause — check the report to see whether leaps happened.
-
-    A fast-path run with no ``trace``, ``telemetry`` or ``use_bitops`` (a
-    demoted leap included) does not tick:
+    ``mode`` names the scheduler: ``"fast"`` (default), ``"exhaustive"``
+    (the tick-everything reference loop) or ``"leap"``.  A fast or leap
+    run with no ``trace``, ``telemetry`` or ``use_bitops`` does not tick:
     :func:`~repro.dataflow.schedule.solve_run` solves every op's cycle
-    from the kernels' op recurrences and derives the counters and
-    instants from them, and the outputs come from the batched functional
-    pass.  A run over budget or deadlocked ticks after all, so it raises
-    as below.
+    from the kernels' op recurrences and derives the counters and instants
+    from them, and the outputs come from the batched functional pass.  A
+    closed-loop run solves only a prefix of its images and extends it by
+    the certified per-image period.  Any other run ticks the park/wake
+    scheduler, and so does a kernel without an op program or stall order,
+    a run over budget and a deadlock (which then raise as below).  Results
+    (cycles, outputs, stats, traces, per-image instants) are bit-identical
+    across all three modes.
+
+    ``mode="leap"`` runs the same path as ``"fast"`` and adds a
+    :class:`~repro.dataflow.leap.LeapReport`: how many images past the
+    solved prefix the period extended the run by.  A leap run that could
+    not be extended because it is open-loop, or that ticked, sets
+    ``demoted`` and names the cause in ``demotion_reason``.
 
     A run that does not finish within ``max_cycles`` raises
     :class:`~repro.dataflow.engine.CycleBudgetExceeded` carrying the partly
@@ -456,27 +477,20 @@ def simulate(
     )
     if telemetry is not None:
         telemetry.attach_pipeline(pipeline)
-    controller: LeapController | None = None
-    demoted_report: LeapReport | None = None
-    if mode == "leap":
-        controller = LeapController.for_engine(pipeline.engine)
-        if controller is None:
-            # Leap was requested but cannot apply: record why, visibly.
-            # The run is still correct — it degrades to the plain fast
-            # path — but callers (the CLI, the fleet layer) can now warn
-            # instead of silently delivering fast-path wall-clock.
-            demoted_report = LeapReport(
-                demoted=True,
-                demotion_reason=LeapController.ineligibility(pipeline.engine),
-            )
-    solved: int | None = None
-    ticked = trace is not None or telemetry is not None or use_bitops
-    if mode != "exhaustive" and controller is None and not ticked:
-        from .schedule import solve_run
+    from .schedule import solve_run
 
+    # What makes a run tick, as a leap report names it.
+    hooks = (
+        (trace is not None, "a tracer is attached (traces record every tick)"),
+        (telemetry is not None, "telemetry is attached (its samples read the ticking engine)"),
+        (use_bitops, "use_bitops routes values through the ticking datapath"),
+    )
+    hooked = [reason for on, reason in hooks if on]
+    solved: SolvedRun | None = None
+    if mode != "exhaustive" and not hooked:
         solved = solve_run(pipeline, max_cycles)
     if solved is not None:
-        cycles = solved
+        cycles = solved.cycles
     else:
         try:
             cycles = pipeline.engine.run(
@@ -485,7 +499,6 @@ def simulate(
                 fast=mode != "exhaustive",
                 trace=trace,
                 telemetry=telemetry,
-                leap=controller,
             )
         except CycleBudgetExceeded as err:
             err.pipeline = pipeline
@@ -495,10 +508,9 @@ def simulate(
 
         check_skip_high_water(pipeline, n_images=int(images.shape[0]))
     kstats, sstats = pipeline.engine.collect_stats()
-    leap_report = controller.report if controller is not None else demoted_report
-    if solved is not None or (leap_report is not None and leap_report.windows > 0):
-        # No values streamed (a solved run), or leaped windows streamed
-        # placeholders through the sink: the batched functional path
+    leap_report = _leap_report(pipeline, solved, hooked) if mode == "leap" else None
+    if solved is not None:
+        # A solved run streamed no values: the batched functional path
         # computes every image exactly (it is bit-identical to the
         # streaming datapath — tested property).
         output = batch_reference_outputs(pipeline, images)

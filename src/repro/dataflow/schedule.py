@@ -42,10 +42,40 @@ The same solve runs an untraced ``simulate`` (:func:`solve_run`).  There
 each open-loop image's first push waits for its arrival, every skip FIFO
 keeps its built capacity, and the counters the engine keeps live are
 derived from the op times (``tests/test_schedule_run.py``).
+
+A closed-loop run is solved for a prefix of ``K`` images (the first ``K``
+images of the ``N``-image run: no constraint points at a later image) and
+extended to all ``N`` by its per-image period — the paper's §IV-B4 clocks
+per picture, made exact.  The prefix is *certified* when every kernel's op times for
+image ``m + 1`` equal those for image ``m`` plus one common ``P`` over the
+last ``H + 1`` image pairs, where ``H >= 1`` is the furthest back, in
+images, that any constraint reaches: an op's predecessor lies at most one
+image back, a popped element was pushed in the same image, and a bounded
+stream's slot rule reaches ``ceil(capacity / per-image elements)`` images
+back.  That shift then holds for every later image.  Image ``m``'s times
+are the solution of its recurrences given images ``m - H .. m - 1``; every
+constraint has a delay of at least one cycle, so each op's time is fixed
+by strictly earlier instants and that solution is unique.  Shifting the
+solved images ``m - H .. m`` by ``P`` gives a solution of image
+``m + 1``'s recurrences from images ``m + 1 - H .. m``, which therefore
+*is* image ``m + 1``; induction covers the rest.
+
+A run of ``M`` images counts every op of images ``0 .. M - 2`` (each has
+run before image ``M - 1`` completes), the ops of image ``M - 1`` run
+before the end, and the wait to the end.  An op's count depends only on
+images ``m - H .. m``, and the last image's part on the last ``H + 1``
+images, so past certification every counter grows by the same step per
+image from ``M = K - 1`` on.  The ``N``-image counters are therefore the
+``K``-image ones plus ``N - K`` steps, the step being their difference
+from the ``(K - 1)``-image ones, read off the same solve.  The cycle
+count and every cycle stamp move by ``P`` per image; high-water marks
+stay.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -59,11 +89,20 @@ from .links import MAXRING, LinkSpec
 from .manager import Pipeline, build_pipeline
 from .stream import Stream, StreamStats
 
-__all__ = ["REPLAY_IMAGES", "REPLAY_MAX_CYCLES", "Schedule", "replay_schedule", "solve_run"]
+__all__ = [
+    "REPLAY_IMAGES",
+    "REPLAY_MAX_CYCLES",
+    "Schedule",
+    "SolvedRun",
+    "replay_schedule",
+    "solve_run",
+    "unsolvable",
+]
 
 # Four images give three completion gaps — enough for
 # `exact_completion_period` to certify a steady-state period.  Tests that
-# compare the prediction with a real simulation stream the same count.
+# compare the prediction with a real simulation stream the same count.  It
+# is also the first prefix a closed-loop `solve_run` tries.
 REPLAY_IMAGES = 4
 
 # Cycle budget of one replay; a geometry that does not drain within it
@@ -91,6 +130,15 @@ class Schedule:
     completion_cycles: tuple[int, ...]
     skip_high_water: Mapping[str, int]  # residual adder -> skip stream max occupancy
     segments: tuple[tuple[str, float], ...]  # (label, mean cycles) per partition segment
+
+
+@dataclass(frozen=True, slots=True)
+class SolvedRun:
+    """A run :func:`solve_run` solved: its cycle count and how far it extended a prefix."""
+
+    cycles: int
+    windows: int = 0  # images past the solved prefix, added by the period
+    period: int = 0  # the certified cycles per image (0: the whole run was solved)
 
 
 def replay_schedule(
@@ -126,7 +174,7 @@ def replay_schedule(
     solution = _solve(pipeline)
     if solution is None:
         raise _over_budget(graph)
-    _stamp_instants(solution, pipeline)
+    _stamp(pipeline, _observe(solution, pipeline, counters=False))
     cache[key] = Schedule(
         cycles=solution.cycles,
         completion_cycles=tuple(pipeline.sink.completion_cycles),
@@ -143,41 +191,66 @@ def replay_schedule(
     return cache[key]
 
 
-def solve_run(pipeline: Pipeline, max_cycles: int) -> int | None:
-    """Run ``pipeline`` by solving its schedule instead of ticking; the cycle count.
+def unsolvable(pipeline: Pipeline) -> str | None:
+    """Why :func:`solve_run` leaves ``pipeline`` to the engine, or ``None`` when it need not."""
+    if not pipeline.source.n_images:
+        return "no images to stream"
+    names = [
+        repr(kernel.name)
+        for kernel in pipeline.engine.kernels
+        if not kernel.stall_order or type(kernel).op_program is Kernel.op_program
+    ]
+    if names:
+        more = f" (+{len(names) - 3} more)" if len(names) > 3 else ""
+        return f"kernel(s) without an op program or stall order: {', '.join(names[:3])}{more}"
+    return None
+
+
+def solve_run(pipeline: Pipeline, max_cycles: int) -> SolvedRun | None:
+    """Run ``pipeline`` by solving its schedule instead of ticking.
 
     The solve takes the source's open-loop arrivals and every stream's
-    built capacity, skip FIFOs included.  From the op times it stamps what
-    a ticked run leaves behind, equal to the engine's: the per-image
-    admission, mark and completion instants, every kernel's
+    built capacity, skip FIFOs included.  A closed-loop run solves a
+    prefix of :data:`REPLAY_IMAGES` images, doubled until its per-image
+    period is certified, and extends it to every image (see the module
+    docstring); an open-loop run, or one whose prefix reaches all its
+    images, is solved whole.  From the op times it stamps what a ticked
+    run leaves behind, equal to the engine's: the per-image admission, mark
+    and completion instants, every kernel's
     :class:`~repro.dataflow.kernel.KernelStats` and stream's
     :class:`~repro.dataflow.stream.StreamStats`, and each FIFO's residual
     elements (values are placeholders: outputs come from the batched
     functional pass).  Kernels' datapath state is left as built.
 
     Returns ``None`` and changes nothing when the engine has to run it
-    instead: no images, a kernel without an op program or stall order, a
-    kernel that pushes before its first pop in an image, a run that would
-    not finish within ``max_cycles``, or a deadlock.  The engine then
-    raises the same :class:`~repro.dataflow.engine.CycleBudgetExceeded`
-    it always did.
+    instead: :func:`unsolvable` names a reason, a kernel pushes before its
+    first pop in an image, the run would not finish within ``max_cycles``,
+    or it deadlocks.  The engine then raises the same
+    :class:`~repro.dataflow.engine.CycleBudgetExceeded` it always did.
     """
-    kernels = pipeline.engine.kernels
-    if not pipeline.source.n_images or not all(kernel.stall_order for kernel in kernels):
+    if unsolvable(pipeline) is not None:
         return None
-    try:
-        solution = _solve(pipeline, bounded_skips=True, limit=min(max_cycles, REPLAY_MAX_CYCLES))
-    except NotImplementedError:  # a kernel without an op program
-        return None
-    if solution is None or any(node.lead < 0 for node in solution.nodes):
-        return None
-    _stamp_instants(solution, pipeline)
-    stats = [_kernel_stats(solution, node, kernel) for node, kernel in zip(solution.nodes, kernels)]
-    for kernel, kernel_stats in zip(kernels, stats):
-        kernel.stats = kernel_stats
-    for stream in pipeline.engine.streams:
-        _stamp_stream(solution, stream, stats)
-    return solution.cycles
+    images = pipeline.source.n_images
+    limit = min(max_cycles, REPLAY_MAX_CYCLES)
+    prefix = images if pipeline.source.arrival_cycles is not None else REPLAY_IMAGES
+    while True:
+        prefix = min(prefix, images)
+        solution = _solve(pipeline, bounded_skips=True, limit=limit, images=prefix)
+        if solution is None or any(node.lead < 0 for node in solution.nodes):
+            return None
+        period = _certified_period(solution, prefix) if prefix < images else 0
+        if period or prefix == images:
+            break
+        prefix *= 2
+    observed = _observe(solution, pipeline)
+    windows = images - prefix
+    if windows:
+        before = _observe(_first_images(solution, prefix - 1), pipeline)
+        observed = _extend(observed, before, windows, period)
+        if observed.cycles >= max_cycles:
+            return None
+    _stamp(pipeline, observed)
+    return SolvedRun(observed.cycles, windows, period)
 
 
 def _over_budget(graph: LayerGraph) -> RuntimeError:
@@ -244,6 +317,58 @@ class _Solution:
     nodes: list[_Node]
     edges: dict[int, _Edge]  # keyed by id(stream)
     cycles: int
+    sink: int  # the sink's position in ``nodes``
+
+
+def _finish(nodes: list[_Node], edges: dict[int, _Edge], sink: int) -> _Solution:
+    """The solution whose run ends one cycle after the sink's last op.
+
+    Stamps each kernel's ops run before then: a prefix.  (An int32 needle:
+    a Python int would make numpy copy ``t`` to int64.)
+    """
+    cycles = int(nodes[sink].t[-1]) + 1
+    for node in nodes:
+        node.ran = int(np.searchsorted(node.t[: node.lo], np.int32(cycles)))
+    return _Solution(nodes, edges, cycles, sink)
+
+
+def _first_images(solution: _Solution, images: int) -> _Solution:
+    """The solution of a run of only the first ``images`` images: the same op times, cut."""
+    nodes = []
+    for node in solution.nodes:
+        part = copy.copy(node)
+        part.total = node.n * images
+        part.lo = min(node.lo, part.total)
+        part.t = node.t[: part.total]
+        nodes.append(part)
+    return _finish(nodes, solution.edges, solution.sink)
+
+
+def _certified_period(solution: _Solution, images: int) -> int:
+    """The per-image period of a fully solved prefix, or 0 when it is not certified.
+
+    Every kernel's op times for image ``m + 1`` must equal those for image
+    ``m`` plus one common period over the last ``H + 1`` image pairs, ``H``
+    the furthest back any constraint reaches (module docstring).
+    """
+    nodes = solution.nodes
+    reach = max(
+        [1]
+        + [-(-edge.capacity // edge.per_image) for edge in solution.edges.values() if edge.capacity]
+    )
+    if images < reach + 2 or any(node.lo < node.total for node in nodes):
+        return 0
+    period = 0
+    for node in nodes:
+        if not node.n:
+            continue
+        last = node.t.reshape(images, node.n)[images - reach - 2 :]
+        shifts = np.diff(last, axis=0)
+        if not period:
+            period = int(shifts[0, 0])
+        if period <= 0 or not (shifts == period).all():
+            return 0
+    return period
 
 
 def _elements_before(table: np.ndarray, n: int, per_image: int, op: int) -> int:
@@ -264,19 +389,25 @@ def _ops_of(table: np.ndarray, n: int, per_image: int, first: int, stop: int) ->
 
 
 def _solve(
-    pipeline: Pipeline, bounded_skips: bool = False, limit: int | None = None
+    pipeline: Pipeline,
+    bounded_skips: bool = False,
+    limit: int | None = None,
+    images: int | None = None,
 ) -> _Solution | None:
-    """Solve every op's cycle; ``None`` on a deadlock or a run of ``limit`` cycles or more.
+    """Solve every op's cycle in the first ``images`` images (default: all of them).
 
-    ``limit`` defaults to :data:`REPLAY_MAX_CYCLES`.  Skip edges are
-    unbounded unless ``bounded_skips`` (the replay sizes them from this
-    very solve).  Reads the pipeline, writes nothing to it.
+    ``None`` on a deadlock or a run of ``limit`` cycles or more; ``limit``
+    defaults to :data:`REPLAY_MAX_CYCLES`.  Ops after the sink's last one
+    are solved too, unless they reach ``limit``.  Skip edges are unbounded
+    unless ``bounded_skips`` (the replay sizes them from this very solve).
+    Reads the pipeline, writes nothing to it.
     """
+    if images is None:
+        images = pipeline.source.n_images
     if limit is None:
         limit = REPLAY_MAX_CYCLES
     engine = pipeline.engine
     kernels = engine.kernels
-    images = pipeline.source.n_images
     position = {id(kernel): i for i, kernel in enumerate(kernels)}
     programs = [kernel.op_program() for kernel in kernels]
     nodes = [_Node(program.ops, images) for program in programs]
@@ -310,11 +441,12 @@ def _solve(
             np.asarray(arrivals, dtype=np.int64), _NEVER
         ).astype(np.int32)
 
-    sink = nodes[position[id(pipeline.sink)]]
+    sink_index = position[id(pipeline.sink)]
+    sink = nodes[sink_index]
     delta = _DELTA_START
     floor = 0
     sweep_cap = 256 + 4 * len(nodes)
-    while sink.lo < sink.total:
+    while any(node.lo < node.total for node in nodes):
         for node in nodes:
             _open_window(node, delta, floor)
         for node in nodes:
@@ -333,8 +465,10 @@ def _solve(
         )
         for node in nodes:
             node.lo += int(np.searchsorted(node.t[node.lo : node.hi], np.int32(end)))
-        if sink.lo < sink.total and end >= limit:
-            return None
+        if end >= limit:
+            if sink.lo < sink.total:
+                return None
+            break
         floor = end
         if sweeps <= _FEW_SWEEPS:
             delta *= 2
@@ -342,15 +476,8 @@ def _solve(
             delta = max(_DELTA_MIN, delta // 2)
     for node in nodes:
         node.terms = []
-
-    cycles = int(sink.t[-1]) + 1
-    if cycles >= limit:
-        return None
-    # Ops the engine would have run before it stopped: a prefix per kernel.
-    # (An int32 needle: a Python int would make numpy copy ``t`` to int64.)
-    for node in nodes:
-        node.ran = int(np.searchsorted(node.t[: node.lo], np.int32(cycles)))
-    return _Solution(nodes, edges, cycles)
+    solution = _finish(nodes, edges, sink_index)
+    return None if solution.cycles >= limit else solution
 
 
 def _times(node: _Node, table: np.ndarray, per_image: int, elements: np.ndarray) -> np.ndarray:
@@ -370,8 +497,21 @@ def _element_of(table: np.ndarray, n: int, per_image: int, ops: np.ndarray) -> n
     return np.where(table[index] == local, image * per_image + index, -1)
 
 
-def _stamp_instants(solution: _Solution, pipeline: Pipeline) -> None:
-    """The per-image instants the engine stamps live: admissions, completions, stream marks."""
+@dataclass(slots=True)
+class _Observed:
+    """What a solved run leaves on its pipeline, in engine order."""
+
+    cycles: int
+    admissions: list[int]
+    completions: list[int]
+    marks: list[list[int]]  # per stream; empty where it keeps none
+    kernels: list[KernelStats]  # empty: instants only
+    streams: list[StreamStats]
+    residual: list[list[int]]  # per stream: ready cycles of the elements left queued
+
+
+def _observe(solution: _Solution, pipeline: Pipeline, counters: bool = True) -> _Observed:
+    """The per-image instants the engine stamps live and, with ``counters``, every counter."""
 
     def moved(stream: Stream, every: int, offset: int, popped: bool) -> list[int]:
         edge = solution.edges[id(stream)]
@@ -383,12 +523,75 @@ def _stamp_instants(solution: _Solution, pipeline: Pipeline) -> None:
         return times
 
     source, sink, graph = pipeline.source, pipeline.sink, pipeline.graph
-    source.admission_cycles = moved(source.outputs[0], graph.input_spec.elements, 0, False)
     last = graph.output_spec.elements
-    sink.completion_cycles = moved(sink.inputs[0], last, last - 1, True)
-    for stream in pipeline.engine.streams:
+    streams = pipeline.engine.streams
+    observed = _Observed(
+        cycles=solution.cycles,
+        admissions=moved(source.outputs[0], graph.input_spec.elements, 0, False),
+        completions=moved(sink.inputs[0], last, last - 1, True),
+        marks=[moved(s, s.mark_every, 0, False) if s.mark_every else [] for s in streams],
+        kernels=[],
+        streams=[],
+        residual=[],
+    )
+    if counters:
+        kernels = pipeline.engine.kernels
+        observed.kernels = [
+            _kernel_stats(solution, node, kernel) for node, kernel in zip(solution.nodes, kernels)
+        ]
+        for stream in streams:
+            stats, residual = _stream_state(solution, stream, observed.kernels)
+            observed.streams.append(stats)
+            observed.residual.append(residual)
+    return observed
+
+
+def _extend(last: _Observed, before: _Observed, windows: int, period: int) -> _Observed:
+    """``last`` continued for ``windows`` more images, each adding what ``last`` added to ``before``.
+
+    Counters grow by ``windows`` times their step, cycle stamps move by
+    ``period`` per image, and high-water marks stay.
+    """
+
+    def linear(now: Any, was: Any, keep: tuple[str, ...] = ()) -> Any:
+        values: dict[str, Any] = {}
+        for field in dataclasses.fields(now):
+            b, a = getattr(now, field.name), getattr(was, field.name)
+            values[field.name] = b if field.name in keep or a is None else b + windows * (b - a)
+        return type(now)(**values)
+
+    def stamps(now: list[int], was: list[int]) -> list[int]:
+        step = now[len(was) :]
+        return now + [cycle + j * period for j in range(1, windows + 1) for cycle in step]
+
+    shift = windows * period
+    return _Observed(
+        cycles=last.cycles + shift,
+        admissions=stamps(last.admissions, before.admissions),
+        completions=stamps(last.completions, before.completions),
+        marks=[stamps(now, was) for now, was in zip(last.marks, before.marks)],
+        kernels=[linear(now, was) for now, was in zip(last.kernels, before.kernels)],
+        streams=[
+            linear(now, was, keep=("max_occupancy",))
+            for now, was in zip(last.streams, before.streams)
+        ],
+        residual=[[ready + shift for ready in queued] for queued in last.residual],
+    )
+
+
+def _stamp(pipeline: Pipeline, observed: _Observed) -> None:
+    """Leave ``observed`` on the pipeline, where a ticked run leaves it."""
+    pipeline.source.admission_cycles = observed.admissions
+    pipeline.sink.completion_cycles = observed.completions
+    streams = pipeline.engine.streams
+    for stream, marks in zip(streams, observed.marks):
         if stream.mark_every:
-            stream.mark_cycles = moved(stream, stream.mark_every, 0, False)
+            stream.mark_cycles = marks
+    for kernel, kernel_stats in zip(pipeline.engine.kernels, observed.kernels):
+        kernel.stats = kernel_stats
+    for stream, stream_stats, queued in zip(streams, observed.streams, observed.residual):
+        stream.stats = stream_stats
+        stream._fifo = deque((0, ready) for ready in queued)
 
 
 def _moved_counts(solution: _Solution, edge: _Edge) -> tuple[int, int]:
@@ -521,8 +724,10 @@ def _kernel_stats(solution: _Solution, node: _Node, kernel: Kernel) -> KernelSta
     return stats
 
 
-def _stamp_stream(solution: _Solution, stream: Stream, kernel_stats: list[KernelStats]) -> None:
-    """A stream's counters and residual FIFO (placeholder values) after the solved run."""
+def _stream_state(
+    solution: _Solution, stream: Stream, kernel_stats: list[KernelStats]
+) -> tuple[StreamStats, list[int]]:
+    """A stream's counters after the solved run, and the ready cycles of its residual FIFO."""
     edge = solution.edges[id(stream)]
     pushed, popped = _moved_counts(solution, edge)
     writer = stream.writer
@@ -530,7 +735,7 @@ def _stamp_stream(solution: _Solution, stream: Stream, kernel_stats: list[Kernel
     rejections = 0
     if writer.blocked_rejects_output and writer.outputs[0] is stream:
         rejections = kernel_stats[edge.writer].output_blocked_cycles
-    stream.stats = StreamStats(
+    stats = StreamStats(
         pushes=pushed,
         pops=popped,
         full_rejections=rejections,
@@ -538,7 +743,8 @@ def _stamp_stream(solution: _Solution, stream: Stream, kernel_stats: list[Kernel
     )
     node = solution.nodes[edge.writer]
     visible = _times(node, edge.push, edge.per_image, np.arange(popped, pushed)) + 1 + edge.latency
-    stream._fifo = deque((0, ready) for ready in visible.tolist())
+    residual: list[int] = visible.tolist()
+    return stats, residual
 
 
 def _open_window(node: _Node, delta: int, floor: int) -> None:

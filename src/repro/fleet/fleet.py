@@ -10,7 +10,7 @@ own cycle-exact engine against the arrival schedule the plan handed it.
 
 The load-bearing design decision: the router decides from host-observable
 state only (dispatch counts plus a calibrated service model from a
-closed-loop, leap-eligible profiling run — see :mod:`.router`), so once the
+closed-loop profiling run — see :mod:`.router`), so once the
 plan is fixed, replica simulations share nothing.  That makes the
 worker-pool path trivially correct: ``workers=N`` farms the same jobs to a
 process pool and must produce a byte-identical fleet report to the serial
@@ -57,9 +57,9 @@ __all__ = [
 ]
 
 DEFAULT_FCLK_MHZ = 105.0
-# Closed-loop images per profiling run: enough completions to prove a
-# steady-state interval (and let the leap controller engage) while staying
-# a fixed, small cost per distinct replica configuration.
+# Closed-loop images per profiling run: enough completions for a
+# steady-state interval (and for leap mode to extend its solved prefix)
+# while staying a fixed, small cost per distinct replica configuration.
 PROFILE_IMAGES = 6
 
 
@@ -131,10 +131,11 @@ def profile_replica(spec: ReplicaSpec, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> tu
     """(first-image latency, steady-state interval) for one replica config.
 
     Runs :data:`PROFILE_IMAGES` zero images *closed-loop* through the
-    replica's pipeline — the one place in the fleet layer where the leap
-    scheduler is eligible (open-loop replica runs demote, per the leap
-    contract), so paper-scale replicas profile in seconds, not minutes.
-    Timing is value-independent, so zero images measure the real schedule.
+    replica's pipeline in leap mode — the one place in the fleet layer
+    where a run is extended from a solved prefix by its period (open-loop
+    replica runs are solved whole), so paper-scale replicas profile in
+    seconds, not minutes.  Timing is value-independent, so zero images
+    measure the real schedule.
     """
     key = (spec.family, spec.size, spec.width, spec.classes, fclk_mhz)
     cached = _PROFILE_CACHE.get(key)

@@ -3,11 +3,12 @@
 The router runs on the host, ahead of the shared PCIe ingress, and decides
 from *host-observable* state only: how many images it has dispatched to
 each replica and a calibrated service model (first-image latency plus the
-steady-state completion interval from a closed-loop, leap-eligible
-profiling run).  It never peeks at cycle-exact fabric state — that is what
-keeps replica simulations independent of each other between router
-decisions, which in turn is what lets the fleet layer run replicas on a
-worker pool and still produce byte-identical reports.
+steady-state completion interval from a closed-loop profiling run, whose
+solved prefix leap mode extends by the period).  It never peeks at
+cycle-exact fabric state — that is what keeps replica simulations
+independent of each other between router decisions, which in turn is what
+lets the fleet layer run replicas on a worker pool and still produce
+byte-identical reports.
 
 Three policies, the classic ladder:
 
@@ -16,8 +17,8 @@ Three policies, the classic ladder:
   host's estimate of images dispatched but not yet completed);
 * ``batch`` — JSQ at batch granularity: keep ``batch`` consecutive images
   on one replica before re-evaluating, trading queue balance for longer
-  uninterrupted steady-state windows on each replica (the regime the leap
-  scheduler and the fabric both like best).
+  uninterrupted steady-state windows on each replica (the regime the
+  fabric likes best).
 
 All tie-breaks are by lowest replica index, so every policy is a pure
 function of the arrival sequence — deterministic by construction.

@@ -57,8 +57,6 @@ class ConvKernel(Kernel):
     blocked_rejects_output = True
     # Each op checks one port: a feed its input, an emit its output slot.
     stall_order = (STALL_STARVED, STALL_BLOCKED)
-    supports_leap = True
-    leap_counters = ("images_done",)
 
     def __init__(
         self, name: str, node: ConvNode, in_spec: TensorSpec, use_bitops: bool = False
@@ -191,11 +189,6 @@ class ConvKernel(Kernel):
         out = np.where(self._th_is_const, self._th_const, out)
         return out.tolist()
 
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        # Scan position and emit backlog fully determine the next tick's
-        # control flow; window *contents* are data and never steer it.
-        return (self._window._pos, len(self._pending))
-
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
         """All output pixels of a batch of images as one blocked GEMM.
 
@@ -205,8 +198,8 @@ class ConvKernel(Kernel):
         in float32 when :attr:`acc_bound` is below 2**24 and in float64
         otherwise, so every product and partial sum is an exact integer and
         the result is bit-identical regardless of BLAS blocking (and to the
-        bitops route, a tested property).  The leap scheduler uses this to
-        synthesize the outputs of images whose cycles it fast-forwarded over.
+        bitops route, a tested property).  A solved run, which streams no
+        values, takes its outputs from this.
         """
         n = x.shape[0]
         k, stride = self.k, self.stride

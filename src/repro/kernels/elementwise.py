@@ -25,8 +25,6 @@ class AddKernel(Kernel):
     """
 
     stall_order = (STALL_STARVED, STALL_BLOCKED)
-    supports_leap = True
-    leap_counters = ("images_done",)
 
     def __init__(self, name: str, per_image_elements: int) -> None:
         super().__init__(name)
@@ -41,9 +39,6 @@ class AddKernel(Kernel):
         """Each op pops both inputs and pushes their sum."""
         ops = np.arange(self._per_image)
         return OpProgram(ops=self._per_image, pops=(ops, ops), pushes=(ops,))
-
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        return (self._count,)
 
     def batch_compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Batched functional residual add over ``(N, H, W, C)`` tensors."""
@@ -86,8 +81,6 @@ class ForkKernel(Kernel):
     """
 
     stall_order = (STALL_STARVED, STALL_BLOCKED)
-    supports_leap = True
-    leap_counters = ("images_done",)
 
     def __init__(self, name: str, per_image_elements: int) -> None:
         super().__init__(name)
@@ -102,9 +95,6 @@ class ForkKernel(Kernel):
         """Each op pops one element and pushes it to every output."""
         ops = np.arange(self._per_image)
         return OpProgram(ops=self._per_image, pops=(ops,), pushes=tuple(ops for _ in self.outputs))
-
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        return (self._count,)
 
     def tick(self, cycle: int) -> None:
         inp = self.inputs[0]

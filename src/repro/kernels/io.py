@@ -40,8 +40,6 @@ class HostSource(Kernel):
     blocked_rejects_output = True
     stall_order = (STALL_IDLE, STALL_BLOCKED)
     idles_when_done = True
-    leap_counters = ("_pos", "_boundary")
-    leap_cycle_lists = ("admission_cycles",)
 
     def __init__(
         self,
@@ -78,10 +76,6 @@ class HostSource(Kernel):
             if any(b < a for a, b in zip(arrival_cycles, arrival_cycles[1:])):
                 raise ValueError("arrival cycles must be non-decreasing")
         self.arrival_cycles = arrival_cycles
-        # An open-loop source's behaviour depends on the absolute arrival
-        # schedule, which a leaped clock would skip over — the leap
-        # scheduler must fall back to the plain fast path (tested property).
-        self.supports_leap = arrival_cycles is None
 
     @property
     def done(self) -> bool:
@@ -102,16 +96,6 @@ class HostSource(Kernel):
         """One push per element (closed loop: the replay never withholds an image)."""
         ops = np.arange(self._per_image)
         return OpProgram(ops=self._per_image, pops=(), pushes=(ops,))
-
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        # Position within the current image (drives boundary marks) plus a
-        # wet/dry flag: a drained source idles where a wet one pushes, so
-        # the two states must never compare equal.
-        return (self._boundary - self._pos, int(self._pos < self._n))
-
-    def leap_images_left(self) -> int:
-        """Whole images not yet begun — the leap scheduler's admission budget."""
-        return (self._n - self._pos) // self._per_image
 
     def arrived_count(self, cycle: int) -> int:
         """Images available at the host by ``cycle`` (all of them closed-loop)."""
@@ -166,10 +150,6 @@ class HostSink(Kernel):
 
     stall_order = (STALL_STARVED,)
     idles_when_done = True
-    supports_leap = True
-    leap_counters = ("_pos",)
-    leap_cycle_lists = ("completion_cycles",)
-    leap_value_lists = ("_values",)
 
     def __init__(self, name: str, spec: TensorSpec, n_images: int) -> None:
         super().__init__(name)
@@ -188,9 +168,6 @@ class HostSink(Kernel):
     def op_program(self) -> OpProgram:
         ops = np.arange(self._per_image)
         return OpProgram(ops=self._per_image, pops=(ops,), pushes=())
-
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        return (self._pos % self._per_image,)
 
     def tick(self, cycle: int) -> None:
         pos = self._pos

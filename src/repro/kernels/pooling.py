@@ -29,8 +29,6 @@ class MaxPoolKernel(Kernel):
     """Max pooling over a depth-first pixel stream, one in / up to one out per cycle."""
 
     stall_order = (STALL_BLOCKED, STALL_STARVED)  # an emit pixel checks its slot first
-    supports_leap = True
-    leap_counters = ("images_done",)
 
     def __init__(self, name: str, node: MaxPoolNode, in_spec: TensorSpec) -> None:
         super().__init__(name)
@@ -77,9 +75,6 @@ class MaxPoolKernel(Kernel):
             pops=(ops[~np.asarray(self._pad_px)].ravel(),),
             pushes=(ops[np.asarray(self._emit_px)].ravel(),),
         )
-
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        return (self._pos,)
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
         """Batched functional max pool, ``(N, H, W, C)`` -> ``(N, Ho, Wo, C)``.

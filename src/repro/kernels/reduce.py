@@ -21,8 +21,6 @@ class GlobalAvgSumKernel(Kernel):
 
     blocked_rejects_output = True
     stall_order = (STALL_STARVED, STALL_BLOCKED)  # each op checks one port
-    supports_leap = True
-    leap_counters = ("images_done",)
 
     def __init__(self, name: str, in_spec: TensorSpec) -> None:
         super().__init__(name)
@@ -44,9 +42,6 @@ class GlobalAvgSumKernel(Kernel):
             pops=(np.arange(self._per_image),),
             pushes=(self._per_image + np.arange(self.channels),),
         )
-
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        return (self._count, -1 if self._emit_chan is None else self._emit_chan)
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
         """Batched exact integer channel sums, ``(N, H, W, C)`` -> ``(N, 1, 1, C)``."""

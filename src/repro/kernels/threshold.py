@@ -23,8 +23,6 @@ class ThresholdKernel(Kernel):
     """Streaming fused BatchNorm + n-bit activation."""
 
     stall_order = (STALL_STARVED, STALL_BLOCKED)
-    supports_leap = True
-    leap_counters = ("images_done",)
 
     def __init__(self, name: str, node: ThresholdNode, in_spec: TensorSpec) -> None:
         super().__init__(name)
@@ -56,9 +54,6 @@ class ThresholdKernel(Kernel):
     def op_program(self) -> OpProgram:
         ops = np.arange(self._per_image)
         return OpProgram(ops=self._per_image, pops=(ops,), pushes=(ops,))
-
-    def leap_phase(self, cycle: int) -> tuple[int, ...]:
-        return (self._chan, self._count)
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
         """Batched threshold pass over ``(N, H, W, C)``, one searchsorted per channel.

@@ -447,7 +447,7 @@ def neighbor_partitions(
     """Every ±1-position perturbation of the plan's cuts, as (cuts, partition).
 
     Each cut moves to the adjacent *allowed* position (so neighbors keep
-    residual blocks whole and stay buildable/leap-eligible); perturbations
+    residual blocks whole and stay buildable); perturbations
     that collide with another cut or empty a device are skipped.  This is
     the verification protocol's candidate set: simulating these must show
     the winner is no worse on the chosen objective.

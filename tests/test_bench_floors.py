@@ -26,5 +26,18 @@ def test_check_rate_boundaries(monkeypatch):
     _guard_regression("tiny_chain", recorded * 0.95)
     with pytest.raises(AssertionError, match="below 95%"):
         _guard_regression("tiny_chain", recorded * 0.94)
-    # A case with no recording runs unguarded.
-    _guard_regression("resnet18_224_leap", 1.0)
+    # A case with no recording runs unguarded, and says so.
+    with pytest.warns(UserWarning, match="resnet18_224_leap"):
+        _guard_regression("resnet18_224_leap", 1.0)
+
+
+def test_unrecorded_case_marks_its_floor_skipped():
+    assert "resnet18_224_leap" not in _RECORDED_RATES
+    extra_info = {}
+    with pytest.warns(UserWarning, match="resnet18_224_leap: no recorded rate"):
+        _guard_regression("resnet18_224_leap", 1.0, extra_info)
+    assert extra_info == {"rate_floor": "unrecorded"}
+    # A recorded case passing its floor leaves extra_info alone.
+    recorded = {}
+    _guard_regression("tiny_chain", _RECORDED_RATES["tiny_chain"], recorded)
+    assert recorded == {}

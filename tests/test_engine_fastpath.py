@@ -2,15 +2,15 @@
 
 The park/wake scheduler (``Engine.run(..., fast=True)``, driven directly or
 traced: an untraced ``simulate(mode="fast")`` solves its schedule instead,
-see test_schedule_run.py) and the steady-state leap scheduler
-(``simulate(..., mode="leap")``) must both be *observably identical* to
+see test_schedule_run.py) and leap mode (``simulate(..., mode="leap")``,
+a solved prefix extended by its period) must both be *observably identical* to
 the exhaustive per-cycle tick loop: same total cycles, same per-image
 completion cycles, same output tensors, bit-identical kernel and stream
 statistics — stall counters included, since the paper's occupancy and
 bottleneck analyses are computed from them — and byte-identical event
 traces.  These tests drive every tiny topology used across the suite
 through all three paths, plus hypothesis-randomized networks for the long
-tail of shapes.  (Deeper leap-specific behaviour — demotion, vetoes, the
+tail of shapes.  (Deeper leap-specific behaviour — demotion, the
 paper-scale interval check — lives in test_leap.py.)
 """
 
@@ -83,12 +83,35 @@ def test_fast_path_matches_exhaustive(topology):
 
 @pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
 def test_leap_mode_matches_exhaustive_and_fast(topology):
-    """Three-way equivalence with the leap scheduler actually leaping.
+    """Three-way equivalence with leap mode actually extending a solved prefix.
 
-    Eight images give the pipeline enough steady state for the controller
-    to prove a period and jump; everything observable — cycles, outputs,
-    stats, and the full event trace — must still be bit-identical.
+    Eight images leave room past the certified prefix; everything
+    observable — cycles, outputs, stats — must still be bit-identical.
+    ``use_bitops`` routes values through the ticking datapath, so that run
+    is demoted and says why.
     """
+    graph, kwargs = _case(topology)
+    images = _images(1, n=8)
+    slow = simulate(graph, images, mode="exhaustive", **kwargs)
+    fast = simulate(graph, images, mode="fast", **kwargs)
+    leap = simulate(graph, images, mode="leap", **kwargs)
+    _assert_runs_identical(slow, fast)
+    _assert_runs_identical(slow, leap)
+    report = leap.leap_report
+    assert report is not None
+    if topology == "bitops":
+        assert report.demoted and "use_bitops" in report.demotion_reason
+        assert report.leaps == 0
+    else:
+        assert not report.demoted
+        assert report.leaps == 1, "leap mode never extended the solved prefix"
+        assert "_flat" not in vars(leap.pipeline.source)
+    assert fast.leap_report is None
+
+
+@pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
+def test_traced_leap_mode_ticks_and_traces_identically(topology):
+    """A tracer needs every tick: a traced leap run is demoted, with the exhaustive trace."""
     graph, kwargs = _case(topology)
     images = _images(1, n=8)
     t_slow, t_fast, t_leap = Tracer(), Tracer(), Tracer()
@@ -97,11 +120,12 @@ def test_leap_mode_matches_exhaustive_and_fast(topology):
     leap = simulate(graph, images, mode="leap", trace=t_leap, **kwargs)
     _assert_runs_identical(slow, fast)
     _assert_runs_identical(slow, leap)
-    assert t_fast.state() == t_slow.state()
-    assert t_leap.state() == t_slow.state()
-    assert leap.leap_report is not None
-    assert leap.leap_report.leaps >= 1, "leap controller never engaged"
-    assert fast.leap_report is None
+    expected = t_slow.state()
+    assert t_fast.state() == expected
+    assert t_leap.state() == expected
+    report = leap.leap_report
+    assert report is not None and report.demoted and report.leaps == 0
+    assert "tracer" in report.demotion_reason
 
 
 @settings(max_examples=10, deadline=None)

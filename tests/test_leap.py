@@ -1,14 +1,14 @@
-"""Leap scheduler: detection, fallback, synthesis, and the paper interval.
+"""Leap mode: extension, demotion, fallback, synthesis, and the paper interval.
 
 The three-way cycle/output/stats/trace equivalence lives in
-test_engine_fastpath.py; this file covers the leap-specific behaviour on
-top of it:
+test_engine_fastpath.py and test_schedule_run.py; this file covers the
+leap-specific behaviour on top of it:
 
-* the shared interval helpers (satellite of the leap work: one derivation
-  used by the engine, the telemetry collector, the benches, and the
-  periodicity detector);
-* controller construction rules — any kernel outside the value-independence
-  contract, or an open-loop host source, demotes the run to the fast path;
+* the shared interval helpers (one derivation used by the engine, the
+  telemetry collector and the benches);
+* the demotion rules — an open-loop host source is solved whole and not
+  extended, and a run that has to tick (a tracer, telemetry, a kernel
+  without an op program) is demoted, each with a reason naming the cause;
 * fallback properties under randomized open-loop arrivals, undersized skip
   buffers (deadlock), and cycle-budget aborts — bit-identical behaviour in
   all three modes whether or not leaping is possible;
@@ -21,6 +21,7 @@ top of it:
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -29,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow import (
-    LeapController,
     Tracer,
     batch_reference_outputs,
     build_pipeline,
@@ -37,13 +37,15 @@ from repro.dataflow import (
     mean_completion_interval,
     simulate,
 )
+from repro.dataflow.kernel import Kernel
 from repro.dataflow.leap import _CHUNK_IMAGES
 from repro.hardware.timing import estimate_network_timing
+from repro.kernels.pooling import MaxPoolKernel
 from repro.models import direct_resnet18_graph, direct_vgg_graph
 from repro.nn import run_graph
-from repro.nn.graph import ConvNode, InputNode, LayerGraph, ThresholdNode
+from repro.nn.graph import ConvNode, InputNode, LayerGraph, MaxPoolNode, ThresholdNode
 from repro.quantization.thresholds import ThresholdUnit
-from repro.telemetry import latency_report
+from repro.telemetry import Telemetry, latency_report
 
 
 def _chain_graph():
@@ -141,48 +143,70 @@ class TestIntervalHelpers:
 
 
 # ---------------------------------------------------------------------------
-# Controller construction: the whole-engine opt-in rule
+# Demotion: which leap runs extend a solved prefix, and why the others do not
 # ---------------------------------------------------------------------------
+
+
+def _without_op_program(monkeypatch):
+    """Make max pooling a kernel the schedule solver cannot read, as a custom kernel would be."""
+    monkeypatch.setattr(MaxPoolKernel, "op_program", Kernel.op_program)
 
 
 class TestControllerConstruction:
     def test_model_pipeline_is_eligible(self):
         graph = _chain_graph()
-        pipe = build_pipeline(graph, _images(graph, 2))
-        assert LeapController.for_engine(pipe.engine) is not None
+        run = simulate(graph, _images(graph, 8), mode="leap")
+        rep = run.leap_report
+        assert rep is not None and not rep.demoted and rep.demotion_reason is None
+        assert rep.leaps == 1
+        assert "_flat" not in vars(run.pipeline.source)  # solved, never ticked
 
-    def test_one_unopted_kernel_demotes_the_engine(self):
+    def test_one_unopted_kernel_demotes_the_engine(self, monkeypatch):
         graph = _chain_graph()
-        pipe = build_pipeline(graph, _images(graph, 2))
-        compute = [k for k in pipe.engine.kernels if k.__class__.supports_leap][0]
-        compute.supports_leap = False  # instance override, as a custom kernel would
-        assert LeapController.for_engine(pipe.engine) is None
+        images = _images(graph, 8)
+        expected = simulate(graph, images, mode="exhaustive")
+        _without_op_program(monkeypatch)
+        run = simulate(graph, images, mode="leap")
+        assert "_flat" in vars(run.pipeline.source)  # the engine ticked it
+        rep = run.leap_report
+        assert rep is not None and rep.demoted and rep.leaps == 0
+        assert run.cycles == expected.cycles
+        np.testing.assert_array_equal(run.output, expected.output)
 
     def test_open_loop_source_demotes_the_engine(self):
         graph = _chain_graph()
-        pipe = build_pipeline(graph, _images(graph, 2), arrival_cycles=[0, 9000])
-        assert LeapController.for_engine(pipe.engine) is None
+        run = simulate(graph, _images(graph, 2), mode="leap", arrival_cycles=[0, 9000])
+        assert "_flat" not in vars(run.pipeline.source)  # solved whole, not extended
+        rep = run.leap_report
+        assert rep is not None and rep.demoted and rep.leaps == rep.windows == 0
 
     def test_open_loop_leap_run_reports_visible_demotion(self):
         graph = _chain_graph()
         images = _images(graph, 2)
         run = simulate(graph, images, mode="leap", arrival_cycles=[0, 9000])
-        rep = run.leap_report  # degraded to the plain fast path, visibly
+        rep = run.leap_report  # solved whole without an extension, visibly
         assert rep is not None and rep.demoted and rep.leaps == 0
         assert rep.demotion_reason is not None and "open-loop" in rep.demotion_reason
 
-    def test_ineligibility_reasons_name_the_cause(self):
+    def test_ineligibility_reasons_name_the_cause(self, monkeypatch):
         graph = _chain_graph()
-        closed = build_pipeline(graph, _images(graph, 2))
-        assert LeapController.ineligibility(closed.engine) is None
-        open_loop = build_pipeline(graph, _images(graph, 2), arrival_cycles=[0, 9000])
-        reason = LeapController.ineligibility(open_loop.engine)
-        assert reason is not None and "open-loop" in reason and "host_source" in reason
-        contract = build_pipeline(graph, _images(graph, 2))
-        compute = [k for k in contract.engine.kernels if k.__class__.supports_leap][0]
-        compute.supports_leap = False
-        reason = LeapController.ineligibility(contract.engine)
-        assert reason is not None and "contract" in reason and compute.name in reason
+        images = _images(graph, 2)
+
+        def reason(**kwargs):
+            rep = simulate(graph, images, mode="leap", **kwargs).leap_report
+            assert rep is not None and rep.demoted
+            return rep.demotion_reason
+
+        assert simulate(graph, images, mode="leap").leap_report.demotion_reason is None
+        open_loop = reason(arrival_cycles=[0, 9000])
+        assert "open-loop" in open_loop and "host_source" in open_loop
+        assert "tracer" in reason(trace=Tracer())
+        assert "telemetry" in reason(telemetry=Telemetry())
+        assert "use_bitops" in reason(use_bitops=True)
+        _without_op_program(monkeypatch)
+        pool = next(name for name, node in graph.nodes.items() if isinstance(node, MaxPoolNode))
+        custom = reason()
+        assert "op program" in custom and pool in custom
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +223,14 @@ class TestEngagement:
         assert rep.windows >= rep.leaps
         assert rep.period > 0
         assert rep.leaped_cycles > 0
-        assert rep.vetoes == 0
-        # The proven period is the exact completion gap in steady state.
+        # The certified period is the exact completion gap in steady state,
+        # and the report counts every image past the solved prefix.
+        assert rep.leaped_cycles == rep.windows * rep.period
         assert exact_completion_period(run.run.completion_cycles, window=1) == rep.period
 
     def test_too_few_images_leaves_nothing_to_leap(self):
-        # With two images every admission happens before periodicity is
-        # proven; the budget (images_left // d_adm - 1) is never positive.
+        # Two images are fewer than the first prefix: the whole run is
+        # solved and there is nothing to extend.
         graph = _chain_graph()
         images = _images(graph, 2)
         run = simulate(graph, images, mode="leap")
@@ -216,7 +241,7 @@ class TestEngagement:
 
     def test_leap_engages_through_skip_buffer_refills(self):
         # The residual topology parks and refills the skip delay FIFO every
-        # image; phase equality must still be provable across it.
+        # image; the period must still be certified across it.
         graph = _residual_graph()
         run = simulate(graph, _images(graph, 8), mode="leap")
         assert run.leap_report is not None and run.leap_report.leaps >= 1
@@ -226,7 +251,7 @@ class TestEngagement:
 
 
 # ---------------------------------------------------------------------------
-# Fallback properties: identical behaviour when leaping is impossible
+# Fallback properties: identical behaviour when no extension is possible
 # ---------------------------------------------------------------------------
 
 
@@ -243,7 +268,7 @@ class TestFallback:
         slow = simulate(graph, images, mode="exhaustive", arrival_cycles=arrivals)
         fast = simulate(graph, images, mode="fast", arrival_cycles=arrivals)
         leap = simulate(graph, images, mode="leap", arrival_cycles=arrivals)
-        # Open loop: no controller at all, and the report says so.
+        # Open loop: solved whole, not extended, and the report says so.
         assert leap.leap_report is not None and leap.leap_report.demoted
         assert slow.cycles == fast.cycles == leap.cycles
         assert (
@@ -257,7 +282,7 @@ class TestFallback:
     def test_undersized_skip_buffer_deadlocks_identically(self):
         # A one-element skip FIFO wedges the fork before the main branch
         # can deliver its first element to the adder: classic deadlock.
-        # Completions stop, so the leap controller never fires, and all
+        # The solve finds the deadlock, so the engine ticks it, and all
         # three modes must abort at exactly the cycle budget.
         graph = _residual_graph()
         images = _images(graph, 3)
@@ -269,9 +294,9 @@ class TestFallback:
                 simulate(graph, images, mode=mode, skip_sizing=caps, max_cycles=4000)
 
     def test_cycle_budget_abort_is_identical_even_mid_leap(self):
-        # The window budget clamps jumps to max_cycles - 1, so a leap run
+        # An extended run over budget is left to the engine, so a leap run
         # must hit the budget abort at exactly the exhaustive loop's cycle
-        # even when it was happily leaping beforehand.
+        # even though the run would have leaped within budget.
         graph = _chain_graph()
         images = _images(graph, 10)
         full = simulate(graph, images, mode="leap")
@@ -355,14 +380,29 @@ class TestSynthesis:
             r.as_dict() for r in rep_slow.records
         ]
 
+    def test_marks_and_instants_identical_across_a_leap(self):
+        graph = _residual_graph()
+        images = _images(graph, 8)
+        slow = simulate(graph, images, mode="exhaustive")
+        leap = simulate(graph, images, mode="leap")
+        assert leap.leap_report is not None and leap.leap_report.leaps == 1
+        assert leap.pipeline.source.admission_cycles == slow.pipeline.source.admission_cycles
+        assert leap.run.completion_cycles == slow.run.completion_cycles
+        for ours, theirs in zip(leap.pipeline.engine.streams, slow.pipeline.engine.streams):
+            assert ours.mark_cycles == theirs.mark_cycles, ours.name
+        assert slow.cycles == leap.cycles
+
     def test_trace_marks_and_spans_identical_across_a_leap(self):
+        # A tracer needs every tick: the leap run is demoted and ticks the
+        # whole run, so its event log is the exhaustive loop's, byte for byte.
         graph = _residual_graph()
         images = _images(graph, 8)
         t_slow, t_leap = Tracer(), Tracer()
         slow = simulate(graph, images, mode="exhaustive", trace=t_slow)
         leap = simulate(graph, images, mode="leap", trace=t_leap)
-        assert leap.leap_report is not None and leap.leap_report.leaps >= 1
+        assert leap.leap_report is not None and leap.leap_report.demoted
         assert t_leap.state() == t_slow.state()
+        assert json.dumps(t_leap.to_chrome_trace()) == json.dumps(t_slow.to_chrome_trace())
         assert slow.cycles == leap.cycles
 
 

@@ -126,10 +126,10 @@ def _count_timing_replays(monkeypatch):
     replays = []
     original = schedule._solve
 
-    def solve(pipeline, bounded_skips=False, limit=None):
+    def solve(pipeline, bounded_skips=False, limit=None, **kwargs):
         if not bounded_skips:
             replays.append(pipeline.graph.name)
-        return original(pipeline, bounded_skips, limit)
+        return original(pipeline, bounded_skips, limit, **kwargs)
 
     monkeypatch.setattr(schedule, "_solve", solve)
     return replays

@@ -1,10 +1,11 @@
 """Solved runs against ticked ones: ``simulate``'s schedule path is exact.
 
-An untraced ``simulate(mode="fast")`` (and a demoted ``mode="leap"``) takes
-its timing from the op-recurrence solve and its outputs from the batched
-functional pass; it never ticks.  Here every observable of such a run must
-equal the engine's — the exhaustive loop, the park/wake scheduler driven
-directly, and closed-loop leap: every ``RunResult`` field, every kernel and
+An untraced ``simulate(mode="fast")`` or ``mode="leap"`` takes its timing
+from the op-recurrence solve and its outputs from the batched functional
+pass; it never ticks.  A closed-loop run solves a prefix of its images and
+extends it by the certified per-image period.  Here every observable of
+such a run must equal the engine's — the exhaustive loop and the park/wake
+scheduler driven directly: every ``RunResult`` field, every kernel and
 stream counter, the per-image admission, mark and completion instants, each
 FIFO's residual occupancy, the latency report, and the ``run_load`` and
 fleet JSON.
@@ -81,7 +82,7 @@ def observables(run: StreamingRun) -> dict:
 
 
 def assert_schedule_path_exact(graph, images, leap=True, **kwargs):
-    """The solved run equals the exhaustive loop, the fast engine and (closed loop) leap."""
+    """The solved run equals the exhaustive loop and the fast engine, in fast and leap mode."""
     solved = simulate(graph, images, **kwargs)
     assert "_flat" not in vars(solved.pipeline.source), "the schedule path ticked"
     expected = observables(engine_run(graph, images, fast=False, **kwargs))
@@ -98,6 +99,8 @@ def test_closed_loop(topology):
     graph = _chain() if topology == "chain" else _resnet()
     kwargs = {"partition": halves(graph)} if topology == "multi_dfe" else {}
     assert_schedule_path_exact(graph, _images(graph, 8), **kwargs)
+    report = simulate(graph, _images(graph, 8), mode="leap", **kwargs).leap_report
+    assert report is not None and report.leaps == 1  # the 8 images were extended
 
 
 @pytest.mark.parametrize("process", ["fixed", "poisson"])
@@ -168,6 +171,83 @@ def test_random_topologies(seed, size, depth, with_residual, split, rate):
     if rate is not None:
         kwargs["arrival_cycles"] = make_schedule(4, rate, "poisson", seed=seed).cycles
     assert_schedule_path_exact(graph, images, leap=False, **kwargs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    size=st.integers(6, 12),
+    depth=st.integers(1, 4),
+    with_residual=st.booleans(),
+    split=st.booleans(),
+    n=st.integers(8, 12),
+)
+def test_random_topologies_extended(seed, size, depth, with_residual, split, n):
+    """Closed-loop runs long enough to extend a solved prefix, on random networks."""
+    graph = build_random_graph(seed, size, depth, with_residual)
+    kwargs = {"partition": halves(graph)} if split else {}
+    assert_schedule_path_exact(graph, _images(graph, n, seed), **kwargs)
+
+
+def _last_layer_alone(graph):
+    """Two DFEs, the second holding only the final layer."""
+    nodes = [name for name in graph.order if name != graph.input_name]
+    return [nodes[:-1], nodes[-1:]]
+
+
+def test_extension_past_a_crossing_longer_than_an_image():
+    """A MaxRing FIFO (2 * 16 + 4 = 36 slots) holds several images of a small tensor.
+
+    Its slot rule reaches that many images back, so the period must be
+    certified over more than the first prefix of images before the run
+    is extended.
+    """
+    graph = build_random_graph(4, 8, 2, False)  # a 4-element tensor crosses
+    partition = _last_layer_alone(graph)
+    crossing = graph.specs[partition[0][-1]].elements
+    assert -(-36 // crossing) > 1  # the slot rule reaches more than one image back
+    images = _images(graph, 20)
+    solved = assert_schedule_path_exact(graph, images, partition=partition)
+    assert max(s.capacity for s in solved.pipeline.engine.streams) == 36
+    report = simulate(graph, images, mode="leap", partition=partition).leap_report
+    assert report is not None and report.leaps == 1
+    assert report.windows < len(images) - schedule_module.REPLAY_IMAGES  # a longer prefix
+
+
+def test_extended_run_solves_only_its_prefix(monkeypatch):
+    allocated = []
+
+    class Recording(schedule_module._Node):
+        __slots__ = ()
+
+        def __init__(self, n, images):
+            allocated.append(images)
+            super().__init__(n, images)
+
+    monkeypatch.setattr(schedule_module, "_Node", Recording)
+    graph = _resnet()
+    run = simulate(graph, _images(graph, 12), mode="leap")
+    assert "_flat" not in vars(run.pipeline.source), "the extended run ticked"
+    assert run.leap_report is not None and run.leap_report.leaps == 1
+    assert allocated and max(allocated) == schedule_module.REPLAY_IMAGES
+
+
+def test_budget_boundary_on_the_extended_path():
+    """The budget check reads the extended cycle count, not the prefix's."""
+    graph = _chain()
+    images = _images(graph, 10)
+    run = simulate(graph, images, mode="leap")
+    assert run.leap_report is not None and run.leap_report.leaps == 1
+    with pytest.raises(CycleBudgetExceeded) as info:
+        simulate(graph, images, mode="leap", max_cycles=run.cycles)
+    with pytest.raises(CycleBudgetExceeded) as oracle:
+        simulate(graph, images, mode="exhaustive", max_cycles=run.cycles)
+    assert str(info.value) == str(oracle.value)
+    assert info.value.pipeline is not None
+    within = simulate(graph, images, mode="leap", max_cycles=run.cycles + 1)
+    assert within.leap_report is not None and within.leap_report.leaps == 1
+    assert "_flat" not in vars(within.pipeline.source)
+    assert observables(within) == observables(run)
 
 
 def _engine_only(monkeypatch):

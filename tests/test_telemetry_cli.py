@@ -58,6 +58,16 @@ class TestSimulateLeapDemotion:
         # The demotion line replaces the no-window note on stdout.
         assert "no steady-state window" not in captured.out
 
+    def test_json_leap_warns_and_names_telemetry(self, capsys):
+        # --json attaches telemetry, whose mid-run samples tick the engine:
+        # the leap run is demoted, and the CLI names the cause.
+        rc = cli_main(["simulate", "--images", "2", "--mode", "leap", "--json"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "leap demoted" in captured.err
+        assert "telemetry" in captured.err
+        assert json.loads(captured.out)["stats"]["images"] == 2
+
     def test_closed_loop_leap_does_not_warn(self, capsys):
         rc = cli_main(["simulate", "--images", "2", "--mode", "leap"])
         assert rc == 0
