@@ -123,9 +123,10 @@ def test_streaming_chain_simulation(benchmark):
 def test_streaming_chain_engine(benchmark):
     """The hook-free engine run: the telemetry guard's same-session baseline.
 
-    An untraced ``simulate`` solves its schedule instead of ticking, but
-    telemetry samples a live engine, so its overhead is measured against
-    this path: build the pipeline and tick it with no hooks installed.
+    A ``simulate`` without telemetry solves its schedule instead of
+    ticking, but telemetry samples a live engine, so its overhead is
+    measured against this path: build the pipeline and tick the reference
+    loop with no hooks installed.
     """
     graph, levels = _tiny_chain_case()
 

@@ -784,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--exhaustive",
         action="store_true",
-        help="trace the exhaustive reference scheduler instead of the fast path",
+        help="trace the exhaustive reference loop instead of solving the schedule",
     )
     p_trace.add_argument(
         "--force", action="store_true", help="overwrite an existing --out file"
@@ -852,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--exhaustive",
         action="store_true",
-        help="use the exhaustive reference scheduler instead of the fast path",
+        help="use the exhaustive reference loop instead of solving the schedule",
     )
     p_load.set_defaults(func=_cmd_load)
 
@@ -983,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument(
         "--exhaustive",
         action="store_true",
-        help="use the exhaustive reference scheduler instead of the fast path",
+        help="use the exhaustive reference loop instead of solving the schedule",
     )
     p_stats.set_defaults(func=_cmd_stats)
 

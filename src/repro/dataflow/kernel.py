@@ -33,21 +33,14 @@ __all__ = [
     "STALL_STARVED",
     "STALL_BLOCKED",
     "STALL_IDLE",
-    "WAKE_NEVER",
 ]
 
-# Stall classifications a tick reports through the helpers below.  The fast
-# engine path uses them to park a kernel: a kernel that reported a stall is
-# guaranteed (by the kernel contract) to keep stalling the same way every
-# cycle until one of its streams changes state, so the scheduler can stop
-# ticking it and bulk-account the skipped cycles on wake-up.
+# Stall classifications a tick reports through the helpers below, and the
+# classes the schedule path derives for every cycle a kernel waits (traces
+# name them starved / blocked / idle).
 STALL_STARVED = 1
 STALL_BLOCKED = 2
 STALL_IDLE = 3
-
-# Wake cycle of a parked kernel with no scheduled wake-up (it can only be
-# woken by a stream push/pop hook, or settled when the run ends).
-WAKE_NEVER = 1 << 62
 
 
 @dataclass(slots=True)
@@ -91,8 +84,8 @@ class Kernel:
     """Base dataflow kernel."""
 
     # True for kernels whose blocked cycles attempt a push (and therefore
-    # count a full_rejection on outputs[0] every blocked cycle); the fast
-    # scheduler replays those rejections for parked cycles.
+    # count a full_rejection on outputs[0] every blocked cycle); the
+    # schedule path derives those rejections from the blocked cycles.
     blocked_rejects_output: ClassVar[bool] = False
 
     # -- schedule-path contract (see dataflow/schedule.py) ---------------
@@ -113,22 +106,6 @@ class Kernel:
         self.inputs: list[Stream] = []
         self.outputs: list[Stream] = []
         self.stats = KernelStats()
-        # Fast-scheduler park bookkeeping.  A tick reports its stall kind by
-        # returning one of the STALL_* codes (via the helpers below); a tick
-        # returning None made progress or gave no classification — such
-        # kernels are never parked.
-        self._parked = False
-        self._park_cycle = 0
-        self._park_kind = 0
-        self._wake_at = WAKE_NEVER
-        # Self-scheduled wake-up for an idle park: a tick that returns
-        # STALL_IDLE may first set ``_wake_hint`` to a future cycle at which
-        # its state will change without any stream event (the open-loop host
-        # source waiting for the next image arrival).  The fast scheduler
-        # honours the hint instead of parking the kernel forever; the
-        # exhaustive loop ignores it (it ticks every cycle anyway), so the
-        # idle-cycle accounting stays bit-identical on both paths.
-        self._wake_hint = 0
         # Event tracer installed by Engine.run(trace=...) for the duration
         # of a traced run.  The engine records tick classifications itself;
         # this handle is for kernel-level events the engine cannot see,
@@ -158,11 +135,6 @@ class Kernel:
     def reset(self) -> None:
         """Clear run state (image-independent parameters persist)."""
         self.stats = KernelStats()
-        self._parked = False
-        self._park_cycle = 0
-        self._park_kind = 0
-        self._wake_at = WAKE_NEVER
-        self._wake_hint = 0
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

@@ -383,18 +383,30 @@ def _wire(
         skip_streams[to_node] = stream
 
 
-def _leap_report(pipeline: Pipeline, solved: SolvedRun | None, hooked: list[str]) -> LeapReport:
+def _leap_report(
+    pipeline: Pipeline, solved: SolvedRun | None, traced: bool, telemetry: bool
+) -> LeapReport:
     """What ``mode="leap"`` did: how far the period extended the solved run, or why it could not."""
     if solved is None:
         from .schedule import unsolvable
 
-        reason = hooked[0] if hooked else unsolvable(pipeline) or "its op schedule did not solve"
+        reason = (
+            "telemetry is attached (its samples read the ticking engine)"
+            if telemetry
+            else unsolvable(pipeline) or "its op schedule did not solve"
+        )
         return LeapReport(demoted=True, demotion_reason=reason)
     if pipeline.source.arrival_cycles is not None:
         return LeapReport(
             demoted=True,
             demotion_reason=f"open-loop arrival schedule on source {pipeline.source.name!r} "
             "(leap extends closed-loop, back-to-back runs only)",
+        )
+    if traced:
+        return LeapReport(
+            demoted=True,
+            demotion_reason="a tracer is attached (a trace records every image, "
+            "so the run is solved whole)",
         )
     return LeapReport(
         leaps=int(solved.windows > 0),
@@ -424,7 +436,7 @@ def simulate(
     throughput measurements; the outputs are bit-exact with
     :func:`repro.nn.inference.run_graph` (tested property).  Passing a fresh
     :class:`~repro.dataflow.trace.Tracer` as ``trace`` records the run's
-    full cycle-exact event log (identical for every scheduler) for
+    full cycle-exact event log (identical in every mode) for
     Perfetto export and occupancy analysis.  Passing a fresh
     :class:`~repro.telemetry.collector.Telemetry` as ``telemetry`` samples
     live metrics (kernel utilization, FIFO occupancy, link bandwidth,
@@ -436,32 +448,39 @@ def simulate(
     (:func:`~repro.dataflow.verify.check_skip_high_water`): the verifier's
     solver and the engine must agree, or the run raises.
 
-    ``mode`` names the scheduler: ``"fast"`` (default), ``"exhaustive"``
-    (the tick-everything reference loop) or ``"leap"``.  A fast or leap
-    run with no ``trace``, ``telemetry`` or ``use_bitops`` does not tick:
-    :func:`~repro.dataflow.schedule.solve_run` solves every op's cycle
-    from the kernels' op recurrences and derives the counters and instants
-    from them, and the outputs come from the batched functional pass.  A
-    closed-loop run solves only a prefix of its images and extends it by
-    the certified per-image period.  Any other run ticks the park/wake
-    scheduler, and so does a kernel without an op program or stall order,
-    a run over budget and a deadlock (which then raise as below).  Results
-    (cycles, outputs, stats, traces, per-image instants) are bit-identical
-    across all three modes.
+    ``mode`` names how the run executes: ``"fast"`` (default),
+    ``"exhaustive"`` or ``"leap"``.  An exhaustive run ticks the engine's
+    reference loop, every kernel every cycle.  A fast or leap run does not
+    tick: :func:`~repro.dataflow.schedule.solve_run` solves every op's
+    cycle from the kernels' op recurrences and derives the counters,
+    instants and any ``trace`` from them, and the outputs come from the
+    batched functional pass (through the packed popcount path with
+    ``use_bitops``).  A closed-loop untraced run solves only a prefix of
+    its images and extends it by the certified per-image period.  Only
+    ``telemetry`` (its listeners sample a live engine) and a pipeline
+    :func:`~repro.dataflow.schedule.unsolvable` names make a fast or leap
+    run tick the reference loop.  Results (cycles, outputs, stats,
+    traces, per-image instants) are bit-identical across all three modes.
 
     ``mode="leap"`` runs the same path as ``"fast"`` and adds a
     :class:`~repro.dataflow.leap.LeapReport`: how many images past the
     solved prefix the period extended the run by.  A leap run that could
-    not be extended because it is open-loop, or that ticked, sets
+    not be extended because it is open-loop or traced, or that ticked, sets
     ``demoted`` and names the cause in ``demotion_reason``.
 
-    A run that does not finish within ``max_cycles`` raises
-    :class:`~repro.dataflow.engine.CycleBudgetExceeded` carrying the partly
-    run ``pipeline``, whose settled counters and completed images are what
-    load generation, attribution and fleet replicas report on.
+    ``max_cycles`` must be a positive ``int``; anything else raises
+    ``ValueError`` before the pipeline is built.  A run that does not
+    finish within it, deadlocked or not, raises
+    :class:`~repro.dataflow.engine.CycleBudgetExceeded` carrying the
+    ``pipeline`` in the state the engine leaves at cycle ``max_cycles``:
+    its counters, residual FIFOs and completed images are what load
+    generation, attribution and fleet replicas report on.  A solved run
+    reaches that state without ticking.
     """
     if mode not in ("exhaustive", "fast", "leap"):
         raise ValueError(f"mode must be 'exhaustive', 'fast' or 'leap', got {mode!r}")
+    if isinstance(max_cycles, bool) or not isinstance(max_cycles, int) or max_cycles <= 0:
+        raise ValueError(f"max_cycles must be a positive int cycle budget, got {max_cycles!r}")
     images = np.asarray(images)
     if images.ndim == 3:
         images = images[None]
@@ -479,36 +498,30 @@ def simulate(
         telemetry.attach_pipeline(pipeline)
     from .schedule import solve_run
 
-    # What makes a run tick, as a leap report names it.
-    hooks = (
-        (trace is not None, "a tracer is attached (traces record every tick)"),
-        (telemetry is not None, "telemetry is attached (its samples read the ticking engine)"),
-        (use_bitops, "use_bitops routes values through the ticking datapath"),
-    )
-    hooked = [reason for on, reason in hooks if on]
     solved: SolvedRun | None = None
-    if mode != "exhaustive" and not hooked:
-        solved = solve_run(pipeline, max_cycles)
-    if solved is not None:
-        cycles = solved.cycles
-    else:
-        try:
+    try:
+        if mode != "exhaustive" and telemetry is None:
+            solved = solve_run(pipeline, max_cycles, trace)
+        if solved is not None:
+            cycles = solved.cycles
+        else:
             cycles = pipeline.engine.run(
                 lambda: pipeline.sink.done,
                 max_cycles=max_cycles,
-                fast=mode != "exhaustive",
                 trace=trace,
                 telemetry=telemetry,
             )
-        except CycleBudgetExceeded as err:
-            err.pipeline = pipeline
-            raise
+    except CycleBudgetExceeded as err:
+        err.pipeline = pipeline
+        raise
     if pipeline.skip_streams:
         from .verify import check_skip_high_water
 
         check_skip_high_water(pipeline, n_images=int(images.shape[0]))
     kstats, sstats = pipeline.engine.collect_stats()
-    leap_report = _leap_report(pipeline, solved, hooked) if mode == "leap" else None
+    leap_report = None
+    if mode == "leap":
+        leap_report = _leap_report(pipeline, solved, trace is not None, telemetry is not None)
     if solved is not None:
         # A solved run streamed no values: the batched functional path
         # computes every image exactly (it is bit-identical to the

@@ -38,10 +38,11 @@ the skip arm checks space before pushing — so an exact-sized run completes
 on the same cycles.  The mark is flat from the second image on, so the
 :data:`REPLAY_IMAGES` replay sizes runs of any length (tested).
 
-The same solve runs an untraced ``simulate`` (:func:`solve_run`).  There
-each open-loop image's first push waits for its arrival, every skip FIFO
-keeps its built capacity, and the counters the engine keeps live are
-derived from the op times (``tests/test_schedule_run.py``).
+The same solve runs ``simulate`` whenever it need not tick
+(:func:`solve_run`).  There each open-loop image's first push waits for
+its arrival, every skip FIFO keeps its built capacity, and the counters the
+engine keeps live, its event trace and the state it leaves at a budget
+abort are derived from the op times (``tests/test_schedule_run.py``).
 
 A closed-loop run is solved for a prefix of ``K`` images (the first ``K``
 images of the ``N``-image run: no constraint points at a later image) and
@@ -77,8 +78,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -88,6 +90,7 @@ from .kernel import STALL_BLOCKED, STALL_IDLE, STALL_STARVED, Kernel, KernelStat
 from .links import MAXRING, LinkSpec
 from .manager import Pipeline, build_pipeline
 from .stream import Stream, StreamStats
+from .trace import ImageCompletion, KernelSpan, RejectSpan, StreamEvent, Tracer
 
 __all__ = [
     "REPLAY_IMAGES",
@@ -172,7 +175,7 @@ def replay_schedule(
         graph, zeros, partition=partition, link=link, skip_sizing={add: 1 for add in adds}
     )
     solution = _solve(pipeline)
-    if solution is None:
+    if solution.aborted:
         raise _over_budget(graph)
     _stamp(pipeline, _observe(solution, pipeline, counters=False))
     cache[key] = Schedule(
@@ -206,51 +209,80 @@ def unsolvable(pipeline: Pipeline) -> str | None:
     return None
 
 
-def solve_run(pipeline: Pipeline, max_cycles: int) -> SolvedRun | None:
+def solve_run(pipeline: Pipeline, max_cycles: int, trace: Tracer | None = None) -> SolvedRun | None:
     """Run ``pipeline`` by solving its schedule instead of ticking.
 
     The solve takes the source's open-loop arrivals and every stream's
     built capacity, skip FIFOs included.  A closed-loop run solves a
     prefix of :data:`REPLAY_IMAGES` images, doubled until its per-image
     period is certified, and extends it to every image (see the module
-    docstring); an open-loop run, or one whose prefix reaches all its
-    images, is solved whole.  From the op times it stamps what a ticked
+    docstring); an open-loop or traced run, or one whose prefix reaches all
+    its images, is solved whole.  From the op times it stamps what a ticked
     run leaves behind, equal to the engine's: the per-image admission, mark
     and completion instants, every kernel's
     :class:`~repro.dataflow.kernel.KernelStats` and stream's
     :class:`~repro.dataflow.stream.StreamStats`, and each FIFO's residual
     elements (values are placeholders: outputs come from the batched
-    functional pass).  Kernels' datapath state is left as built.
+    functional pass).  Kernels' datapath state is left as built.  A fresh
+    ``trace`` receives the run's event log, written from the op times.
+
+    A run that would not finish within ``max_cycles``, deadlocked or not,
+    is solved to that cycle: the state the engine leaves at its abort is
+    stamped (the trace left unsealed) and the engine's
+    :class:`~repro.dataflow.engine.CycleBudgetExceeded` raised.
 
     Returns ``None`` and changes nothing when the engine has to run it
     instead: :func:`unsolvable` names a reason, a kernel pushes before its
-    first pop in an image, the run would not finish within ``max_cycles``,
-    or it deadlocks.  The engine then raises the same
-    :class:`~repro.dataflow.engine.CycleBudgetExceeded` it always did.
+    first pop in an image, or a run that has not deadlocked outlasts
+    :data:`REPLAY_MAX_CYCLES`, the solver's horizon, within a larger budget.
     """
     if unsolvable(pipeline) is not None:
         return None
     images = pipeline.source.n_images
     limit = min(max_cycles, REPLAY_MAX_CYCLES)
-    prefix = images if pipeline.source.arrival_cycles is not None else REPLAY_IMAGES
+    whole = trace is not None or pipeline.source.arrival_cycles is not None
+    prefix = images if whole else REPLAY_IMAGES
     while True:
         prefix = min(prefix, images)
         solution = _solve(pipeline, bounded_skips=True, limit=limit, images=prefix)
-        if solution is None or any(node.lead < 0 for node in solution.nodes):
+        if any(node.lead < 0 for node in solution.nodes):
             return None
+        if solution.aborted and prefix < images:
+            prefix = images  # the whole run aborts too: solve all of it up to the abort
+            continue
         period = _certified_period(solution, prefix) if prefix < images else 0
         if period or prefix == images:
             break
         prefix *= 2
-    observed = _observe(solution, pipeline)
     windows = images - prefix
     if windows:
-        before = _observe(_first_images(solution, prefix - 1), pipeline)
-        observed = _extend(observed, before, windows, period)
-        if observed.cycles >= max_cycles:
+        observed = _extend(
+            _observe(solution, pipeline),
+            _observe(_first_images(solution, prefix - 1), pipeline),
+            windows,
+            period,
+        )
+        if observed.cycles < max_cycles:
+            _stamp(pipeline, observed)
+            return SolvedRun(observed.cycles, windows, period)
+        solution = _solve(pipeline, bounded_skips=True, limit=limit)  # the whole run, to the abort
+    if solution.aborted and limit < max_cycles:
+        # Past the solver's horizon only a deadlock has a known state: no
+        # op runs after the last one solved, at any budget (an arrival past
+        # the horizon would still start one).
+        arrivals = pipeline.source.arrival_cycles or [0]
+        if max(arrivals) >= limit or any(
+            node.ran < node.total and node.t[node.ran] < _NEVER for node in solution.nodes
+        ):
             return None
+        solution = _finish(solution.nodes, solution.edges, solution.sink, max_cycles)
+    observed = _observe(solution, pipeline)
     _stamp(pipeline, observed)
-    return SolvedRun(observed.cycles, windows, period)
+    if trace is not None:
+        _write_trace(trace, solution, pipeline, observed)
+    if solution.aborted:
+        raise pipeline.engine._no_convergence(max_cycles)
+    return SolvedRun(observed.cycles)
 
 
 def _over_budget(graph: LayerGraph) -> RuntimeError:
@@ -272,7 +304,7 @@ class _Node:
 
     __slots__ = (
         "n", "total", "t", "lo", "hi", "ins", "outs", "terms", "neighbors",
-        "arrivals", "ran", "lead",
+        "arrivals", "ran", "lead", "dead",
     )
 
     def __init__(self, n: int, images: int) -> None:
@@ -292,6 +324,9 @@ class _Node:
         # leading ops of an image need no input (-1: one pushes first).
         self.ran = 0
         self.lead = 0
+        # Set when the kernel's next op lies on a dependency cycle: it and
+        # every later op never run.
+        self.dead = False
 
 
 @dataclass(slots=True)
@@ -318,18 +353,22 @@ class _Solution:
     edges: dict[int, _Edge]  # keyed by id(stream)
     cycles: int
     sink: int  # the sink's position in ``nodes``
+    aborted: bool = False  # the sink did not finish before ``cycles``, the limit
 
 
-def _finish(nodes: list[_Node], edges: dict[int, _Edge], sink: int) -> _Solution:
-    """The solution whose run ends one cycle after the sink's last op.
+def _finish(nodes: list[_Node], edges: dict[int, _Edge], sink: int, limit: int) -> _Solution:
+    """The solution whose run ends one cycle after the sink's last op, or aborts at ``limit``.
 
     Stamps each kernel's ops run before then: a prefix.  (An int32 needle:
     a Python int would make numpy copy ``t`` to int64.)
     """
-    cycles = int(nodes[sink].t[-1]) + 1
+    last = int(nodes[sink].t[-1])
+    aborted = last >= _NEVER or last + 1 >= limit
+    cycles = limit if aborted else last + 1
+    needle = np.int32(min(cycles, _NEVER))
     for node in nodes:
-        node.ran = int(np.searchsorted(node.t[: node.lo], np.int32(cycles)))
-    return _Solution(nodes, edges, cycles, sink)
+        node.ran = int(np.searchsorted(node.t[: node.lo], needle))
+    return _Solution(nodes, edges, cycles, sink, aborted)
 
 
 def _first_images(solution: _Solution, images: int) -> _Solution:
@@ -341,7 +380,7 @@ def _first_images(solution: _Solution, images: int) -> _Solution:
         part.lo = min(node.lo, part.total)
         part.t = node.t[: part.total]
         nodes.append(part)
-    return _finish(nodes, solution.edges, solution.sink)
+    return _finish(nodes, solution.edges, solution.sink, solution.cycles + 1)
 
 
 def _certified_period(solution: _Solution, images: int) -> int:
@@ -393,14 +432,15 @@ def _solve(
     bounded_skips: bool = False,
     limit: int | None = None,
     images: int | None = None,
-) -> _Solution | None:
+) -> _Solution:
     """Solve every op's cycle in the first ``images`` images (default: all of them).
 
-    ``None`` on a deadlock or a run of ``limit`` cycles or more; ``limit``
-    defaults to :data:`REPLAY_MAX_CYCLES`.  Ops after the sink's last one
-    are solved too, unless they reach ``limit``.  Skip edges are unbounded
-    unless ``bounded_skips`` (the replay sizes them from this very solve).
-    Reads the pipeline, writes nothing to it.
+    The run ends one cycle after the sink's last op, or aborts at ``limit``
+    (default :data:`REPLAY_MAX_CYCLES`) when the sink has not finished by
+    then, deadlocked or not; everything before the end is exact.  Ops after
+    the sink's last one are solved too, unless they reach ``limit``.  Skip
+    edges are unbounded unless ``bounded_skips`` (the replay sizes them
+    from this very solve).  Reads the pipeline, writes nothing to it.
     """
     if images is None:
         images = pipeline.source.n_images
@@ -442,32 +482,34 @@ def _solve(
         ).astype(np.int32)
 
     sink_index = position[id(pipeline.sink)]
-    sink = nodes[sink_index]
     delta = _DELTA_START
     floor = 0
     sweep_cap = 256 + 4 * len(nodes)
-    while any(node.lo < node.total for node in nodes):
+    while any(node.lo < node.total and not node.dead for node in nodes):
         for node in nodes:
             _open_window(node, delta, floor)
         for node in nodes:
             _build_terms(node, nodes)
         sweeps = _relax_all(nodes, sweep_cap)
-        if sweeps is None:
-            # No fixed point within the cap: a dependency cycle (deadlock)
-            # or a slab too wide to settle.  Narrow it; at one op it is a cycle.
-            if delta == _DELTA_MIN:
-                return None
+        if sweeps is None and delta > _DELTA_MIN:
+            # No fixed point within the cap: a slab too wide to settle, or
+            # a dependency cycle (deadlock).  Narrow it and retry.
             delta = max(_DELTA_MIN, delta // 2)
             continue
+        while sweeps is None:
+            _retire_cycles(nodes)
+            sweeps = _relax_all(nodes, sweep_cap)
         end = min(
-            (int(node.t[node.hi - 1]) + 1 for node in nodes if node.hi < node.total),
+            (
+                int(node.t[node.hi - 1]) + 1
+                for node in nodes
+                if node.hi < node.total and not node.dead
+            ),
             default=_NEVER,
         )
         for node in nodes:
             node.lo += int(np.searchsorted(node.t[node.lo : node.hi], np.int32(end)))
         if end >= limit:
-            if sink.lo < sink.total:
-                return None
             break
         floor = end
         if sweeps <= _FEW_SWEEPS:
@@ -476,8 +518,24 @@ def _solve(
             delta = max(_DELTA_MIN, delta // 2)
     for node in nodes:
         node.terms = []
-    solution = _finish(nodes, edges, sink_index)
-    return None if solution.cycles >= limit else solution
+    return _finish(nodes, edges, sink_index, limit)
+
+
+def _retire_cycles(nodes: list[_Node]) -> None:
+    """Mark dead every kernel whose one-op window still changes after the sweep cap.
+
+    Every constraint delay is at least one cycle, so ops that keep rising
+    at a one-op slab lie on a dependency cycle, or wait for one: they never
+    run, nor does any later op of their kernel.  Ops that do not wait for
+    a cycle settle within one sweep per kernel, far below the cap.  A full
+    sweep that changes nothing is a fixed point, so each sweep moves an op
+    of every rising cycle.
+    """
+    for node in [node for node in nodes if _relax(node)]:
+        node.dead = True
+        node.t[node.lo : node.hi] = _NEVER
+        node.hi = node.lo
+        node.terms = []
 
 
 def _times(node: _Node, table: np.ndarray, per_image: int, elements: np.ndarray) -> np.ndarray:
@@ -667,35 +725,36 @@ def _readiness(solution: _Solution, node: _Node, kind: int, ops: np.ndarray) -> 
     return ready
 
 
-def _kernel_stats(solution: _Solution, node: _Node, kernel: Kernel) -> KernelStats:
-    """The counters a ticked run leaves on ``kernel``, from its op times.
+def _tail(solution: _Solution, node: _Node, kernel: Kernel) -> tuple[int, int]:
+    """The input-free ops ``kernel`` runs after its last image, and its last active cycle."""
+    cycles, t, ran = solution.cycles, node.t, node.ran
+    extra = 0
+    if ran == node.total and not kernel.idles_when_done:
+        extra = min(node.lead, cycles - 1 - int(t[-1]))
+    return extra, int(t[ran - 1]) + extra if ran else -1
 
-    Active cycles are the ops run before the end, plus, for a kernel that
-    wraps into the next image, its leading input-free ops after the last
-    image.  Every other cycle waits for the next op and takes the class of
-    the first check in :attr:`~repro.dataflow.kernel.Kernel.stall_order`
-    still failing then; after its last op a host endpoint idles.
+
+def _waits(
+    solution: _Solution, node: _Node, kernel: Kernel
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]]:
+    """Every wait of ``kernel`` in the run, in order, a chunk at a time.
+
+    Yields ``(start, first, length, kinds)``: each wait of ``length``
+    cycles from ``start`` spends its ``first`` cycles in ``kinds[0]`` and
+    the rest in ``kinds[1]``.  A waiting cycle takes the class of the first
+    check in :attr:`~repro.dataflow.kernel.Kernel.stall_order` still
+    failing then (a check that passes stays passed until the op runs);
+    after its last op a host endpoint idles.
     """
     cycles, t, ran = solution.cycles, node.t, node.ran
-    drained = ran == node.total
-    extra = 0
-    if drained and not kernel.idles_when_done:
-        extra = min(node.lead, cycles - 1 - int(t[-1]))
-    stats = KernelStats(active_cycles=ran + extra)
-    last = int(t[ran - 1]) + extra if ran else -1
-    if ran:
-        stats.first_active_cycle = int(t[0])
-        stats.last_active_cycle = last
-    counts = dict.fromkeys((STALL_STARVED, STALL_BLOCKED, STALL_IDLE), 0)
+    _, last = _tail(solution, node, kernel)
     order = kernel.stall_order
+    kinds = (order[0], order[-1])
 
-    def classify(ops: np.ndarray, start: np.ndarray, length: np.ndarray) -> None:
-        first = np.clip(_readiness(solution, node, order[0], ops) - start, 0, length)
-        waited = int(first.sum())
-        counts[order[0]] += waited
-        rest = int(length.sum()) - waited
-        if rest:
-            counts[order[1]] += rest
+    def split(ops: np.ndarray, start: np.ndarray, length: np.ndarray) -> Any:
+        ready = _readiness(solution, node, order[0], ops)
+        first = np.where(ready >= _NEVER, length, np.clip(ready - start, 0, length))
+        return start, first, length, kinds
 
     for lo in range(0, ran, _STALL_CHUNK):
         hi = min(ran, lo + _STALL_CHUNK)
@@ -706,14 +765,36 @@ def _kernel_stats(solution: _Solution, node: _Node, kernel: Kernel) -> KernelSta
         length = times - start
         waits = np.flatnonzero(length)
         if waits.size:
-            classify(waits + lo, start[waits], length[waits])
+            yield split(waits + lo, start[waits], length[waits])
     # The wait for the op after the last one run, to the end of the run.
     if last + 1 < cycles:
+        start, length = np.array([last + 1]), np.array([cycles - last - 1])
+        drained = ran == node.total
         if drained and kernel.idles_when_done:
-            counts[STALL_IDLE] += cycles - last - 1
+            yield start, length, length, (STALL_IDLE, STALL_IDLE)
         else:
             following = node.total + node.lead if drained else ran
-            classify(np.array([following]), np.array([last + 1]), np.array([cycles - last - 1]))
+            yield split(np.array([following]), start, length)
+
+
+def _kernel_stats(solution: _Solution, node: _Node, kernel: Kernel) -> KernelStats:
+    """The counters a ticked run leaves on ``kernel``, from its op times.
+
+    Active cycles are the ops run before the end, plus, for a kernel that
+    wraps into the next image, its leading input-free ops after the last
+    image.  Every other cycle is a wait (:func:`_waits`).
+    """
+    extra, last = _tail(solution, node, kernel)
+    ran = node.ran
+    stats = KernelStats(active_cycles=ran + extra)
+    if ran:
+        stats.first_active_cycle = int(node.t[0])
+        stats.last_active_cycle = last
+    counts = dict.fromkeys((STALL_STARVED, STALL_BLOCKED, STALL_IDLE), 0)
+    for _, first, length, kinds in _waits(solution, node, kernel):
+        waited = int(first.sum())
+        counts[kinds[0]] += waited
+        counts[kinds[1]] += int(length.sum()) - waited
     stats.input_starved_cycles = counts[STALL_STARVED]
     stats.output_blocked_cycles = counts[STALL_BLOCKED]
     stats.idle_cycles = counts[STALL_IDLE]
@@ -747,10 +828,93 @@ def _stream_state(
     return stats, residual
 
 
+# Span kind per cycle class (0: an op ran), as the engine's traced loop names them.
+_SPAN_KINDS = {0: "compute", STALL_STARVED: "starved", STALL_BLOCKED: "blocked", STALL_IDLE: "idle"}
+
+
+def _kernel_spans(
+    solution: _Solution, node: _Node, kernel: Kernel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``kernel``'s trace spans as ``(kinds, starts, ends)``: maximal runs of one cycle class."""
+    starts: list[np.ndarray] = [node.t[: node.ran].astype(np.int64)]
+    kinds: list[np.ndarray] = [np.zeros(node.ran, dtype=np.int64)]
+    for start, first, length, (head, rest) in _waits(solution, node, kernel):
+        heads, rests = first > 0, first < length
+        starts += [start[heads], (start + first)[rests]]
+        kinds += [np.full(int(heads.sum()), head), np.full(int(rests.sum()), rest)]
+    start = np.concatenate(starts)
+    kind = np.concatenate(kinds)
+    order = np.argsort(start, kind="stable")
+    start, kind = start[order], kind[order]
+    keep = np.ones(kind.size, dtype=bool)
+    keep[1:] = kind[1:] != kind[:-1]
+    start, kind = start[keep], kind[keep]
+    return kind, start, np.append(start[1:] - 1, solution.cycles - 1)
+
+
+def _write_trace(tracer: Tracer, solution: _Solution, pipeline: Pipeline, observed: _Observed) -> None:
+    """Write the whole run's event log into ``tracer`` from the op times.
+
+    Equal to what the engine's hooks record: every cycle of a kernel is an
+    op or a wait, classified as in its counters, and adjacent cycles of one
+    class merge into a span; a writer whose blocked tick re-offers its
+    element rejects on every blocked cycle; each push and pop carries the
+    FIFO occupancy after it (a push lands before a same-cycle pop, as the
+    writer ticks first).  An aborted run leaves the trace unsealed.
+    """
+    engine = pipeline.engine
+    tracer.attach(engine)  # registers the kernels and streams; no hooks are needed
+    tracer.detach(engine)
+    for node, kernel in zip(solution.nodes, engine.kernels):
+        kind, start, end = _kernel_spans(solution, node, kernel)
+        names = [_SPAN_KINDS[k] for k in kind.tolist()]
+        tracer.kernel_spans[kernel.name] = list(
+            map(KernelSpan, repeat(kernel.name), names, start.tolist(), end.tolist())
+        )
+        if kernel.blocked_rejects_output:
+            name = kernel.outputs[0].name
+            blocked = kind == STALL_BLOCKED
+            tracer.reject_spans[name] = list(
+                map(RejectSpan, repeat(name), start[blocked].tolist(), end[blocked].tolist())
+            )
+    for stream in engine.streams:
+        edge = solution.edges[id(stream)]
+        pushed, popped = _moved_counts(solution, edge)
+        push = _times(solution.nodes[edge.writer], edge.push, edge.per_image, np.arange(pushed))
+        pop = _times(solution.nodes[edge.reader], edge.pop, edge.per_image, np.arange(popped))
+        occupancy = np.concatenate(
+            [
+                np.arange(1, pushed + 1) - np.searchsorted(pop, push, side="left"),
+                np.searchsorted(push, pop, side="right") - np.arange(1, popped + 1),
+            ]
+        )
+        ready = np.concatenate([push + 1 + edge.latency, np.full(popped, -1)])
+        order = np.argsort(np.concatenate([2 * push, 2 * pop + 1]), kind="stable")
+        kinds = ["pop" if is_pop else "push" for is_pop in (order >= pushed).tolist()]
+        cycle = np.concatenate([push, pop])[order]
+        tracer.stream_events[stream.name] = list(
+            map(
+                StreamEvent,
+                repeat(stream.name),
+                kinds,
+                cycle.tolist(),
+                occupancy[order].tolist(),
+                ready[order].tolist(),
+            )
+        )
+    admissions = observed.admissions
+    tracer.completions = [
+        ImageCompletion(index, cycle, admissions[index] if index < len(admissions) else -1)
+        for index, cycle in enumerate(observed.completions)
+    ]
+    if not solution.aborted:
+        tracer.finish(solution.cycles)
+
+
 def _open_window(node: _Node, delta: int, floor: int) -> None:
     """Widen or narrow ``node``'s window to ``delta`` ops and seed it from below."""
     lo, old_hi = node.lo, node.hi
-    hi = min(lo + delta, node.total)
+    hi = lo if node.dead else min(lo + delta, node.total)
     t = node.t
     if hi < old_hi:
         t[hi:old_hi] = _NEVER

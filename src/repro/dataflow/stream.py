@@ -74,8 +74,8 @@ class Stream:
         self.bits = bits
         self._fifo: deque[tuple[int, int]] = deque()  # (value, ready_cycle)
         self.stats = StreamStats()
-        # Endpoint kernels (set by Engine.connect).  push/pop wake parked
-        # endpoints directly (see the fast-path invariants in engine.py).
+        # Endpoint kernels (set by Engine.connect); the schedule solver
+        # reads the writer and reader of every stream.
         self.reader: Kernel | None = None
         self.writer: Kernel | None = None
         # Event tracer installed by Engine.run(trace=...) for the duration
@@ -121,15 +121,6 @@ class Stream:
         tracer = self.tracer
         if tracer is not None:
             tracer.on_push(self.name, cycle, ready, occ + 1)
-        if not occ:
-            # Only an empty->nonempty transition can unstarve the reader; a
-            # push behind existing elements is covered by the wake already
-            # scheduled for the head element.  (1 == STALL_STARVED; literal
-            # to avoid a circular import with kernel.py.)
-            reader = self.reader
-            if reader is not None and reader._parked and reader._park_kind == 1:
-                if ready < reader._wake_at:
-                    reader._wake_at = ready
         return True
 
     def can_pop(self, cycle: int) -> bool:
@@ -150,23 +141,11 @@ class Stream:
         fifo = self._fifo
         if not (fifo and fifo[0][1] <= cycle):
             raise RuntimeError(f"stream {self.name!r}: pop on empty/unready stream")
-        was_full = len(fifo) >= self.capacity
         value, _ = fifo.popleft()
         self.stats.pops += 1
         tracer = self.tracer
         if tracer is not None:
             tracer.on_pop(self.name, cycle, len(fifo))
-        if was_full:
-            # Only a full->nonfull transition can unblock the writer.  Wake
-            # at this very cycle: if the writer's slot in the engine sweep is
-            # still ahead it reruns this cycle (non-topological order);
-            # otherwise the <= comparison lands it on the next cycle, which
-            # matches the exhaustive loop (the writer already ticked blocked
-            # this cycle before the pop).  (2 == STALL_BLOCKED.)
-            writer = self.writer
-            if writer is not None and writer._parked and writer._park_kind == 2:
-                if cycle < writer._wake_at:
-                    writer._wake_at = cycle
         return value
 
     def peek(self, cycle: int) -> int:

@@ -4,22 +4,19 @@ A :class:`Tracer` attached to :meth:`Engine.run <repro.dataflow.engine.Engine.ru
 records *typed, cycle-exact* events while the simulation runs:
 
 * **kernel spans** — contiguous runs of identical per-cycle classifications
-  (``compute`` / ``starved`` / ``blocked`` / ``idle``).  A span's start is
-  the park (or first-active) cycle and its end the last cycle before the
-  wake, so park/wake instants are exactly the span edges;
+  (``compute`` / ``starved`` / ``blocked`` / ``idle``);
 * **stream events** — every push and pop with the post-event occupancy
   (push events also carry the cycle the element becomes visible, which is
   how link transits are reconstructed for streams with latency);
 * **reject spans** — contiguous full-FIFO push rejections per stream;
 * **image completions** — one instant per image leaving the host sink.
 
-The same trace comes out of both engine paths: the exhaustive loop emits
-one classification per kernel per cycle and the tracer merges them into
-spans, while the fast path emits live-tick classifications plus synthetic
-stall spans for the cycles its park/wake scheduler skipped
-(:meth:`on_stall_span`, called from the engine's bulk accounting).  Span
-merging makes the two byte-identical — a property the test suite asserts
-over every equivalence topology.
+The same trace comes out of both ways a run executes: the engine's
+reference loop emits one classification per kernel per cycle and the
+tracer merges them into spans, while a solved run
+(:func:`repro.dataflow.schedule.solve_run`) writes the whole log from its
+op times.  The test suite asserts the two are equal over every
+equivalence topology and on random graphs.
 
 Everything the older aggregate analysis needs (live windows, duty cycles,
 stall breakdowns) is derivable from the event log — see
@@ -183,23 +180,6 @@ class Tracer:
                 return
         spans.append(KernelSpan(kernel, kind, cycle, cycle))
 
-    def on_stall_span(self, kernel: str, status: int, start: int, end: int) -> None:
-        """Synthesized stall cycles ``[start, end]`` for a parked kernel.
-
-        The fast path calls this when it bulk-accounts the cycles it never
-        ticked; the span extends the park tick already recorded by
-        :meth:`on_tick`, so the merged trace is identical to the exhaustive
-        loop's cycle-by-cycle record.
-        """
-        kind = _KIND_BY_STATUS.get(status) or f"stall:{status}"
-        spans = self.kernel_spans[kernel]
-        if spans:
-            last = spans[-1]
-            if last.kind == kind and last.end == start - 1:
-                last.end = end
-                return
-        spans.append(KernelSpan(kernel, kind, start, end))
-
     def on_push(self, stream: str, cycle: int, ready: int, occupancy: int) -> None:
         self.stream_events[stream].append(StreamEvent(stream, "push", cycle, occupancy, ready))
 
@@ -208,17 +188,13 @@ class Tracer:
 
     def on_reject(self, stream: str, cycle: int) -> None:
         """One live full-FIFO push rejection."""
-        self.on_reject_span(stream, cycle, cycle)
-
-    def on_reject_span(self, stream: str, start: int, end: int) -> None:
-        """Rejections for every cycle in ``[start, end]`` (bulk-accounted)."""
         spans = self.reject_spans[stream]
         if spans:
             last = spans[-1]
-            if last.end == start - 1:
-                last.end = end
+            if last.end == cycle - 1:
+                last.end = cycle
                 return
-        spans.append(RejectSpan(stream, start, end))
+        spans.append(RejectSpan(stream, cycle, cycle))
 
     def on_image_admitted(self, index: int, cycle: int) -> None:
         """Image ``index``'s first element entered the fabric at ``cycle``."""
@@ -396,7 +372,7 @@ class Tracer:
         path.write_text(json.dumps(self.to_chrome_trace()) + "\n")
         return path
 
-    # -- equality (used by the fast/exhaustive property tests) -----------
+    # -- equality (used by the solved/exhaustive property tests) ---------
     def state(self) -> dict[str, Any]:
         """The full event log as plain data, for equality assertions."""
         return {

@@ -198,9 +198,28 @@ class ConvKernel(Kernel):
         in float32 when :attr:`acc_bound` is below 2**24 and in float64
         otherwise, so every product and partial sum is an exact integer and
         the result is bit-identical regardless of BLAS blocking (and to the
-        bitops route, a tested property).  A solved run, which streams no
-        values, takes its outputs from this.
+        bitops route, a tested property).  With ``use_bitops`` the
+        accumulators come from the packed AND-popcount path
+        (:meth:`~repro.nn.graph.ConvNode.accumulate_bitpacked`) instead.  A
+        solved run, which streams no values, takes its outputs from this.
         """
+        if self.use_bitops:
+            acc = self.node.accumulate_bitpacked(x, self._in_bits).astype(np.float64)
+        else:
+            acc = self._accumulate_gemm(x)
+        ends = self._th_ends
+        if ends is None:
+            return acc.astype(np.int64)
+        # The streaming path's cascade, one level at a time: count the
+        # sign-folded endpoints at-or-below each accumulator, in float64.
+        folded = acc * self._th_sv
+        out = np.zeros(folded.shape, dtype=np.int64)
+        for level_ends in ends.T:
+            out += folded >= level_ends
+        return np.where(self._th_is_const, self._th_const, out)
+
+    def _accumulate_gemm(self, x: np.ndarray) -> np.ndarray:
+        """The batch's accumulators, ``(N, Ho, Wo, O)`` in the GEMM dtype."""
         n = x.shape[0]
         k, stride = self.k, self.stride
         wmat = self._wmat
@@ -220,16 +239,7 @@ class ConvKernel(Kernel):
                 rows = grid[:, dr : dr + (n_out_r - 1) * stride + 1 : stride,
                             dc : dc + (n_out_c - 1) * stride + 1 : stride, :]
                 acc += rows @ taps[dr, dc]
-        ends = self._th_ends
-        if ends is None:
-            return acc.astype(np.int64)
-        # The streaming path's cascade, one level at a time: count the
-        # sign-folded endpoints at-or-below each accumulator, in float64.
-        folded = acc * self._th_sv
-        out = np.zeros(folded.shape, dtype=np.int64)
-        for level_ends in ends.T:
-            out += folded >= level_ends
-        return np.where(self._th_is_const, self._th_const, out)
+        return acc
 
     def _accumulate_bitpacked(self, vec: np.ndarray) -> np.ndarray:
         """One AND-popcount GEMM for a single window vector.

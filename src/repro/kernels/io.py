@@ -31,10 +31,8 @@ class HostSource(Kernel):
     cycle, modelling requests landing at the host at a target rate instead
     of back-to-back.  The gap between arrival and admission is the
     host-queue wait (backpressure from a saturated pipeline shows up here
-    first).  While waiting for a future arrival the source parks idle with a
-    self-scheduled wake at exactly that cycle, so the fast scheduler skips
-    the gap and the idle accounting stays bit-identical to the exhaustive
-    loop.
+    first).  While waiting for a future arrival the source idles; a solved
+    run floors each image's first push at its arrival instead.
     """
 
     blocked_rejects_output = True
@@ -118,7 +116,6 @@ class HostSource(Kernel):
             arrival = self.arrival_cycles[len(self.admission_cycles)]
             if cycle < arrival:
                 # The next image has not arrived yet: idle until it does.
-                self._wake_hint = arrival
                 return self._idle(cycle)
         if self.outputs[0].push(self._flat[pos], cycle):
             if at_boundary:

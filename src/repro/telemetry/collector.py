@@ -7,9 +7,7 @@ A :class:`Telemetry` object attached to
 :class:`~repro.telemetry.registry.MetricsRegistry`:
 
 * per-kernel busy/starved/blocked/idle **cycle counters** — mirrored from
-  the engine's own :class:`~repro.dataflow.kernel.KernelStats`, with the
-  fast path's parked-but-unaccounted cycles added virtually, so a mid-run
-  sample reads the same totals the exhaustive scheduler would report;
+  the engine's own :class:`~repro.dataflow.kernel.KernelStats`;
 * per-stream **occupancy gauges** (instantaneous + high-water), sampled
   **occupancy histograms**, and push/pop/reject counters;
 * per-crossing **link gauges** — required and measured Mbps against the
@@ -63,11 +61,6 @@ DEFAULT_SAMPLE_EVERY = 256
 # Geometric occupancy buckets: FIFO depths span flip-flop chains (capacity 4)
 # to §III-B5 skip buffers (thousands of elements).
 OCCUPANCY_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
-
-# Kernel park-kind codes (mirrors repro.dataflow.kernel.STALL_*; literals keep
-# this module import-light and cycle-free).
-_STALL_STARVED = 1
-_STALL_BLOCKED = 2
 
 _STATES = ("busy", "starved", "blocked", "idle")
 
@@ -346,12 +339,8 @@ class Telemetry:
     def sample(self, cycle: int) -> None:
         """Mirror the engine's current state into the registry.
 
-        Called by the engine's run loops whenever ``cycle`` reaches
-        :attr:`next_sample_at`, and once more by :meth:`finish`.  Kernels
-        the fast scheduler has parked carry stall cycles it has not
-        bulk-accounted yet; those are added virtually (the same arithmetic
-        the engine's wake accounting replays), so sampled totals match the
-        exhaustive scheduler's at every cycle.
+        Called by the engine's run loop whenever ``cycle`` reaches
+        :attr:`next_sample_at`, and once more by :meth:`finish`.
         """
         self.next_sample_at = cycle + self.sample_every
         self._m_samples.inc()
@@ -364,22 +353,11 @@ class Telemetry:
             busy = stats.active_cycles
             starved = stats.input_starved_cycles
             blocked = stats.output_blocked_cycles
-            idle = stats.idle_cycles
-            if kernel._parked:
-                pending = cycle - 1 - kernel._park_cycle
-                if pending > 0:
-                    kind = kernel._park_kind
-                    if kind == _STALL_STARVED:
-                        starved += pending
-                    elif kind == _STALL_BLOCKED:
-                        blocked += pending
-                    else:
-                        idle += pending
             cycles = probe.cycles
             cycles["busy"].set_total(busy)
             cycles["starved"].set_total(starved)
             cycles["blocked"].set_total(blocked)
-            cycles["idle"].set_total(idle)
+            cycles["idle"].set_total(stats.idle_cycles)
             probe.elements["in"].set_total(stats.elements_in)
             probe.elements["out"].set_total(stats.elements_out)
             first = stats.first_active_cycle

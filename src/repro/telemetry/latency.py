@@ -10,8 +10,8 @@ a per-image record set and a distribution view:
   (open-loop runs), fabric admission (the source's first push), first pixel
   out of every partition (inter-DFE crossing marks), and sink completion;
 * **exact percentiles** — nearest-rank p50/p95/p99/max over the cycle
-  domain, deterministic and therefore bit-identical between the fast and
-  exhaustive schedulers (both produce the identical event timeline);
+  domain, deterministic and therefore bit-identical between solved runs
+  and the exhaustive loop (both produce the identical event timeline);
 * **per-partition breakdown** — segment latencies for multi-DFE runs
   (ingest → crossing, crossing → sink), showing where a span is spent;
 * **tail attribution** — the kernel and edge responsible for the slowest

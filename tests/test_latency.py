@@ -1,7 +1,7 @@
 """Per-image latency observability: records, percentiles, reconciliation.
 
 The load-bearing property: latency percentiles are *bit-identical* between
-the fast (park/wake) and exhaustive schedulers on every topology — single
+solved fast runs and the exhaustive loop on every topology — single
 DFE chains, residual graphs, and a 2-DFE MaxRing partition — in both
 closed-loop and open-loop (rate-limited) runs, and every record reconciles
 exactly with the Tracer's completion events and the aggregate

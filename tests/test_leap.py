@@ -6,9 +6,9 @@ leap-specific behaviour on top of it:
 
 * the shared interval helpers (one derivation used by the engine, the
   telemetry collector and the benches);
-* the demotion rules — an open-loop host source is solved whole and not
-  extended, and a run that has to tick (a tracer, telemetry, a kernel
-  without an op program) is demoted, each with a reason naming the cause;
+* the demotion rules — an open-loop or traced run is solved whole and not
+  extended, and a run that has to tick (telemetry, a kernel without an op
+  program) is demoted, each with a reason naming the cause;
 * fallback properties under randomized open-loop arrivals, undersized skip
   buffers (deadlock), and cycle-budget aborts — bit-identical behaviour in
   all three modes whether or not leaping is possible;
@@ -202,7 +202,7 @@ class TestControllerConstruction:
         assert "open-loop" in open_loop and "host_source" in open_loop
         assert "tracer" in reason(trace=Tracer())
         assert "telemetry" in reason(telemetry=Telemetry())
-        assert "use_bitops" in reason(use_bitops=True)
+        assert simulate(graph, images, mode="leap", use_bitops=True).leap_report.demotion_reason is None
         _without_op_program(monkeypatch)
         pool = next(name for name, node in graph.nodes.items() if isinstance(node, MaxPoolNode))
         custom = reason()
@@ -282,8 +282,8 @@ class TestFallback:
     def test_undersized_skip_buffer_deadlocks_identically(self):
         # A one-element skip FIFO wedges the fork before the main branch
         # can deliver its first element to the adder: classic deadlock.
-        # The solve finds the deadlock, so the engine ticks it, and all
-        # three modes must abort at exactly the cycle budget.
+        # The solve finds the ops that never run, and all three modes must
+        # abort at exactly the cycle budget.
         graph = _residual_graph()
         images = _images(graph, 3)
         adds = [n for n in graph.order if type(graph.nodes[n]).__name__ == "AddNode"]
@@ -294,9 +294,9 @@ class TestFallback:
                 simulate(graph, images, mode=mode, skip_sizing=caps, max_cycles=4000)
 
     def test_cycle_budget_abort_is_identical_even_mid_leap(self):
-        # An extended run over budget is left to the engine, so a leap run
-        # must hit the budget abort at exactly the exhaustive loop's cycle
-        # even though the run would have leaped within budget.
+        # An extended run over budget is solved whole up to the budget, so a
+        # leap run must hit the budget abort at exactly the exhaustive loop's
+        # cycle even though the run would have leaped within budget.
         graph = _chain_graph()
         images = _images(graph, 10)
         full = simulate(graph, images, mode="leap")
@@ -393,8 +393,8 @@ class TestSynthesis:
         assert slow.cycles == leap.cycles
 
     def test_trace_marks_and_spans_identical_across_a_leap(self):
-        # A tracer needs every tick: the leap run is demoted and ticks the
-        # whole run, so its event log is the exhaustive loop's, byte for byte.
+        # A traced leap run is demoted: it solves every image, and its event
+        # log, written from the op times, is the exhaustive loop's byte for byte.
         graph = _residual_graph()
         images = _images(graph, 8)
         t_slow, t_leap = Tracer(), Tracer()

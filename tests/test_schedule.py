@@ -41,10 +41,10 @@ def _zero_pipeline(graph, partition=None):
     )
 
 
-def engine_schedule(graph, partition=None, fast=True) -> Schedule:
+def engine_schedule(graph, partition=None) -> Schedule:
     """The schedule the engine measures by ticking a zero batch."""
     pipeline = _zero_pipeline(graph, partition)
-    cycles = pipeline.engine.run(lambda: pipeline.sink.done, fast=fast)
+    cycles = pipeline.engine.run(lambda: pipeline.sink.done)
     return Schedule(
         cycles=cycles,
         completion_cycles=tuple(pipeline.sink.completion_cycles),
@@ -65,9 +65,9 @@ def halves(graph):
     return [nodes[:mid], nodes[mid:]] if mid else None
 
 
-def assert_same(graph, partition=None, fast=True):
+def assert_same(graph, partition=None):
     solved = replay_schedule(graph, partition)
-    oracle = engine_schedule(graph, partition, fast=fast)
+    oracle = engine_schedule(graph, partition)
     assert solved.cycles == oracle.cycles
     assert solved.completion_cycles == oracle.completion_cycles
     assert dict(solved.skip_high_water) == oracle.skip_high_water
@@ -76,14 +76,14 @@ def assert_same(graph, partition=None, fast=True):
 
 class TestEngineOracle:
     def test_tiny_chain(self, tiny_chain_graph):
-        assert_same(tiny_chain_graph, fast=False)
+        assert_same(tiny_chain_graph)
 
     def test_tiny_resnet(self, tiny_resnet_graph):
-        assert_same(tiny_resnet_graph, fast=False)
+        assert_same(tiny_resnet_graph)
 
     def test_tiny_resnet_half_partition(self, tiny_resnet_graph):
         partition = halves(tiny_resnet_graph)
-        assert_same(tiny_resnet_graph, partition, fast=False)
+        assert_same(tiny_resnet_graph, partition)
         assert len(replay_schedule(tiny_resnet_graph, partition).segments) >= 3
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))

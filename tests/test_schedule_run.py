@@ -1,20 +1,22 @@
 """Solved runs against ticked ones: ``simulate``'s schedule path is exact.
 
-An untraced ``simulate(mode="fast")`` or ``mode="leap"`` takes its timing
-from the op-recurrence solve and its outputs from the batched functional
-pass; it never ticks.  A closed-loop run solves a prefix of its images and
-extends it by the certified per-image period.  Here every observable of
-such a run must equal the engine's — the exhaustive loop and the park/wake
-scheduler driven directly: every ``RunResult`` field, every kernel and
-stream counter, the per-image admission, mark and completion instants, each
-FIFO's residual occupancy, the latency report, and the ``run_load`` and
-fleet JSON.
+A ``simulate(mode="fast")`` or ``mode="leap"`` run without telemetry takes
+its timing from the op-recurrence solve and its outputs from the batched
+functional pass; it never ticks.  A closed-loop untraced run solves a
+prefix of its images and extends it by the certified per-image period.
+Here every observable of such a run must equal the engine's reference loop
+driven directly: every ``RunResult`` field, every kernel and stream
+counter, the per-image admission, mark and completion instants, each
+FIFO's residual occupancy, the latency report, the event trace, the state
+a budget abort leaves behind, and the ``run_load`` and fleet JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,11 +25,16 @@ from hypothesis import strategies as st
 
 from repro.dataflow import build_pipeline, simulate, solve_skip_capacities
 from repro.dataflow import schedule as schedule_module
-from repro.dataflow.engine import CycleBudgetExceeded, RunResult
-from repro.dataflow.manager import StreamingRun
+from repro.dataflow.engine import CycleBudgetExceeded, Engine, RunResult
+from repro.dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
+from repro.dataflow.manager import Pipeline, StreamingRun
+from repro.dataflow.stream import Stream
+from repro.dataflow.trace import Tracer
 from repro.fleet import FleetConfig, ReplicaSpec, plan_fleet, simulate_fleet
-from repro.kernels import ConvKernel
+from repro.kernels import AddKernel, ConvKernel, ForkKernel, HostSink, HostSource
 from repro.nn import export_model
+from repro.nn.graph import TensorSpec
+from repro.telemetry import Telemetry
 from repro.telemetry.latency import latency_report
 from repro.telemetry.loadgen import make_schedule, run_load
 
@@ -52,10 +59,10 @@ def _images(graph, n, seed=0):
     return rng.integers(0, 1 << spec.bits, size=(n, spec.height, spec.width, spec.channels))
 
 
-def engine_run(graph, images, fast=True, max_cycles=50_000_000, **kwargs) -> StreamingRun:
-    """A run of the engine itself, the park/wake scheduler or the exhaustive loop."""
+def engine_run(graph, images, max_cycles=50_000_000, trace=None, **kwargs) -> StreamingRun:
+    """A run of the engine itself: the reference loop, ticking every kernel every cycle."""
     pipeline = build_pipeline(graph, images, **{k: v for k, v in kwargs.items() if k in _BUILD_ARGS})
-    cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles, fast=fast)
+    cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles, trace=trace)
     output = pipeline.sink.output_tensor()
     kstats, sstats = pipeline.engine.collect_stats()
     run = RunResult(cycles, pipeline.sink.completion_cycles, output, kstats, sstats, True)
@@ -81,16 +88,24 @@ def observables(run: StreamingRun) -> dict:
     }
 
 
-def assert_schedule_path_exact(graph, images, leap=True, **kwargs):
-    """The solved run equals the exhaustive loop and the fast engine, in fast and leap mode."""
+def assert_schedule_path_exact(graph, images, leap=True, traced=False, **kwargs):
+    """The solved run equals the engine's reference loop, in fast and leap mode.
+
+    ``traced`` also holds a solved traced run's event log equal to the
+    reference loop's.
+    """
     solved = simulate(graph, images, **kwargs)
     assert "_flat" not in vars(solved.pipeline.source), "the schedule path ticked"
-    expected = observables(engine_run(graph, images, fast=False, **kwargs))
+    oracle_trace = Tracer() if traced else None
+    expected = observables(engine_run(graph, images, trace=oracle_trace, **kwargs))
     assert observables(solved) == expected
-    assert observables(engine_run(graph, images, fast=True, **kwargs)) == expected
     if leap:
         leaped = simulate(graph, images, mode="leap", **kwargs)
         assert observables(leaped) == expected
+    if traced:
+        tracer = Tracer()
+        simulate(graph, images, trace=tracer, **kwargs)
+        assert tracer.state() == oracle_trace.state()
     return solved
 
 
@@ -186,7 +201,7 @@ def test_random_topologies_extended(seed, size, depth, with_residual, split, n):
     """Closed-loop runs long enough to extend a solved prefix, on random networks."""
     graph = build_random_graph(seed, size, depth, with_residual)
     kwargs = {"partition": halves(graph)} if split else {}
-    assert_schedule_path_exact(graph, _images(graph, n, seed), **kwargs)
+    assert_schedule_path_exact(graph, _images(graph, n, seed), traced=True, **kwargs)
 
 
 def _last_layer_alone(graph):
@@ -252,7 +267,7 @@ def test_budget_boundary_on_the_extended_path():
 
 def _engine_only(monkeypatch):
     """Make ``simulate`` tick every run, as it did before it could solve one."""
-    monkeypatch.setattr(schedule_module, "solve_run", lambda pipeline, max_cycles: None)
+    monkeypatch.setattr(schedule_module, "solve_run", lambda pipeline, max_cycles, trace: None)
 
 
 @pytest.mark.parametrize("rate_fps", [3_000.0, 1e6])
@@ -282,6 +297,7 @@ def test_fleet_json(monkeypatch):
 
 class TestFallback:
     def test_budget_abort_ticks_and_leaves_the_engines_partial_pipeline(self):
+        """A solved run over budget leaves the partial pipeline the reference loop ticks into."""
         graph = _chain()
         images = _images(graph, 3)
         budget = simulate(graph, images).cycles - 50
@@ -305,14 +321,6 @@ class TestFallback:
             simulate(graph, images, max_cycles=cycles)
         assert simulate(graph, images, max_cycles=cycles + 1).cycles == cycles
 
-    def test_deadlock_ticks_into_the_same_abort(self):
-        graph = _resnet()
-        caps = {add: 2 for add in solve_skip_capacities(graph)}
-        with pytest.raises(CycleBudgetExceeded, match="no convergence after 20000") as info:
-            simulate(graph, _images(graph, 2), skip_sizing=caps, max_cycles=20_000)
-        assert info.value.pipeline is not None
-        assert "_flat" in vars(info.value.pipeline.source)  # the engine ran it
-
     def test_undeclared_stall_order_ticks(self, monkeypatch):
         graph = _chain()
         images = _images(graph, 3)
@@ -330,12 +338,198 @@ class TestFallback:
 
     @pytest.mark.parametrize("hook", ["trace", "telemetry", "use_bitops"])
     def test_hooks_keep_the_engine(self, hook):
-        from repro.dataflow.trace import Tracer
-        from repro.telemetry import Telemetry
-
+        """A hook keeps every observable of the plain run; only telemetry makes it tick."""
         graph = _chain()
         images = _images(graph, 2)
         value = {"trace": Tracer(), "telemetry": Telemetry(), "use_bitops": True}[hook]
-        ticked = simulate(graph, images, **{hook: value})
-        assert "_flat" in vars(ticked.pipeline.source)
-        assert observables(ticked) == observables(simulate(graph, images))
+        run = simulate(graph, images, **{hook: value})
+        assert ("_flat" in vars(run.pipeline.source)) == (hook == "telemetry")
+        assert observables(run) == observables(simulate(graph, images))
+
+
+def test_only_telemetry_and_exhaustive_runs_tick(monkeypatch):
+    """Traced, use_bitops, deadlocked and over-budget fast runs are solved, never ticked."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the engine ticked")
+
+    monkeypatch.setattr(Engine, "run", refuse)
+    graph = _chain()
+    images = _images(graph, 3)
+    simulate(graph, images, trace=Tracer())
+    simulate(graph, images, use_bitops=True)
+    with pytest.raises(CycleBudgetExceeded):
+        simulate(graph, images, max_cycles=100)
+    resnet = _resnet()
+    caps = {add: 2 for add in solve_skip_capacities(resnet)}
+    with pytest.raises(CycleBudgetExceeded):
+        simulate(resnet, _images(resnet, 2), skip_sizing=caps, max_cycles=20_000)
+    for kwargs in ({"telemetry": Telemetry()}, {"mode": "exhaustive"}):
+        with pytest.raises(AssertionError, match="the engine ticked"):
+            simulate(graph, images, **kwargs)
+
+
+def test_deadlock_past_the_solver_horizon():
+    """A deadlock's abort state is known at any budget: only the final stalls grow.
+
+    Two reference-loop budgets give every counter's growth per cycle; the
+    solve at a budget far past ``REPLAY_MAX_CYCLES`` must continue it.
+    """
+    graph = _resnet()
+    caps = {add: 2 for add in solve_skip_capacities(graph)}
+    images = _images(graph, 2)
+
+    def kernel_stats(mode, budget):
+        with pytest.raises(CycleBudgetExceeded, match=f"no convergence after {budget} ") as info:
+            simulate(graph, images, skip_sizing=caps, max_cycles=budget, mode=mode)
+        stats = info.value.pipeline.engine.collect_stats()[0]
+        return {name: dataclasses.asdict(s) for name, s in stats.items()}
+
+    early, late = kernel_stats("exhaustive", 20_000), kernel_stats("exhaustive", 30_000)
+    budget = 10 * schedule_module.REPLAY_MAX_CYCLES
+    far = kernel_stats("fast", budget)
+    for name, counters in early.items():
+        for field, value in counters.items():
+            if value is not None:  # a never-active kernel has no first/last cycle
+                value += (late[name][field] - value) // 10_000 * (budget - 20_000)
+            assert far[name][field] == value, (name, field)
+
+
+def _abort_case(case):
+    """A run that aborts, its budget, and the arguments that make it abort."""
+    if case == "deadlock":
+        graph = _resnet()  # the undersized skip FIFO wedges the fork
+        caps = {add: 2 for add in solve_skip_capacities(graph)}
+        return graph, _images(graph, 2), 6_000, {"skip_sizing": caps}
+    graph = _chain()
+    if case == "closed_loop":
+        images = _images(graph, 6)
+        run = simulate(graph, images, mode="leap")
+        assert run.leap_report is not None and run.leap_report.leaps == 1  # long enough to extend
+        return graph, images, run.cycles - 10, {}
+    images = _images(graph, 3)
+    kwargs = {"arrival_cycles": make_schedule(3, 20_000.0, "poisson", seed=5).cycles}
+    run = simulate(graph, images, **kwargs)
+    return graph, images, (run.run.completion_cycles[0] + run.cycles) // 2, kwargs
+
+
+def _abort_state(mode, graph, images, budget, traced, **kwargs):
+    """Everything an aborted run leaves on its pipeline and tracer."""
+    tracer = Tracer() if traced else None
+    with pytest.raises(CycleBudgetExceeded) as info:
+        simulate(graph, images, mode=mode, max_cycles=budget, trace=tracer, **kwargs)
+    pipeline = info.value.pipeline
+    assert pipeline is not None
+    kernels, streams = pipeline.engine.collect_stats()
+    return {
+        "message": str(info.value),
+        "kernels": {name: dataclasses.asdict(stats) for name, stats in kernels.items()},
+        "streams": {name: dataclasses.asdict(stats) for name, stats in streams.items()},
+        "residual": {s.name: [ready for _, ready in s._fifo] for s in pipeline.engine.streams},
+        "marks": {s.name: list(s.mark_cycles) for s in pipeline.engine.streams},
+        "admissions": list(pipeline.source.admission_cycles),
+        "completions": list(pipeline.sink.completion_cycles),
+        "trace": tracer.state() if tracer is not None else None,
+        "ticked": "_flat" in vars(pipeline.source),
+    }
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("case", ["deadlock", "closed_loop", "open_loop"])
+def test_solved_abort_matches_the_engine(case, traced):
+    """Fault injection: a solved abort leaves exactly the reference loop's state."""
+    graph, images, budget, kwargs = _abort_case(case)
+    expected = _abort_state("exhaustive", graph, images, budget, traced, **kwargs)
+    solved = _abort_state("fast", graph, images, budget, traced, **kwargs)
+    assert expected.pop("ticked") and not solved.pop("ticked")
+    assert solved == expected
+    assert f"no convergence after {budget} cycles" in solved["message"]
+    if traced:
+        assert solved["trace"]["total_cycles"] is None  # an aborted trace stays unsealed
+
+
+
+class _Lag(Kernel):
+    """Pops element ``j`` and pushes element ``j - 1`` in the same op; one more op flushes."""
+
+    stall_order = (STALL_STARVED, STALL_BLOCKED)
+
+    def __init__(self, name, per_image):
+        super().__init__(name)
+        self._n = per_image
+        self._op = 0
+        self._held = deque()
+
+    def op_program(self):
+        n = self._n
+        return OpProgram(ops=n + 1, pops=(np.arange(n),), pushes=(np.arange(1, n + 1),))
+
+    def tick(self, cycle):
+        local = self._op % (self._n + 1)
+        pops, pushes = local < self._n, local > 0
+        inp, out = self.inputs[0], self.outputs[0]
+        if pops and not inp.can_pop(cycle):
+            return self._starved(cycle)
+        if pushes and not out.can_push():
+            return self._blocked(cycle)
+        if pops:
+            self._held.append(inp.pop(cycle))
+            self.stats.elements_in += 1
+        if pushes:
+            out.push(self._held.popleft(), cycle)
+            self.stats.elements_out += 1
+        self._op += 1
+        self.stats.mark_active(cycle)
+        return None
+
+
+def _lagged_residual(skip_capacity):
+    """A fork whose skip arm meets, at the adder, a main arm lagging one element behind.
+
+    With a one-slot skip FIFO the fork's op ``e`` waits for the adder's op
+    ``e - 1``, which waits for the lag's op ``e``, which waits for the fork's
+    op ``e``: a dependency cycle within one op per kernel.
+    """
+    spec = TensorSpec(2, 2, 1, "levels", 2)
+    images = np.arange(12).reshape(3, 2, 2, 1) % 4
+    engine = Engine("lagged")
+    source = HostSource("host_source", images, spec)
+    fork, lag, add = ForkKernel("fork", 4), _Lag("lag", 4), AddKernel("add", 4)
+    sink = HostSink("host_sink", spec, 3)
+    for kernel in (source, fork, lag, add, sink):
+        engine.add_kernel(kernel)
+    engine.connect(source, fork, Stream("in"))
+    engine.connect(fork, lag, Stream("main"))
+    skip = engine.connect(fork, add, Stream("skip", capacity=skip_capacity))
+    engine.connect(lag, add, Stream("lagged"))
+    engine.connect(add, sink, Stream("out"))
+    graph = SimpleNamespace(input_spec=spec, output_spec=spec)
+    return Pipeline(engine, graph, source, sink, {}, {"add": skip}, [], {})
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("skip_capacity", [1, 2])
+def test_dependency_cycle_never_runs(skip_capacity, traced):
+    """Ops on a dependency cycle never run: the solve aborts as the reference loop does."""
+    ticked, solved = _lagged_residual(skip_capacity), _lagged_residual(skip_capacity)
+    t_ticked, t_solved = (Tracer(), Tracer()) if traced else (None, None)
+    outcomes = []
+    for pipeline, run in (
+        (ticked, lambda: ticked.engine.run(lambda: ticked.sink.done, max_cycles=300, trace=t_ticked)),
+        (solved, lambda: schedule_module.solve_run(solved, 300, t_solved).cycles),
+    ):
+        try:
+            outcomes.append(run())
+        except CycleBudgetExceeded as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == (skip_capacity == 1)  # one slot deadlocks
+    for got, want in zip(solved.engine.collect_stats(), ticked.engine.collect_stats()):
+        assert [dataclasses.asdict(s) for s in got.values()] == [
+            dataclasses.asdict(s) for s in want.values()
+        ]
+    assert [[r for _, r in s._fifo] for s in solved.engine.streams] == [
+        [r for _, r in s._fifo] for s in ticked.engine.streams
+    ]
+    if traced:
+        assert t_solved.state() == t_ticked.state()

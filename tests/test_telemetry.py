@@ -150,8 +150,8 @@ def test_telemetry_reconciles_with_pipeline_trace(chain_case, mode):
 
 
 def test_fast_midrun_samples_match_exhaustive(chain_case):
-    """Virtual park accounting: a fast-path sample equals the exhaustive
-    loop's counters at the very same cycle, not just at the end."""
+    """A telemetered fast run ticks the reference loop: each sample equals
+    the exhaustive run's counters at the very same cycle, not just at the end."""
     graph, levels = chain_case
 
     def capture(store):

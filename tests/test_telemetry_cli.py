@@ -132,6 +132,20 @@ class TestStats:
         assert "root bottleneck edge" in out
         assert "minimum safe capacity" in out
 
+    def test_deadlock_attribution_never_ticks(self, capsys, monkeypatch):
+        """At the default 10M budget the deadlock is solved to its abort, not ticked."""
+        from repro.dataflow.engine import Engine
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the engine ticked")
+
+        monkeypatch.setattr(Engine, "run", refuse)
+        rc = cli_main(["stats", "--network", "resnet18", "--skip-capacity", "1"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "ABORTED (deadlock or budget) after 10,000,000 cycles" in out
+        assert "root bottleneck edge" in out
+
     def test_skip_capacity_on_chain_topology_rejected(self, capsys):
         rc = cli_main(["stats", "--network", "vgg", "--skip-capacity", "4"])
         assert rc == 2

@@ -2,12 +2,12 @@
 
 The tracing contract (DESIGN.md) is that a traced run is *observationally
 free*: tracing changes no statistic and no schedule, and — the strong
-property — the fast park/wake scheduler and the exhaustive reference loop
-produce the **byte-identical event log** on the same workload, because the
-fast path synthesizes exactly the stall spans it skipped.  These tests
-pin that contract over every equivalence topology, then check the derived
-views (occupancy timelines, link transits, waterfall analysis) and the
-Chrome-trace export against it.
+property — a solved fast run and the exhaustive reference loop produce the
+**byte-identical event log** on the same workload: the solved run writes
+every span and event from its op times.  These tests pin that contract
+over every equivalence topology, then check the derived views (occupancy
+timelines, link transits, waterfall analysis) and the Chrome-trace export
+against it.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ def traced_runs():
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_fast_and_exhaustive_traces_identical(traced_runs, topology):
-    """The tentpole property: both schedulers emit the same event log."""
-    _, _, t_fast, t_slow = traced_runs[topology]
+    """The tentpole property: the solved run and the reference loop emit the same event log."""
+    fast, _, t_fast, t_slow = traced_runs[topology]
+    assert "_flat" not in vars(fast.pipeline.source)  # solved, never ticked
     assert t_fast.state() == t_slow.state()
 
 

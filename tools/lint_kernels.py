@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
 """AST lint for the kernel/stream contracts the dataflow engine depends on.
 
-The fast scheduler's correctness proof (engine.py, DESIGN.md §4.1) rests on
-behavioural contracts the type system cannot express; this linter enforces
-them statically so a new kernel cannot silently break park/wake scheduling
-or the integer-only datapath:
+A solved run (``dataflow/schedule.py``) must equal the engine's reference
+loop bit for bit — counters, FIFO state and event traces (DESIGN.md §4.1).
+That equality rests on behavioural contracts the type system cannot
+express; this linter enforces them statically so a new kernel cannot
+silently break it or the integer-only datapath:
 
 KC001  ``tick()`` must return a stall classification or None — i.e. every
        return inside a Kernel subclass's ``tick`` is bare, ``None``, or one
        of ``self._starved(...)`` / ``self._blocked(...)`` / ``self._idle(...)``.
-       Anything else would make the engine park the kernel on a garbage
-       code (or never park it), desynchronizing fast and exhaustive runs.
+       The reference loop's trace records exactly what tick() returns,
+       while a solved trace names each cycle from the op times and the
+       kernel's ``stall_order``; any other value would put a class in the
+       ticked trace that the solved one cannot equal.
 KC002  Kernels must not mutate streams outside ``push``/``pop``: no calls
        to mutators on a ``._fifo`` deque, and no assignments through
        attribute chains that are not rooted at ``self`` (reading
        ``stream._fifo`` on the hot path is allowed and idiomatic here).
-       Out-of-band mutation would bypass the push/pop wake hooks.
+       A solved run derives every FIFO's counters, residual elements and
+       push/pop events from the op program's one push or pop per element;
+       an out-of-band mutation changes the ticked FIFO in a way the solve
+       cannot see, so the two runs would differ.
 KC003  No float arithmetic inside ``tick`` bodies (the quantized hot
        control path): no float literals, no true division, no ``float()``
        calls.  Numeric lowering lives in helpers like ``_compute_outputs``
@@ -30,7 +36,8 @@ KC005  A kernel's slots-dataclass state (its ``stats`` record, or any
        from ``tick()`` / ``batch_compute()`` or helpers (transitively)
        called from them.  Mutation from anywhere else — a property, a
        reporting accessor, ``render()`` — means *observing* a kernel
-       changes its counters, desynchronizing fast and exhaustive runs.
+       changes its counters, so a ticked run's stats would no longer equal
+       the solved run's, which are derived from op times alone.
 KC006  A Kernel subclass that defines ``tick()`` must also define
        ``op_program()``: the timing replay solves every op's cycle from
        the op program instead of ticking, so a kernel without one has no
