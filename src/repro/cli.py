@@ -14,14 +14,16 @@ Commands
     ``--mode`` picks the scheduler — ``exhaustive``, ``fast`` (default) or
     ``leap`` (``fast`` plus a report of how far the solved prefix was
     extended) — all bit-identical.  ``--json``, ``--prom`` and
-    ``--snapshot`` attach telemetry, which ticks the engine, so leap warns.
+    ``--snapshot`` attach telemetry, whose samples cover every image, so the
+    run is solved whole and leap warns that it was demoted.
 ``trace [--size N] [--images M] [--out trace.json] [--force]``
     Stream a network with event tracing enabled and write the full
     cycle-exact event log as Chrome-trace JSON (load it at
     https://ui.perfetto.dev or chrome://tracing).
 ``top [--size N] [--images M] [--every N]``
-    Live dashboard: kernel utilization bars, FIFO occupancy and
-    throughput, re-rendered while the simulation runs in-process.
+    Dashboard: kernel utilization bars, FIFO occupancy and throughput,
+    replayed sample by sample from the solved run (``--refresh`` limits
+    how often it redraws).
 ``load [--rate FPS] [--process fixed|poisson] [--sweep R ...] [--json]``
     Open-loop load generation: stream images at a target offered rate
     (deterministic seeded arrivals), report offered vs achieved FPS and
@@ -123,13 +125,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tiny_vgg(args: argparse.Namespace):
-    """The CLI's stock tiny network + input batch (simulate/trace/top)."""
+def _tiny_vgg(args: argparse.Namespace, min_images: int = 1):
+    """The CLI's stock tiny network + input batch (simulate/trace/top/load)."""
     from .models import direct_vgg_graph
 
     size = args.size
     if size % 8:
         raise ValueError(f"size must be divisible by 8, got {size}")
+    if args.images < min_images:
+        raise ValueError(f"--images must be >= {min_images}, got {args.images}")
     graph = direct_vgg_graph(size, width=0.0625, classes=4)
     rng = np.random.default_rng(args.seed)
     images = rng.integers(0, 4, size=(args.images, size, size, 3))
@@ -144,36 +148,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     try:
         graph, images = _tiny_vgg(args)
-    except ValueError as exc:
+        telemetry = None
+        if args.json or args.prom or args.snapshot:
+            from .telemetry import PeriodicExporter, Telemetry, run_manifest
+
+            telemetry = Telemetry(sample_every=args.every)
+            telemetry.manifest = run_manifest(
+                graph, seed=args.seed, images=args.images, fclk_mhz=105.0
+            )
+            if args.prom or args.snapshot:
+                telemetry.add_listener(
+                    PeriodicExporter(prom_path=args.prom, json_path=args.snapshot, force=args.force)
+                )
+        arrival_cycles = None
+        if args.rate is not None:
+            from .telemetry.loadgen import make_schedule
+
+            arrival_cycles = make_schedule(
+                int(images.shape[0]), args.rate, args.process, args.seed
+            ).cycles
+    except (ValueError, FileExistsError) as exc:
         print(exc, file=sys.stderr)
         return 2
-
-    telemetry = None
-    if args.json or args.prom or args.snapshot:
-        from .telemetry import PeriodicExporter, Telemetry, run_manifest
-
-        telemetry = Telemetry(sample_every=args.every)
-        telemetry.manifest = run_manifest(
-            graph, seed=args.seed, images=args.images, fclk_mhz=105.0
-        )
-        if args.prom or args.snapshot:
-            try:
-                telemetry.add_listener(
-                    PeriodicExporter(
-                        prom_path=args.prom, json_path=args.snapshot, force=args.force
-                    )
-                )
-            except FileExistsError as exc:
-                print(exc, file=sys.stderr)
-                return 2
-
-    arrival_cycles = None
-    if args.rate is not None:
-        from .telemetry.loadgen import make_schedule
-
-        arrival_cycles = make_schedule(
-            int(images.shape[0]), args.rate, args.process, args.seed
-        ).cycles
 
     run = simulate(
         graph, images, telemetry=telemetry, mode=args.mode, arrival_cycles=arrival_cycles
@@ -259,10 +255,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     try:
         graph, images = _tiny_vgg(args)
+        telemetry = Telemetry(sample_every=args.every)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    telemetry = Telemetry(sample_every=args.every)
     telemetry.add_listener(
         Dashboard(ansi=False if args.plain else None, min_interval_s=args.refresh)
     )
@@ -277,10 +273,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_load(args: argparse.Namespace) -> int:
     import json
 
-    from .telemetry.loadgen import run_load, sweep
+    from .telemetry.loadgen import cycles_per_image, run_load, sweep
 
     try:
-        graph, images = _tiny_vgg(args)
+        graph, images = _tiny_vgg(args, min_images=0)
+        for rate in args.sweep or ([] if args.rate is None else [args.rate]):
+            cycles_per_image(rate)  # rejects a rate that is not positive
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -737,10 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["exhaustive", "fast", "leap"],
         default="fast",
-        help="scheduler: exhaustive tick loop, fast (solved from op recurrences "
-        "unless telemetry ticks it), or leap (fast, reporting the images the "
-        "certified period added past the solved prefix); bit-identical results, "
-        "see DESIGN.md §4.6",
+        help="scheduler: exhaustive tick loop, fast (solved from op recurrences; "
+        "telemetry samples are read off the solve in every mode), or leap (fast, "
+        "reporting the images the certified period added past the solved prefix); "
+        "bit-identical results, see DESIGN.md §4.6",
     )
     p_sim.add_argument(
         "--rate",
@@ -792,7 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=_cmd_trace)
 
     p_top = sub.add_parser(
-        "top", help="live dashboard over an in-process simulation"
+        "top",
+        help="dashboard replaying a solved simulation's telemetry samples in cycle order",
     )
     p_top.add_argument("--size", type=int, default=16)
     p_top.add_argument("--images", type=int, default=2)

@@ -27,7 +27,6 @@ from .stream import Stream, StreamStats
 from .trace import Tracer
 
 if TYPE_CHECKING:
-    from ..telemetry.collector import Telemetry
     from .manager import Pipeline
 
 __all__ = ["CycleBudgetExceeded", "Engine", "RunResult"]
@@ -116,77 +115,51 @@ class Engine:
         done: Callable[[], bool],
         max_cycles: int = 50_000_000,
         trace: Tracer | None = None,
-        telemetry: "Telemetry | None" = None,
     ) -> int:
         """Tick every kernel every cycle until ``done()`` is true; returns the cycle count.
 
         This is the reference semantics the schedule solver
         (:func:`repro.dataflow.schedule.solve_run`) is tested against.
-        ``simulate`` ticks it only for ``mode="exhaustive"``, with
-        telemetry, and for pipelines the solver cannot read.
+        ``simulate`` ticks it only for ``mode="exhaustive"`` and for
+        pipelines the solver cannot read.  ``done`` is called once per
+        cycle, before that cycle's ticks.
 
         ``trace`` accepts a fresh :class:`~repro.dataflow.trace.Tracer`;
         the engine installs its hooks on every kernel and stream for the
         duration of the run, so the tracer sees every tick classification,
         push/pop/reject, link transit, and image completion with exact
         cycle timestamps.  Tracing changes no observable behaviour, only
-        records it.
-
-        ``telemetry`` accepts a fresh
-        :class:`~repro.telemetry.collector.Telemetry`; the loop samples it
-        every ``telemetry.sample_every`` simulated cycles (mirroring the
-        aggregate counters into its metrics registry) and seals it with a
-        final sample at the run's cycle count, which therefore reconciles
-        exactly with :meth:`collect_stats`.  A run that exhausts its budget
-        raises :class:`CycleBudgetExceeded` and leaves the tracer and the
-        collector unsealed.
+        records it.  A run that exhausts its budget raises
+        :class:`CycleBudgetExceeded` and leaves the tracer unsealed.
         """
         if max_cycles <= 0:
             raise ValueError(
                 f"engine {self.name!r}: max_cycles must be a positive cycle budget, "
                 f"got {max_cycles!r}"
             )
-        if trace is not None:
-            trace.attach(self)
-        if telemetry is not None:
-            telemetry.attach(self)
+        if trace is None:
+            return self._run(done, max_cycles)
+        trace.attach(self)
         try:
-            if trace is not None:
-                cycles = self._run_traced(done, max_cycles, trace, telemetry)
-            else:
-                cycles = self._run(done, max_cycles, telemetry)
-            if trace is not None:
-                trace.finish(cycles)
-            if telemetry is not None:
-                telemetry.finish(cycles)
+            cycles = self._run_traced(done, max_cycles, trace)
+            trace.finish(cycles)
             return cycles
         finally:
-            if trace is not None:
-                trace.detach(self)
+            trace.detach(self)
 
-    def _run(
-        self, done: Callable[[], bool], max_cycles: int, telemetry: "Telemetry | None"
-    ) -> int:
-        """The hook-free loop (telemetry pays one ``is not None`` test per cycle)."""
+    def _run(self, done: Callable[[], bool], max_cycles: int) -> int:
+        """The hook-free loop."""
         cycle = 0
         ticks = [kernel.tick for kernel in self.kernels]
         while not done():
             for tick in ticks:
                 tick(cycle)
             cycle += 1
-            if telemetry is not None and cycle >= telemetry.next_sample_at:
-                telemetry.sample(cycle)
             if cycle >= max_cycles:
                 raise self._no_convergence(max_cycles)
         return cycle
 
-    def _run_traced(
-        self,
-        done: Callable[[], bool],
-        max_cycles: int,
-        tracer: Tracer,
-        telemetry: "Telemetry | None",
-    ) -> int:
+    def _run_traced(self, done: Callable[[], bool], max_cycles: int, tracer: Tracer) -> int:
         """The same loop with every tick classification recorded."""
         cycle = 0
         ticks = [(kernel.name, kernel.tick) for kernel in self.kernels]
@@ -195,8 +168,6 @@ class Engine:
             for name, tick in ticks:
                 on_tick(name, cycle, tick(cycle))
             cycle += 1
-            if telemetry is not None and cycle >= telemetry.next_sample_at:
-                telemetry.sample(cycle)
             if cycle >= max_cycles:
                 raise self._no_convergence(max_cycles)
         return cycle

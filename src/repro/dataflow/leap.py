@@ -41,8 +41,8 @@ class LeapReport:
 
     ``windows`` images past the solved prefix were added by the certified
     ``period`` (``leaps`` is 1 when there were any).  A run that could not
-    be extended — an open-loop source or a tracer (solved whole), or one
-    that had to tick (telemetry, a kernel without an op program) — sets
+    be extended — an open-loop source, a tracer or telemetry (solved
+    whole), or one that had to tick (a kernel without an op program) — sets
     ``demoted`` and names the cause in ``demotion_reason``, so the CLI can
     warn.  ``leaps == 0`` without ``demoted`` means the prefix reached every
     image: the whole run was solved.

@@ -45,7 +45,7 @@ from .trace import Tracer
 
 if TYPE_CHECKING:
     from ..telemetry.collector import Telemetry
-    from .schedule import SolvedRun
+    from .schedule import SolvedRun, Timeline
 
 __all__ = ["build_pipeline", "simulate", "StreamingRun", "LinkCrossing", "Pipeline"]
 
@@ -383,31 +383,15 @@ def _wire(
         skip_streams[to_node] = stream
 
 
-def _leap_report(
-    pipeline: Pipeline, solved: SolvedRun | None, traced: bool, telemetry: bool
-) -> LeapReport:
+def _leap_report(pipeline: Pipeline, solved: SolvedRun | None, whole: str | None) -> LeapReport:
     """What ``mode="leap"`` did: how far the period extended the solved run, or why it could not."""
     if solved is None:
         from .schedule import unsolvable
 
-        reason = (
-            "telemetry is attached (its samples read the ticking engine)"
-            if telemetry
-            else unsolvable(pipeline) or "its op schedule did not solve"
-        )
+        reason = unsolvable(pipeline) or "its op schedule did not solve"
         return LeapReport(demoted=True, demotion_reason=reason)
-    if pipeline.source.arrival_cycles is not None:
-        return LeapReport(
-            demoted=True,
-            demotion_reason=f"open-loop arrival schedule on source {pipeline.source.name!r} "
-            "(leap extends closed-loop, back-to-back runs only)",
-        )
-    if traced:
-        return LeapReport(
-            demoted=True,
-            demotion_reason="a tracer is attached (a trace records every image, "
-            "so the run is solved whole)",
-        )
+    if whole is not None:
+        return LeapReport(demoted=True, demotion_reason=f"{whole}, so the run is solved whole")
     return LeapReport(
         leaps=int(solved.windows > 0),
         windows=solved.windows,
@@ -439,9 +423,13 @@ def simulate(
     full cycle-exact event log (identical in every mode) for
     Perfetto export and occupancy analysis.  Passing a fresh
     :class:`~repro.telemetry.collector.Telemetry` as ``telemetry`` samples
-    live metrics (kernel utilization, FIFO occupancy, link bandwidth,
-    throughput) into its registry as the run progresses; the collector
-    adopts the pipeline's fabric clock and link crossings.
+    the run's metrics (kernel utilization, FIFO occupancy, link bandwidth,
+    throughput) into its registry every ``sample_every`` cycles; the
+    samples are read off the solved schedule and handed to its listeners
+    in cycle order once the run is solved, in every mode.  A run the
+    solver declines cannot be sampled: with telemetry it raises
+    ``ValueError`` naming the reason (a run of no images keeps one sealed
+    sample at cycle 0).
 
     After every run each skip stream's measured high-water mark is
     asserted against the static §III-B5 prediction
@@ -456,17 +444,18 @@ def simulate(
     instants and any ``trace`` from them, and the outputs come from the
     batched functional pass (through the packed popcount path with
     ``use_bitops``).  A closed-loop untraced run solves only a prefix of
-    its images and extends it by the certified per-image period.  Only
-    ``telemetry`` (its listeners sample a live engine) and a pipeline
-    :func:`~repro.dataflow.schedule.unsolvable` names make a fast or leap
-    run tick the reference loop.  Results (cycles, outputs, stats,
-    traces, per-image instants) are bit-identical across all three modes.
+    its images and extends it by the certified per-image period.  Only a
+    pipeline :func:`~repro.dataflow.schedule.unsolvable` names makes a
+    fast or leap run tick the reference loop.  Results (cycles, outputs,
+    stats, traces, telemetry samples, per-image instants) are
+    bit-identical across all three modes.
 
     ``mode="leap"`` runs the same path as ``"fast"`` and adds a
     :class:`~repro.dataflow.leap.LeapReport`: how many images past the
     solved prefix the period extended the run by.  A leap run that could
-    not be extended because it is open-loop or traced, or that ticked, sets
-    ``demoted`` and names the cause in ``demotion_reason``.
+    not be extended because it is open-loop, traced or telemetered (solved
+    whole), or that ticked, sets ``demoted`` and names the cause in
+    ``demotion_reason``.
 
     ``max_cycles`` must be a positive ``int``; anything else raises
     ``ValueError`` before the pipeline is built.  A run that does not
@@ -496,24 +485,25 @@ def simulate(
     )
     if telemetry is not None:
         telemetry.attach_pipeline(pipeline)
-    from .schedule import solve_run
+    from .schedule import solve_run, solve_timeline
 
     solved: SolvedRun | None = None
+    timeline: Timeline | None = None
     try:
-        if mode != "exhaustive" and telemetry is None:
-            solved = solve_run(pipeline, max_cycles, trace)
+        if mode != "exhaustive":
+            solved = solve_run(pipeline, max_cycles, trace, telemetry)
         if solved is not None:
             cycles = solved.cycles
         else:
-            cycles = pipeline.engine.run(
-                lambda: pipeline.sink.done,
-                max_cycles=max_cycles,
-                trace=trace,
-                telemetry=telemetry,
-            )
+            if telemetry is not None:  # sampled from a solve of the same run
+                timeline = solve_timeline(pipeline, max_cycles)
+            cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles, trace=trace)
     except CycleBudgetExceeded as err:
         err.pipeline = pipeline
         raise
+    finally:
+        if telemetry is not None and timeline is not None:
+            telemetry.replay(timeline)
     if pipeline.skip_streams:
         from .verify import check_skip_high_water
 
@@ -521,7 +511,12 @@ def simulate(
     kstats, sstats = pipeline.engine.collect_stats()
     leap_report = None
     if mode == "leap":
-        leap_report = _leap_report(pipeline, solved, trace is not None, telemetry is not None)
+        whole = None  # why leap could not extend a solved prefix
+        if pipeline.source.arrival_cycles is not None:
+            whole = f"open-loop arrival schedule on source {pipeline.source.name!r} (arrivals need not repeat)"
+        elif trace is not None or telemetry is not None:
+            whole = "a tracer is attached" if trace is not None else "telemetry is attached"
+        leap_report = _leap_report(pipeline, solved, whole)
     if solved is not None:
         # A solved run streamed no values: the batched functional path
         # computes every image exactly (it is bit-identical to the

@@ -41,8 +41,10 @@ on the same cycles.  The mark is flat from the second image on, so the
 The same solve runs ``simulate`` whenever it need not tick
 (:func:`solve_run`).  There each open-loop image's first push waits for
 its arrival, every skip FIFO keeps its built capacity, and the counters the
-engine keeps live, its event trace and the state it leaves at a budget
-abort are derived from the op times (``tests/test_schedule_run.py``).
+engine keeps live, its event trace, its telemetry samples and the state it
+leaves at a budget abort are derived from the op times
+(``tests/test_schedule_run.py``); the trace and the samples both read the
+run's :class:`Timeline`.
 
 A closed-loop run is solved for a prefix of ``K`` images (the first ``K``
 images of the ``N``-image run: no constraint points at a later image) and
@@ -97,8 +99,10 @@ __all__ = [
     "REPLAY_MAX_CYCLES",
     "Schedule",
     "SolvedRun",
+    "Timeline",
     "replay_schedule",
     "solve_run",
+    "solve_timeline",
     "unsolvable",
 ]
 
@@ -209,63 +213,96 @@ def unsolvable(pipeline: Pipeline) -> str | None:
     return None
 
 
-def solve_run(pipeline: Pipeline, max_cycles: int, trace: Tracer | None = None) -> SolvedRun | None:
+def solve_run(
+    pipeline: Pipeline, max_cycles: int, trace: Tracer | None = None, telemetry: Any = None
+) -> SolvedRun | None:
     """Run ``pipeline`` by solving its schedule instead of ticking.
 
     The solve takes the source's open-loop arrivals and every stream's
     built capacity, skip FIFOs included.  A closed-loop run solves a
     prefix of :data:`REPLAY_IMAGES` images, doubled until its per-image
     period is certified, and extends it to every image (see the module
-    docstring); an open-loop or traced run, or one whose prefix reaches all
-    its images, is solved whole.  From the op times it stamps what a ticked
-    run leaves behind, equal to the engine's: the per-image admission, mark
-    and completion instants, every kernel's
+    docstring); an open-loop, traced or telemetered run, or one whose
+    prefix reaches all its images, is solved whole.  From the op times it
+    stamps what a ticked run leaves behind, equal to the engine's: the
+    per-image admission, mark and completion instants, every kernel's
     :class:`~repro.dataflow.kernel.KernelStats` and stream's
     :class:`~repro.dataflow.stream.StreamStats`, and each FIFO's residual
     elements (values are placeholders: outputs come from the batched
     functional pass).  Kernels' datapath state is left as built.  A fresh
-    ``trace`` receives the run's event log, written from the op times.
+    ``trace`` and ``telemetry`` receive the run's event log and samples,
+    read off its :class:`Timeline`.
 
     A run that would not finish within ``max_cycles``, deadlocked or not,
     is solved to that cycle: the state the engine leaves at its abort is
-    stamped (the trace left unsealed) and the engine's
+    stamped (the trace and the telemetry left unsealed) and the engine's
     :class:`~repro.dataflow.engine.CycleBudgetExceeded` raised.
 
     Returns ``None`` and changes nothing when the engine has to run it
     instead: :func:`unsolvable` names a reason, a kernel pushes before its
-    first pop in an image, or a run that has not deadlocked outlasts
-    :data:`REPLAY_MAX_CYCLES`, the solver's horizon, within a larger budget.
+    first pop, or a run not deadlocked outlasts :data:`REPLAY_MAX_CYCLES`.
     """
     if unsolvable(pipeline) is not None:
         return None
     images = pipeline.source.n_images
+    whole = trace is not None or telemetry is not None or pipeline.source.arrival_cycles is not None
     limit = min(max_cycles, REPLAY_MAX_CYCLES)
-    whole = trace is not None or pipeline.source.arrival_cycles is not None
-    prefix = images if whole else REPLAY_IMAGES
-    while True:
-        prefix = min(prefix, images)
+    prefix = REPLAY_IMAGES
+    while not whole and prefix < images:
         solution = _solve(pipeline, bounded_skips=True, limit=limit, images=prefix)
-        if any(node.lead < 0 for node in solution.nodes):
-            return None
-        if solution.aborted and prefix < images:
-            prefix = images  # the whole run aborts too: solve all of it up to the abort
-            continue
-        period = _certified_period(solution, prefix) if prefix < images else 0
-        if period or prefix == images:
+        if solution.aborted or any(node.lead < 0 for node in solution.nodes):
+            break  # so does the whole run: solve all of it, up to the abort
+        period = _certified_period(solution, prefix)
+        if period:
+            windows = images - prefix
+            observed = _extend(
+                _observe(solution, pipeline),
+                _observe(_first_images(solution, prefix - 1), pipeline),
+                windows,
+                period,
+            )
+            if observed.cycles < max_cycles:
+                _stamp(pipeline, observed)
+                return SolvedRun(observed.cycles, windows, period)
             break
         prefix *= 2
-    windows = images - prefix
-    if windows:
-        observed = _extend(
-            _observe(solution, pipeline),
-            _observe(_first_images(solution, prefix - 1), pipeline),
-            windows,
-            period,
-        )
-        if observed.cycles < max_cycles:
-            _stamp(pipeline, observed)
-            return SolvedRun(observed.cycles, windows, period)
-        solution = _solve(pipeline, bounded_skips=True, limit=limit)  # the whole run, to the abort
+    solved = _solve_whole(pipeline, max_cycles)
+    if isinstance(solved, str):
+        return None
+    if trace is None and telemetry is None:
+        _stamp(pipeline, observed := _observe(solved, pipeline))
+    else:
+        observed, timeline = _observe_timeline(solved, pipeline)
+        _stamp(pipeline, observed)
+        if trace is not None:
+            _write_trace(trace, timeline, pipeline)
+        if telemetry is not None:
+            telemetry.replay(timeline)
+    if solved.aborted:
+        raise pipeline.engine._no_convergence(max_cycles)
+    return SolvedRun(observed.cycles)
+
+
+def solve_timeline(pipeline: Pipeline, max_cycles: int) -> Timeline:
+    """The whole run's :class:`Timeline`, stamping nothing (a ticked run's samples), or ``ValueError``."""
+    if not pipeline.source.n_images:
+        return Timeline(0, False, [], [], [], [], [])
+    solved = _solve_whole(pipeline, max_cycles)
+    if isinstance(solved, str):
+        raise ValueError(f"telemetry samples the solved schedule, which declines this run: {solved}")
+    return _observe_timeline(solved, pipeline)[1]
+
+
+def _solve_whole(pipeline: Pipeline, max_cycles: int) -> _Solution | str:
+    """Every image's op times to the end of the run or its abort, or why the engine must tick it."""
+    reason = unsolvable(pipeline)
+    if reason is not None:
+        return reason
+    limit = min(max_cycles, REPLAY_MAX_CYCLES)
+    solution = _solve(pipeline, bounded_skips=True, limit=limit)
+    names = [repr(k.name) for node, k in zip(solution.nodes, pipeline.engine.kernels) if node.lead < 0]
+    if names:
+        return f"kernel(s) pushing before their first pop: {', '.join(names)}"
     if solution.aborted and limit < max_cycles:
         # Past the solver's horizon only a deadlock has a known state: no
         # op runs after the last one solved, at any budget (an arrival past
@@ -274,15 +311,9 @@ def solve_run(pipeline: Pipeline, max_cycles: int, trace: Tracer | None = None) 
         if max(arrivals) >= limit or any(
             node.ran < node.total and node.t[node.ran] < _NEVER for node in solution.nodes
         ):
-            return None
+            return f"the run has not deadlocked by the solver's horizon of {REPLAY_MAX_CYCLES:,} cycles"
         solution = _finish(solution.nodes, solution.edges, solution.sink, max_cycles)
-    observed = _observe(solution, pipeline)
-    _stamp(pipeline, observed)
-    if trace is not None:
-        _write_trace(trace, solution, pipeline, observed)
-    if solution.aborted:
-        raise pipeline.engine._no_convergence(max_cycles)
-    return SolvedRun(observed.cycles)
+    return solution
 
 
 def _over_budget(graph: LayerGraph) -> RuntimeError:
@@ -852,8 +883,139 @@ def _kernel_spans(
     return kind, start, np.append(start[1:] - 1, solution.cycles - 1)
 
 
-def _write_trace(tracer: Tracer, solution: _Solution, pipeline: Pipeline, observed: _Observed) -> None:
-    """Write the whole run's event log into ``tracer`` from the op times.
+@dataclass(slots=True)
+class Timeline:
+    """A solved run over time: what the engine's counters read at any cycle of it.
+
+    ``spans[k]`` are kernel ``k``'s maximal runs of one cycle class as
+    ``(kinds, starts, ends)`` covering cycles ``0 .. cycles - 1`` (class 0:
+    an op ran, else a ``STALL_*`` code), and ``pushes[e]`` and ``pops[e]``
+    the cycles at which stream ``e``'s elements moved, both in engine
+    order.  ``aborted`` marks a run cut at its cycle budget.
+    """
+
+    cycles: int
+    aborted: bool
+    spans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    pushes: list[np.ndarray]
+    pops: list[np.ndarray]
+    admissions: list[int]
+    completions: list[int]
+    _cache: tuple[np.ndarray, ...] = dataclasses.field(default=(), init=False, repr=False)
+
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The spans and element times joined, kernel (stream) ``i``'s cycles moved up by ``i * (cycles + 1)``.
+
+        Each joined array ascends, so one ``searchsorted`` reads every kernel (stream) at once.
+        """
+        if not self._cache:
+            shift = self.cycles + 1
+            kinds = np.concatenate([kind for kind, _, _ in self.spans])
+            starts, span_base = _joined([start for _, start, _ in self.spans], shift)
+            ends = _joined([end for _, _, end in self.spans], shift)[0]
+            # Cycles of each class before each span, the last active cycle
+            # before it, and each kernel's first active cycle.
+            before = np.zeros((4, kinds.size + 1), dtype=np.int64)
+            np.cumsum((kinds == np.arange(4)[:, None]) * (ends - starts + 1), axis=1, out=before[:, 1:])
+            last_op = np.maximum.accumulate(np.append(-1, np.where(kinds == 0, ends, -1)))
+            first = np.minimum.reduceat(np.where(kinds == 0, starts, np.iinfo(np.int64).max), span_base)
+            # Each stream's high-water mark after each of its pushes, from 0.
+            peaks = [
+                np.maximum.accumulate(np.append(0, np.arange(1, push.size + 1) - np.searchsorted(pop, push)))
+                for push, pop in zip(self.pushes, self.pops)
+            ]
+            self._cache = (
+                kinds, starts, span_base, before, last_op, first,
+                *_joined(self.pushes, shift), *_joined(self.pops, shift), np.concatenate(peaks),
+            )
+        return self._cache
+
+    def at(self, pipeline: Pipeline, instants: list[int]) -> tuple[list[Any], list[Any], list[Any]]:
+        """The engine's state after ticking cycles ``0 .. c - 1``, for each ``c`` of ``instants``.
+
+        Per instant: every kernel's ``[busy, starved, blocked, idle, in,
+        out, first active, last active]`` (``-1``: not active yet), every
+        stream's ``[occupancy, high-water, pushes, pops, rejections, in
+        flight]`` and the images ``[completed, admitted, arrived]``.
+        """
+        kernels, streams, source = pipeline.engine.kernels, pipeline.engine.streams, pipeline.source
+        if not self.cycles:  # a run of no images: nothing ran
+            return [[[0] * 6 + [-1, -1]] * len(kernels)], [[[0] * 6] * len(streams)], [[0, 0, 0]]
+        kinds, starts, span_base, before, last_op, first, pushes, push_base, pops, pop_base, peaks = (
+            self._tables()
+        )
+        at = np.asarray(instants, dtype=np.int64)
+        shift = (self.cycles + 1) * np.arange(max(len(kernels), len(streams)))[:, None]
+        k_shift, s_shift = shift[: len(kernels)], shift[: len(streams)]
+        held = np.maximum(np.searchsorted(starts, at + k_shift) - 1, span_base[:, None])  # holds c - 1
+        now = kinds[held]
+        counts = before[:, held] - before[:, span_base, None]
+        counts += (now == np.arange(4)[:, None, None]) * (at + k_shift - starts[held])
+        first = first[:, None] - k_shift
+        last = np.where(now == 0, at - 1, np.maximum(last_op[held] - k_shift, -1))
+
+        pushed = np.searchsorted(pushes, at + s_shift) - push_base[:, None]
+        popped = np.searchsorted(pops, at + s_shift) - pop_base[:, None]
+        latency = np.array([[stream.latency] for stream in streams])
+        landed = np.searchsorted(pushes, np.maximum(at - latency, 0) + s_shift) - push_base[:, None]
+        position = {id(kernel): k for k, kernel in enumerate(kernels)}
+        readers = [position[id(stream.reader)] for stream in streams]
+        writers = [position[id(stream.writer)] for stream in streams]
+        elements = np.zeros((2, len(kernels), at.size), dtype=np.int64)
+        np.add.at(elements[0], readers, popped)
+        np.add.at(elements[1], writers, pushed)
+        k_state = np.stack([*counts, *elements, np.where(first < at, first, -1), last], -1)
+        peak = peaks[push_base[:, None] + np.arange(len(streams))[:, None] + pushed]
+        # A writer whose blocked tick re-offers its element rejects once per blocked cycle.
+        rejects = [
+            kernels[w].blocked_rejects_output and kernels[w].outputs[0] is stream
+            for w, stream in zip(writers, streams)
+        ]
+        rejections = np.where(np.array(rejects)[:, None], counts[2][writers], 0)
+        s_state = np.stack([pushed - popped, peak, pushed, popped, rejections, pushed - landed], -1)
+        arrived: np.ndarray = np.full(at.size, source.n_images)
+        if source.arrival_cycles is not None:
+            arrived = np.searchsorted(source.arrival_cycles, at, side="right")
+        completed, admitted = np.searchsorted(self.completions, at), np.searchsorted(self.admissions, at)
+        images = np.stack([completed, admitted, arrived], -1)
+        return k_state.transpose(1, 0, 2).tolist(), s_state.transpose(1, 0, 2).tolist(), images.tolist()
+
+
+def _joined(arrays: list[np.ndarray], shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """``arrays`` in one, the ``i``-th moved up by ``i * shift``, and where each one starts in it."""
+    sizes = [array.size for array in arrays]
+    moved = np.repeat(np.arange(len(arrays), dtype=np.int64) * shift, sizes)
+    return np.concatenate(arrays) + moved, np.cumsum([0] + sizes[:-1])
+
+
+def _observe_timeline(solution: _Solution, pipeline: Pipeline) -> tuple[_Observed, Timeline]:
+    """The run's :class:`Timeline`, and what :func:`_observe` reads with its counters taken off it."""
+    observed = _observe(solution, pipeline, counters=False)
+    streams = pipeline.engine.streams
+    pushes: list[np.ndarray] = []
+    pops: list[np.ndarray] = []
+    for stream in streams:
+        edge = solution.edges[id(stream)]
+        pushed, popped = _moved_counts(solution, edge)
+        pushes.append(_times(solution.nodes[edge.writer], edge.push, edge.per_image, np.arange(pushed)))
+        pops.append(_times(solution.nodes[edge.reader], edge.pop, edge.per_image, np.arange(popped)))
+    kernels = pipeline.engine.kernels
+    spans = [_kernel_spans(solution, node, kernel) for node, kernel in zip(solution.nodes, kernels)]
+    timeline = Timeline(
+        solution.cycles, solution.aborted, spans, pushes, pops, observed.admissions, observed.completions
+    )
+    (kernel_ends,), (stream_ends,), _ = timeline.at(pipeline, [solution.cycles])
+    for busy, starved, blocked, idle, ins, outs, first, last in kernel_ends:
+        active = (first, last) if first >= 0 else (None, None)
+        observed.kernels.append(KernelStats(busy, starved, blocked, idle, *active, ins, outs))
+    for (_, peak, pushed, popped, rejects, _), stream, push in zip(stream_ends, streams, pushes):
+        observed.streams.append(StreamStats(pushed, popped, rejects, peak))
+        observed.residual.append((push[popped:] + 1 + stream.latency).tolist())
+    return observed, timeline
+
+
+def _write_trace(tracer: Tracer, timeline: Timeline, pipeline: Pipeline) -> None:
+    """Write the whole run's event log into ``tracer`` from its timeline.
 
     Equal to what the engine's hooks record: every cycle of a kernel is an
     op or a wait, classified as in its counters, and adjacent cycles of one
@@ -865,8 +1027,7 @@ def _write_trace(tracer: Tracer, solution: _Solution, pipeline: Pipeline, observ
     engine = pipeline.engine
     tracer.attach(engine)  # registers the kernels and streams; no hooks are needed
     tracer.detach(engine)
-    for node, kernel in zip(solution.nodes, engine.kernels):
-        kind, start, end = _kernel_spans(solution, node, kernel)
+    for (kind, start, end), kernel in zip(timeline.spans, engine.kernels):
         names = [_SPAN_KINDS[k] for k in kind.tolist()]
         tracer.kernel_spans[kernel.name] = list(
             map(KernelSpan, repeat(kernel.name), names, start.tolist(), end.tolist())
@@ -877,18 +1038,15 @@ def _write_trace(tracer: Tracer, solution: _Solution, pipeline: Pipeline, observ
             tracer.reject_spans[name] = list(
                 map(RejectSpan, repeat(name), start[blocked].tolist(), end[blocked].tolist())
             )
-    for stream in engine.streams:
-        edge = solution.edges[id(stream)]
-        pushed, popped = _moved_counts(solution, edge)
-        push = _times(solution.nodes[edge.writer], edge.push, edge.per_image, np.arange(pushed))
-        pop = _times(solution.nodes[edge.reader], edge.pop, edge.per_image, np.arange(popped))
+    for stream, push, pop in zip(engine.streams, timeline.pushes, timeline.pops):
+        pushed, popped = push.size, pop.size
         occupancy = np.concatenate(
             [
                 np.arange(1, pushed + 1) - np.searchsorted(pop, push, side="left"),
                 np.searchsorted(push, pop, side="right") - np.arange(1, popped + 1),
             ]
         )
-        ready = np.concatenate([push + 1 + edge.latency, np.full(popped, -1)])
+        ready = np.concatenate([push + 1 + stream.latency, np.full(popped, -1)])
         order = np.argsort(np.concatenate([2 * push, 2 * pop + 1]), kind="stable")
         kinds = ["pop" if is_pop else "push" for is_pop in (order >= pushed).tolist()]
         cycle = np.concatenate([push, pop])[order]
@@ -902,13 +1060,13 @@ def _write_trace(tracer: Tracer, solution: _Solution, pipeline: Pipeline, observ
                 ready[order].tolist(),
             )
         )
-    admissions = observed.admissions
+    admissions = timeline.admissions
     tracer.completions = [
         ImageCompletion(index, cycle, admissions[index] if index < len(admissions) else -1)
-        for index, cycle in enumerate(observed.completions)
+        for index, cycle in enumerate(timeline.completions)
     ]
-    if not solution.aborted:
-        tracer.finish(solution.cycles)
+    if not timeline.aborted:
+        tracer.finish(timeline.cycles)
 
 
 def _open_window(node: _Node, delta: int, floor: int) -> None:

@@ -95,18 +95,6 @@ class HostSource(Kernel):
         ops = np.arange(self._per_image)
         return OpProgram(ops=self._per_image, pops=(), pushes=(ops,))
 
-    def arrived_count(self, cycle: int) -> int:
-        """Images available at the host by ``cycle`` (all of them closed-loop)."""
-        if self.arrival_cycles is None:
-            return self.n_images
-        count = 0
-        for arrival in self.arrival_cycles:
-            if arrival <= cycle:
-                count += 1
-            else:
-                break
-        return count
-
     def tick(self, cycle: int) -> int | None:
         pos = self._pos
         if pos >= self._n:

@@ -4,15 +4,16 @@ The observability layer the ROADMAP's serving-system north star needs:
 
 * :mod:`~repro.telemetry.registry` — typed Counter/Gauge/Histogram metric
   families with Prometheus-compatible names and labels;
-* :mod:`~repro.telemetry.collector` — :class:`Telemetry`, the low-overhead
-  sampling hook ``Engine.run(telemetry=...)`` accepts (per-kernel
-  busy/starved/blocked counters, FIFO occupancy, link bandwidth vs the
-  §III-C budget, derived II/FPS/duty-cycle gauges);
+* :mod:`~repro.telemetry.collector` — :class:`Telemetry`, the sampler
+  ``simulate(telemetry=...)`` accepts (per-kernel busy/starved/blocked
+  counters, FIFO occupancy, link bandwidth vs the §III-C budget, derived
+  II/FPS/duty-cycle gauges), every sample read off the solved schedule;
 * :mod:`~repro.telemetry.exporters` — Prometheus text exposition and JSON
   snapshots, periodic or at run end;
 * :mod:`~repro.telemetry.manifest` — host/run manifests (git describe,
   python/numpy versions, topology) stamped onto every export;
-* :mod:`~repro.telemetry.dashboard` — the ``repro top`` live view;
+* :mod:`~repro.telemetry.dashboard` — the ``repro top`` view, replayed
+  sample by sample;
 * :mod:`~repro.telemetry.attribution` — the ``repro stats`` bottleneck
   report, naming the same edges ``repro check`` anchors its diagnostics to;
 * :mod:`~repro.telemetry.latency` — per-image lifecycle records (arrival,
@@ -22,8 +23,9 @@ The observability layer the ROADMAP's serving-system north star needs:
   generator: seeded arrival processes, offered-vs-achieved FPS, SLO
   verdicts, and FINN-style latency-throughput sweeps.
 
-Telemetry is strictly opt-in: with no collector attached the engine's hot
-loops stay hook-free (one ``is not None`` test per simulated cycle).
+Telemetry is strictly opt-in and never hooks the engine: a telemetered
+run is solved whole, and its samples are derived from the op times after
+the solve, so a run without a collector pays nothing for it.
 """
 
 from .attribution import (

@@ -1,13 +1,11 @@
-"""The Telemetry collector: low-overhead live sampling of a running engine.
+"""The Telemetry collector: samples of a run, read off its solved schedule.
 
-A :class:`Telemetry` object attached to
-:meth:`Engine.run <repro.dataflow.engine.Engine.run>` (directly or through
-``simulate(..., telemetry=...)``) samples the simulation every
-``sample_every`` simulated cycles and mirrors its state into a typed
-:class:`~repro.telemetry.registry.MetricsRegistry`:
+A :class:`Telemetry` passed to ``simulate(..., telemetry=...)`` samples the
+run every ``sample_every`` simulated cycles and mirrors its state into a
+typed :class:`~repro.telemetry.registry.MetricsRegistry`:
 
-* per-kernel busy/starved/blocked/idle **cycle counters** — mirrored from
-  the engine's own :class:`~repro.dataflow.kernel.KernelStats`;
+* per-kernel busy/starved/blocked/idle **cycle counters**, equal to the
+  engine's own :class:`~repro.dataflow.kernel.KernelStats` at that cycle;
 * per-stream **occupancy gauges** (instantaneous + high-water), sampled
   **occupancy histograms**, and push/pop/reject counters;
 * per-crossing **link gauges** — required and measured Mbps against the
@@ -23,17 +21,14 @@ A :class:`Telemetry` object attached to
   histogram observed once per completed image, and a host-queue depth
   gauge (images arrived but not yet admitted — the open-loop backlog).
 
-Overhead contract (held by the ``bench_streaming_sim`` regression guard):
-with no telemetry attached the engine's hot loops pay exactly one
-``is not None`` test per simulated cycle — no per-event hooks, no
-allocation; with telemetry attached, sampling touches each kernel and
-stream only once per ``sample_every`` cycles, keeping the enabled overhead
-within 5% on the tiny-chain benchmark.  Because the collector *reads* the
-same aggregate counters :meth:`Engine.collect_stats` returns (push/pop
-totals maintained by :class:`~repro.dataflow.stream.Stream`, tick
-classifications maintained by the kernels), the final sample reconciles
-exactly with both the aggregate stats and the Tracer-derived
-:class:`~repro.dataflow.tracing.PipelineTrace` — a tested property.
+Sampling by solving: a telemetered run is solved whole
+(:func:`repro.dataflow.schedule.solve_run`), and each sample is the state
+the reference loop holds after ticking ``cycle`` cycles, read off the
+run's :class:`~repro.dataflow.schedule.Timeline` (:meth:`Telemetry.replay`
+says when samples fall).  Nothing hooks the engine.  The sealed sample
+reconciles exactly with ``Engine.collect_stats`` and the Tracer-derived
+:class:`~repro.dataflow.tracing.PipelineTrace`, and every sample with the
+reference loop at the same cycle — tested properties.
 
 Like a :class:`~repro.dataflow.trace.Tracer`, a Telemetry is single-use:
 create a fresh one per run.
@@ -49,10 +44,8 @@ from .latency import LATENCY_BUCKETS, exact_quantile
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 
 if TYPE_CHECKING:
-    from ..dataflow.engine import Engine
-    from ..dataflow.kernel import Kernel
     from ..dataflow.manager import Pipeline
-    from ..dataflow.stream import Stream
+    from ..dataflow.schedule import Timeline
 
 __all__ = ["Telemetry", "DEFAULT_SAMPLE_EVERY", "OCCUPANCY_BUCKETS"]
 
@@ -64,69 +57,14 @@ OCCUPANCY_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 51
 
 _STATES = ("busy", "starved", "blocked", "idle")
 
+# Sample instants per vectorized pass over the timeline (bounds its memory).
+_CHUNK_SAMPLES = 1024
+
 Listener = Callable[["Telemetry", int], None]
 
 
-class _KernelProbe:
-    """Pre-resolved metric children for one kernel (avoids per-sample lookups)."""
-
-    __slots__ = ("kernel", "cycles", "elements", "duty", "utilization")
-
-    def __init__(
-        self,
-        kernel: "Kernel",
-        cycles: dict[str, Counter],
-        elements: dict[str, Counter],
-        duty: Gauge,
-        utilization: Gauge,
-    ) -> None:
-        self.kernel = kernel
-        self.cycles = cycles
-        self.elements = elements
-        self.duty = duty
-        self.utilization = utilization
-
-
-class _StreamProbe:
-    """Pre-resolved metric children for one stream."""
-
-    __slots__ = ("stream", "occupancy", "peak", "capacity", "events", "sampled")
-
-    def __init__(
-        self,
-        stream: "Stream",
-        occupancy: Gauge,
-        peak: Gauge,
-        capacity: Gauge,
-        events: dict[str, Counter],
-        sampled: Histogram,
-    ) -> None:
-        self.stream = stream
-        self.occupancy = occupancy
-        self.peak = peak
-        self.capacity = capacity
-        self.events = events
-        self.sampled = sampled
-
-
-class _LinkProbe:
-    """Pre-resolved gauges for one DFE-to-DFE crossing."""
-
-    __slots__ = ("edge", "stream", "required", "measured", "capacity", "utilization", "in_flight", "within")
-
-    def __init__(self, edge: str, stream: "Stream | None", gauges: dict[str, Gauge]) -> None:
-        self.edge = edge
-        self.stream = stream
-        self.required = gauges["required"]
-        self.measured = gauges["measured"]
-        self.capacity = gauges["capacity"]
-        self.utilization = gauges["utilization"]
-        self.in_flight = gauges["in_flight"]
-        self.within = gauges["within"]
-
-
 class Telemetry:
-    """Samples one engine run into a metrics registry (single-use)."""
+    """Samples one run into a metrics registry (single-use)."""
 
     def __init__(
         self,
@@ -141,21 +79,18 @@ class Telemetry:
         self.fclk_mhz = float(fclk_mhz)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.manifest: dict[str, Any] = {}
-        self.engine: "Engine | None" = None
         self.pipeline: "Pipeline | None" = None
         self.finished = False
         self.total_cycles: int | None = None
-        # Read by the engine's run loops: the next cycle at which to sample.
-        self.next_sample_at = self.sample_every
         # Convenience summary refreshed on every sample (dashboard food).
         self.last: dict[str, Any] = {"cycle": 0, "images": 0}
         self._listeners: list[Listener] = [on_sample] if on_sample is not None else []
-        self._attached = False
-        self._kernel_probes: list[_KernelProbe] = []
-        self._stream_probes: list[_StreamProbe] = []
-        self._link_probes: list[_LinkProbe] = []
-        self._sinks: list[Any] = []
-        self._sources: list[Any] = []
+        # Metric children resolved once per kernel, stream and crossing by
+        # attach_pipeline, in engine order.
+        self._kernels: list[tuple[str, list[Counter], Gauge, Gauge]] = []
+        self._streams: list[tuple[str, list[Counter], Gauge, Gauge, Gauge, Histogram]] = []
+        self._links: list[tuple[int, int, Gauge, Gauge]] = []
+        self._timeline: "Timeline | None" = None  # the run being replayed
         # Completed images whose service latency is already in the histogram
         # (samples overlap; each image must be observed exactly once).
         self._latency_observed = 0
@@ -267,132 +202,103 @@ class Telemetry:
         self._listeners.append(listener)
 
     def attach_pipeline(self, pipeline: "Pipeline") -> None:
-        """Adopt a built pipeline's context: fabric clock, sink, crossings."""
+        """Adopt a built pipeline: its fabric clock and a metric child per kernel, stream and crossing."""
+        if self.pipeline is not None or self.finished:
+            raise ValueError("a Telemetry is single-use; create a fresh one per run")
         self.pipeline = pipeline
         self.fclk_mhz = float(pipeline.fclk_mhz)
-
-    def attach(self, engine: "Engine") -> None:
-        """Install on ``engine`` (called by ``Engine.run``); single-use."""
-        if self._attached or self.finished:
-            raise ValueError("a Telemetry is single-use; create a fresh one per run")
-        self._attached = True
-        self.engine = engine
-        for kernel in engine.kernels:
+        for kernel in pipeline.engine.kernels:
             name = kernel.name
-            self._kernel_probes.append(
-                _KernelProbe(
-                    kernel,
-                    {
-                        state: self._m_kcycles.labels(kernel=name, state=state)  # type: ignore[misc]
-                        for state in _STATES
-                    },
-                    {
-                        direction: self._m_kelems.labels(kernel=name, direction=direction)  # type: ignore[misc]
-                        for direction in ("in", "out")
-                    },
-                    self._m_duty.labels(kernel=name),  # type: ignore[arg-type]
-                    self._m_util.labels(kernel=name),  # type: ignore[arg-type]
-                )
-            )
-            if hasattr(kernel, "completion_cycles"):
-                self._sinks.append(kernel)
-            if hasattr(kernel, "admission_cycles"):
-                self._sources.append(kernel)
-        for stream in engine.streams:
+            cells = [self._m_kcycles.labels(kernel=name, state=state) for state in _STATES]
+            cells += [self._m_kelems.labels(kernel=name, direction=d) for d in ("in", "out")]
+            duty, utilization = self._m_duty.labels(kernel=name), self._m_util.labels(kernel=name)
+            self._kernels.append((name, cells, duty, utilization))  # type: ignore[arg-type]
+        streams = pipeline.engine.streams
+        for stream in streams:
             name = stream.name
-            self._stream_probes.append(
-                _StreamProbe(
-                    stream,
-                    self._m_occ.labels(stream=name),  # type: ignore[arg-type]
-                    self._m_peak.labels(stream=name),  # type: ignore[arg-type]
-                    self._m_cap.labels(stream=name),  # type: ignore[arg-type]
-                    {
-                        event: self._m_sevents.labels(stream=name, event=event)  # type: ignore[misc]
-                        for event in ("push", "pop", "reject")
-                    },
-                    self._m_socc.labels(stream=name),  # type: ignore[arg-type]
-                )
+            occupancy, peak = self._m_occ.labels(stream=name), self._m_peak.labels(stream=name)
+            capacity = self._m_cap.labels(stream=name)
+            capacity.set(stream.capacity)  # type: ignore[union-attr]
+            events = [self._m_sevents.labels(stream=name, event=e) for e in ("push", "pop", "reject")]
+            sampled = self._m_socc.labels(stream=name)
+            self._streams.append((name, events, occupancy, peak, capacity, sampled))  # type: ignore[arg-type]
+        for crossing in pipeline.crossings:
+            edge = f"{crossing.edge[0]}->{crossing.edge[1]}"
+            gauges = {key: family.labels(edge=edge) for key, family in self._m_link.items()}
+            capacity_mbps = crossing.link.bandwidth_gbps * 1000.0
+            util = crossing.required_mbps / capacity_mbps if capacity_mbps else float("inf")
+            gauges["required"].set(crossing.required_mbps)  # type: ignore[union-attr]
+            gauges["capacity"].set(capacity_mbps)  # type: ignore[union-attr]
+            gauges["utilization"].set(util)  # type: ignore[union-attr]
+            gauges["within"].set(1.0 if util <= 1.0 else 0.0)  # type: ignore[union-attr]
+            link = next(
+                (i for i, s in enumerate(streams) if s.latency > 0 and s.name.startswith(edge + "[")),
+                None,
             )
-        pipeline = self.pipeline
-        if pipeline is not None:
-            for crossing in pipeline.crossings:
-                edge = f"{crossing.edge[0]}->{crossing.edge[1]}"
-                prefix = f"{crossing.edge[0]}->{crossing.edge[1]}["
-                stream = next(
-                    (s for s in engine.streams if s.latency > 0 and s.name.startswith(prefix)),
-                    None,
-                )
-                gauges = {
-                    key: family.labels(edge=edge)  # type: ignore[misc]
-                    for key, family in self._m_link.items()
-                }
-                probe = _LinkProbe(edge, stream, gauges)  # type: ignore[arg-type]
-                capacity_mbps = crossing.link.bandwidth_gbps * 1000.0
-                probe.required.set(crossing.required_mbps)
-                probe.capacity.set(capacity_mbps)
-                util = crossing.required_mbps / capacity_mbps if capacity_mbps else float("inf")
-                probe.utilization.set(util)
-                probe.within.set(1.0 if util <= 1.0 else 0.0)
-                self._link_probes.append(probe)
+            if link is not None:
+                measured, in_flight = gauges["measured"], gauges["in_flight"]
+                self._links.append((link, streams[link].bits, measured, in_flight))  # type: ignore[arg-type]
 
     # -- sampling --------------------------------------------------------
-    def sample(self, cycle: int) -> None:
-        """Mirror the engine's current state into the registry.
+    def replay(self, timeline: "Timeline") -> None:
+        """Take the run's samples in cycle order from its solved ``timeline`` (``simulate`` calls this).
 
-        Called by the engine's run loop whenever ``cycle`` reaches
-        :attr:`next_sample_at`, and once more by :meth:`finish`.
+        Samples fall every :attr:`sample_every` cycles below the run's end,
+        then one sealing sample at the end; a run cut at its cycle budget
+        samples up to the budget and stays unsealed.
         """
-        self.next_sample_at = cycle + self.sample_every
+        assert self.pipeline is not None, "attach_pipeline comes first"
+        end, sealed = timeline.cycles, not timeline.aborted
+        instants = list(range(self.sample_every, end if sealed else end + 1, self.sample_every))
+        if sealed:
+            instants.append(end)
+        self._timeline = timeline
+        for lo in range(0, len(instants), _CHUNK_SAMPLES):
+            chunk = instants[lo : lo + _CHUNK_SAMPLES]
+            for cycle, kernels, streams, images in zip(chunk, *timeline.at(self.pipeline, chunk)):
+                if sealed and cycle == end:
+                    self.finished = True
+                    self.total_cycles = end
+                self.sample(cycle, kernels, streams, images)
+
+    def sample(
+        self, cycle: int, kernels: list[list[int]], streams: list[list[int]], images: list[int]
+    ) -> None:
+        """Mirror the run's state at ``cycle`` into the registry, then call the listeners.
+
+        ``kernels``, ``streams`` and ``images`` are one instant of
+        :meth:`Timeline.at <repro.dataflow.schedule.Timeline.at>`.
+        """
         self._m_samples.inc()
         self._m_cycles.set(cycle)
 
         first_actives: list[int] = []
-        for probe in self._kernel_probes:
-            kernel = probe.kernel
-            stats = kernel.stats
-            busy = stats.active_cycles
-            starved = stats.input_starved_cycles
-            blocked = stats.output_blocked_cycles
-            cycles = probe.cycles
-            cycles["busy"].set_total(busy)
-            cycles["starved"].set_total(starved)
-            cycles["blocked"].set_total(blocked)
-            cycles["idle"].set_total(stats.idle_cycles)
-            probe.elements["in"].set_total(stats.elements_in)
-            probe.elements["out"].set_total(stats.elements_out)
-            first = stats.first_active_cycle
-            if first is not None:
+        for (_, cells, duty, utilization), row in zip(self._kernels, kernels):
+            for cell, value in zip(cells, row):
+                cell.set_total(value)
+            busy, starved, blocked, _, _, _, first, last = row
+            if first >= 0:
                 first_actives.append(first)
-                last = stats.last_active_cycle
-                span = (last - first + 1) if last is not None else 1
-                probe.duty.set(busy / span if span else 0.0)
+                span = last - first + 1
+                duty.set(busy / span if span else 0.0)
             stalls = busy + starved + blocked
-            probe.utilization.set(busy / stalls if stalls else 0.0)
+            utilization.set(busy / stalls if stalls else 0.0)
 
-        for sprobe in self._stream_probes:
-            stream = sprobe.stream
-            occ = len(stream._fifo)
-            sstats = stream.stats
-            sprobe.occupancy.set(occ)
-            sprobe.peak.set(sstats.max_occupancy)
-            sprobe.capacity.set(stream.capacity)
-            sprobe.events["push"].set_total(sstats.pushes)
-            sprobe.events["pop"].set_total(sstats.pops)
-            sprobe.events["reject"].set_total(sstats.full_rejections)
-            sprobe.sampled.observe(occ)
+        for (_, events, occupancy, peak, _, sampled), row in zip(self._streams, streams):
+            occupancy.set(row[0])
+            peak.set(row[1])
+            for cell, value in zip(events, row[2:5]):
+                cell.set_total(value)
+            sampled.observe(row[0])
 
-        for lprobe in self._link_probes:
-            stream = lprobe.stream
-            if stream is None:
-                continue
-            lprobe.in_flight.set(sum(1 for _, ready in stream._fifo if ready > cycle))
+        for link, bits, measured, in_flight in self._links:
+            in_flight.set(streams[link][5])
             if cycle > 0:
-                lprobe.measured.set(stream.stats.pushes * stream.bits * self.fclk_mhz / cycle)
+                measured.set(streams[link][2] * bits * self.fclk_mhz / cycle)
 
-        completions: list[int] = []
-        for sink in self._sinks:
-            completions.extend(sink.completion_cycles)
-        completions.sort()
+        completed, admitted, arrived = images
+        assert self._timeline is not None, "samples come from replay"
+        completions = self._timeline.completions[:completed]
         self._m_images.set_total(len(completions))
         if completions:
             self._m_latency.set(completions[0])
@@ -405,32 +311,21 @@ class Telemetry:
         if first_actives:
             self._m_initiation.set(max(first_actives))
 
-        # Per-image service latency: pair sink completions with source
-        # admissions by image index (the single-source/single-sink pipelines
-        # this engine builds keep both lists in index order).
-        service: list[int] = []
-        if len(self._sources) == 1 and len(self._sinks) == 1:
-            admissions = self._sources[0].admission_cycles
-            done = self._sinks[0].completion_cycles
-            service = [done[i] - admissions[i] for i in range(min(len(done), len(admissions)))]
+        # Per-image service latency: sink completions paired with source
+        # admissions by image index.
+        admissions = self._timeline.admissions[:admitted]
+        service = [done - admitted_at for done, admitted_at in zip(completions, admissions)]
         for value in service[self._latency_observed :]:
             self._m_lat_hist.observe(value)
         self._latency_observed = max(self._latency_observed, len(service))
-        quantiles: dict[str, int | None] = {"p50": None, "p95": None, "p99": None, "max": None}
-        if service:
-            quantiles = {
-                "p50": exact_quantile(service, 0.50),
-                "p95": exact_quantile(service, 0.95),
-                "p99": exact_quantile(service, 0.99),
-                "max": max(service),
-            }
-            self._m_lat_quant.labels(quantile="0.5").set(quantiles["p50"])  # type: ignore[union-attr, arg-type]
-            self._m_lat_quant.labels(quantile="0.95").set(quantiles["p95"])  # type: ignore[union-attr, arg-type]
-            self._m_lat_quant.labels(quantile="0.99").set(quantiles["p99"])  # type: ignore[union-attr, arg-type]
-            self._m_lat_quant.labels(quantile="1.0").set(quantiles["max"])  # type: ignore[union-attr, arg-type]
-        queue_depth = sum(
-            source.arrived_count(cycle) - len(source.admission_cycles) for source in self._sources
+        quantiles: dict[str, int | None] = dict.fromkeys(
+            ("latency_p50", "latency_p95", "latency_p99", "latency_max")
         )
+        if service:
+            for key, q in zip(quantiles, (0.5, 0.95, 0.99, 1.0)):
+                quantiles[key] = exact_quantile(service, q)  # nearest rank: q = 1.0 is the max
+                self._m_lat_quant.labels(quantile=str(q)).set(quantiles[key])  # type: ignore[union-attr, arg-type]
+        queue_depth = arrived - admitted
         self._m_queue_depth.set(queue_depth)
 
         self.last = {
@@ -440,52 +335,38 @@ class Telemetry:
             "interval": interval,
             "fps": (self.fclk_mhz * 1e6 / interval) if interval else None,
             "initiation": max(first_actives) if first_actives else None,
-            "latency_p50": quantiles["p50"],
-            "latency_p95": quantiles["p95"],
-            "latency_p99": quantiles["p99"],
-            "latency_max": quantiles["max"],
+            **quantiles,
             "queue_depth": queue_depth,
         }
         for listener in self._listeners:
             listener(self, cycle)
 
-    def finish(self, total_cycles: int) -> None:
-        """Seal the run with a final sample at the run's cycle count."""
-        if self.engine is None:
-            raise ValueError("telemetry was never attached to an engine")
-        self.finished = True
-        self.total_cycles = total_cycles
-        self.sample(total_cycles)
-
     # -- views -----------------------------------------------------------
     def kernel_rows(self) -> list[dict[str, Any]]:
         """Per-kernel values as of the last sample (dashboard/report food)."""
-        rows: list[dict[str, Any]] = []
-        for probe in self._kernel_probes:
-            cycles = probe.cycles
-            rows.append(
-                {
-                    "name": probe.kernel.name,
-                    "busy": int(cycles["busy"].value),
-                    "starved": int(cycles["starved"].value),
-                    "blocked": int(cycles["blocked"].value),
-                    "idle": int(cycles["idle"].value),
-                    "utilization": probe.utilization.value,
-                    "duty": probe.duty.value,
-                }
-            )
-        return rows
+        return [
+            {
+                "name": name,
+                "busy": int(cells[0].value),
+                "starved": int(cells[1].value),
+                "blocked": int(cells[2].value),
+                "idle": int(cells[3].value),
+                "utilization": utilization.value,
+                "duty": duty.value,
+            }
+            for name, cells, duty, utilization in self._kernels
+        ]
 
     def stream_rows(self) -> list[dict[str, Any]]:
         """Per-stream occupancy as of the last sample."""
         return [
             {
-                "name": probe.stream.name,
-                "occupancy": int(probe.occupancy.value),
-                "peak": int(probe.peak.value),
-                "capacity": int(probe.capacity.value),
+                "name": name,
+                "occupancy": int(occupancy.value),
+                "peak": int(peak.value),
+                "capacity": int(capacity.value),
             }
-            for probe in self._stream_probes
+            for name, _, occupancy, peak, capacity, _ in self._streams
         ]
 
     # -- export ----------------------------------------------------------

@@ -1,15 +1,16 @@
-"""``python -m repro top``: a live dashboard over a running simulation.
+"""``python -m repro top``: a dashboard that replays a simulation's samples.
 
-The dashboard is just another telemetry sample listener: every time the
-collector samples the engine (every ``sample_every`` simulated cycles) the
-listener re-renders kernel utilization bars, FIFO occupancy, and the
-throughput headline — while the simulation keeps running in-process.
+The dashboard is just another telemetry sample listener: for every sample
+(every ``sample_every`` simulated cycles, read off the solved run and
+handed over in cycle order) the listener re-renders kernel utilization
+bars, FIFO occupancy, and the throughput headline.
 
 On a real terminal it redraws in place with ANSI cursor control (no curses
 dependency: ``ESC[H``/``ESC[J`` are universal and keep the renderer usable
 inside pipes and CI logs); when stdout is not a TTY it degrades to
-periodic plain-text frames.  Wall-clock throttling keeps rendering off the
-simulation's critical path: frames are dropped, samples are not.
+periodic plain-text frames.  Wall-clock throttling (``min_interval_s``)
+limits how often it redraws: frames are dropped, samples are not, and the
+final frame always lands.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def render_frame(telemetry: "Telemetry", max_streams: int = 12) -> str:
 
 
 class Dashboard:
-    """A sample listener that re-renders the dashboard as the run progresses."""
+    """A sample listener that re-renders the dashboard as the samples arrive."""
 
     def __init__(
         self,

@@ -106,7 +106,7 @@ def test_leap_mode_matches_exhaustive_and_fast(topology):
 
 
 @pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
-def test_traced_leap_mode_ticks_and_traces_identically(topology):
+def test_traced_leap_mode_solves_whole_and_traces_identically(topology):
     """A traced leap run is solved whole, not extended (demoted), with the exhaustive trace."""
     graph, kwargs = _case(topology)
     images = _images(1, n=8)

@@ -1,8 +1,8 @@
 """Solved runs against ticked ones: ``simulate``'s schedule path is exact.
 
-A ``simulate(mode="fast")`` or ``mode="leap"`` run without telemetry takes
-its timing from the op-recurrence solve and its outputs from the batched
-functional pass; it never ticks.  A closed-loop untraced run solves a
+A ``simulate(mode="fast")`` or ``mode="leap"`` run takes its timing from
+the op-recurrence solve and its outputs from the batched functional pass;
+it never ticks.  A closed-loop run without a tracer or telemetry solves a
 prefix of its images and extends it by the certified per-image period.
 Here every observable of such a run must equal the engine's reference loop
 driven directly: every ``RunResult`` field, every kernel and stream
@@ -267,7 +267,9 @@ def test_budget_boundary_on_the_extended_path():
 
 def _engine_only(monkeypatch):
     """Make ``simulate`` tick every run, as it did before it could solve one."""
-    monkeypatch.setattr(schedule_module, "solve_run", lambda pipeline, max_cycles, trace: None)
+    monkeypatch.setattr(
+        schedule_module, "solve_run", lambda pipeline, max_cycles, trace, telemetry: None
+    )
 
 
 @pytest.mark.parametrize("rate_fps", [3_000.0, 1e6])
@@ -296,7 +298,7 @@ def test_fleet_json(monkeypatch):
 
 
 class TestFallback:
-    def test_budget_abort_ticks_and_leaves_the_engines_partial_pipeline(self):
+    def test_budget_abort_leaves_the_engines_partial_pipeline(self):
         """A solved run over budget leaves the partial pipeline the reference loop ticks into."""
         graph = _chain()
         images = _images(graph, 3)
@@ -337,18 +339,18 @@ class TestFallback:
         assert run.run.completion_cycles == []
 
     @pytest.mark.parametrize("hook", ["trace", "telemetry", "use_bitops"])
-    def test_hooks_keep_the_engine(self, hook):
-        """A hook keeps every observable of the plain run; only telemetry makes it tick."""
+    def test_hooks_keep_the_solved_run(self, hook):
+        """A hook keeps every observable of the plain run, and the run stays solved."""
         graph = _chain()
         images = _images(graph, 2)
         value = {"trace": Tracer(), "telemetry": Telemetry(), "use_bitops": True}[hook]
         run = simulate(graph, images, **{hook: value})
-        assert ("_flat" in vars(run.pipeline.source)) == (hook == "telemetry")
+        assert "_flat" not in vars(run.pipeline.source), "the engine ticked"
         assert observables(run) == observables(simulate(graph, images))
 
 
-def test_only_telemetry_and_exhaustive_runs_tick(monkeypatch):
-    """Traced, use_bitops, deadlocked and over-budget fast runs are solved, never ticked."""
+def test_only_exhaustive_runs_tick(monkeypatch):
+    """Traced, use_bitops, telemetered, deadlocked and over-budget runs are solved, never ticked."""
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("the engine ticked")
@@ -358,15 +360,23 @@ def test_only_telemetry_and_exhaustive_runs_tick(monkeypatch):
     images = _images(graph, 3)
     simulate(graph, images, trace=Tracer())
     simulate(graph, images, use_bitops=True)
+    for mode in ("fast", "leap"):
+        telemetry = Telemetry(sample_every=97)
+        simulate(graph, images, mode=mode, telemetry=telemetry)
+        assert telemetry.finished
     with pytest.raises(CycleBudgetExceeded):
         simulate(graph, images, max_cycles=100)
+    telemetry = Telemetry(sample_every=40)
+    with pytest.raises(CycleBudgetExceeded):
+        simulate(graph, images, max_cycles=100, telemetry=telemetry)
+    assert telemetry.last["cycle"] == 80 and not telemetry.finished
     resnet = _resnet()
     caps = {add: 2 for add in solve_skip_capacities(resnet)}
-    with pytest.raises(CycleBudgetExceeded):
-        simulate(resnet, _images(resnet, 2), skip_sizing=caps, max_cycles=20_000)
-    for kwargs in ({"telemetry": Telemetry()}, {"mode": "exhaustive"}):
-        with pytest.raises(AssertionError, match="the engine ticked"):
-            simulate(graph, images, **kwargs)
+    for telemetry in (None, Telemetry()):
+        with pytest.raises(CycleBudgetExceeded):
+            simulate(resnet, _images(resnet, 2), skip_sizing=caps, max_cycles=20_000, telemetry=telemetry)
+    with pytest.raises(AssertionError, match="the engine ticked"):
+        simulate(graph, images, mode="exhaustive")
 
 
 def test_deadlock_past_the_solver_horizon():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.dataflow import CycleBudgetExceeded, Tracer, simulate
+from repro.dataflow import CycleBudgetExceeded, Tracer, mean_completion_interval, simulate
 from repro.dataflow.manager import build_pipeline
 from repro.dataflow.tracing import analyze_trace
 from repro.dataflow.verify import solve_skip_capacities, verify_pipeline
@@ -20,6 +20,7 @@ from repro.telemetry import (
     PeriodicExporter,
     Telemetry,
     deadlock_root_edge,
+    exact_quantile,
     host_manifest,
     render_frame,
     render_prometheus,
@@ -149,31 +150,197 @@ def test_telemetry_reconciles_with_pipeline_trace(chain_case, mode):
     assert images == len(run.pipeline.sink.completion_cycles)
 
 
-def test_fast_midrun_samples_match_exhaustive(chain_case):
-    """A telemetered fast run ticks the reference loop: each sample equals
-    the exhaustive run's counters at the very same cycle, not just at the end."""
-    graph, levels = chain_case
+def _live_state(pipeline, cycle):
+    """The reference loop's state after ticking ``cycle`` cycles, as a sample reports it.
 
-    def capture(store):
-        def listener(tel, cycle):
-            store[cycle] = {
-                row["name"]: (row["busy"], row["starved"], row["blocked"], row["idle"])
-                for row in tel.kernel_rows()
+    The oracle of :func:`test_fast_midrun_samples_match_exhaustive`: it reads
+    the live counters, FIFOs and host lists, as a per-cycle probe would.
+    """
+    kernels, first_actives = [], []
+    for kernel in pipeline.engine.kernels:
+        st = kernel.stats
+        busy, starved, blocked = st.active_cycles, st.input_starved_cycles, st.output_blocked_cycles
+        duty = 0.0
+        if st.first_active_cycle is not None:
+            first_actives.append(st.first_active_cycle)
+            duty = busy / (st.last_active_cycle - st.first_active_cycle + 1)
+        stalls = busy + starved + blocked
+        kernels.append(
+            {
+                "name": kernel.name,
+                "busy": busy,
+                "starved": starved,
+                "blocked": blocked,
+                "idle": st.idle_cycles,
+                "utilization": busy / stalls if stalls else 0.0,
+                "duty": duty,
             }
+        )
+    streams = [
+        {
+            "name": s.name,
+            "occupancy": len(s._fifo),
+            "peak": s.stats.max_occupancy,
+            "capacity": s.capacity,
+        }
+        for s in pipeline.engine.streams
+    ]
+    in_flight = {}
+    for crossing in pipeline.crossings:
+        edge = f"{crossing.edge[0]}->{crossing.edge[1]}"
+        stream = next(
+            s for s in pipeline.engine.streams if s.latency and s.name.startswith(edge + "[")
+        )
+        in_flight[edge] = sum(1 for _, ready in stream._fifo if ready > cycle)
+    source, done = pipeline.source, pipeline.sink.completion_cycles
+    arrived = source.n_images
+    if source.arrival_cycles is not None:
+        arrived = sum(arrival <= cycle for arrival in source.arrival_cycles)
+    service = [c - a for c, a in zip(done, source.admission_cycles)]
+    interval = mean_completion_interval(done)
+    last = {
+        "cycle": cycle,
+        "images": len(done),
+        "latency": done[0] if done else None,
+        "interval": interval,
+        "fps": pipeline.fclk_mhz * 1e6 / interval if interval else None,
+        "initiation": max(first_actives) if first_actives else None,
+        "latency_p50": exact_quantile(service, 0.50) if service else None,
+        "latency_p95": exact_quantile(service, 0.95) if service else None,
+        "latency_p99": exact_quantile(service, 0.99) if service else None,
+        "latency_max": max(service) if service else None,
+        "queue_depth": arrived - len(source.admission_cycles),
+    }
+    return kernels, streams, last, in_flight
 
-        return listener
 
-    exhaustive: dict = {}
-    simulate(
-        graph, levels, mode="exhaustive", telemetry=Telemetry(sample_every=1, on_sample=capture(exhaustive))
-    )
-    fast: dict = {}
-    simulate(
-        graph, levels, mode="fast", telemetry=Telemetry(sample_every=97, on_sample=capture(fast))
-    )
-    assert len(fast) > 5
-    for cycle, rows in fast.items():
-        assert rows == exhaustive[cycle], f"divergence at cycle {cycle}"
+def _reference_states(graph, images, max_cycles, **kwargs):
+    """The live state at every cycle of the reference loop, read by its ``done`` callback.
+
+    ``Engine.run`` calls ``done`` once per cycle before that cycle's ticks;
+    an aborted run's state at its budget is read after the abort.
+    """
+    pipeline = build_pipeline(graph, images, **kwargs)
+    states = []
+
+    def done():
+        states.append(_live_state(pipeline, len(states)))
+        return pipeline.sink.done
+
+    try:
+        pipeline.engine.run(done, max_cycles=max_cycles)
+    except CycleBudgetExceeded:
+        states.append(_live_state(pipeline, max_cycles))
+    return states
+
+
+def _sample_states(telemetry, store):
+    def listener(tel, cycle):
+        in_flight = tel.registry.get("repro_link_in_flight")
+        store.append(
+            (
+                cycle,
+                (
+                    tel.kernel_rows(),
+                    tel.stream_rows(),
+                    dict(tel.last),
+                    {labels["edge"]: child.value for labels, child in in_flight.samples()},
+                ),
+            )
+        )
+
+    telemetry.add_listener(listener)
+    return telemetry
+
+
+def _midrun_case(case):
+    """``(graph, images, budget, simulate kwargs)`` of one telemetered run."""
+    chain = export_model(make_tiny_chain_model(), (16, 16, 3), name="tiny-chain")
+    if case == "resnet":
+        graph = direct_resnet18_graph(16, width=0.0625, classes=4, stages=[(64, 1, 1)])
+        return graph, np.random.default_rng(0).integers(0, 4, size=(2, 16, 16, 3)), 50_000_000, {}
+    images = np.random.default_rng(1).integers(0, 4, size=(3, 16, 16, 3))
+    if case == "chain":
+        return chain, images, 50_000_000, {}
+    nodes = [n for n in chain.order if n != chain.input_name]
+    kwargs = {"partition": [nodes[: len(nodes) // 2], nodes[len(nodes) // 2 :]]}
+    if case == "open_loop":
+        kwargs["arrival_cycles"] = [0, 3_000, 6_500]
+        return chain, images, 50_000_000, kwargs
+    return chain, images, 6_305, kwargs  # "abort": cut mid-run, across a link
+
+
+def _assert_samples_match(case):
+    graph, images, budget, kwargs = _midrun_case(case)
+    oracle = _reference_states(graph, images, budget, **kwargs)
+    end = len(oracle) - 1
+    for every, modes in ((1, ("fast",)), (97, ("fast", "exhaustive"))):
+        for mode in modes:
+            samples = []
+            telemetry = _sample_states(Telemetry(sample_every=every), samples)
+            if case == "abort":
+                with pytest.raises(CycleBudgetExceeded):
+                    simulate(graph, images, mode=mode, max_cycles=budget, telemetry=telemetry, **kwargs)
+                expected = list(range(every, end + 1, every))
+            else:
+                simulate(graph, images, mode=mode, max_cycles=budget, telemetry=telemetry, **kwargs)
+                expected = list(range(every, end, every)) + [end]
+            assert [cycle for cycle, _ in samples] == expected
+            assert telemetry.finished == (case != "abort")
+            for cycle, state in samples:
+                assert state == oracle[cycle], f"{case} {mode} every={every}: divergence at cycle {cycle}"
+    if kwargs.get("partition"):
+        assert any(state[3] and max(state[3].values()) > 0 for state in oracle)
+
+
+def test_fast_midrun_samples_match_exhaustive():
+    """Every sample equals the reference loop's live state at the same cycle.
+
+    The samples are read off the solved schedule; the oracle ticks the
+    engine and reads its counters, FIFOs and host lists every cycle.  The
+    cases: the tiny chain, the tiny ResNet (a skip FIFO), an open-loop
+    run across two DFEs (a link in flight) and a budget abort.
+    """
+    for case in ("chain", "resnet", "open_loop", "abort"):
+        _assert_samples_match(case)
+
+
+def test_final_sample_is_taken_once(chain_case):
+    """A run whose length is a multiple of ``sample_every`` seals with one sample, not two."""
+    graph, levels = chain_case
+    cycles = simulate(graph, levels).cycles
+    seen = []
+    telemetry = Telemetry(sample_every=cycles, on_sample=lambda tel, cycle: seen.append(cycle))
+    simulate(graph, levels, telemetry=telemetry)
+    assert seen == [cycles]
+    assert telemetry.registry.get("repro_telemetry_samples_total")._default().value == 1
+    seen.clear()
+    telemetry = Telemetry(sample_every=cycles // 2, on_sample=lambda tel, cycle: seen.append(cycle))
+    simulate(graph, levels, telemetry=telemetry)
+    assert seen == sorted(set(seen)) == [cycles // 2, cycles]
+
+
+def test_no_images_keep_one_sealed_sample(chain_case):
+    graph, levels = chain_case
+    for mode in ("fast", "exhaustive"):
+        seen = []
+        telemetry = Telemetry(on_sample=lambda tel, cycle: seen.append(cycle))
+        simulate(graph, levels[:0], mode=mode, telemetry=telemetry)
+        assert seen == [0] and telemetry.finished
+        assert {row["busy"] for row in telemetry.kernel_rows()} == {0}
+
+
+def test_declined_runs_refuse_telemetry(chain_case, monkeypatch):
+    """A run the solver declines cannot be sampled: telemetry names the reason."""
+    from repro.dataflow.kernel import Kernel
+    from repro.kernels.pooling import MaxPoolKernel
+
+    graph, levels = chain_case
+    monkeypatch.setattr(MaxPoolKernel, "op_program", Kernel.op_program)
+    assert simulate(graph, levels).cycles > 0  # without telemetry the engine ticks it
+    for mode in ("fast", "exhaustive"):
+        with pytest.raises(ValueError, match="op program"):
+            simulate(graph, levels, mode=mode, telemetry=Telemetry())
 
 
 def test_telemetry_is_single_use(chain_case):

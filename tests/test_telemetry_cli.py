@@ -43,6 +43,30 @@ class TestSimulateJson:
         assert prom.read_text() != "old\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--json", "--every", "0"],
+        ["top", "--every", "0"],
+        ["top", "--every", "-5"],
+        ["simulate", "--images", "0"],
+        ["trace", "--images", "0"],
+        ["top", "--images", "0"],
+        ["simulate", "--rate", "0"],
+        ["simulate", "--rate", "-1"],
+        ["load", "--rate", "0", "--images", "2"],
+    ],
+)
+def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
+    """Malformed input is a one-line message on stderr and exit 2, not a traceback."""
+    monkeypatch.chdir(tmp_path)  # `trace` would write trace.json here
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 class TestSimulateLeapDemotion:
     def test_open_loop_leap_warns_with_reason(self, capsys):
         # An open-loop arrival schedule demotes --mode leap to the fast
@@ -59,8 +83,8 @@ class TestSimulateLeapDemotion:
         assert "no steady-state window" not in captured.out
 
     def test_json_leap_warns_and_names_telemetry(self, capsys):
-        # --json attaches telemetry, whose mid-run samples tick the engine:
-        # the leap run is demoted, and the CLI names the cause.
+        # --json attaches telemetry, whose samples cover every image: the
+        # run is solved whole, the leap demoted, and the CLI names the cause.
         rc = cli_main(["simulate", "--images", "2", "--mode", "leap", "--json"])
         assert rc == 0
         captured = capsys.readouterr()
