@@ -488,22 +488,23 @@ def simulate(
     from .schedule import solve_run, solve_timeline
 
     solved: SolvedRun | None = None
-    timeline: Timeline | None = None
+    timeline: Timeline | None = None  # a ticked run's samples, from a solve of the same run
     try:
         if mode != "exhaustive":
             solved = solve_run(pipeline, max_cycles, trace, telemetry)
         if solved is not None:
             cycles = solved.cycles
         else:
-            if telemetry is not None:  # sampled from a solve of the same run
+            if telemetry is not None:
                 timeline = solve_timeline(pipeline, max_cycles)
             cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles, trace=trace)
     except CycleBudgetExceeded as err:
         err.pipeline = pipeline
-        raise
-    finally:
         if telemetry is not None and timeline is not None:
             telemetry.replay(timeline)
+        raise
+    if telemetry is not None and timeline is not None:
+        telemetry.replay(timeline)
     if pipeline.skip_streams:
         from .verify import check_skip_high_water
 

@@ -268,6 +268,8 @@ def solve_run(
         prefix *= 2
     solved = _solve_whole(pipeline, max_cycles)
     if isinstance(solved, str):
+        if telemetry is not None:
+            raise _declined(solved)
         return None
     if trace is None and telemetry is None:
         _stamp(pipeline, observed := _observe(solved, pipeline))
@@ -286,11 +288,15 @@ def solve_run(
 def solve_timeline(pipeline: Pipeline, max_cycles: int) -> Timeline:
     """The whole run's :class:`Timeline`, stamping nothing (a ticked run's samples), or ``ValueError``."""
     if not pipeline.source.n_images:
-        return Timeline(0, False, [], [], [], [], [])
+        return Timeline(0, False, [], [])
     solved = _solve_whole(pipeline, max_cycles)
     if isinstance(solved, str):
-        raise ValueError(f"telemetry samples the solved schedule, which declines this run: {solved}")
+        raise _declined(solved)
     return _observe_timeline(solved, pipeline)[1]
+
+
+def _declined(reason: str) -> ValueError:
+    return ValueError(f"telemetry samples the solved schedule, which declines this run: {reason}")
 
 
 def _solve_whole(pipeline: Pipeline, max_cycles: int) -> _Solution | str:
@@ -599,26 +605,25 @@ class _Observed:
     residual: list[list[int]]  # per stream: ready cycles of the elements left queued
 
 
+def _moved(solution: _Solution, stream: Stream, popped: bool, offset: int = 0, step: int = 1) -> np.ndarray:
+    """The cycles of the pushes (``popped``: pops) of the elements ``offset, offset + step, …``."""
+    edge = solution.edges[id(stream)]
+    node = solution.nodes[edge.reader if popped else edge.writer]
+    table = edge.pop if popped else edge.push
+    count = _elements_before(table, node.n, edge.per_image, node.ran)
+    return _times(node, table, edge.per_image, np.arange(offset, count, step))
+
+
 def _observe(solution: _Solution, pipeline: Pipeline, counters: bool = True) -> _Observed:
     """The per-image instants the engine stamps live and, with ``counters``, every counter."""
-
-    def moved(stream: Stream, every: int, offset: int, popped: bool) -> list[int]:
-        edge = solution.edges[id(stream)]
-        node = solution.nodes[edge.reader if popped else edge.writer]
-        table = edge.pop if popped else edge.push
-        count = _elements_before(table, node.n, edge.per_image, node.ran)
-        elements = np.arange(offset, count, every)
-        times: list[int] = _times(node, table, edge.per_image, elements).tolist()
-        return times
-
     source, sink, graph = pipeline.source, pipeline.sink, pipeline.graph
     last = graph.output_spec.elements
     streams = pipeline.engine.streams
     observed = _Observed(
         cycles=solution.cycles,
-        admissions=moved(source.outputs[0], graph.input_spec.elements, 0, False),
-        completions=moved(sink.inputs[0], last, last - 1, True),
-        marks=[moved(s, s.mark_every, 0, False) if s.mark_every else [] for s in streams],
+        admissions=_moved(solution, source.outputs[0], False, 0, graph.input_spec.elements).tolist(),
+        completions=_moved(solution, sink.inputs[0], True, last - 1, last).tolist(),
+        marks=[_moved(solution, s, False, 0, s.mark_every).tolist() if s.mark_every else [] for s in streams],
         kernels=[],
         streams=[],
         residual=[],
@@ -853,9 +858,7 @@ def _stream_state(
         full_rejections=rejections,
         max_occupancy=_max_occupancy(solution, edge),
     )
-    node = solution.nodes[edge.writer]
-    visible = _times(node, edge.push, edge.per_image, np.arange(popped, pushed)) + 1 + edge.latency
-    residual: list[int] = visible.tolist()
+    residual: list[int] = (_moved(solution, stream, False, popped) + 1 + edge.latency).tolist()
     return stats, residual
 
 
@@ -887,47 +890,39 @@ def _kernel_spans(
 class Timeline:
     """A solved run over time: what the engine's counters read at any cycle of it.
 
-    ``spans[k]`` are kernel ``k``'s maximal runs of one cycle class as
-    ``(kinds, starts, ends)`` covering cycles ``0 .. cycles - 1`` (class 0:
-    an op ran, else a ``STALL_*`` code), and ``pushes[e]`` and ``pops[e]``
-    the cycles at which stream ``e``'s elements moved, both in engine
-    order.  ``aborted`` marks a run cut at its cycle budget.
+    ``spans`` are every kernel's maximal runs of one cycle class, ``(kinds, starts, ends,
+    bounds)``, covering cycles ``0 .. cycles - 1`` (class 0: an op ran, else a ``STALL_*`` code),
+    and ``pushes`` and ``pops`` every stream's element cycles, ``(cycles, bounds)``.  Kernel
+    (stream) ``i`` sits at ``bounds[i] .. bounds[i + 1]`` of the joined arrays, its cycles moved
+    up by ``i * (cycles + 1)``, so each ascends and one ``searchsorted`` reads all at once.
+    ``aborted`` marks a run cut at its cycle budget.
     """
 
     cycles: int
     aborted: bool
-    spans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    pushes: list[np.ndarray]
-    pops: list[np.ndarray]
     admissions: list[int]
     completions: list[int]
+    spans: tuple[np.ndarray, ...] = ()
+    pushes: tuple[np.ndarray, ...] = ()
+    pops: tuple[np.ndarray, ...] = ()
     _cache: tuple[np.ndarray, ...] = dataclasses.field(default=(), init=False, repr=False)
 
     def _tables(self) -> tuple[np.ndarray, ...]:
-        """The spans and element times joined, kernel (stream) ``i``'s cycles moved up by ``i * (cycles + 1)``.
-
-        Each joined array ascends, so one ``searchsorted`` reads every kernel (stream) at once.
-        """
+        """Per span the cycles of each class and the last active cycle before it, each kernel's
+        first active cycle, and each stream's high-water mark after each push (from 0)."""
         if not self._cache:
-            shift = self.cycles + 1
-            kinds = np.concatenate([kind for kind, _, _ in self.spans])
-            starts, span_base = _joined([start for _, start, _ in self.spans], shift)
-            ends = _joined([end for _, _, end in self.spans], shift)[0]
-            # Cycles of each class before each span, the last active cycle
-            # before it, and each kernel's first active cycle.
+            kinds, starts, ends, bounds = self.spans
             before = np.zeros((4, kinds.size + 1), dtype=np.int64)
             np.cumsum((kinds == np.arange(4)[:, None]) * (ends - starts + 1), axis=1, out=before[:, 1:])
             last_op = np.maximum.accumulate(np.append(-1, np.where(kinds == 0, ends, -1)))
-            first = np.minimum.reduceat(np.where(kinds == 0, starts, np.iinfo(np.int64).max), span_base)
-            # Each stream's high-water mark after each of its pushes, from 0.
-            peaks = [
-                np.maximum.accumulate(np.append(0, np.arange(1, push.size + 1) - np.searchsorted(pop, push)))
-                for push, pop in zip(self.pushes, self.pops)
-            ]
-            self._cache = (
-                kinds, starts, span_base, before, last_op, first,
-                *_joined(self.pushes, shift), *_joined(self.pops, shift), np.concatenate(peaks),
-            )
+            first = np.minimum.reduceat(np.where(kinds == 0, starts, np.iinfo(np.int64).max), bounds[:-1])
+            (pushes, push_bounds), (pops, pop_bounds) = self.pushes, self.pops
+            peaks = np.zeros(pushes.size + push_bounds.size - 1, dtype=np.int64)
+            for e, (lo, hi) in enumerate(zip(push_bounds[:-1], push_bounds[1:])):
+                push, pop = pushes[lo:hi], pops[pop_bounds[e] : pop_bounds[e + 1]]
+                occupancy = np.arange(1, push.size + 1) - np.searchsorted(pop, push)
+                np.maximum.accumulate(occupancy, out=peaks[lo + e + 1 : hi + e + 1])
+            self._cache = (before, last_op, first, peaks)
         return self._cache
 
     def at(self, pipeline: Pipeline, instants: list[int]) -> tuple[list[Any], list[Any], list[Any]]:
@@ -941,23 +936,24 @@ class Timeline:
         kernels, streams, source = pipeline.engine.kernels, pipeline.engine.streams, pipeline.source
         if not self.cycles:  # a run of no images: nothing ran
             return [[[0] * 6 + [-1, -1]] * len(kernels)], [[[0] * 6] * len(streams)], [[0, 0, 0]]
-        kinds, starts, span_base, before, last_op, first, pushes, push_base, pops, pop_base, peaks = (
-            self._tables()
-        )
+        kinds, starts, _, span_bounds = self.spans
+        (pushes, push_bounds), (pops, pop_bounds) = self.pushes, self.pops
+        before, last_op, first, peaks = self._tables()
+        span_base, push_base, pop_base = span_bounds[:-1, None], push_bounds[:-1, None], pop_bounds[:-1, None]
         at = np.asarray(instants, dtype=np.int64)
         shift = (self.cycles + 1) * np.arange(max(len(kernels), len(streams)))[:, None]
         k_shift, s_shift = shift[: len(kernels)], shift[: len(streams)]
-        held = np.maximum(np.searchsorted(starts, at + k_shift) - 1, span_base[:, None])  # holds c - 1
+        held = np.maximum(np.searchsorted(starts, at + k_shift) - 1, span_base)  # holds c - 1
         now = kinds[held]
-        counts = before[:, held] - before[:, span_base, None]
+        counts = before[:, held] - before[:, span_base]
         counts += (now == np.arange(4)[:, None, None]) * (at + k_shift - starts[held])
         first = first[:, None] - k_shift
         last = np.where(now == 0, at - 1, np.maximum(last_op[held] - k_shift, -1))
 
-        pushed = np.searchsorted(pushes, at + s_shift) - push_base[:, None]
-        popped = np.searchsorted(pops, at + s_shift) - pop_base[:, None]
+        pushed = np.searchsorted(pushes, at + s_shift) - push_base
+        popped = np.searchsorted(pops, at + s_shift) - pop_base
         latency = np.array([[stream.latency] for stream in streams])
-        landed = np.searchsorted(pushes, np.maximum(at - latency, 0) + s_shift) - push_base[:, None]
+        landed = np.searchsorted(pushes, np.maximum(at - latency, 0) + s_shift) - push_base
         position = {id(kernel): k for k, kernel in enumerate(kernels)}
         readers = [position[id(stream.reader)] for stream in streams]
         writers = [position[id(stream.writer)] for stream in streams]
@@ -965,7 +961,7 @@ class Timeline:
         np.add.at(elements[0], readers, popped)
         np.add.at(elements[1], writers, pushed)
         k_state = np.stack([*counts, *elements, np.where(first < at, first, -1), last], -1)
-        peak = peaks[push_base[:, None] + np.arange(len(streams))[:, None] + pushed]
+        peak = peaks[push_base + np.arange(len(streams))[:, None] + pushed]
         # A writer whose blocked tick re-offers its element rejects once per blocked cycle.
         rejects = [
             kernels[w].blocked_rejects_output and kernels[w].outputs[0] is stream
@@ -981,36 +977,36 @@ class Timeline:
         return k_state.transpose(1, 0, 2).tolist(), s_state.transpose(1, 0, 2).tolist(), images.tolist()
 
 
-def _joined(arrays: list[np.ndarray], shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """``arrays`` in one, the ``i``-th moved up by ``i * shift``, and where each one starts in it."""
-    sizes = [array.size for array in arrays]
-    moved = np.repeat(np.arange(len(arrays), dtype=np.int64) * shift, sizes)
-    return np.concatenate(arrays) + moved, np.cumsum([0] + sizes[:-1])
+def _joined(parts: list[np.ndarray], shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """``parts`` in one array, the ``i``-th moved up by ``i * shift``, and the bounds of each in it."""
+    bounds = np.cumsum([0] + [part.size for part in parts])
+    joined = np.concatenate(parts).astype(np.int64, copy=False)
+    joined += np.repeat(np.arange(len(parts), dtype=np.int64) * shift, np.diff(bounds))
+    return joined, bounds
 
 
 def _observe_timeline(solution: _Solution, pipeline: Pipeline) -> tuple[_Observed, Timeline]:
-    """The run's :class:`Timeline`, and what :func:`_observe` reads with its counters taken off it."""
+    """The run's :class:`Timeline`, and what :func:`_observe` reads with its counters read off it.
+
+    They equal :func:`_observe`'s (tested) without a second stall derivation, which would cost a
+    telemetered tiny chain 2 ms of 11 and break the ``tiny_chain_telemetry`` benchmark floor.
+    """
     observed = _observe(solution, pipeline, counters=False)
-    streams = pipeline.engine.streams
-    pushes: list[np.ndarray] = []
-    pops: list[np.ndarray] = []
-    for stream in streams:
-        edge = solution.edges[id(stream)]
-        pushed, popped = _moved_counts(solution, edge)
-        pushes.append(_times(solution.nodes[edge.writer], edge.push, edge.per_image, np.arange(pushed)))
-        pops.append(_times(solution.nodes[edge.reader], edge.pop, edge.per_image, np.arange(popped)))
-    kernels = pipeline.engine.kernels
-    spans = [_kernel_spans(solution, node, kernel) for node, kernel in zip(solution.nodes, kernels)]
+    shift, kernels, streams = solution.cycles + 1, pipeline.engine.kernels, pipeline.engine.streams
+    kinds, starts, ends = zip(*(_kernel_spans(solution, node, k) for node, k in zip(solution.nodes, kernels)))
+    joined_starts, bounds = _joined(list(starts), shift)
+    spans = (np.concatenate(kinds), joined_starts, _joined(list(ends), shift)[0], bounds)
+    moved = [_joined([_moved(solution, s, popped) for s in streams], shift) for popped in (False, True)]
     timeline = Timeline(
-        solution.cycles, solution.aborted, spans, pushes, pops, observed.admissions, observed.completions
+        solution.cycles, solution.aborted, observed.admissions, observed.completions, spans, *moved
     )
     (kernel_ends,), (stream_ends,), _ = timeline.at(pipeline, [solution.cycles])
     for busy, starved, blocked, idle, ins, outs, first, last in kernel_ends:
         active = (first, last) if first >= 0 else (None, None)
         observed.kernels.append(KernelStats(busy, starved, blocked, idle, *active, ins, outs))
-    for (_, peak, pushed, popped, rejects, _), stream, push in zip(stream_ends, streams, pushes):
+    for (_, peak, pushed, popped, rejects, _), stream in zip(stream_ends, streams):
         observed.streams.append(StreamStats(pushed, popped, rejects, peak))
-        observed.residual.append((push[popped:] + 1 + stream.latency).tolist())
+        observed.residual.append((_moved(solution, stream, False, popped) + 1 + stream.latency).tolist())
     return observed, timeline
 
 
@@ -1027,7 +1023,11 @@ def _write_trace(tracer: Tracer, timeline: Timeline, pipeline: Pipeline) -> None
     engine = pipeline.engine
     tracer.attach(engine)  # registers the kernels and streams; no hooks are needed
     tracer.detach(engine)
-    for (kind, start, end), kernel in zip(timeline.spans, engine.kernels):
+    span_kinds, starts, ends, bounds = timeline.spans
+    shift = timeline.cycles + 1
+    for i, kernel in enumerate(engine.kernels):
+        lo, hi = bounds[i], bounds[i + 1]
+        kind, start, end = span_kinds[lo:hi], starts[lo:hi] - i * shift, ends[lo:hi] - i * shift
         names = [_SPAN_KINDS[k] for k in kind.tolist()]
         tracer.kernel_spans[kernel.name] = list(
             map(KernelSpan, repeat(kernel.name), names, start.tolist(), end.tolist())
@@ -1038,7 +1038,8 @@ def _write_trace(tracer: Tracer, timeline: Timeline, pipeline: Pipeline) -> None
             tracer.reject_spans[name] = list(
                 map(RejectSpan, repeat(name), start[blocked].tolist(), end[blocked].tolist())
             )
-    for stream, push, pop in zip(engine.streams, timeline.pushes, timeline.pops):
+    for e, stream in enumerate(engine.streams):
+        push, pop = (times[b[e] : b[e + 1]] - e * shift for times, b in (timeline.pushes, timeline.pops))
         pushed, popped = push.size, pop.size
         occupancy = np.concatenate(
             [

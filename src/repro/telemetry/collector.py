@@ -58,7 +58,7 @@ OCCUPANCY_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 51
 _STATES = ("busy", "starved", "blocked", "idle")
 
 # Sample instants per vectorized pass over the timeline (bounds its memory).
-_CHUNK_SAMPLES = 1024
+_CHUNK_SAMPLES = 64
 
 Listener = Callable[["Telemetry", int], None]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dataflow import CycleBudgetExceeded, Tracer, mean_completion_interval, simulate
+from repro.dataflow.engine import Engine
 from repro.dataflow.manager import build_pipeline
 from repro.dataflow.tracing import analyze_trace
 from repro.dataflow.verify import solve_skip_capacities, verify_pipeline
@@ -341,6 +342,38 @@ def test_declined_runs_refuse_telemetry(chain_case, monkeypatch):
     for mode in ("fast", "exhaustive"):
         with pytest.raises(ValueError, match="op program"):
             simulate(graph, levels, mode=mode, telemetry=Telemetry())
+
+
+def test_run_past_the_solver_horizon_is_declined_after_one_solve(chain_case, monkeypatch):
+    """A telemetered run that has not deadlocked by the horizon raises after solving it once."""
+    from repro.dataflow import schedule
+
+    graph, levels = chain_case
+    simulate(graph, levels)  # fills the graph's caches before counting
+    solves = []
+    solve = schedule._solve
+    monkeypatch.setattr(schedule, "_solve", lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+    monkeypatch.setattr(schedule, "REPLAY_MAX_CYCLES", 1_000)
+    for mode in ("fast", "leap", "exhaustive"):
+        solves.clear()
+        with pytest.raises(ValueError, match="has not deadlocked"):
+            simulate(graph, levels, mode=mode, telemetry=Telemetry())
+        assert len(solves) == 1, mode
+
+
+def test_a_run_that_fails_takes_no_samples(chain_case, monkeypatch):
+    """Only a run that ends or hits its budget is sampled; a fault leaves telemetry unsampled."""
+    graph, levels = chain_case
+    seen = []
+    telemetry = Telemetry(sample_every=100, on_sample=lambda tel, cycle: seen.append(cycle))
+
+    def fault(*args, **kwargs):
+        raise RuntimeError("injected engine fault")
+
+    monkeypatch.setattr(Engine, "run", fault)
+    with pytest.raises(RuntimeError, match="injected engine fault"):
+        simulate(graph, levels, mode="exhaustive", telemetry=telemetry)
+    assert seen == [] and not telemetry.finished and telemetry.total_cycles is None
 
 
 def test_telemetry_is_single_use(chain_case):
