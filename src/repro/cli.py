@@ -531,11 +531,14 @@ def _check_graph(name: str, size: int | None, width: float | None):
 
 
 def _parse_topology(spec: str) -> tuple[str, int | None, float | None]:
-    parts = spec.split(":")
-    name = parts[0]
-    size = int(parts[1]) if len(parts) > 1 and parts[1] else None
-    width = float(parts[2]) if len(parts) > 2 and parts[2] else None
-    return name, size, width
+    name, size, width, *extra = spec.split(":") + ["", ""]
+    try:
+        parsed = name, int(size) if size else None, float(width) if width else None
+    except ValueError:
+        parsed = None
+    if parsed is None or any(extra):
+        raise ValueError("want name[:size[:width]] with an integer size and a numeric width")
+    return parsed
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -549,9 +552,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     n_errors = n_warnings = 0
     reports = []
     for spec in specs:
-        name, size, width = _parse_topology(spec)
         try:
-            graph = _check_graph(name, size, width)
+            graph = _check_graph(*_parse_topology(spec))
         except ValueError as exc:
             print(f"check {spec}: {exc}", file=sys.stderr)
             return 2
@@ -595,9 +597,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     from .planner import PlanError, neighbor_partitions, plan_partition
 
-    name, size, width = _parse_topology(args.topology)
     try:
-        graph = _check_graph(name, size, width)
+        graph = _check_graph(*_parse_topology(args.topology))
     except ValueError as exc:
         print(f"plan {args.topology}: {exc}", file=sys.stderr)
         return 2
@@ -782,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--exhaustive",
         action="store_true",
-        help="trace the exhaustive reference loop instead of solving the schedule",
+        help="tick the exhaustive reference loop for the run (the trace is still solved)",
     )
     p_trace.add_argument(
         "--force", action="store_true", help="overwrite an existing --out file"
@@ -1117,6 +1118,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "max_cycles", 1) <= 0:
+        print(f"--max-cycles must be a positive cycle budget, got {args.max_cycles}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

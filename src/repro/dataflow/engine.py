@@ -11,6 +11,10 @@ this computation overlap, the latency is pretty small, and after the
 initiation interval, computations are performed by all layers
 simultaneously."  :meth:`Engine.run` reports per-kernel activity windows
 and per-image completion cycles so that claim can be tested, not assumed.
+
+The loop has no hooks.  Event traces and telemetry samples are written
+from the solved schedule (:mod:`repro.dataflow.schedule`) in every mode;
+the loop is the oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 from .interval import mean_completion_interval
 from .kernel import Kernel, KernelStats
 from .stream import Stream, StreamStats
-from .trace import Tracer
 
 if TYPE_CHECKING:
     from .manager import Pipeline
@@ -110,63 +113,27 @@ class Engine:
         stream.reader = consumer
         return stream
 
-    def run(
-        self,
-        done: Callable[[], bool],
-        max_cycles: int = 50_000_000,
-        trace: Tracer | None = None,
-    ) -> int:
+    def run(self, done: Callable[[], bool], max_cycles: int = 50_000_000) -> int:
         """Tick every kernel every cycle until ``done()`` is true; returns the cycle count.
 
         This is the reference semantics the schedule solver
         (:func:`repro.dataflow.schedule.solve_run`) is tested against.
         ``simulate`` ticks it only for ``mode="exhaustive"`` and for
         pipelines the solver cannot read.  ``done`` is called once per
-        cycle, before that cycle's ticks.
-
-        ``trace`` accepts a fresh :class:`~repro.dataflow.trace.Tracer`;
-        the engine installs its hooks on every kernel and stream for the
-        duration of the run, so the tracer sees every tick classification,
-        push/pop/reject, link transit, and image completion with exact
-        cycle timestamps.  Tracing changes no observable behaviour, only
-        records it.  A run that exhausts its budget raises
-        :class:`CycleBudgetExceeded` and leaves the tracer unsealed.
+        cycle, before that cycle's ticks, so it can read the live state a
+        test oracle compares with a solved run's trace and samples.  A run
+        that exhausts its budget raises :class:`CycleBudgetExceeded`.
         """
         if max_cycles <= 0:
             raise ValueError(
                 f"engine {self.name!r}: max_cycles must be a positive cycle budget, "
                 f"got {max_cycles!r}"
             )
-        if trace is None:
-            return self._run(done, max_cycles)
-        trace.attach(self)
-        try:
-            cycles = self._run_traced(done, max_cycles, trace)
-            trace.finish(cycles)
-            return cycles
-        finally:
-            trace.detach(self)
-
-    def _run(self, done: Callable[[], bool], max_cycles: int) -> int:
-        """The hook-free loop."""
         cycle = 0
         ticks = [kernel.tick for kernel in self.kernels]
         while not done():
             for tick in ticks:
                 tick(cycle)
-            cycle += 1
-            if cycle >= max_cycles:
-                raise self._no_convergence(max_cycles)
-        return cycle
-
-    def _run_traced(self, done: Callable[[], bool], max_cycles: int, tracer: Tracer) -> int:
-        """The same loop with every tick classification recorded."""
-        cycle = 0
-        ticks = [(kernel.name, kernel.tick) for kernel in self.kernels]
-        on_tick = tracer.on_tick
-        while not done():
-            for name, tick in ticks:
-                on_tick(name, cycle, tick(cycle))
             cycle += 1
             if cycle >= max_cycles:
                 raise self._no_convergence(max_cycles)
@@ -214,12 +181,6 @@ class Engine:
                 "bitwidths and partition feasibility before any cycle is simulated"
             )
         return CycleBudgetExceeded(message)
-
-    def reset(self) -> None:
-        for kernel in self.kernels:
-            kernel.reset()
-        for stream in self.streams:
-            stream.reset()
 
     def collect_stats(self) -> tuple[dict[str, KernelStats], dict[str, StreamStats]]:
         return (

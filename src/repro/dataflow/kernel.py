@@ -17,14 +17,11 @@ overlap, initiation intervals, and stall causes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from .stream import Stream
-
-if TYPE_CHECKING:
-    from .trace import Tracer
 
 __all__ = [
     "Kernel",
@@ -106,11 +103,6 @@ class Kernel:
         self.inputs: list[Stream] = []
         self.outputs: list[Stream] = []
         self.stats = KernelStats()
-        # Event tracer installed by Engine.run(trace=...) for the duration
-        # of a traced run.  The engine records tick classifications itself;
-        # this handle is for kernel-level events the engine cannot see,
-        # e.g. the host sink's per-image completions.
-        self._tracer: Tracer | None = None
 
     def connect_input(self, stream: Stream) -> None:
         self.inputs.append(stream)
@@ -131,10 +123,6 @@ class Kernel:
         the engine on every kernel class).
         """
         raise NotImplementedError(f"{type(self).__name__} has no op program")
-
-    def reset(self) -> None:
-        """Clear run state (image-independent parameters persist)."""
-        self.stats = KernelStats()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

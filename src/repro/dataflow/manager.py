@@ -421,15 +421,19 @@ def simulate(
     :func:`repro.nn.inference.run_graph` (tested property).  Passing a fresh
     :class:`~repro.dataflow.trace.Tracer` as ``trace`` records the run's
     full cycle-exact event log (identical in every mode) for
-    Perfetto export and occupancy analysis.  Passing a fresh
+    Perfetto export and occupancy analysis; a used one raises
+    ``ValueError`` before anything runs.  Passing a fresh
     :class:`~repro.telemetry.collector.Telemetry` as ``telemetry`` samples
     the run's metrics (kernel utilization, FIFO occupancy, link bandwidth,
-    throughput) into its registry every ``sample_every`` cycles; the
-    samples are read off the solved schedule and handed to its listeners
-    in cycle order once the run is solved, in every mode.  A run the
-    solver declines cannot be sampled: with telemetry it raises
-    ``ValueError`` naming the reason (a run of no images keeps one sealed
-    sample at cycle 0).
+    throughput) into its registry every ``sample_every`` cycles.  Both are
+    read off the solved schedule's
+    :class:`~repro.dataflow.schedule.Timeline` once the run ends or hits
+    its budget, in every mode (an exhaustive run solves it besides
+    ticking); the samples reach the listeners in cycle order.  A run that
+    fails any other way writes neither.  A run the solver declines cannot
+    be traced or sampled: with either it raises ``ValueError`` naming the
+    reason (a run of no images keeps an empty trace and one sample, both
+    sealed at cycle 0).
 
     After every run each skip stream's measured high-water mark is
     asserted against the static §III-B5 prediction
@@ -483,28 +487,30 @@ def simulate(
         skip_sizing=skip_sizing,
         arrival_cycles=arrival_cycles,
     )
+    if trace is not None:
+        trace.attach(pipeline.engine)  # a reused tracer raises before anything runs
     if telemetry is not None:
         telemetry.attach_pipeline(pipeline)
-    from .schedule import solve_run, solve_timeline
+    from .schedule import replay_timeline, solve_run, solve_timeline
 
     solved: SolvedRun | None = None
-    timeline: Timeline | None = None  # a ticked run's samples, from a solve of the same run
+    timeline: Timeline | None = None  # a ticked run's trace and samples, from a solve of the same run
     try:
         if mode != "exhaustive":
             solved = solve_run(pipeline, max_cycles, trace, telemetry)
         if solved is not None:
             cycles = solved.cycles
         else:
-            if telemetry is not None:
+            if trace is not None or telemetry is not None:
                 timeline = solve_timeline(pipeline, max_cycles)
-            cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles, trace=trace)
+            cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles)
     except CycleBudgetExceeded as err:
         err.pipeline = pipeline
-        if telemetry is not None and timeline is not None:
-            telemetry.replay(timeline)
+        if timeline is not None:
+            replay_timeline(timeline, pipeline, trace, telemetry)
         raise
-    if telemetry is not None and timeline is not None:
-        telemetry.replay(timeline)
+    if timeline is not None:
+        replay_timeline(timeline, pipeline, trace, telemetry)
     if pipeline.skip_streams:
         from .verify import check_skip_high_water
 

@@ -41,10 +41,10 @@ on the same cycles.  The mark is flat from the second image on, so the
 The same solve runs ``simulate`` whenever it need not tick
 (:func:`solve_run`).  There each open-loop image's first push waits for
 its arrival, every skip FIFO keeps its built capacity, and the counters the
-engine keeps live, its event trace, its telemetry samples and the state it
-leaves at a budget abort are derived from the op times
-(``tests/test_schedule_run.py``); the trace and the samples both read the
-run's :class:`Timeline`.
+engine keeps live and the state it leaves at a budget abort are derived
+from the op times (``tests/test_schedule_run.py``).  Every run's event
+trace and telemetry samples, ticked or not, read the run's
+:class:`Timeline` (:func:`replay_timeline`).
 
 A closed-loop run is solved for a prefix of ``K`` images (the first ``K``
 images of the ``N``-image run: no constraint points at a later image) and
@@ -101,6 +101,7 @@ __all__ = [
     "SolvedRun",
     "Timeline",
     "replay_schedule",
+    "replay_timeline",
     "solve_run",
     "solve_timeline",
     "unsolvable",
@@ -229,9 +230,11 @@ def solve_run(
     :class:`~repro.dataflow.kernel.KernelStats` and stream's
     :class:`~repro.dataflow.stream.StreamStats`, and each FIFO's residual
     elements (values are placeholders: outputs come from the batched
-    functional pass).  Kernels' datapath state is left as built.  A fresh
-    ``trace`` and ``telemetry`` receive the run's event log and samples,
-    read off its :class:`Timeline`.
+    functional pass).  Kernels' datapath state is left as built.  A
+    ``trace`` registered on the pipeline's engine
+    (:meth:`~repro.dataflow.trace.Tracer.attach`) and a fresh
+    ``telemetry`` receive the run's event log and samples, read off its
+    :class:`Timeline`.
 
     A run that would not finish within ``max_cycles``, deadlocked or not,
     is solved to that cycle: the state the engine leaves at its abort is
@@ -240,7 +243,8 @@ def solve_run(
 
     Returns ``None`` and changes nothing when the engine has to run it
     instead: :func:`unsolvable` names a reason, a kernel pushes before its
-    first pop, or a run not deadlocked outlasts :data:`REPLAY_MAX_CYCLES`.
+    first pop, or a run not deadlocked outlasts :data:`REPLAY_MAX_CYCLES`
+    (with a ``trace`` or ``telemetry`` the last two raise ``ValueError``).
     """
     if unsolvable(pipeline) is not None:
         return None
@@ -268,7 +272,7 @@ def solve_run(
         prefix *= 2
     solved = _solve_whole(pipeline, max_cycles)
     if isinstance(solved, str):
-        if telemetry is not None:
+        if trace is not None or telemetry is not None:
             raise _declined(solved)
         return None
     if trace is None and telemetry is None:
@@ -276,17 +280,17 @@ def solve_run(
     else:
         observed, timeline = _observe_timeline(solved, pipeline)
         _stamp(pipeline, observed)
-        if trace is not None:
-            _write_trace(trace, timeline, pipeline)
-        if telemetry is not None:
-            telemetry.replay(timeline)
+        replay_timeline(timeline, pipeline, trace, telemetry)
     if solved.aborted:
         raise pipeline.engine._no_convergence(max_cycles)
     return SolvedRun(observed.cycles)
 
 
 def solve_timeline(pipeline: Pipeline, max_cycles: int) -> Timeline:
-    """The whole run's :class:`Timeline`, stamping nothing (a ticked run's samples), or ``ValueError``."""
+    """The whole run's :class:`Timeline`, stamping nothing, or ``ValueError``.
+
+    A ticked run's trace and samples are read off it.
+    """
     if not pipeline.source.n_images:
         return Timeline(0, False, [], [])
     solved = _solve_whole(pipeline, max_cycles)
@@ -295,8 +299,16 @@ def solve_timeline(pipeline: Pipeline, max_cycles: int) -> Timeline:
     return _observe_timeline(solved, pipeline)[1]
 
 
+def replay_timeline(timeline: Timeline, pipeline: Pipeline, trace: Tracer | None, telemetry: Any) -> None:
+    """Write ``timeline`` into ``trace`` and hand its samples to ``telemetry``, whichever is given."""
+    if trace is not None:
+        _write_trace(trace, timeline, pipeline)
+    if telemetry is not None:
+        telemetry.replay(timeline)
+
+
 def _declined(reason: str) -> ValueError:
-    return ValueError(f"telemetry samples the solved schedule, which declines this run: {reason}")
+    return ValueError(f"traces and telemetry read the solved schedule, which declines this run: {reason}")
 
 
 def _solve_whole(pipeline: Pipeline, max_cycles: int) -> _Solution | str:
@@ -862,7 +874,7 @@ def _stream_state(
     return stats, residual
 
 
-# Span kind per cycle class (0: an op ran), as the engine's traced loop names them.
+# Span kind per cycle class (0: an op ran), as a trace names it.
 _SPAN_KINDS = {0: "compute", STALL_STARVED: "starved", STALL_BLOCKED: "blocked", STALL_IDLE: "idle"}
 
 
@@ -1011,18 +1023,20 @@ def _observe_timeline(solution: _Solution, pipeline: Pipeline) -> tuple[_Observe
 
 
 def _write_trace(tracer: Tracer, timeline: Timeline, pipeline: Pipeline) -> None:
-    """Write the whole run's event log into ``tracer`` from its timeline.
+    """Write the whole run's event log into ``tracer``, registered on its engine, from its timeline.
 
-    Equal to what the engine's hooks record: every cycle of a kernel is an
-    op or a wait, classified as in its counters, and adjacent cycles of one
-    class merge into a span; a writer whose blocked tick re-offers its
-    element rejects on every blocked cycle; each push and pop carries the
-    FIFO occupancy after it (a push lands before a same-cycle pop, as the
-    writer ticks first).  An aborted run leaves the trace unsealed.
+    Equal to what the reference loop does, cycle by cycle: every cycle of a
+    kernel is an op or a wait, classified as in its counters, and adjacent
+    cycles of one class merge into a span; a writer whose blocked tick
+    re-offers its element rejects on every blocked cycle; each push and pop
+    carries the FIFO occupancy after it (a push lands before a same-cycle
+    pop, as the writer ticks first).  An aborted run leaves the trace
+    unsealed.
     """
+    if not timeline.cycles:  # a run of no images: nothing ran
+        tracer.finish(0)
+        return
     engine = pipeline.engine
-    tracer.attach(engine)  # registers the kernels and streams; no hooks are needed
-    tracer.detach(engine)
     span_kinds, starts, ends, bounds = timeline.spans
     shift = timeline.cycles + 1
     for i, kernel in enumerate(engine.kernels):

@@ -5,7 +5,10 @@ Maxeler fabric provides between kernels: bounded capacity, one-cycle
 register delay (an element pushed at cycle *t* is visible at *t + 1*), and
 optional extra latency for off-chip links (MaxRing / PCIe).  Streams count
 their own backpressure events so experiments can verify claims like "the
-skip buffer never creates delays by itself" (§III-B5).
+skip buffer never creates delays by itself" (§III-B5).  A stream has no
+trace hooks: a traced run's push, pop and reject events are written from
+the solved schedule, and the test oracle reads these counters and FIFOs
+between the reference loop's cycles.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .kernel import Kernel
-    from .trace import Tracer
 
 __all__ = ["Stream", "StreamStats"]
 
@@ -58,7 +60,6 @@ class Stream:
         "stats",
         "reader",
         "writer",
-        "tracer",
         "mark_every",
         "mark_cycles",
     )
@@ -78,9 +79,6 @@ class Stream:
         # reads the writer and reader of every stream.
         self.reader: Kernel | None = None
         self.writer: Kernel | None = None
-        # Event tracer installed by Engine.run(trace=...) for the duration
-        # of a traced run; None keeps the hot path hook-free.
-        self.tracer: Tracer | None = None
         # Image-boundary marks: with ``mark_every`` set to the per-image
         # element count of the producing node, the push cycle of every
         # image's first element is recorded in ``mark_cycles`` — the
@@ -107,20 +105,13 @@ class Stream:
         occ = len(fifo)
         if occ >= self.capacity:
             stats.full_rejections += 1
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.on_reject(self.name, cycle)
             return False
-        ready = cycle + 1 + self.latency
-        fifo.append((int(value), ready))
+        fifo.append((int(value), cycle + 1 + self.latency))
         stats.pushes += 1
         if self.mark_every and (stats.pushes - 1) % self.mark_every == 0:
             self.mark_cycles.append(cycle)
         if occ >= stats.max_occupancy:
             stats.max_occupancy = occ + 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_push(self.name, cycle, ready, occ + 1)
         return True
 
     def can_pop(self, cycle: int) -> bool:
@@ -143,17 +134,9 @@ class Stream:
             raise RuntimeError(f"stream {self.name!r}: pop on empty/unready stream")
         value, _ = fifo.popleft()
         self.stats.pops += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_pop(self.name, cycle, len(fifo))
         return value
 
     def peek(self, cycle: int) -> int:
         if not self.can_pop(cycle):
             raise RuntimeError(f"stream {self.name!r}: peek on empty/unready stream")
         return self._fifo[0][0]
-
-    def reset(self) -> None:
-        self._fifo.clear()
-        self.stats = StreamStats()
-        self.mark_cycles = []

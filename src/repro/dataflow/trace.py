@@ -1,7 +1,7 @@
 """Structured event tracing for the dataflow simulator.
 
-A :class:`Tracer` attached to :meth:`Engine.run <repro.dataflow.engine.Engine.run>`
-records *typed, cycle-exact* events while the simulation runs:
+A :class:`Tracer` passed to :func:`~repro.dataflow.manager.simulate` holds
+the run's *typed, cycle-exact* events:
 
 * **kernel spans** — contiguous runs of identical per-cycle classifications
   (``compute`` / ``starved`` / ``blocked`` / ``idle``);
@@ -11,12 +11,12 @@ records *typed, cycle-exact* events while the simulation runs:
 * **reject spans** — contiguous full-FIFO push rejections per stream;
 * **image completions** — one instant per image leaving the host sink.
 
-The same trace comes out of both ways a run executes: the engine's
-reference loop emits one classification per kernel per cycle and the
-tracer merges them into spans, while a solved run
-(:func:`repro.dataflow.schedule.solve_run`) writes the whole log from its
-op times.  The test suite asserts the two are equal over every
-equivalence topology and on random graphs.
+Every trace is written from the run's solved schedule
+(:class:`repro.dataflow.schedule.Timeline`), in every mode: an exhaustive
+run ticks the engine for its outputs and counters and takes its trace from
+the same solve.  The test suite holds each solved trace equal to one
+recorded off the engine's reference loop, whose ``done`` callback reads
+every counter and FIFO once per cycle, over every equivalence topology.
 
 Everything the older aggregate analysis needs (live windows, duty cycles,
 stall breakdowns) is derivable from the event log — see
@@ -45,11 +45,6 @@ __all__ = [
     "Tracer",
     "load_chrome_trace",
 ]
-
-# Span kinds, keyed by the STALL_* codes a tick returns (None == progress).
-# Unknown positive codes (custom kernels) map to "stall:<code>" so a trace
-# never silently drops information.
-_KIND_BY_STATUS = {None: "compute", 1: "starved", 2: "blocked", 3: "idle"}
 
 
 @dataclass(slots=True)
@@ -120,11 +115,12 @@ class ImageCompletion:
 
 
 class Tracer:
-    """Collects typed events from one engine run (single-use).
+    """The typed event log of one run (single-use).
 
-    Create a fresh tracer per run and pass it to ``Engine.run(trace=...)``
-    (or ``simulate(..., trace=...)``); the engine attaches it to every
-    kernel and stream for the duration of the run and detaches afterwards.
+    Create a fresh tracer per run and pass it to ``simulate(..., trace=...)``;
+    ``simulate`` registers the pipeline's kernels and streams on it before
+    the run starts and writes the log from the solved schedule once the run
+    ends (or hits its budget).
     """
 
     def __init__(self) -> None:
@@ -135,73 +131,28 @@ class Tracer:
         self.completions: list[ImageCompletion] = []
         self.total_cycles: int | None = None
         self._stream_meta: dict[str, dict[str, int]] = {}
-        self._admissions: dict[int, int] = {}
         self._attached = False
 
-    # -- engine lifecycle ------------------------------------------------
     def attach(self, engine: Engine) -> None:
-        """Register ``engine``'s kernels and streams and install hooks."""
-        if self._attached or self.total_cycles is not None:
+        """Register ``engine``'s kernels and streams, before the run is solved or ticked."""
+        if self._attached:
             raise ValueError("a Tracer is single-use; create a fresh one per run")
         self._attached = True
         self.engine_name = engine.name
         for kernel in engine.kernels:
-            self.kernel_spans.setdefault(kernel.name, [])
-            kernel._tracer = self
+            self.kernel_spans[kernel.name] = []
         for stream in engine.streams:
-            self.stream_events.setdefault(stream.name, [])
-            self.reject_spans.setdefault(stream.name, [])
+            self.stream_events[stream.name] = []
+            self.reject_spans[stream.name] = []
             self._stream_meta[stream.name] = {
                 "capacity": stream.capacity,
                 "latency": stream.latency,
                 "bits": stream.bits,
             }
-            stream.tracer = self
-
-    def detach(self, engine: Engine) -> None:
-        for kernel in engine.kernels:
-            kernel._tracer = None
-        for stream in engine.streams:
-            stream.tracer = None
 
     def finish(self, total_cycles: int) -> None:
         """Seal the trace with the run's final cycle count."""
         self.total_cycles = total_cycles
-
-    # -- recording hooks (called by the engine, streams, and sink) ------
-    def on_tick(self, kernel: str, cycle: int, status: int | None) -> None:
-        """One live kernel tick classified as progress or a stall kind."""
-        kind = _KIND_BY_STATUS.get(status) or f"stall:{status}"
-        spans = self.kernel_spans[kernel]
-        if spans:
-            last = spans[-1]
-            if last.kind == kind and last.end == cycle - 1:
-                last.end = cycle
-                return
-        spans.append(KernelSpan(kernel, kind, cycle, cycle))
-
-    def on_push(self, stream: str, cycle: int, ready: int, occupancy: int) -> None:
-        self.stream_events[stream].append(StreamEvent(stream, "push", cycle, occupancy, ready))
-
-    def on_pop(self, stream: str, cycle: int, occupancy: int) -> None:
-        self.stream_events[stream].append(StreamEvent(stream, "pop", cycle, occupancy))
-
-    def on_reject(self, stream: str, cycle: int) -> None:
-        """One live full-FIFO push rejection."""
-        spans = self.reject_spans[stream]
-        if spans:
-            last = spans[-1]
-            if last.end == cycle - 1:
-                last.end = cycle
-                return
-        spans.append(RejectSpan(stream, cycle, cycle))
-
-    def on_image_admitted(self, index: int, cycle: int) -> None:
-        """Image ``index``'s first element entered the fabric at ``cycle``."""
-        self._admissions[index] = cycle
-
-    def on_image_complete(self, index: int, cycle: int) -> None:
-        self.completions.append(ImageCompletion(index, cycle, self._admissions.get(index, -1)))
 
     # -- derived views ---------------------------------------------------
     def occupancy_timeline(self, stream: str) -> list[tuple[int, int]]:

@@ -781,25 +781,24 @@ def _pipeline_skip_capacities(
     return diags
 
 
-def _pipeline_links(pipeline: "Pipeline") -> list[Diagnostic]:
-    """V501/V502/V503/V302: §III-B6 crossing feasibility and buffering."""
+def _link_budget(crossings: list[tuple[tuple[str, str], LinkSpec, float]]) -> list[Diagnostic]:
+    """V501/V502: §III-B6 link bandwidth of every ``((u, v), link, required Mbps)`` crossing."""
     diags: list[Diagnostic] = []
     worst: tuple[float, str] | None = None
-    for crossing in pipeline.crossings:
-        capacity_mbps = crossing.link.bandwidth_gbps * 1000.0
-        util = crossing.required_mbps / capacity_mbps if capacity_mbps else float("inf")
-        edge = f"{crossing.edge[0]}->{crossing.edge[1]}"
+    for (u, v), link, mbps in crossings:
+        capacity_mbps = link.bandwidth_gbps * 1000.0
+        util = mbps / capacity_mbps if capacity_mbps else float("inf")
+        edge = f"{u}->{v}"
         if util > 1.0:
             diags.append(
                 _diag(
                     "V501",
                     "error",
                     edge,
-                    f"crossing needs {crossing.required_mbps:,.0f} Mbps but "
-                    f"{crossing.link.name} provides {capacity_mbps:,.0f} Mbps "
-                    f"({util:.1f}x overcommitted)",
+                    f"crossing needs {mbps:,.0f} Mbps but {link.name} provides "
+                    f"{capacity_mbps:,.0f} Mbps ({util:.1f}x overcommitted)",
                     "§III-B6",
-                    required_mbps=crossing.required_mbps,
+                    required_mbps=mbps,
                     capacity_mbps=capacity_mbps,
                     utilization=util,
                 )
@@ -813,12 +812,19 @@ def _pipeline_links(pipeline: "Pipeline") -> list[Diagnostic]:
                 "V502",
                 "info",
                 edge,
-                f"worst link utilization {util:.1%} "
-                f"({1 / util:.0f}x headroom)" if util > 0 else "links idle",
+                f"worst link utilization {util:.1%} ({1 / util:.0f}x headroom)"
+                if util > 0
+                else "links idle",
                 "§III-B6",
                 utilization=util,
             )
         )
+    return diags
+
+
+def _pipeline_links(pipeline: "Pipeline") -> list[Diagnostic]:
+    """V501/V502/V503/V302: §III-B6 crossing feasibility and buffering."""
+    diags = _link_budget([(c.edge, c.link, c.required_mbps) for c in pipeline.crossings])
     skip_stream_ids = {id(s) for s in pipeline.skip_streams.values()}
     for stream in pipeline.engine.streams:
         if stream.latency > 0:
@@ -942,41 +948,8 @@ def partition_feasibility(
                     )
                 )
 
-    capacity_mbps = link.bandwidth_gbps * 1000.0
-    worst: tuple[float, str] | None = None
-    for u, v, mbps in partition_crossings(graph, partition, fclk_mhz):
-        util = mbps / capacity_mbps if capacity_mbps else float("inf")
-        edge = f"{u}->{v}"
-        if util > 1.0:
-            diags.append(
-                _diag(
-                    "V501",
-                    "error",
-                    edge,
-                    f"crossing needs {mbps:,.0f} Mbps but {link.name} provides "
-                    f"{capacity_mbps:,.0f} Mbps ({util:.1f}x overcommitted)",
-                    "§III-B6",
-                    required_mbps=mbps,
-                    capacity_mbps=capacity_mbps,
-                    utilization=util,
-                )
-            )
-        elif worst is None or util > worst[0]:
-            worst = (util, edge)
-    if worst is not None:
-        util, edge = worst
-        diags.append(
-            _diag(
-                "V502",
-                "info",
-                edge,
-                f"worst link utilization {util:.1%} ({1 / util:.0f}x headroom)"
-                if util > 0
-                else "links idle",
-                "§III-B6",
-                utilization=util,
-            )
-        )
+    crossings = partition_crossings(graph, partition, fclk_mhz)
+    diags += _link_budget([((u, v), link, mbps) for u, v, mbps in crossings])
 
     dfe_of = {n: idx for idx, group in enumerate(partition) for n in group}
     for name, node in graph.nodes.items():

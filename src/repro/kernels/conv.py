@@ -314,9 +314,3 @@ class ConvKernel(Kernel):
     def _finish_image(self) -> None:
         self.images_done += 1
         self._window.reset()
-
-    def reset(self) -> None:
-        super().reset()
-        self._window.reset()
-        self._pending.clear()
-        self.images_done = 0

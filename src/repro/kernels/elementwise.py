@@ -67,11 +67,6 @@ class AddKernel(Kernel):
             self._count = 0
             self.images_done += 1
 
-    def reset(self) -> None:
-        super().reset()
-        self._count = 0
-        self.images_done = 0
-
 
 class ForkKernel(Kernel):
     """Duplicate a stream to N consumers (the skip-path split of Figure 2).
@@ -119,8 +114,3 @@ class ForkKernel(Kernel):
         if self._count >= self._per_image:
             self._count = 0
             self.images_done += 1
-
-    def reset(self) -> None:
-        super().reset()
-        self._count = 0
-        self.images_done = 0

@@ -109,9 +109,6 @@ class HostSource(Kernel):
             if at_boundary:
                 self.admission_cycles.append(cycle)
                 self._boundary += self._per_image
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.on_image_admitted(len(self.admission_cycles) - 1, cycle)
             self._pos = pos + 1
             stats = self.stats
             stats.elements_out += 1
@@ -122,12 +119,6 @@ class HostSource(Kernel):
             return None
         else:
             return self._blocked(cycle)
-
-    def reset(self) -> None:
-        super().reset()
-        self._pos = 0
-        self._boundary = 0
-        self.admission_cycles = []
 
 
 class HostSink(Kernel):
@@ -173,9 +164,6 @@ class HostSink(Kernel):
         stats.last_active_cycle = cycle
         if pos % self._per_image == 0:
             self.completion_cycles.append(cycle)
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.on_image_complete(len(self.completion_cycles) - 1, cycle)
 
     def output_tensor(self) -> np.ndarray:
         """The collected outputs, shape (N, H, W, C)."""
@@ -184,9 +172,3 @@ class HostSink(Kernel):
         return np.asarray(self._values, dtype=np.int64).reshape(
             self.n_images, self.spec.height, self.spec.width, self.spec.channels
         )
-
-    def reset(self) -> None:
-        super().reset()
-        self._values = []
-        self._pos = 0
-        self.completion_cycles = []

@@ -146,11 +146,3 @@ class MaxPoolKernel(Kernel):
             self._pos = 0
             self._pixel = 0
             self._i = 0
-
-    def reset(self) -> None:
-        super().reset()
-        self._pos = 0
-        self._pixel = 0
-        self._i = 0
-        self._grid = [0] * len(self._grid)
-        self.images_done = 0

@@ -72,10 +72,3 @@ class GlobalAvgSumKernel(Kernel):
         if self._count >= self._per_image:
             self._count = 0
             self._emit_chan = 0
-
-    def reset(self) -> None:
-        super().reset()
-        self._sums = [0] * self.channels
-        self._count = 0
-        self._emit_chan = None
-        self.images_done = 0

@@ -104,9 +104,3 @@ class ThresholdKernel(Kernel):
         if self._count >= self._per_image:
             self._count = 0
             self.images_done += 1
-
-    def reset(self) -> None:
-        super().reset()
-        self._chan = 0
-        self._count = 0
-        self.images_done = 0

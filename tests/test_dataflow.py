@@ -68,12 +68,6 @@ class TestStream:
         assert s.peek(1) == 9
         assert s.occupancy == 1
 
-    def test_reset(self):
-        s = Stream("s")
-        s.push(1, 0)
-        s.reset()
-        assert s.occupancy == 0 and s.stats.pushes == 0
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             Stream("s", capacity=0)
@@ -209,17 +203,6 @@ class TestEngine:
         eng.connect(p, c, Stream("s"))
         with pytest.raises(RuntimeError, match="no convergence"):
             eng.run(lambda: False, max_cycles=100)
-
-    def test_reset_clears_state(self):
-        eng = Engine()
-        p = _Producer("p", [1])
-        c = _Consumer("c")
-        eng.add_kernel(p)
-        eng.add_kernel(c)
-        s = eng.connect(p, c, Stream("s"))
-        eng.run(lambda: len(c.received) == 1)
-        eng.reset()
-        assert s.occupancy == 0
 
 
 class TestLinks:

@@ -31,8 +31,9 @@ from repro.dataflow.stream import Stream
 from repro.dataflow.trace import Tracer
 from repro.nn import export_model
 
-from .conftest import make_tiny_chain_model, make_tiny_resnet_model
+from .conftest import make_tiny_chain_model, make_tiny_resnet_model, record_trace
 from .test_random_topologies import build_random_graph
+from .test_schedule_run import engine_run
 
 
 def _half_partition(graph):
@@ -107,16 +108,18 @@ def test_leap_mode_matches_exhaustive_and_fast(topology):
 
 @pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
 def test_traced_leap_mode_solves_whole_and_traces_identically(topology):
-    """A traced leap run is solved whole, not extended (demoted), with the exhaustive trace."""
+    """A traced leap run is solved whole, not extended (demoted), with the reference loop's trace."""
     graph, kwargs = _case(topology)
     images = _images(1, n=8)
-    t_slow, t_fast, t_leap = Tracer(), Tracer(), Tracer()
+    t_loop, t_slow, t_fast, t_leap = Tracer(), Tracer(), Tracer(), Tracer()
+    engine_run(graph, images, trace=t_loop, **kwargs)
     slow = simulate(graph, images, mode="exhaustive", trace=t_slow, **kwargs)
     fast = simulate(graph, images, mode="fast", trace=t_fast, **kwargs)
     leap = simulate(graph, images, mode="leap", trace=t_leap, **kwargs)
     _assert_runs_identical(slow, fast)
     _assert_runs_identical(slow, leap)
-    expected = t_slow.state()
+    expected = t_loop.state()
+    assert t_slow.state() == expected
     assert t_fast.state() == expected
     assert t_leap.state() == expected
     report = leap.leap_report
@@ -181,7 +184,10 @@ def test_deadlock_aborts_at_max_cycles(traced):
     """A cyclic starvation deadlock must abort at exactly ``max_cycles``."""
     trace = Tracer() if traced else None
     with pytest.raises(RuntimeError, match="no convergence after 500 cycles"):
-        _ring().run(lambda: False, max_cycles=500, trace=trace)
+        if trace is None:
+            _ring().run(lambda: False, max_cycles=500)
+        else:
+            record_trace(_ring(), lambda: False, 500, trace)
     if trace is not None:
         assert trace.total_cycles is None  # an aborted trace stays unsealed
         assert [(s.kind, s.start, s.end) for s in trace.kernel_spans["a"]] == [("starved", 0, 499)]
@@ -198,12 +204,15 @@ def test_budget_abort_carries_the_partly_run_pipeline(mode):
 
 
 def test_deadlock_abort_settles_identical_stall_counters():
-    """Traced and untraced reference-loop aborts settle bit-identical statistics."""
+    """Recorded and unrecorded reference-loop aborts settle bit-identical statistics."""
     results = {}
     for traced in (False, True):
         engine = _ring()
         with pytest.raises(RuntimeError):
-            engine.run(lambda: False, max_cycles=500, trace=Tracer() if traced else None)
+            if traced:
+                record_trace(engine, lambda: False, 500, Tracer())
+            else:
+                engine.run(lambda: False, max_cycles=500)
         kstats, sstats = engine.collect_stats()
         results[traced] = (
             {n: dataclasses.asdict(s) for n, s in kstats.items()},

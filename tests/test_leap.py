@@ -47,6 +47,8 @@ from repro.nn.graph import ConvNode, InputNode, LayerGraph, MaxPoolNode, Thresho
 from repro.quantization.thresholds import ThresholdUnit
 from repro.telemetry import Telemetry, latency_report
 
+from .test_schedule_run import engine_run
+
 
 def _chain_graph():
     return direct_vgg_graph(16, width=0.0625, classes=4)
@@ -394,15 +396,15 @@ class TestSynthesis:
 
     def test_trace_marks_and_spans_identical_across_a_leap(self):
         # A traced leap run is demoted: it solves every image, and its event
-        # log, written from the op times, is the exhaustive loop's byte for byte.
+        # log, written from the op times, is the reference loop's byte for byte.
         graph = _residual_graph()
         images = _images(graph, 8)
-        t_slow, t_leap = Tracer(), Tracer()
-        slow = simulate(graph, images, mode="exhaustive", trace=t_slow)
+        t_loop, t_leap = Tracer(), Tracer()
+        slow = engine_run(graph, images, trace=t_loop)
         leap = simulate(graph, images, mode="leap", trace=t_leap)
         assert leap.leap_report is not None and leap.leap_report.demoted
-        assert t_leap.state() == t_slow.state()
-        assert json.dumps(t_leap.to_chrome_trace()) == json.dumps(t_slow.to_chrome_trace())
+        assert t_leap.state() == t_loop.state()
+        assert json.dumps(t_leap.to_chrome_trace()) == json.dumps(t_loop.to_chrome_trace())
         assert slow.cycles == leap.cycles
 
 

@@ -264,19 +264,25 @@ class BadKernel(Kernel):
 """
         assert _codes(src, tmp_path) == ["KC005"]
 
-    def test_constructors_and_reset_exempt(self, tmp_path):
+    def test_only_constructors_exempt(self, tmp_path):
         src = """
 class GoodKernel(Kernel):
     def __init__(self):
-        self.stats.ticks = 0
-
-    def reset(self):
         self.stats.ticks = 0
 
     def tick(self, cycle):
         return None
 """
         assert _codes(src, tmp_path) == []
+        src = """
+class BadKernel(Kernel):
+    def reset(self):
+        self.stats.ticks = 0
+
+    def tick(self, cycle):
+        return None
+"""
+        assert _codes(src, tmp_path) == ["KC005"]
 
     def test_subscript_mutation_below_state_flagged(self, tmp_path):
         src = """

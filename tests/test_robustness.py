@@ -54,15 +54,6 @@ class TestEngineLimits:
         with pytest.raises(RuntimeError, match="no convergence"):
             simulate(tiny_chain_graph, lv, max_cycles=10)
 
-    def test_engine_rerun_after_reset(self, tiny_chain_model, tiny_chain_graph, images16):
-        lv = input_to_levels(images16[:1], tiny_chain_model.layers[0].quantizer)
-        pipeline = build_pipeline(tiny_chain_graph, lv)
-        pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=10_000_000)
-        first = pipeline.sink.output_tensor().copy()
-        pipeline.engine.reset()
-        pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=10_000_000)
-        assert (pipeline.sink.output_tensor() == first).all()
-
 
 class TestOddConfigurations:
     def test_three_bit_activations_export_exactly(self):

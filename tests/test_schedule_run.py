@@ -38,7 +38,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.latency import latency_report
 from repro.telemetry.loadgen import make_schedule, run_load
 
-from .conftest import make_tiny_chain_model, make_tiny_resnet_model
+from .conftest import inject_maxpool_fault, make_tiny_chain_model, make_tiny_resnet_model, record_trace
 from .test_random_topologies import build_random_graph
 from .test_schedule import halves
 
@@ -60,9 +60,15 @@ def _images(graph, n, seed=0):
 
 
 def engine_run(graph, images, max_cycles=50_000_000, trace=None, **kwargs) -> StreamingRun:
-    """A run of the engine itself: the reference loop, ticking every kernel every cycle."""
+    """A run of the engine itself: the reference loop, ticking every kernel every cycle.
+
+    A ``trace`` records the loop's event log (:func:`tests.conftest.record_trace`).
+    """
     pipeline = build_pipeline(graph, images, **{k: v for k, v in kwargs.items() if k in _BUILD_ARGS})
-    cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles, trace=trace)
+    if trace is None:
+        cycles = pipeline.engine.run(lambda: pipeline.sink.done, max_cycles=max_cycles)
+    else:
+        cycles = record_trace(pipeline.engine, lambda: pipeline.sink.done, max_cycles, trace)
     output = pipeline.sink.output_tensor()
     kstats, sstats = pipeline.engine.collect_stats()
     run = RunResult(cycles, pipeline.sink.completion_cycles, output, kstats, sstats, True)
@@ -92,7 +98,7 @@ def assert_schedule_path_exact(graph, images, leap=True, traced=False, **kwargs)
     """The solved run equals the engine's reference loop, in fast and leap mode.
 
     ``traced`` also holds a solved traced run's event log equal to the
-    reference loop's.
+    one recorded off the reference loop.
     """
     solved = simulate(graph, images, **kwargs)
     assert "_flat" not in vars(solved.pipeline.source), "the schedule path ticked"
@@ -456,6 +462,61 @@ def test_solved_abort_matches_the_engine(case, traced):
     assert f"no convergence after {budget} cycles" in solved["message"]
     if traced:
         assert solved["trace"]["total_cycles"] is None  # an aborted trace stays unsealed
+        recorded = Tracer()
+        with pytest.raises(CycleBudgetExceeded):
+            engine_run(graph, images, max_cycles=budget, trace=recorded, **kwargs)
+        assert solved["trace"] == recorded.state()
+
+
+def test_declined_traced_runs_raise(monkeypatch):
+    """A run the solver declines cannot be traced: it raises naming the reason, in every mode."""
+    from repro.kernels.pooling import MaxPoolKernel
+
+    graph = _chain()
+    images = _images(graph, 2)
+    monkeypatch.setattr(MaxPoolKernel, "op_program", Kernel.op_program)
+    assert simulate(graph, images).cycles > 0  # untraced, the engine ticks it
+    for mode in ("fast", "leap", "exhaustive"):
+        tracer = Tracer()
+        with pytest.raises(ValueError, match="declines this run: .*op program"):
+            simulate(graph, images, mode=mode, trace=tracer)
+        assert tracer.event_count() == 0 and tracer.total_cycles is None
+
+
+def test_failed_exhaustive_traced_run_writes_no_trace(monkeypatch):
+    """Only a run that ends or hits its budget is traced; any other fault leaves the log empty."""
+    graph = _chain()
+
+    def fault(*args, **kwargs):
+        raise RuntimeError("injected engine fault")
+
+    monkeypatch.setattr(Engine, "run", fault)
+    tracer = Tracer()
+    with pytest.raises(RuntimeError, match="injected engine fault"):
+        simulate(graph, _images(graph, 2), mode="exhaustive", trace=tracer)
+    assert tracer.event_count() == 0 and tracer.total_cycles is None
+    monkeypatch.undo()
+    inject_maxpool_fault(monkeypatch)
+    tracer = Tracer()
+    with pytest.raises(RuntimeError, match="injected max-pool fault"):
+        simulate(graph, _images(graph, 2), mode="exhaustive", trace=tracer)
+    assert tracer.event_count() == 0 and tracer.total_cycles is None
+
+
+def test_reused_tracer_raises_before_anything_runs(monkeypatch):
+    graph = _chain()
+    images = _images(graph, 1)
+    tracer = Tracer()
+    simulate(graph, images, trace=tracer)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(Engine, "run", refuse)
+    monkeypatch.setattr(schedule_module, "_solve", refuse)
+    for mode in ("fast", "leap", "exhaustive"):
+        with pytest.raises(ValueError, match="single-use"):
+            simulate(graph, images, mode=mode, trace=tracer)
 
 
 
@@ -523,11 +584,16 @@ def test_dependency_cycle_never_runs(skip_capacity, traced):
     """Ops on a dependency cycle never run: the solve aborts as the reference loop does."""
     ticked, solved = _lagged_residual(skip_capacity), _lagged_residual(skip_capacity)
     t_ticked, t_solved = (Tracer(), Tracer()) if traced else (None, None)
+    if traced:
+        t_solved.attach(solved.engine)
+
+    def tick():
+        if traced:
+            return record_trace(ticked.engine, lambda: ticked.sink.done, 300, t_ticked)
+        return ticked.engine.run(lambda: ticked.sink.done, max_cycles=300)
+
     outcomes = []
-    for pipeline, run in (
-        (ticked, lambda: ticked.engine.run(lambda: ticked.sink.done, max_cycles=300, trace=t_ticked)),
-        (solved, lambda: schedule_module.solve_run(solved, 300, t_solved).cycles),
-    ):
+    for run in (tick, lambda: schedule_module.solve_run(solved, 300, t_solved).cycles):
         try:
             outcomes.append(run())
         except CycleBudgetExceeded as err:

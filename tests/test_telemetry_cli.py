@@ -55,6 +55,14 @@ class TestSimulateJson:
         ["simulate", "--rate", "0"],
         ["simulate", "--rate", "-1"],
         ["load", "--rate", "0", "--images", "2"],
+        ["check", "vgg:abc"],
+        ["check", "resnet18:abc"],
+        ["plan", "vgg:16:x"],
+        ["check", "vgg:16:0.0625:x"],
+        ["stats", "--max-cycles", "0"],
+        ["load", "--rate", "100", "--images", "2", "--max-cycles", "0"],
+        ["load", "--sweep", "100", "200", "--images", "2", "--max-cycles", "0"],
+        ["fleet", "--max-cycles", "0"],
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):

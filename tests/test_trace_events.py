@@ -2,9 +2,10 @@
 
 The tracing contract (DESIGN.md) is that a traced run is *observationally
 free*: tracing changes no statistic and no schedule, and — the strong
-property — a solved fast run and the exhaustive reference loop produce the
-**byte-identical event log** on the same workload: the solved run writes
-every span and event from its op times.  These tests pin that contract
+property — the event log a run writes from its solved op times, in fast
+and exhaustive mode alike, is the one recorded off the engine's reference
+loop on the same workload (``tests.conftest.record_trace`` reads the
+loop's counters and FIFOs every cycle).  These tests pin that contract
 over every equivalence topology, then check the derived views (occupancy
 timelines, link transits, waterfall analysis) and the Chrome-trace export
 against it.
@@ -23,6 +24,7 @@ from repro.dataflow.tracing import analyze_run
 from repro.nn import export_model
 
 from .conftest import make_tiny_chain_model, make_tiny_resnet_model
+from .test_schedule_run import engine_run
 
 
 def _images(seed: int, n: int = 2, size: int = 16) -> np.ndarray:
@@ -54,15 +56,16 @@ TOPOLOGIES = ["chain", "resnet", "bitops", "multi_dfe"]
 
 @pytest.fixture(scope="module")
 def traced_runs():
-    """One traced fast + exhaustive run per topology (they are not cheap)."""
+    """Per topology: one traced fast and exhaustive run, and the reference loop's recorded trace."""
     runs = {}
     for name in TOPOLOGIES:
         graph, kwargs = _case(name)
         images = _images(0)
-        t_fast, t_slow = Tracer(), Tracer()
+        t_fast, t_slow, t_loop = Tracer(), Tracer(), Tracer()
         fast = simulate(graph, images, mode="fast", trace=t_fast, **kwargs)
         slow = simulate(graph, images, mode="exhaustive", trace=t_slow, **kwargs)
-        runs[name] = (fast, slow, t_fast, t_slow)
+        engine_run(graph, images, trace=t_loop, **kwargs)
+        runs[name] = (fast, slow, t_fast, t_slow, t_loop)
     return runs
 
 
@@ -71,17 +74,19 @@ def traced_runs():
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_fast_and_exhaustive_traces_identical(traced_runs, topology):
-    """The tentpole property: the solved run and the reference loop emit the same event log."""
-    fast, _, t_fast, t_slow = traced_runs[topology]
+    """The tentpole property: both modes write the event log recorded off the reference loop."""
+    fast, slow, t_fast, t_slow, t_loop = traced_runs[topology]
     assert "_flat" not in vars(fast.pipeline.source)  # solved, never ticked
-    assert t_fast.state() == t_slow.state()
+    assert "_flat" in vars(slow.pipeline.source)  # ticked for its outputs and counters
+    assert t_fast.state() == t_loop.state()
+    assert t_slow.state() == t_loop.state()
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_tracing_is_observationally_free(traced_runs, topology):
     """A traced run has bit-identical stats to an untraced one."""
     graph, kwargs = _case(topology)
-    fast, _, _, _ = traced_runs[topology]
+    fast, _, _, _, _ = traced_runs[topology]
     bare = simulate(graph, _images(0), mode="fast", **kwargs)
     assert bare.cycles == fast.cycles
     assert bare.run.completion_cycles == fast.run.completion_cycles
@@ -97,7 +102,7 @@ def test_tracing_is_observationally_free(traced_runs, topology):
 
 def test_spans_tile_the_run_exactly(traced_runs):
     """Per kernel: spans are disjoint, contiguous, and cover [0, cycles)."""
-    fast, _, tracer, _ = traced_runs["chain"]
+    fast, _, tracer, _, _ = traced_runs["chain"]
     for kernel, spans in tracer.kernel_spans.items():
         assert spans, f"{kernel}: no spans"
         assert spans[0].start == 0, kernel
@@ -108,7 +113,7 @@ def test_spans_tile_the_run_exactly(traced_runs):
 
 def test_span_cycles_match_aggregate_counters(traced_runs):
     """Summed span lengths reproduce every KernelStats counter."""
-    fast, _, tracer, _ = traced_runs["resnet"]
+    fast, _, tracer, _, _ = traced_runs["resnet"]
     for name, stats in fast.run.kernel_stats.items():
         by_kind: dict[str, int] = {}
         for span in tracer.kernel_spans[name]:
@@ -121,7 +126,7 @@ def test_span_cycles_match_aggregate_counters(traced_runs):
 
 def test_stream_events_match_aggregate_counters(traced_runs):
     """Push/pop event counts and reject span cycles match StreamStats."""
-    fast, _, tracer, _ = traced_runs["chain"]
+    fast, _, tracer, _, _ = traced_runs["chain"]
     for name, stats in fast.run.stream_stats.items():
         events = tracer.stream_events[name]
         assert sum(1 for e in events if e.kind == "push") == stats.pushes, name
@@ -136,14 +141,14 @@ def test_stream_events_match_aggregate_counters(traced_runs):
 
 
 def test_completions_match_run(traced_runs):
-    fast, _, tracer, _ = traced_runs["chain"]
+    fast, _, tracer, _, _ = traced_runs["chain"]
     assert [c.cycle for c in tracer.completions] == fast.run.completion_cycles
     assert [c.index for c in tracer.completions] == list(range(len(tracer.completions)))
 
 
 def test_occupancy_timeline_is_bounded_and_steps(traced_runs):
     """Occupancy samples stay within [0, capacity] and cycles increase."""
-    _, _, tracer, _ = traced_runs["chain"]
+    _, _, tracer, _, _ = traced_runs["chain"]
     for name, meta in tracer._stream_meta.items():
         timeline = tracer.occupancy_timeline(name)
         cycles = [c for c, _ in timeline]
@@ -154,7 +159,7 @@ def test_occupancy_timeline_is_bounded_and_steps(traced_runs):
 
 def test_link_transits_only_on_latency_streams(traced_runs):
     """multi_dfe crossing streams report transits of exactly their latency."""
-    _, _, tracer, _ = traced_runs["multi_dfe"]
+    _, _, tracer, _, _ = traced_runs["multi_dfe"]
     latency_streams = [n for n, m in tracer._stream_meta.items() if m["latency"] > 0]
     assert latency_streams, "multi_dfe case must produce at least one link stream"
     for name in tracer._stream_meta:
@@ -174,7 +179,7 @@ def test_link_transits_only_on_latency_streams(traced_runs):
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_analyze_trace_matches_analyze_run(traced_runs, topology):
     """The event log derives the same PipelineTrace as the aggregate stats."""
-    fast, _, tracer, _ = traced_runs[topology]
+    fast, _, tracer, _, _ = traced_runs[topology]
     from_stats = analyze_run(fast.run, skip_idle=False)
     from_trace = analyze_trace(tracer, skip_idle=False)
     assert from_trace.total_cycles == from_stats.total_cycles
@@ -185,7 +190,7 @@ def test_analyze_trace_matches_analyze_run(traced_runs, topology):
 
 
 def test_chrome_trace_round_trips_and_validates(traced_runs, tmp_path):
-    fast, _, tracer, _ = traced_runs["multi_dfe"]
+    fast, _, tracer, _, _ = traced_runs["multi_dfe"]
     path = tracer.write_chrome_trace(tmp_path / "trace.json")
     data = load_chrome_trace(path)
     events = data["traceEvents"]
@@ -207,6 +212,15 @@ def test_chrome_trace_round_trips_and_validates(traced_runs, tmp_path):
     assert json.loads(path.read_text())["displayTimeUnit"] == "ms"
 
 
+def test_no_images_keep_an_empty_sealed_trace():
+    graph, kwargs = _case("chain")
+    for mode in ("fast", "exhaustive"):
+        tracer = Tracer()
+        simulate(graph, _images(1, n=0), mode=mode, trace=tracer, **kwargs)
+        assert tracer.total_cycles == 0 and tracer.event_count() == 0
+        assert set(tracer.kernel_spans) and set(tracer.stream_events)  # registered
+
+
 def test_tracer_is_single_use():
     graph, kwargs = _case("chain")
     tracer = Tracer()
@@ -217,7 +231,7 @@ def test_tracer_is_single_use():
 
 def test_chrome_trace_image_lifecycle_spans(traced_runs):
     """Schema v2: every completed image renders as an admission->sink span."""
-    fast, _, tracer, _ = traced_runs["chain"]
+    fast, _, tracer, _, _ = traced_runs["chain"]
     data = tracer.to_chrome_trace()
     assert data["otherData"]["schema"] == "repro-trace/2"
     spans = [

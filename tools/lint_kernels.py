@@ -10,10 +10,12 @@ silently break it or the integer-only datapath:
 KC001  ``tick()`` must return a stall classification or None — i.e. every
        return inside a Kernel subclass's ``tick`` is bare, ``None``, or one
        of ``self._starved(...)`` / ``self._blocked(...)`` / ``self._idle(...)``.
-       The reference loop's trace records exactly what tick() returns,
-       while a solved trace names each cycle from the op times and the
-       kernel's ``stall_order``; any other value would put a class in the
-       ticked trace that the solved one cannot equal.
+       Each helper counts the stall it returns, so every cycle a kernel
+       waits lands in exactly one stall counter.  A solved run derives
+       those counters, and every trace span, from the op times and the
+       kernel's ``stall_order``, and the trace oracle classifies each
+       ticked cycle by the counter that moved; a stall returned any other
+       way would go uncounted, and the two runs could not be equal.
 KC002  Kernels must not mutate streams outside ``push``/``pop``: no calls
        to mutators on a ``._fifo`` deque, and no assignments through
        attribute chains that are not rooted at ``self`` (reading
@@ -96,7 +98,7 @@ ALLOWED_TICK_HELPERS = {"_starved", "_blocked", "_idle"}
 KC005_ROOTS = {"tick", "batch_compute"}
 KNOWN_SLOTS_STATE = {"stats"}
 # Constructors may initialize state fields before the engine ever runs.
-KC005_EXEMPT = {"__init__", "__post_init__", "reset"}
+KC005_EXEMPT = {"__init__", "__post_init__"}
 
 # KC006: the method the schedule solver reads instead of ticking.
 OP_PROGRAM = "op_program"
