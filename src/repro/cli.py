@@ -21,9 +21,8 @@ Commands
     cycle-exact event log as Chrome-trace JSON (load it at
     https://ui.perfetto.dev or chrome://tracing).
 ``top [--size N] [--images M] [--every N]``
-    Dashboard: kernel utilization bars, FIFO occupancy and throughput,
-    replayed sample by sample from the solved run (``--refresh`` limits
-    how often it redraws).
+    Dashboard: kernel utilization bars, FIFO occupancy and throughput of
+    the finished run, printed once.
 ``load [--rate FPS] [--process fixed|poisson] [--sweep R ...] [--json]``
     Open-loop load generation: stream images at a target offered rate
     (deterministic seeded arrivals), report offered vs achieved FPS and
@@ -67,11 +66,19 @@ __all__ = ["main"]
 
 
 def _out_exists(args: argparse.Namespace) -> bool:
-    """True, with a note on stderr, when ``--out`` exists and ``--force`` was not given."""
-    if args.out and Path(args.out).exists() and not args.force:
-        print(f"{args.out} exists; pass --force to overwrite", file=sys.stderr)
-        return True
+    """True, with a note on stderr, when an output file (``--out``, ``--prom``, ``--snapshot``)
+    exists and ``--force`` was not given."""
+    for path in (getattr(args, name, None) for name in ("out", "prom", "snapshot")):
+        if path and Path(path).exists() and not args.force:
+            print(f"{path} exists; pass --force to overwrite", file=sys.stderr)
+            return True
     return False
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating its parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
 
 
 def _emit(args: argparse.Namespace, text: str, what: str) -> None:
@@ -150,16 +157,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         graph, images = _tiny_vgg(args)
         telemetry = None
         if args.json or args.prom or args.snapshot:
-            from .telemetry import PeriodicExporter, Telemetry, run_manifest
+            from .telemetry import Telemetry, run_manifest
 
             telemetry = Telemetry(sample_every=args.every)
             telemetry.manifest = run_manifest(
                 graph, seed=args.seed, images=args.images, fclk_mhz=105.0
             )
-            if args.prom or args.snapshot:
-                telemetry.add_listener(
-                    PeriodicExporter(prom_path=args.prom, json_path=args.snapshot, force=args.force)
-                )
         arrival_cycles = None
         if args.rate is not None:
             from .telemetry.loadgen import make_schedule
@@ -167,13 +170,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             arrival_cycles = make_schedule(
                 int(images.shape[0]), args.rate, args.process, args.seed
             ).cycles
-    except (ValueError, FileExistsError) as exc:
+    except ValueError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    if _out_exists(args):
         return 2
 
     run = simulate(
         graph, images, telemetry=telemetry, mode=args.mode, arrival_cycles=arrival_cycles
     )
+    if args.prom:
+        assert telemetry is not None
+        _write(args.prom, telemetry.export_prometheus())
+    if args.snapshot:
+        assert telemetry is not None
+        _write(args.snapshot, json.dumps(telemetry.export_json(), indent=2) + "\n")
     rep = run.leap_report
     if rep is not None and rep.demoted:
         print(
@@ -251,7 +262,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     from .dataflow import simulate
-    from .telemetry import Dashboard, Telemetry
+    from .telemetry import Telemetry, render_frame
 
     try:
         graph, images = _tiny_vgg(args)
@@ -259,10 +270,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    telemetry.add_listener(
-        Dashboard(ansi=False if args.plain else None, min_interval_s=args.refresh)
-    )
     run = simulate(graph, images, telemetry=telemetry)
+    print(render_frame(telemetry))
     print(
         f"\n{args.images} image(s) through {graph.name}: {run.cycles:,} cycles; "
         f"latency {run.latency_cycles:,}"
@@ -381,6 +390,19 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             )
         return 0 if answer["fits_node"] else 1
 
+    def config_for(rate: float, policy: str) -> FleetConfig:
+        return FleetConfig(
+            replicas=specs,
+            rate_fps=rate,
+            n_requests=args.images,
+            policy=policy,
+            process="poisson" if policy == "static" else args.process,
+            seed=args.seed,
+            batch=args.batch,
+            max_cycles=args.max_cycles,
+            workers=args.workers,
+        )
+
     if args.find_capacity:
         if args.rate is None:
             print("--find-capacity needs --rate FPS (the offered load)", file=sys.stderr)
@@ -388,17 +410,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if args.slo_p99_cycles is None:
             print("--find-capacity needs --slo-p99-cycles (the SLO)", file=sys.stderr)
             return 2
-        answer = min_replicas_for_slo(
-            specs[0],
-            args.rate,
-            args.images,
-            args.slo_p99_cycles,
-            policy=args.policy,
-            max_replicas=args.max_replicas,
-            seed=args.seed,
-            process=args.process,
-            workers=args.workers,
-        )
+        if len(set(specs)) > 1:
+            print("--find-capacity scales one replica spec; give --mix a single spec", file=sys.stderr)
+            return 2
+        try:
+            config = config_for(args.rate, args.policy)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        answer = min_replicas_for_slo(config, args.slo_p99_cycles, args.max_replicas)
         if args.json or args.out:
             _emit(args, json.dumps(answer, indent=2), "capacity answer")
         else:
@@ -422,17 +442,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.sweep is not None:
         rates = args.sweep or default_rate_ladder(specs)
         policies = args.policies or [args.policy]
-        config = FleetConfig(
-            replicas=specs,
-            rate_fps=rates[0],
-            n_requests=args.images,
-            policy=policies[0],
-            process="poisson" if policies[0] == "static" else args.process,
-            seed=args.seed,
-            batch=args.batch,
-            max_cycles=args.max_cycles,
-            workers=args.workers,
-        )
+        config = config_for(rates[0], policies[0])
         payload = fleet_sweep(config, rates, policies)
         _emit(
             args,
@@ -446,17 +456,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     else:
         rate = args.rate
     try:
-        config = FleetConfig(
-            replicas=specs,
-            rate_fps=rate,
-            n_requests=args.images,
-            policy=args.policy,
-            process="poisson" if args.policy == "static" else args.process,
-            seed=args.seed,
-            batch=args.batch,
-            max_cycles=args.max_cycles,
-            workers=args.workers,
-        )
+        config = config_for(rate, args.policy)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -792,21 +792,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_top = sub.add_parser(
         "top",
-        help="dashboard replaying a solved simulation's telemetry samples in cycle order",
+        help="dashboard of a simulated run: utilization, FIFO occupancy, throughput",
     )
     p_top.add_argument("--size", type=int, default=16)
     p_top.add_argument("--images", type=int, default=2)
     p_top.add_argument("--seed", type=int, default=0)
     p_top.add_argument(
         "--every", type=int, default=256, help="telemetry sample cadence in simulated cycles"
-    )
-    p_top.add_argument(
-        "--refresh", type=float, default=0.2, help="minimum seconds between redraws"
-    )
-    p_top.add_argument(
-        "--plain",
-        action="store_true",
-        help="append plain-text frames instead of redrawing in place",
     )
     p_top.set_defaults(func=_cmd_top)
 

@@ -25,7 +25,7 @@ at N requests/s?" by walking replica counts until the SLO holds.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -624,18 +624,11 @@ def fleet_sweep(
     for policy in policies:
         points: list[dict[str, Any]] = []
         for rate in rates:
-            run_config = FleetConfig(
-                replicas=config.replicas,
+            run_config = replace(
+                config,
                 rate_fps=rate,
-                n_requests=config.n_requests,
                 policy=policy,
                 process="poisson" if policy == "static" else config.process,
-                seed=config.seed,
-                fclk_mhz=config.fclk_mhz,
-                host_link=config.host_link,
-                batch=config.batch,
-                max_cycles=config.max_cycles,
-                workers=config.workers,
             )
             report = simulate_fleet(run_config)
             agg = report.aggregate
@@ -666,38 +659,22 @@ def fleet_sweep(
 
 
 def min_replicas_for_slo(
-    spec: ReplicaSpec,
-    rate_fps: float,
-    n_requests: int,
-    slo_p99_sojourn_cycles: int,
-    *,
-    policy: str = "jsq",
-    max_replicas: int = 8,
-    seed: int = 0,
-    process: str = "fixed",
-    fclk_mhz: float = DEFAULT_FCLK_MHZ,
-    workers: int = 0,
+    config: FleetConfig, slo_p99_sojourn_cycles: int, max_replicas: int = 8
 ) -> dict[str, Any]:
     """How many replicas hold p99 sojourn ≤ the SLO at the offered rate?
 
-    Walks ``R = 1..max_replicas`` (the MPC-X node tops out at 8 DFEs) and
-    returns the first count that satisfies the SLO, with the full trail of
-    attempts so the answer is auditable.
+    Walks ``R = 1..max_replicas`` (the MPC-X node tops out at 8 DFEs) of
+    ``config``'s one replica spec, every trial otherwise ``config`` as
+    given, and returns the first count that satisfies the SLO, with the
+    full trail of attempts so the answer is auditable.
     """
+    spec = config.replicas[0]
+    if any(other != spec for other in config.replicas):
+        raise ValueError("the capacity search scales one replica spec; the config mixes several")
     trail: list[dict[str, Any]] = []
     answer: int | None = None
     for n in range(1, max_replicas + 1):
-        config = FleetConfig(
-            replicas=[spec] * n,
-            rate_fps=rate_fps,
-            n_requests=n_requests,
-            policy=policy,
-            process="poisson" if policy == "static" else process,
-            seed=seed,
-            fclk_mhz=fclk_mhz,
-            workers=workers,
-        )
-        report = simulate_fleet(config)
+        report = simulate_fleet(replace(config, replicas=[spec] * n))
         p99 = report.aggregate["sojourn_cycles"]["p99"]
         ok = not report.slo_violated(slo_p99_sojourn_cycles)
         trail.append(
@@ -714,9 +691,9 @@ def min_replicas_for_slo(
     return {
         "schema": "repro-fleet-capacity/1",
         "spec": spec.as_dict(),
-        "policy": policy,
-        "offered_fps": rate_fps,
-        "requests": n_requests,
+        "policy": config.policy,
+        "offered_fps": config.rate_fps,
+        "requests": config.n_requests,
         "slo_p99_sojourn_cycles": slo_p99_sojourn_cycles,
         "min_replicas": answer,  # None: not satisfiable within max_replicas
         "max_replicas_tried": max_replicas,

@@ -1,4 +1,4 @@
-"""Live telemetry for the streaming simulator.
+"""Telemetry for the streaming simulator.
 
 The observability layer the ROADMAP's serving-system north star needs:
 
@@ -9,11 +9,11 @@ The observability layer the ROADMAP's serving-system north star needs:
   counters, FIFO occupancy, link bandwidth vs the §III-C budget, derived
   II/FPS/duty-cycle gauges), every sample read off the solved schedule;
 * :mod:`~repro.telemetry.exporters` — Prometheus text exposition and JSON
-  snapshots, periodic or at run end;
+  snapshots of the filled registry;
 * :mod:`~repro.telemetry.manifest` — host/run manifests (git describe,
   python/numpy versions, topology) stamped onto every export;
-* :mod:`~repro.telemetry.dashboard` — the ``repro top`` view, replayed
-  sample by sample;
+* :mod:`~repro.telemetry.dashboard` — the ``repro top`` frame of a
+  finished run;
 * :mod:`~repro.telemetry.attribution` — the ``repro stats`` bottleneck
   report, naming the same edges ``repro check`` anchors its diagnostics to;
 * :mod:`~repro.telemetry.latency` — per-image lifecycle records (arrival,
@@ -24,8 +24,8 @@ The observability layer the ROADMAP's serving-system north star needs:
   verdicts, and FINN-style latency-throughput sweeps.
 
 Telemetry is strictly opt-in and never hooks the engine: a telemetered
-run is solved whole, and its samples are derived from the op times after
-the solve, so a run without a collector pays nothing for it.
+run is solved whole, and the registry is filled once from the op times
+after the solve, so a run without a collector pays nothing for it.
 """
 
 from .attribution import (
@@ -36,13 +36,8 @@ from .attribution import (
     run_attributed,
 )
 from .collector import DEFAULT_SAMPLE_EVERY, OCCUPANCY_BUCKETS, Telemetry
-from .dashboard import Dashboard, render_frame
-from .exporters import (
-    PeriodicExporter,
-    render_prometheus,
-    snapshot_registry,
-    validate_exposition,
-)
+from .dashboard import render_frame
+from .exporters import render_prometheus, snapshot_registry, validate_exposition
 from .latency import (
     LATENCY_BUCKETS,
     ImageRecord,
@@ -71,7 +66,6 @@ __all__ = [
     "ArrivalSchedule",
     "AttributionReport",
     "Counter",
-    "Dashboard",
     "DEFAULT_SAMPLE_EVERY",
     "Gauge",
     "Histogram",
@@ -83,7 +77,6 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "OCCUPANCY_BUCKETS",
-    "PeriodicExporter",
     "Telemetry",
     "attribute_run",
     "deadlock_root_edge",
@@ -105,4 +98,5 @@ __all__ = [
     "spawn_poisson_schedules",
     "sweep",
     "tail_attribution",
+    "validate_exposition",
 ]

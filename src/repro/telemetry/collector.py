@@ -1,8 +1,8 @@
 """The Telemetry collector: samples of a run, read off its solved schedule.
 
 A :class:`Telemetry` passed to ``simulate(..., telemetry=...)`` samples the
-run every ``sample_every`` simulated cycles and mirrors its state into a
-typed :class:`~repro.telemetry.registry.MetricsRegistry`:
+run every ``sample_every`` simulated cycles and fills a typed
+:class:`~repro.telemetry.registry.MetricsRegistry` with its state:
 
 * per-kernel busy/starved/blocked/idle **cycle counters**, equal to the
   engine's own :class:`~repro.dataflow.kernel.KernelStats` at that cycle;
@@ -25,8 +25,11 @@ Sampling by solving: a telemetered run is solved whole
 (:func:`repro.dataflow.schedule.solve_run`), and each sample is the state
 the reference loop holds after ticking ``cycle`` cycles, read off the
 run's :class:`~repro.dataflow.schedule.Timeline` (:meth:`Telemetry.replay`
-says when samples fall).  Nothing hooks the engine.  The sealed sample
-reconciles exactly with ``Engine.collect_stats`` and the Tracer-derived
+says when samples fall).  Nothing hooks the engine.  The registry is
+filled once, after the solve: the occupancy histogram takes every sample's
+occupancy and the sample counter counts them, and every other metric is
+the state at the last sample.  The sealed sample reconciles exactly with
+``Engine.collect_stats`` and the Tracer-derived
 :class:`~repro.dataflow.tracing.PipelineTrace`, and every sample with the
 reference loop at the same cycle — tested properties.
 
@@ -36,7 +39,6 @@ create a fresh one per run.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 from ..dataflow.interval import mean_completion_interval
@@ -60,40 +62,27 @@ _STATES = ("busy", "starved", "blocked", "idle")
 # Sample instants per vectorized pass over the timeline (bounds its memory).
 _CHUNK_SAMPLES = 64
 
-Listener = Callable[["Telemetry", int], None]
-
 
 class Telemetry:
     """Samples one run into a metrics registry (single-use)."""
 
-    def __init__(
-        self,
-        sample_every: int = DEFAULT_SAMPLE_EVERY,
-        fclk_mhz: float = 105.0,
-        registry: MetricsRegistry | None = None,
-        on_sample: Listener | None = None,
-    ) -> None:
+    def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY) -> None:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
         self.sample_every = int(sample_every)
-        self.fclk_mhz = float(fclk_mhz)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.fclk_mhz = 105.0  # the paper's fabric clock until attach_pipeline adopts the run's
+        self.registry = MetricsRegistry()
         self.manifest: dict[str, Any] = {}
         self.pipeline: "Pipeline | None" = None
         self.finished = False
         self.total_cycles: int | None = None
-        # Convenience summary refreshed on every sample (dashboard food).
+        # Summary of the last sample (dashboard food).
         self.last: dict[str, Any] = {"cycle": 0, "images": 0}
-        self._listeners: list[Listener] = [on_sample] if on_sample is not None else []
         # Metric children resolved once per kernel, stream and crossing by
         # attach_pipeline, in engine order.
         self._kernels: list[tuple[str, list[Counter], Gauge, Gauge]] = []
         self._streams: list[tuple[str, list[Counter], Gauge, Gauge, Gauge, Histogram]] = []
         self._links: list[tuple[int, int, Gauge, Gauge]] = []
-        self._timeline: "Timeline | None" = None  # the run being replayed
-        # Completed images whose service latency is already in the histogram
-        # (samples overlap; each image must be observed exactly once).
-        self._latency_observed = 0
         self._declare_families()
 
     # -- setup -----------------------------------------------------------
@@ -197,10 +186,6 @@ class Telemetry:
             "Images arrived at the host but not yet admitted into the fabric.",
         )
 
-    def add_listener(self, listener: Listener) -> None:
-        """Register a callable invoked as ``listener(telemetry, cycle)`` per sample."""
-        self._listeners.append(listener)
-
     def attach_pipeline(self, pipeline: "Pipeline") -> None:
         """Adopt a built pipeline: its fabric clock and a metric child per kernel, stream and crossing."""
         if self.pipeline is not None or self.finished:
@@ -241,35 +226,45 @@ class Telemetry:
 
     # -- sampling --------------------------------------------------------
     def replay(self, timeline: "Timeline") -> None:
-        """Take the run's samples in cycle order from its solved ``timeline`` (``simulate`` calls this).
+        """Fill the registry from the run's solved ``timeline`` (``simulate`` calls this).
 
         Samples fall every :attr:`sample_every` cycles below the run's end,
         then one sealing sample at the end; a run cut at its cycle budget
-        samples up to the budget and stays unsealed.
+        samples up to the budget and stays unsealed.  Only the occupancy
+        histogram and the sample counter accumulate over the samples; every
+        other metric is the state at the last one, so the registry is filled
+        once from it.
         """
         assert self.pipeline is not None, "attach_pipeline comes first"
         end, sealed = timeline.cycles, not timeline.aborted
         instants = list(range(self.sample_every, end if sealed else end + 1, self.sample_every))
         if sealed:
             instants.append(end)
-        self._timeline = timeline
+        if not instants:
+            return
         for lo in range(0, len(instants), _CHUNK_SAMPLES):
-            chunk = instants[lo : lo + _CHUNK_SAMPLES]
-            for cycle, kernels, streams, images in zip(chunk, *timeline.at(self.pipeline, chunk)):
-                if sealed and cycle == end:
-                    self.finished = True
-                    self.total_cycles = end
-                self.sample(cycle, kernels, streams, images)
+            kernels, streams, images = timeline.at(self.pipeline, instants[lo : lo + _CHUNK_SAMPLES])
+            for rows in streams:
+                for (*_, sampled), row in zip(self._streams, rows):
+                    sampled.observe(row[0])
+        self._m_samples.set_total(len(instants))
+        if sealed:
+            self.finished, self.total_cycles = True, end
+        self._fill(instants[-1], kernels[-1], streams[-1], images[-1], timeline)
 
-    def sample(
-        self, cycle: int, kernels: list[list[int]], streams: list[list[int]], images: list[int]
+    def _fill(
+        self,
+        cycle: int,
+        kernels: list[list[int]],
+        streams: list[list[int]],
+        images: list[int],
+        timeline: "Timeline",
     ) -> None:
-        """Mirror the run's state at ``cycle`` into the registry, then call the listeners.
+        """Mirror the run's state at ``cycle`` into the registry and :attr:`last`.
 
         ``kernels``, ``streams`` and ``images`` are one instant of
         :meth:`Timeline.at <repro.dataflow.schedule.Timeline.at>`.
         """
-        self._m_samples.inc()
         self._m_cycles.set(cycle)
 
         first_actives: list[int] = []
@@ -284,12 +279,11 @@ class Telemetry:
             stalls = busy + starved + blocked
             utilization.set(busy / stalls if stalls else 0.0)
 
-        for (_, events, occupancy, peak, _, sampled), row in zip(self._streams, streams):
+        for (_, events, occupancy, peak, _, _), row in zip(self._streams, streams):
             occupancy.set(row[0])
             peak.set(row[1])
             for cell, value in zip(events, row[2:5]):
                 cell.set_total(value)
-            sampled.observe(row[0])
 
         for link, bits, measured, in_flight in self._links:
             in_flight.set(streams[link][5])
@@ -297,8 +291,7 @@ class Telemetry:
                 measured.set(streams[link][2] * bits * self.fclk_mhz / cycle)
 
         completed, admitted, arrived = images
-        assert self._timeline is not None, "samples come from replay"
-        completions = self._timeline.completions[:completed]
+        completions = timeline.completions[:completed]
         self._m_images.set_total(len(completions))
         if completions:
             self._m_latency.set(completions[0])
@@ -313,11 +306,10 @@ class Telemetry:
 
         # Per-image service latency: sink completions paired with source
         # admissions by image index.
-        admissions = self._timeline.admissions[:admitted]
+        admissions = timeline.admissions[:admitted]
         service = [done - admitted_at for done, admitted_at in zip(completions, admissions)]
-        for value in service[self._latency_observed :]:
+        for value in service:
             self._m_lat_hist.observe(value)
-        self._latency_observed = max(self._latency_observed, len(service))
         quantiles: dict[str, int | None] = dict.fromkeys(
             ("latency_p50", "latency_p95", "latency_p99", "latency_max")
         )
@@ -338,8 +330,6 @@ class Telemetry:
             **quantiles,
             "queue_depth": queue_depth,
         }
-        for listener in self._listeners:
-            listener(self, cycle)
 
     # -- views -----------------------------------------------------------
     def kernel_rows(self) -> list[dict[str, Any]]:

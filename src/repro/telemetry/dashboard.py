@@ -1,28 +1,18 @@
-"""``python -m repro top``: a dashboard that replays a simulation's samples.
+"""``python -m repro top``: one dashboard frame of a finished simulation.
 
-The dashboard is just another telemetry sample listener: for every sample
-(every ``sample_every`` simulated cycles, read off the solved run and
-handed over in cycle order) the listener re-renders kernel utilization
-bars, FIFO occupancy, and the throughput headline.
-
-On a real terminal it redraws in place with ANSI cursor control (no curses
-dependency: ``ESC[H``/``ESC[J`` are universal and keep the renderer usable
-inside pipes and CI logs); when stdout is not a TTY it degrades to
-periodic plain-text frames.  Wall-clock throttling (``min_interval_s``)
-limits how often it redraws: frames are dropped, samples are not, and the
-final frame always lands.
+:func:`render_frame` draws kernel utilization bars, FIFO occupancy and the
+throughput headline from a :class:`~repro.telemetry.collector.Telemetry`
+as of its last sample; ``repro top`` prints it once, after the run.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from typing import IO, TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .collector import Telemetry
 
-__all__ = ["Dashboard", "render_frame"]
+__all__ = ["render_frame"]
 
 _BAR_WIDTH = 24
 
@@ -86,39 +76,3 @@ def render_frame(telemetry: "Telemetry", max_streams: int = 12) -> str:
         if len(streams) > len(shown):
             lines.append(f"  ... and {len(streams) - len(shown)} more streams")
     return "\n".join(lines)
-
-
-class Dashboard:
-    """A sample listener that re-renders the dashboard as the samples arrive."""
-
-    def __init__(
-        self,
-        out: IO[str] | None = None,
-        min_interval_s: float = 0.2,
-        ansi: bool | None = None,
-        max_streams: int = 12,
-    ) -> None:
-        self.out: IO[str] = out if out is not None else sys.stdout
-        self.min_interval_s = min_interval_s
-        if ansi is None:
-            ansi = bool(getattr(self.out, "isatty", lambda: False)())
-        self.ansi = ansi
-        self.max_streams = max_streams
-        self.frames = 0
-        self._last_render = 0.0
-
-    def __call__(self, telemetry: "Telemetry", cycle: int) -> None:
-        now = time.monotonic()
-        if not telemetry.finished and now - self._last_render < self.min_interval_s:
-            return  # drop the frame, keep the sample cheap
-        self._last_render = now
-        frame = render_frame(telemetry, max_streams=self.max_streams)
-        if self.ansi:
-            # Home the cursor and clear to end of screen: an in-place redraw.
-            self.out.write("\x1b[H\x1b[J" + frame + "\n")
-        else:
-            if self.frames:
-                self.out.write("\n")
-            self.out.write(frame + "\n")
-        self.out.flush()
-        self.frames += 1

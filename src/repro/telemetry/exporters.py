@@ -5,10 +5,11 @@ Two serialisations of one :class:`~repro.telemetry.registry.MetricsRegistry`:
 * :func:`render_prometheus` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` headers, escaped label values, cumulative
   ``le``-bucket histograms, a ``repro_build_info`` info-metric carrying the
-  run manifest) suitable for a file-based scrape or pushgateway.
+  run manifest) suitable for a file-based scrape or pushgateway; ``repro
+  simulate --prom`` writes it once the run is over.
 * :func:`snapshot_registry` — a JSON-serialisable structure with the same
-  content, written by ``repro simulate --json`` and the periodic snapshot
-  files.
+  content, printed by ``repro simulate --json`` and written to its
+  ``--snapshot`` file.
 
 :func:`validate_exposition` is a self-contained lint of the exposition
 format (name/label grammar, header presence, histogram invariants) used by
@@ -18,10 +19,8 @@ from what a real Prometheus scraper would accept.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from pathlib import Path
 from typing import Any
 
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -30,7 +29,6 @@ __all__ = [
     "render_prometheus",
     "snapshot_registry",
     "validate_exposition",
-    "PeriodicExporter",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -213,50 +211,3 @@ def validate_exposition(text: str) -> list[str]:
         if not math.isinf(last_le):
             problems.append(f"histogram {base!r}: bucket run does not end at le=+Inf")
     return problems
-
-
-class PeriodicExporter:
-    """A sample listener that writes exposition/snapshot files as a run progresses.
-
-    Register with :meth:`Telemetry.add_listener`; every ``every_samples``-th
-    sample (and unconditionally on the final sample) it rewrites the
-    configured Prometheus and/or JSON files in place — the file-based
-    scrape pattern.  The overwrite guard applies once, up front: if a
-    target exists and ``force`` is false, construction fails before the
-    run starts rather than clobbering mid-run.
-    """
-
-    def __init__(
-        self,
-        prom_path: str | Path | None = None,
-        json_path: str | Path | None = None,
-        every_samples: int = 1,
-        force: bool = False,
-    ) -> None:
-        if prom_path is None and json_path is None:
-            raise ValueError("PeriodicExporter needs at least one output path")
-        if every_samples < 1:
-            raise ValueError(f"every_samples must be >= 1, got {every_samples!r}")
-        self.prom_path = Path(prom_path) if prom_path is not None else None
-        self.json_path = Path(json_path) if json_path is not None else None
-        self.every_samples = every_samples
-        self._samples_seen = 0
-        for target in (self.prom_path, self.json_path):
-            if target is not None and target.exists() and not force:
-                raise FileExistsError(
-                    f"{target} exists; pass --force (or force=True) to overwrite"
-                )
-
-    def __call__(self, telemetry: Any, cycle: int) -> None:
-        self._samples_seen += 1
-        if self._samples_seen % self.every_samples and not telemetry.finished:
-            return
-        self.write(telemetry)
-
-    def write(self, telemetry: Any) -> None:
-        if self.prom_path is not None:
-            self.prom_path.parent.mkdir(parents=True, exist_ok=True)
-            self.prom_path.write_text(telemetry.export_prometheus())
-        if self.json_path is not None:
-            self.json_path.parent.mkdir(parents=True, exist_ok=True)
-            self.json_path.write_text(json.dumps(telemetry.export_json(), indent=2) + "\n")

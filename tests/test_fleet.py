@@ -286,16 +286,16 @@ class TestSchemasAndCapacity:
         _, interval = profile_replica(FAST)
         capacity = 105e6 / interval
         latency, _ = profile_replica(FAST)
-        answer = min_replicas_for_slo(
-            FAST, 1.4 * capacity, 12, int(latency + 2 * interval), policy="jsq", max_replicas=4
-        )
+        config = _config(replicas=[FAST], rate_fps=1.4 * capacity, n_requests=12, policy="jsq", seed=0)
+        answer = min_replicas_for_slo(config, int(latency + 2 * interval), max_replicas=4)
         assert answer["schema"] == "repro-fleet-capacity/1"
         assert answer["min_replicas"] == 2
         assert [t["replicas"] for t in answer["trail"]] == [1, 2]
         assert not answer["trail"][0]["satisfied"] and answer["trail"][1]["satisfied"]
 
     def test_unreachable_slo_reports_none(self):
-        answer = min_replicas_for_slo(FAST, 5_000.0, 4, 1, max_replicas=2)
+        config = _config(replicas=[FAST], rate_fps=5_000.0, n_requests=4, policy="jsq", seed=0)
+        answer = min_replicas_for_slo(config, 1, max_replicas=2)
         assert answer["min_replicas"] is None
         assert len(answer["trail"]) == 2
 
@@ -348,6 +348,39 @@ class TestCli:
                      "--slo-p99-cycles", "100000", "--max-replicas", "2"]) == 0
         out = capsys.readouterr().out
         assert "capacity [rr]" in out and "R=1" in out
+
+    def test_find_capacity_honours_the_cycle_budget(self, capsys):
+        """A budget no replica finishes in leaves the SLO unmet at every count."""
+        argv = ["fleet", "--find-capacity", "--rate", "20000", "--images", "4",
+                "--slo-p99-cycles", "100000", "--max-replicas", "2", "--max-cycles", "10", "--json"]
+        assert main(argv) == 1
+        answer = json.loads(capsys.readouterr().out)
+        assert answer["min_replicas"] is None
+        assert [step["satisfied"] for step in answer["trail"]] == [False, False]
+
+    def test_find_capacity_passes_the_config_on(self, capsys, monkeypatch):
+        """Every trial runs the flags' config, ``--batch`` and ``--max-cycles`` included."""
+        import repro.fleet.fleet as fleet_mod
+
+        configs = []
+        simulate = fleet_mod.simulate_fleet
+        monkeypatch.setattr(fleet_mod, "simulate_fleet", lambda config: configs.append(config) or simulate(config))
+        assert main(["fleet", "--find-capacity", "--rate", "20000", "--images", "4", "--policy", "batch",
+                     "--batch", "2", "--max-cycles", "1000000", "--slo-p99-cycles", "1",
+                     "--max-replicas", "2"]) == 1
+        assert [len(config.replicas) for config in configs] == [1, 2]
+        assert {(config.batch, config.max_cycles, config.policy) for config in configs} == {
+            (2, 1_000_000, "batch")
+        }
+
+    def test_find_capacity_refuses_a_mixed_fleet(self, capsys):
+        assert main(["fleet", "--find-capacity", "--mix", "vgg:16,vgg:16:0.25", "--rate", "20000",
+                     "--slo-p99-cycles", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "--mix" in captured.err
+        assert captured.out == ""
+        with pytest.raises(ValueError, match="one replica spec"):
+            min_replicas_for_slo(_config(replicas=[FAST, SLOW]), 100_000)
 
     def test_bad_mix_exits_cleanly(self, capsys):
         assert main(["fleet", "--mix", "lenet:28", "--rate", "1000", "--images", "2"]) == 2

@@ -14,11 +14,11 @@ from repro.models import direct_resnet18_graph
 from repro.nn import input_to_levels
 from repro.nn.export import export_model
 from repro.telemetry import (
+    OCCUPANCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    PeriodicExporter,
     Telemetry,
     deadlock_root_edge,
     exact_quantile,
@@ -152,10 +152,10 @@ def test_telemetry_reconciles_with_pipeline_trace(chain_case, mode):
 
 
 def _live_state(pipeline, cycle):
-    """The reference loop's state after ticking ``cycle`` cycles, as a sample reports it.
+    """The reference loop's state after ticking ``cycle`` cycles, as the registry reports it.
 
-    The oracle of :func:`test_fast_midrun_samples_match_exhaustive`: it reads
-    the live counters, FIFOs and host lists, as a per-cycle probe would.
+    The oracle of the final fill in :func:`test_fast_midrun_samples_match_exhaustive`:
+    it reads the live counters, FIFOs and host lists.
     """
     kernels, first_actives = [], []
     for kernel in pipeline.engine.kernels:
@@ -215,8 +215,32 @@ def _live_state(pipeline, cycle):
     return kernels, streams, last, in_flight
 
 
+def _live_rows(pipeline, cycle):
+    """The reference loop's state after ticking ``cycle`` cycles, as one instant of ``Timeline.at``."""
+    kernels = []
+    for kernel in pipeline.engine.kernels:
+        st = kernel.stats
+        first, last = st.first_active_cycle, st.last_active_cycle
+        kernels.append(
+            [st.active_cycles, st.input_starved_cycles, st.output_blocked_cycles, st.idle_cycles]
+            + [st.elements_in, st.elements_out, -1 if first is None else first, -1 if last is None else last]
+        )
+    streams = [
+        [len(s._fifo), s.stats.max_occupancy, s.stats.pushes, s.stats.pops, s.stats.full_rejections]
+        + [sum(1 for _, ready in s._fifo if ready > cycle)]
+        for s in pipeline.engine.streams
+    ]
+    source = pipeline.source
+    arrived = source.n_images
+    if source.arrival_cycles is not None:
+        arrived = sum(arrival <= cycle for arrival in source.arrival_cycles)
+    images = [len(pipeline.sink.completion_cycles), len(source.admission_cycles), arrived]
+    return kernels, streams, images
+
+
 def _reference_states(graph, images, max_cycles, **kwargs):
-    """The live state at every cycle of the reference loop, read by its ``done`` callback.
+    """The live rows at every cycle of the reference loop, read by its ``done`` callback, and
+    the registry view of its last state.
 
     ``Engine.run`` calls ``done`` once per cycle before that cycle's ticks;
     an aborted run's state at its budget is read after the abort.
@@ -225,33 +249,36 @@ def _reference_states(graph, images, max_cycles, **kwargs):
     states = []
 
     def done():
-        states.append(_live_state(pipeline, len(states)))
+        states.append(_live_rows(pipeline, len(states)))
         return pipeline.sink.done
 
     try:
         pipeline.engine.run(done, max_cycles=max_cycles)
     except CycleBudgetExceeded:
-        states.append(_live_state(pipeline, max_cycles))
-    return states
+        states.append(_live_rows(pipeline, max_cycles))
+    return states, _live_state(pipeline, len(states) - 1)
 
 
-def _sample_states(telemetry, store):
-    def listener(tel, cycle):
-        in_flight = tel.registry.get("repro_link_in_flight")
-        store.append(
-            (
-                cycle,
-                (
-                    tel.kernel_rows(),
-                    tel.stream_rows(),
-                    dict(tel.last),
-                    {labels["edge"]: child.value for labels, child in in_flight.samples()},
-                ),
-            )
-        )
+class _KeepsTimeline(Telemetry):
+    """A Telemetry that keeps the solved timeline it is filled from."""
 
-    telemetry.add_listener(listener)
-    return telemetry
+    def replay(self, timeline):
+        self.timeline = timeline
+        super().replay(timeline)
+
+
+def _registry_view(telemetry):
+    in_flight = telemetry.registry.get("repro_link_in_flight")
+    return (
+        telemetry.kernel_rows(),
+        telemetry.stream_rows(),
+        dict(telemetry.last),
+        {labels["edge"]: child.value for labels, child in in_flight.samples()},
+    )
+
+
+def _samples_taken(telemetry):
+    return telemetry.registry.get("repro_telemetry_samples_total")._default().value
 
 
 def _midrun_case(case):
@@ -273,34 +300,48 @@ def _midrun_case(case):
 
 def _assert_samples_match(case):
     graph, images, budget, kwargs = _midrun_case(case)
-    oracle = _reference_states(graph, images, budget, **kwargs)
+    oracle, final = _reference_states(graph, images, budget, **kwargs)
     end = len(oracle) - 1
-    for every, modes in ((1, ("fast",)), (97, ("fast", "exhaustive"))):
-        for mode in modes:
-            samples = []
-            telemetry = _sample_states(Telemetry(sample_every=every), samples)
+    for every in (1, 97):
+        for mode in ("fast", "exhaustive"):
+            where = f"{case} {mode} every={every}"
+            telemetry = _KeepsTimeline(sample_every=every)
             if case == "abort":
                 with pytest.raises(CycleBudgetExceeded):
                     simulate(graph, images, mode=mode, max_cycles=budget, telemetry=telemetry, **kwargs)
-                expected = list(range(every, end + 1, every))
+                instants = list(range(every, end + 1, every))
             else:
                 simulate(graph, images, mode=mode, max_cycles=budget, telemetry=telemetry, **kwargs)
-                expected = list(range(every, end, every)) + [end]
-            assert [cycle for cycle, _ in samples] == expected
-            assert telemetry.finished == (case != "abort")
-            for cycle, state in samples:
-                assert state == oracle[cycle], f"{case} {mode} every={every}: divergence at cycle {cycle}"
+                instants = list(range(every, end, every)) + [end]
+            rows = telemetry.timeline.at(telemetry.pipeline, instants)
+            for cycle, *state in zip(instants, *rows):
+                assert tuple(state) == oracle[cycle], f"{where}: divergence at cycle {cycle}"
+            # The registry: the sample count, the last state, and every sample's occupancy.
+            assert _samples_taken(telemetry) == len(instants), where
+            assert telemetry.finished == (case != "abort"), where
+            assert _registry_view(telemetry) == final, where
+            sampled = telemetry.registry.get("repro_stream_occupancy_sampled")
+            for s, stream in enumerate(telemetry.pipeline.engine.streams):
+                expected = Histogram(OCCUPANCY_BUCKETS)
+                for cycle in instants:
+                    expected.observe(oracle[cycle][1][s][0])
+                child = sampled.labels(stream=stream.name)
+                assert child.cumulative() == expected.cumulative(), f"{where}: {stream.name}"
+                assert child.sum == expected.sum, f"{where}: {stream.name}"
     if kwargs.get("partition"):
-        assert any(state[3] and max(state[3].values()) > 0 for state in oracle)
+        assert any(row[5] for _, streams, _ in oracle for row in streams)
 
 
 def test_fast_midrun_samples_match_exhaustive():
     """Every sample equals the reference loop's live state at the same cycle.
 
     The samples are read off the solved schedule; the oracle ticks the
-    engine and reads its counters, FIFOs and host lists every cycle.  The
-    cases: the tiny chain, the tiny ResNet (a skip FIFO), an open-loop
-    run across two DFEs (a link in flight) and a budget abort.
+    engine and reads its counters, FIFOs and host lists every cycle.  Each
+    sample instant of the solved timeline is checked, and so is the
+    registry filled from them: its last state and the occupancy histogram
+    of every sample.  The cases: the tiny chain, the tiny ResNet (a skip
+    FIFO), an open-loop run across two DFEs (a link in flight) and a
+    budget abort.
     """
     for case in ("chain", "resnet", "open_loop", "abort"):
         _assert_samples_match(case)
@@ -310,25 +351,37 @@ def test_final_sample_is_taken_once(chain_case):
     """A run whose length is a multiple of ``sample_every`` seals with one sample, not two."""
     graph, levels = chain_case
     cycles = simulate(graph, levels).cycles
-    seen = []
-    telemetry = Telemetry(sample_every=cycles, on_sample=lambda tel, cycle: seen.append(cycle))
-    simulate(graph, levels, telemetry=telemetry)
-    assert seen == [cycles]
-    assert telemetry.registry.get("repro_telemetry_samples_total")._default().value == 1
-    seen.clear()
-    telemetry = Telemetry(sample_every=cycles // 2, on_sample=lambda tel, cycle: seen.append(cycle))
-    simulate(graph, levels, telemetry=telemetry)
-    assert seen == sorted(set(seen)) == [cycles // 2, cycles]
+    for every, samples in ((cycles, 1), (cycles // 2, 2)):
+        telemetry = Telemetry(sample_every=every)
+        simulate(graph, levels, telemetry=telemetry)
+        assert _samples_taken(telemetry) == samples
+        assert telemetry.finished and telemetry.last["cycle"] == cycles
 
 
 def test_no_images_keep_one_sealed_sample(chain_case):
     graph, levels = chain_case
     for mode in ("fast", "exhaustive"):
-        seen = []
-        telemetry = Telemetry(on_sample=lambda tel, cycle: seen.append(cycle))
+        telemetry = Telemetry()
         simulate(graph, levels[:0], mode=mode, telemetry=telemetry)
-        assert seen == [0] and telemetry.finished
+        assert _samples_taken(telemetry) == 1 and telemetry.finished
+        assert telemetry.last["cycle"] == 0
         assert {row["busy"] for row in telemetry.kernel_rows()} == {0}
+
+
+def test_budget_below_the_cadence_takes_no_sample(chain_case):
+    """A run cut before its first sample instant leaves the registry unsampled and unsealed."""
+    graph, levels = chain_case
+    for mode in ("fast", "exhaustive"):
+        telemetry = Telemetry(sample_every=1_000)
+        with pytest.raises(CycleBudgetExceeded):
+            simulate(graph, levels, mode=mode, max_cycles=999, telemetry=telemetry)
+        assert _samples_taken(telemetry) == 0
+        assert not telemetry.finished and telemetry.total_cycles is None
+        assert telemetry.last == {"cycle": 0, "images": 0}
+        assert telemetry.registry.get("repro_cycles")._default().value == 0
+        assert {row["busy"] + row["starved"] for row in telemetry.kernel_rows()} == {0}
+        sampled = telemetry.registry.get("repro_stream_occupancy_sampled")
+        assert {child.count for _, child in sampled.samples()} == {0}
 
 
 def test_declined_runs_refuse_telemetry(chain_case, monkeypatch):
@@ -364,8 +417,7 @@ def test_run_past_the_solver_horizon_is_declined_after_one_solve(chain_case, mon
 def test_a_run_that_fails_takes_no_samples(chain_case, monkeypatch):
     """Only a run that ends or hits its budget is sampled; a fault leaves telemetry unsampled."""
     graph, levels = chain_case
-    seen = []
-    telemetry = Telemetry(sample_every=100, on_sample=lambda tel, cycle: seen.append(cycle))
+    telemetry = Telemetry(sample_every=100)
 
     def fault(*args, **kwargs):
         raise RuntimeError("injected engine fault")
@@ -373,7 +425,8 @@ def test_a_run_that_fails_takes_no_samples(chain_case, monkeypatch):
     monkeypatch.setattr(Engine, "run", fault)
     with pytest.raises(RuntimeError, match="injected engine fault"):
         simulate(graph, levels, mode="exhaustive", telemetry=telemetry)
-    assert seen == [] and not telemetry.finished and telemetry.total_cycles is None
+    assert _samples_taken(telemetry) == 0
+    assert not telemetry.finished and telemetry.total_cycles is None
 
 
 def test_telemetry_is_single_use(chain_case):
@@ -444,20 +497,6 @@ class TestExporters:
         reg.histogram("repro_h", "help.", [1, 2]).observe(1.5)
         fam = snapshot_registry(reg)[0]
         assert fam["samples"][0]["buckets"][-1][0] == "+Inf"
-
-    def test_periodic_exporter_guards_and_writes(self, chain_case, tmp_path):
-        graph, levels = chain_case
-        prom = tmp_path / "metrics.prom"
-        snap = tmp_path / "metrics.json"
-        telemetry = Telemetry(sample_every=200)
-        telemetry.add_listener(PeriodicExporter(prom_path=prom, json_path=snap))
-        simulate(graph, levels, telemetry=telemetry)
-        assert validate_exposition(prom.read_text()) == []
-        assert json.loads(snap.read_text())["finished"] is True
-        # Existing outputs require force.
-        with pytest.raises(FileExistsError):
-            PeriodicExporter(prom_path=prom)
-        PeriodicExporter(prom_path=prom, force=True)
 
 
 # -- manifests -------------------------------------------------------------
@@ -606,80 +645,6 @@ def test_dashboard_latency_na_marker():
     # Mid-run with nothing completed yet: no latency row, no n/a noise.
     running = _bare_telemetry({"cycle": 50, "images": 0})
     assert "latency" not in render_frame(running)
-
-
-def test_dashboard_ansi_redraw_and_throttle(monkeypatch):
-    """Fake clock: frames drop inside min_interval_s, final frame always lands."""
-    import io
-
-    from repro.telemetry import dashboard as dashboard_mod
-    from repro.telemetry.dashboard import Dashboard
-
-    clock = {"now": 1000.0}
-    monkeypatch.setattr(dashboard_mod.time, "monotonic", lambda: clock["now"])
-    out = io.StringIO()
-    board = Dashboard(out=out, min_interval_s=0.5, ansi=True)
-    telemetry = _bare_telemetry(dict(GOLDEN_LAST))
-
-    board(telemetry, 1234)  # renders (first frame)
-    board(telemetry, 1300)  # dropped: clock has not advanced
-    assert board.frames == 1
-    clock["now"] += 0.1
-    board(telemetry, 1400)  # still inside the throttle window
-    assert board.frames == 1
-    clock["now"] += 1.0
-    board(telemetry, 1500)  # renders
-    assert board.frames == 2
-    telemetry.finished = True
-    board(telemetry, 1600)  # final frame ignores the throttle
-    assert board.frames == 3
-    text = out.getvalue()
-    # Every rendered frame is an in-place ANSI redraw of the golden frame
-    # (the final one swaps the "running" headline for "run complete").
-    assert text.count("\x1b[H\x1b[J") == 3
-    final_frame = GOLDEN_FRAME.replace("running", "run complete")
-    assert text == ("\x1b[H\x1b[J" + GOLDEN_FRAME + "\n") * 2 + (
-        "\x1b[H\x1b[J" + final_frame + "\n"
-    )
-
-
-def test_periodic_exporter_fake_sample_cadence(tmp_path):
-    """every_samples gates writes; the final sample always flushes."""
-
-    class _FakeTelemetry:
-        def __init__(self):
-            self.finished = False
-            self.prom_renders = 0
-
-        def export_prometheus(self):
-            self.prom_renders += 1
-            return f"# render {self.prom_renders}\n"
-
-        def export_json(self):
-            return {"renders": self.prom_renders}
-
-    prom = tmp_path / "metrics.prom"
-    snap = tmp_path / "snapshot.json"
-    exporter = PeriodicExporter(prom_path=prom, json_path=snap, every_samples=3)
-    telemetry = _FakeTelemetry()
-    for cycle in range(1, 8):  # samples 1..7: writes on 3 and 6 only
-        exporter(telemetry, cycle * 100)
-    assert telemetry.prom_renders == 2
-    telemetry.finished = True
-    exporter(telemetry, 800)  # sample 8: not a multiple of 3, but final
-    assert telemetry.prom_renders == 3
-    assert prom.read_text() == "# render 3\n"
-    assert json.loads(snap.read_text()) == {"renders": 3}
-
-
-def test_periodic_exporter_refuses_existing_outputs_up_front(tmp_path):
-    prom = tmp_path / "metrics.prom"
-    snap = tmp_path / "snapshot.json"
-    snap.write_text("{}")
-    with pytest.raises(FileExistsError, match="--force"):
-        PeriodicExporter(prom_path=prom, json_path=snap)
-    assert not prom.exists()  # the guard fired before any write
-    PeriodicExporter(prom_path=prom, json_path=snap, force=True)
 
 
 def test_attribution_renders_na_markers_on_zero_completions(tiny_residual):

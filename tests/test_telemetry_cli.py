@@ -42,6 +42,29 @@ class TestSimulateJson:
         assert rc == 0
         assert prom.read_text() != "old\n"
 
+    def test_existing_snapshot_is_refused_before_the_run(self, capsys, tmp_path, monkeypatch):
+        """The guard covers ``--snapshot`` too and fires before anything is simulated or written."""
+        import repro.dataflow
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(repro.dataflow, "simulate", refuse)
+        prom, snap = tmp_path / "m.prom", tmp_path / "m.json"
+        snap.write_text("{}")
+        rc = cli_main(["simulate", "--prom", str(prom), "--snapshot", str(snap)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--force" in err and str(snap) in err
+        assert not prom.exists() and snap.read_text() == "{}"
+
+    def test_exports_create_parent_directories(self, capsys, tmp_path):
+        prom, snap = tmp_path / "a" / "m.prom", tmp_path / "b" / "c" / "m.json"
+        rc = cli_main(["simulate", "--prom", str(prom), "--snapshot", str(snap)])
+        assert rc == 0
+        assert validate_exposition(prom.read_text()) == []
+        assert json.loads(snap.read_text())["finished"] is True
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -131,12 +154,14 @@ class TestTraceOverwriteGuard:
 
 class TestTop:
     def test_plain_dashboard_runs(self, capsys):
-        rc = cli_main(["top", "--plain", "--images", "2", "--refresh", "0"])
+        """``repro top`` prints one frame of the finished run."""
+        rc = cli_main(["top", "--images", "2"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "run complete" in out
+        assert out.count("repro top") == 1
+        assert out.count("run complete") == 1
         assert "utilization" in out
+        assert "\x1b[" not in out
 
 
 class TestStats:
