@@ -84,7 +84,7 @@ def _write(path: str, text: str) -> None:
 def _emit(args: argparse.Namespace, text: str, what: str) -> None:
     """Write ``text`` to ``--out`` (and say so on stdout), or print it."""
     if args.out:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
+        _write(args.out, text if text.endswith("\n") else text + "\n")
         print(f"wrote {what} to {args.out}")
     else:
         print(text)
@@ -323,7 +323,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         mode=_mode(args),
         max_cycles=args.max_cycles,
     )
-    if args.json:
+    if args.json or args.out:
         _emit(args, json.dumps(result.as_dict(), indent=2), "load result")
     else:
         print(result.render())

@@ -22,14 +22,29 @@ latest of
   slot for the writer at ``t + 1``.
 
 With ``c`` fixed a kernel's times are ``i + cummax(c - i)``.  The coupled
-system is solved in slabs: every kernel's next ``delta`` uncommitted ops
-are relaxed by alternating forward and backward sweeps over the kernels
-(seeded from below, later ops held at "never") until nothing changes.  The
-slab ends one cycle after the earliest last-window op; everything before
-that instant cannot depend on an op outside the window, so it is exact
-and committed.  ``delta`` doubles when a slab settles in few sweeps and
-halves when it needs many.  The engine remains the test oracle
-(``tests/test_schedule.py``).
+system is solved in slabs.  Each kernel keeps a window of its next
+uncommitted ops, its own width wide; the windows are relaxed by alternating
+forward and backward sweeps over the kernels (seeded from below, every op
+past a window held at "never") until nothing changes.  Then each kernel
+commits its own finite prefix: every window op solved below "never" (and
+below the cycle budget).  Each such time is exact.  Every constraint delay
+is at least one cycle, and an op held at "never" makes every op waiting on
+it "never" too, so an op settled at a finite ``w`` waits only on finite
+ops, all at cycles ``<= w - 1``: its predecessor and the partners of its
+constraints, committed or in a window.  By induction on ``w`` each of those
+already equals its true time, so the op's recurrence reads the true times
+and gives its own.  The solve stops when a settled slab commits nothing.
+That leaves no op below the budget unsolved: the uncommitted op that truly
+runs earliest heads its kernel's window and waits only on committed ops,
+so it settles at its true time and is committed unless that time is at or
+past the budget.  Every other uncommitted op runs later, or never: it lies
+on a dependency cycle (its kernel is marked dead) or waits for one.  A
+slab that settles in few sweeps grows each width to twice the ops its
+kernel just committed when that is wider (capped, which bounds peak
+memory), one that needs many halves every width, and one that does not
+settle narrows every window and retries.  The engine remains the test oracle
+(``tests/test_schedule.py``), and the solved times do not depend on the
+window widths (tested).
 
 The replay's skip FIFOs are unbounded.  A skip FIFO sized to its
 high-water mark ``C`` never retimes anything — every push in the
@@ -122,11 +137,13 @@ REPLAY_MAX_CYCLES = 500_000_000
 # inside int32, the dtype of every time array.
 _NEVER = 1 << 30
 
-# First slab width (ops per kernel), its floor, and the sweep counts that
-# grow or shrink it.
+# Every kernel's first window width (ops), its floor and its cap (the cap
+# bounds the index tables, hence peak memory), and the sweep counts that grow
+# or shrink every width.
 _DELTA_START = 4096
 _DELTA_MIN = 1
-_FEW_SWEEPS = 4
+_DELTA_CAP = 1 << 16
+_FEW_SWEEPS = 6
 _MANY_SWEEPS = 12
 
 
@@ -349,10 +366,10 @@ def _span(index: np.ndarray) -> np.ndarray | slice:
 
 
 class _Node:
-    """One kernel's ops: their times and the current slab window ``[lo, hi)``."""
+    """One kernel's ops: their times and the current slab window ``[lo, hi)``, ``width`` ops wide."""
 
     __slots__ = (
-        "n", "total", "t", "lo", "hi", "ins", "outs", "terms", "neighbors",
+        "n", "total", "t", "lo", "hi", "width", "ins", "outs", "terms", "neighbors",
         "arrivals", "ran", "lead", "dead",
     )
 
@@ -362,6 +379,7 @@ class _Node:
         self.t = np.full(self.total, _NEVER, dtype=np.int32)
         self.lo = 0
         self.hi = 0
+        self.width = _DELTA_START
         self.ins: list[_Edge] = []
         self.outs: list[_Edge] = []
         # Per slab: (own ops, partner times, partner ops, delay) per constraint.
@@ -531,40 +549,33 @@ def _solve(
         ).astype(np.int32)
 
     sink_index = position[id(pipeline.sink)]
-    delta = _DELTA_START
-    floor = 0
+    cut = np.int32(min(limit, _NEVER))
     sweep_cap = 256 + 4 * len(nodes)
     while any(node.lo < node.total and not node.dead for node in nodes):
         for node in nodes:
-            _open_window(node, delta, floor)
+            _open_window(node)
         for node in nodes:
             _build_terms(node, nodes)
         sweeps = _relax_all(nodes, sweep_cap)
-        if sweeps is None and delta > _DELTA_MIN:
+        if sweeps is None and any(node.hi - node.lo > _DELTA_MIN for node in nodes):
             # No fixed point within the cap: a slab too wide to settle, or
-            # a dependency cycle (deadlock).  Narrow it and retry.
-            delta = max(_DELTA_MIN, delta // 2)
+            # a dependency cycle (deadlock).  Narrow every window and retry.
+            for node in nodes:
+                node.width = max(_DELTA_MIN, min(node.width, node.hi - node.lo) // 2)
             continue
         while sweeps is None:
             _retire_cycles(nodes)
             sweeps = _relax_all(nodes, sweep_cap)
-        end = min(
-            (
-                int(node.t[node.hi - 1]) + 1
-                for node in nodes
-                if node.hi < node.total and not node.dead
-            ),
-            default=_NEVER,
-        )
-        for node in nodes:
-            node.lo += int(np.searchsorted(node.t[node.lo : node.hi], np.int32(end)))
-        if end >= limit:
+        # Every finite time of the settled slab is exact (module docstring).
+        committed = [int(np.searchsorted(node.t[node.lo : node.hi], cut)) for node in nodes]
+        if not any(committed):
             break
-        floor = end
-        if sweeps <= _FEW_SWEEPS:
-            delta *= 2
-        elif sweeps > _MANY_SWEEPS:
-            delta = max(_DELTA_MIN, delta // 2)
+        for node, ops in zip(nodes, committed):
+            node.lo += ops
+            if sweeps <= _FEW_SWEEPS:
+                node.width = min(max(node.width, 2 * ops), _DELTA_CAP)
+            elif sweeps > _MANY_SWEEPS:
+                node.width = max(_DELTA_MIN, node.width // 2)
     for node in nodes:
         node.terms = []
     return _finish(nodes, edges, sink_index, limit)
@@ -1084,17 +1095,17 @@ def _write_trace(tracer: Tracer, timeline: Timeline, pipeline: Pipeline) -> None
         tracer.finish(timeline.cycles)
 
 
-def _open_window(node: _Node, delta: int, floor: int) -> None:
-    """Widen or narrow ``node``'s window to ``delta`` ops and seed it from below."""
+def _open_window(node: _Node) -> None:
+    """Widen or narrow ``node``'s window to its width and seed it from below."""
     lo, old_hi = node.lo, node.hi
-    hi = lo if node.dead else min(lo + delta, node.total)
+    hi = lo if node.dead else min(lo + node.width, node.total)
     t = node.t
     if hi < old_hi:
         t[hi:old_hi] = _NEVER
     if hi > lo:
-        # Uncommitted ops run no earlier than the last slab's end, nor
-        # before their predecessors — a lower bound of the true times.
-        start = max(int(t[lo - 1]) + 1 if lo else 0, floor)
+        # Uncommitted ops run no earlier than their predecessors: a lower
+        # bound of the true times.
+        start = int(t[lo - 1]) + 1 if lo else 0
         t[lo:hi] = np.arange(start, start + hi - lo, dtype=np.int32)
     node.hi = hi
 

@@ -318,8 +318,9 @@ class Tracer:
         }
 
     def write_chrome_trace(self, path: str | Path) -> Path:
-        """Serialize :meth:`to_chrome_trace` to ``path``; returns the path."""
+        """Serialize :meth:`to_chrome_trace` to ``path`` (parents created); returns the path."""
         path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(self.to_chrome_trace()) + "\n")
         return path
 

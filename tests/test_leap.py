@@ -39,6 +39,7 @@ from repro.dataflow import (
 )
 from repro.dataflow.kernel import Kernel
 from repro.dataflow.leap import _CHUNK_IMAGES
+from repro.dataflow.schedule import replay_schedule
 from repro.hardware.timing import estimate_network_timing
 from repro.kernels.pooling import MaxPoolKernel
 from repro.models import direct_resnet18_graph, direct_vgg_graph
@@ -436,6 +437,26 @@ class TestPaperInterval:
         timing = estimate_network_timing(graph)
         interval = run.steady_state_interval
         assert abs(interval - timing.interval_cycles) / timing.interval_cycles < 0.05
+
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_PAPER_SCALE"),
+        reason="the exact 224×224 ResNet-18 schedule takes about half a minute in pure Python; "
+        "set REPRO_PAPER_SCALE=1 (the CI leap-smoke job does)",
+    )
+    def test_resnet18_224_exact_schedule(self):
+        # The full-width, exact-sized schedule the skip solver reads at paper
+        # scale: the cycle count, a steady completion gap from image 1 on and
+        # every adder's skip high-water mark.
+        schedule = replay_schedule(direct_resnet18_graph())
+        assert schedule.cycles == 4_149_949
+        completions = schedule.completion_cycles
+        assert [b - a for a, b in zip(completions, completions[1:])] == [1_007_052] * 3
+        assert dict(schedule.skip_high_water) == {
+            "conv2_1.add1": 3712, "conv2_1.add2": 3712, "conv2_2.add1": 3712, "conv2_2.add2": 3712,
+            "conv3_1.add1": 3584, "conv3_1.add2": 3840, "conv3_2.add1": 3840, "conv3_2.add2": 3840,
+            "conv4_1.add1": 3584, "conv4_1.add2": 4096, "conv4_2.add1": 4096, "conv4_2.add2": 4096,
+            "conv5_1.add1": 3584, "conv5_1.add2": 4608, "conv5_2.add1": 4608, "conv5_2.add2": 4608,
+        }
 
     @pytest.mark.skipif(
         not os.environ.get("REPRO_PAPER_SCALE"),

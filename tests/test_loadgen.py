@@ -197,6 +197,23 @@ class TestCli:
         assert first["schema"] == "repro-load/1"
         assert first["latency"]["service_cycles"]["p99"] == second["latency"]["service_cycles"]["p99"]
 
+    def test_out_implies_json(self, tmp_path, capsys):
+        argv = ["load", "--rate", "9000", "--images", "2"]
+        assert main(argv + ["--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "x.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert f"wrote load result to {out}" in capsys.readouterr().out
+        assert json.loads(out.read_text()) == printed
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_out_into_a_missing_directory(self, tmp_path, capsys, sweep):
+        out = tmp_path / "nodir" / "x.json"
+        rates = ["--sweep", "1000", "9000"] if sweep else ["--rate", "9000", "--json"]
+        assert main(["load", *rates, "--images", "2", "--out", str(out)]) == 0
+        schema = "repro-load-sweep/1" if sweep else "repro-load/1"
+        assert json.loads(out.read_text())["schema"] == schema
+
     def test_load_requires_a_rate(self, capsys):
         assert main(["load", "--images", "2"]) == 2
         assert "--rate" in capsys.readouterr().err

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow import build_pipeline
+from repro.dataflow import build_pipeline, solve_skip_capacities
+from repro.dataflow import schedule as schedule_module
 from repro.dataflow.engine import CycleBudgetExceeded
-from repro.dataflow.schedule import REPLAY_IMAGES, Schedule, _solve, replay_schedule
+from repro.dataflow.schedule import _NEVER, REPLAY_IMAGES, Schedule, _solve, replay_schedule
 from repro.kernels import (
     AddKernel,
     ConvKernel,
@@ -145,3 +146,88 @@ def test_deadlocked_geometry_raises_and_caches_nothing():
     with pytest.raises(RuntimeError, match="python -m repro check"):
         replay_schedule(graph)
     assert not graph._schedule_cache
+
+
+# ---------------------------------------------------------------------------
+# Op times do not depend on the window rule
+# ---------------------------------------------------------------------------
+
+# One-op windows, the default widths, and one window over the whole run.
+WINDOW_RULES = [(1, 1), (schedule_module._DELTA_START, schedule_module._DELTA_CAP), (_NEVER, _NEVER)]
+
+
+def _solved_state(pipeline, **kwargs):
+    """Every kernel's committed op times, ``lo`` and ``ran``, under each window rule.
+
+    Times past ``lo`` are a window's upper bounds, not part of the solution;
+    only whether any of them is finite (the run goes on past the solve)
+    must agree.
+    """
+    states = []
+    for start, cap in WINDOW_RULES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schedule_module, "_DELTA_START", start)
+            patch.setattr(schedule_module, "_DELTA_CAP", cap)
+            solution = _solve(pipeline, **kwargs)
+        states.append(
+            {
+                "nodes": [(node.t[: node.lo].tolist(), node.lo, node.ran) for node in solution.nodes],
+                "goes_on": any(node.lo < node.total and node.t[node.lo] < _NEVER for node in solution.nodes),
+                "cycles": solution.cycles,
+                "aborted": solution.aborted,
+            }
+        )
+    return states
+
+
+def assert_window_independent(pipeline, **kwargs):
+    one_op, default, whole = _solved_state(pipeline, **kwargs)
+    assert default == whole
+    assert one_op == whole
+    return whole
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(6, 10),
+    st.integers(1, 3),
+    st.booleans(),
+)
+@settings(max_examples=10, deadline=None)
+def test_random_graphs_solve_alike_under_every_window_rule(seed, size, depth, with_residual):
+    graph = build_random_graph(seed, size, depth, with_residual)
+    state = assert_window_independent(_zero_pipeline(graph))
+    assert not state["aborted"]
+
+
+def _run_pipeline(images=3, **kwargs):
+    """A small residual network (a conv, a pool, two skip adds) streaming ``images`` images."""
+    graph = build_random_graph(0, 8, 2, True)
+    spec = graph.input_spec
+    batch = np.zeros((images, spec.height, spec.width, spec.channels), dtype=np.int64)
+    if "skip_sizing" not in kwargs:
+        kwargs["skip_sizing"] = solve_skip_capacities(graph)
+    return build_pipeline(graph, batch, **kwargs)
+
+
+class TestWindowRule:
+    def test_open_loop_arrivals(self):
+        # The second image queues behind the first; the third arrives into a drained pipeline.
+        pipeline = _run_pipeline(arrival_cycles=[0, 150, 1_200])
+        state = assert_window_independent(pipeline, bounded_skips=True)
+        assert not state["aborted"] and state["cycles"] > 1_200
+
+    def test_bounded_skips(self):
+        state = assert_window_independent(_run_pipeline(), bounded_skips=True)
+        assert not state["aborted"]
+
+    def test_cut_by_the_cycle_budget(self):
+        pipeline = _run_pipeline()
+        cycles = _solve(pipeline, bounded_skips=True).cycles
+        state = assert_window_independent(pipeline, bounded_skips=True, limit=cycles // 2)
+        assert state["aborted"] and state["goes_on"] and state["cycles"] == cycles // 2
+
+    def test_deadlocked_geometry(self):
+        pipeline = _run_pipeline(skip_sizing={"res.add1": 2, "res.add2": 2})
+        state = assert_window_independent(pipeline, bounded_skips=True)
+        assert state["aborted"] and not state["goes_on"]

@@ -185,6 +185,13 @@ class TestCLI:
         assert data["otherData"]["total_cycles"] > 0
         assert any(e.get("ph") == "X" for e in data["traceEvents"])
 
+    def test_trace_into_a_missing_directory(self, capsys, tmp_path):
+        from repro.dataflow import load_chrome_trace
+
+        out = tmp_path / "nodir" / "t.json"
+        assert cli_main(["trace", "--size", "16", "--images", "2", "--out", str(out)]) == 0
+        assert load_chrome_trace(out)["otherData"]["total_cycles"] > 0
+
     def test_trace_bad_size(self, capsys, tmp_path):
         assert cli_main(["trace", "--size", "15", "--out", str(tmp_path / "t.json")]) == 2
 
