@@ -55,8 +55,9 @@ DEFAULT_STREAM_CAPACITY = 4
 # verifier (`skip_sizing="exact"`, the default).  The solver reads the
 # high-water marks off the geometry's op-recurrence solve
 # (`schedule.replay_schedule`: REPLAY_IMAGES images, cached on the graph),
-# the same schedule the partition planner's exact prediction reads.  The
-# engine's measured high-water is asserted back against that static
+# the same schedule the partition planner's exact prediction reads, and the
+# run it sizes takes that very solve as its prefix (`schedule.solve_run`).
+# The engine's measured high-water is asserted back against that static
 # prediction after every run (see verify.check_skip_high_water), turning the
 # paper's "never creates delays by itself" claim into a round-trip check.
 #

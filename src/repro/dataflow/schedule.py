@@ -51,7 +51,12 @@ high-water mark ``C`` never retimes anything — every push in the
 unbounded replay happened at occupancy ``<= C - 1``, and the fork feeding
 the skip arm checks space before pushing — so an exact-sized run completes
 on the same cycles.  The mark is flat from the second image on, so the
-:data:`REPLAY_IMAGES` replay sizes runs of any length (tested).
+:data:`REPLAY_IMAGES` replay sizes runs of any length (tested).  So the
+replay's solve is the prefix of every run it sizes: it waits in a slot on
+the graph for the next closed-loop, untraced, untelemetered :func:`solve_run`
+of the geometry on more images, which empties the slot and takes it if every
+skip FIFO is at least its mark deep (as exact and ``"bound"`` sizing are) and
+no op reaches the budget.  Other runs solve their own, bit-equal prefix (tested).
 
 The same solve runs ``simulate`` whenever it need not tick
 (:func:`solve_run`).  There each open-loop image's first push waits for
@@ -178,12 +183,9 @@ def replay_schedule(
     geometry.  Raises ``RuntimeError`` (and caches nothing) if the
     schedule does not drain within :data:`REPLAY_MAX_CYCLES`.
     """
-    groups = None if partition is None else tuple(tuple(group) for group in partition)
-    compute_nodes = set(graph.nodes) - {graph.input_name}
-    if groups is not None and len(groups) == 1 and set(groups[0]) >= compute_nodes:
-        groups, partition = None, None
+    key = _geometry(graph, partition, link)
+    partition = None if key[0] is None else partition
     cache: dict[Any, Schedule] = vars(graph).setdefault("_schedule_cache", {})
-    key = (groups, link)
     if key in cache:
         return cache[key]
 
@@ -200,7 +202,7 @@ def replay_schedule(
     if solution.aborted:
         raise _over_budget(graph)
     _stamp(pipeline, _observe(solution, pipeline, counters=False))
-    cache[key] = Schedule(
+    schedule = cache[key] = Schedule(
         cycles=solution.cycles,
         completion_cycles=tuple(pipeline.sink.completion_cycles),
         skip_high_water={
@@ -213,7 +215,18 @@ def replay_schedule(
             if summary.mean is not None
         ),
     )
-    return cache[key]
+    # The handover slot (`_take_replay`); edges in `engine.streams` order, as their ids die here.
+    edges = [solution.edges[id(stream)] for stream in pipeline.engine.streams]
+    vars(graph)["_replay_handover"] = (key, schedule.skip_high_water, solution.nodes, edges, solution.sink)
+    return schedule
+
+
+def _geometry(graph: LayerGraph, partition: list[list[str]] | None, link: LinkSpec) -> tuple[Any, LinkSpec]:
+    """The cache key of a geometry: one group covering every compute node is no partition."""
+    groups = None if partition is None else tuple(tuple(group) for group in partition)
+    if groups is not None and len(groups) == 1 and set(groups[0]) >= set(graph.nodes) - {graph.input_name}:
+        groups = None
+    return groups, link
 
 
 def unsolvable(pipeline: Pipeline) -> str | None:
@@ -240,8 +253,9 @@ def solve_run(
     built capacity, skip FIFOs included.  A closed-loop run solves a
     prefix of :data:`REPLAY_IMAGES` images, doubled until its per-image
     period is certified, and extends it to every image (see the module
-    docstring); an open-loop, traced or telemetered run, or one whose
-    prefix reaches all its images, is solved whole.  From the op times it
+    docstring), the first one taken from the skip replay when it may be;
+    an open-loop, traced or telemetered run, or one whose prefix reaches
+    all its images, is solved whole.  From the op times it
     stamps what a ticked run leaves behind, equal to the engine's: the
     per-image admission, mark and completion instants, every kernel's
     :class:`~repro.dataflow.kernel.KernelStats` and stream's
@@ -270,7 +284,8 @@ def solve_run(
     limit = min(max_cycles, REPLAY_MAX_CYCLES)
     prefix = REPLAY_IMAGES
     while not whole and prefix < images:
-        solution = _solve(pipeline, bounded_skips=True, limit=limit, images=prefix)
+        taken = _take_replay(pipeline, limit) if prefix == REPLAY_IMAGES else None
+        solution = taken or _solve(pipeline, bounded_skips=True, limit=limit, images=prefix)
         if solution.aborted or any(node.lead < 0 for node in solution.nodes):
             break  # so does the whole run: solve all of it, up to the abort
         period = _certified_period(solution, prefix)
@@ -322,6 +337,26 @@ def replay_timeline(timeline: Timeline, pipeline: Pipeline, trace: Tracer | None
         _write_trace(trace, timeline, pipeline)
     if telemetry is not None:
         telemetry.replay(timeline)
+
+
+def _take_replay(pipeline: Pipeline, limit: int) -> _Solution | None:
+    """The run's first :data:`REPLAY_IMAGES` images from the replay in the graph's slot, or ``None``.
+
+    Empties the slot of this geometry.  The edges take the run's
+    capacities, which the stall split and the certification read.
+    """
+    graph = pipeline.graph
+    slot = vars(graph).get("_replay_handover")
+    if slot is None or slot[0] != _geometry(graph, pipeline.partition, pipeline.link):
+        return None
+    _, marks, nodes, edges, sink = vars(graph).pop("_replay_handover")
+    short = any(stream.capacity < marks[add] for add, stream in pipeline.skip_streams.items())
+    if short or any(node.lo < node.total or (node.total and node.t[-1] >= limit) for node in nodes):
+        return None
+    streams = pipeline.engine.streams
+    for stream, edge in zip(streams, edges):
+        edge.capacity = stream.capacity
+    return _finish(nodes, {id(stream): edge for stream, edge in zip(streams, edges)}, sink, limit)
 
 
 def _declined(reason: str) -> ValueError:

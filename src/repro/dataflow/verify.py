@@ -317,7 +317,9 @@ def check_skip_high_water(pipeline: "Pipeline", n_images: int) -> None:
     pipeline once, and an open-loop run whose arrivals leave gaps lets it
     drain between images; both may peak lower, so they are held to ``<=``.
     Called by :func:`repro.dataflow.manager.simulate` after every
-    successful run.
+    successful run.  A run handed the replay's solve reads its mark off the
+    very solve that sized it; the independent evidence is the solve vs.
+    reference-loop suites and ``mode="exhaustive"``.
     """
     steady = n_images >= SOLVER_IMAGES and pipeline.source.arrival_cycles is None
     for add_name, stream in pipeline.skip_streams.items():

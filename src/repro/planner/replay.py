@@ -7,8 +7,10 @@ never depends on data values, so the geometry's op-recurrence solve
 (:func:`repro.dataflow.schedule.replay_schedule`: every kernel op's cycle
 from its op program, no engine tick) is the schedule of any real run of
 the partition.  The schedule is cached on the graph and shared with the
-§III-B5 skip solver, so planning and then simulating the winner solves
-once.  Only the winner (and, in tests, its neighbors) is solved.
+§III-B5 skip solver, and its solve is handed to the next closed-loop run of
+the geometry as its prefix: planning and then simulating the winner on more
+than ``REPLAY_IMAGES`` images, untraced, solves once.  Only the winner
+(and, in tests, its neighbors) is solved.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from repro.dataflow import (
     mean_completion_interval,
     simulate,
 )
+from repro.dataflow import schedule as schedule_module
 from repro.dataflow.kernel import Kernel
 from repro.dataflow.leap import _CHUNK_IMAGES
 from repro.dataflow.schedule import replay_schedule
@@ -414,6 +415,15 @@ class TestSynthesis:
 # ---------------------------------------------------------------------------
 
 
+# Every adder's skip high-water mark of the exact 224×224 ResNet-18 schedule.
+_RESNET18_224_MARKS = {
+    "conv2_1.add1": 3712, "conv2_1.add2": 3712, "conv2_2.add1": 3712, "conv2_2.add2": 3712,
+    "conv3_1.add1": 3584, "conv3_1.add2": 3840, "conv3_2.add1": 3840, "conv3_2.add2": 3840,
+    "conv4_1.add1": 3584, "conv4_1.add2": 4096, "conv4_2.add1": 4096, "conv4_2.add2": 4096,
+    "conv5_1.add1": 3584, "conv5_1.add2": 4608, "conv5_2.add1": 4608, "conv5_2.add2": 4608,
+}
+
+
 class TestPaperInterval:
     def test_resnet18_224_analytic_interval_in_paper_window(self):
         """The paper estimates ~1.85e6 clocks/picture for ResNet-18 at 224².
@@ -451,12 +461,30 @@ class TestPaperInterval:
         assert schedule.cycles == 4_149_949
         completions = schedule.completion_cycles
         assert [b - a for a, b in zip(completions, completions[1:])] == [1_007_052] * 3
-        assert dict(schedule.skip_high_water) == {
-            "conv2_1.add1": 3712, "conv2_1.add2": 3712, "conv2_2.add1": 3712, "conv2_2.add2": 3712,
-            "conv3_1.add1": 3584, "conv3_1.add2": 3840, "conv3_2.add1": 3840, "conv3_2.add2": 3840,
-            "conv4_1.add1": 3584, "conv4_1.add2": 4096, "conv4_2.add1": 4096, "conv4_2.add2": 4096,
-            "conv5_1.add1": 3584, "conv5_1.add2": 4608, "conv5_2.add1": 4608, "conv5_2.add2": 4608,
-        }
+        assert dict(schedule.skip_high_water) == _RESNET18_224_MARKS
+
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_PAPER_SCALE"),
+        reason="the exact 224×224 ResNet-18 run takes about half a minute in pure Python; "
+        "set REPRO_PAPER_SCALE=1 (the CI leap-smoke job does)",
+    )
+    def test_resnet18_224_exact_run_solves_once(self, monkeypatch):
+        # The §III-B5 replay that sizes the skip FIFOs is the run's prefix:
+        # an exact-sized run solves its schedule once.
+        solves = []
+        original = schedule_module._solve
+
+        def solve(*args, **kwargs):
+            solves.append(kwargs.get("images"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(schedule_module, "_solve", solve)
+        graph = direct_resnet18_graph()
+        run = simulate(graph, _images(graph, 8), mode="leap")
+        assert len(solves) == 1
+        assert run.cycles == 8_178_157
+        assert run.leap_report is not None and run.leap_report.period == 1_007_052
+        assert run.pipeline.skip_capacities == _RESNET18_224_MARKS
 
     @pytest.mark.skipif(
         not os.environ.get("REPRO_PAPER_SCALE"),

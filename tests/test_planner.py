@@ -116,42 +116,53 @@ class TestExactPrediction:
         assert len(graph._schedule_cache) == 1
 
 
-def _count_timing_replays(monkeypatch):
-    """Count timing replays (unbounded-skip solves), i.e. schedule-cache misses.
-
-    A ``simulate`` that solves its own run bounds its skip FIFOs and is not a replay.
-    """
+def _count_solves(monkeypatch):
+    """Count every op-recurrence solve: timing replays and the runs' own."""
     from repro.dataflow import schedule
 
-    replays = []
+    solves = []
     original = schedule._solve
 
-    def solve(pipeline, bounded_skips=False, limit=None, **kwargs):
-        if not bounded_skips:
-            replays.append(pipeline.graph.name)
-        return original(pipeline, bounded_skips, limit, **kwargs)
+    def solve(pipeline, *args, **kwargs):
+        solves.append(pipeline.graph.name)
+        return original(pipeline, *args, **kwargs)
 
     monkeypatch.setattr(schedule, "_solve", solve)
-    return replays
+    return solves
 
 
 class TestSharedReplay:
     def test_plan_then_simulate_replays_once(self, monkeypatch):
         graph = FAMILIES["resnet18"]()
         cap = _forcing_cap(graph)
-        replays = _count_timing_replays(monkeypatch)
+        solves = _count_solves(monkeypatch)
         plan = plan_partition(graph, fill_cap=cap)
         assert plan.n_dfes == 2
-        run = simulate(graph, _images(graph, plan.predicted.n_images), partition=plan.groups)
-        assert tuple(run.run.completion_cycles) == plan.predicted.completion_cycles
-        assert len(replays) == 1
+        # The winner's replay is the run's prefix: the run solves nothing more.
+        n = plan.predicted.n_images
+        run = simulate(graph, _images(graph, 2 * n), partition=plan.groups)
+        assert tuple(run.run.completion_cycles[:n]) == plan.predicted.completion_cycles
+        assert len(solves) == 1
+        assert not hasattr(graph, "_replay_handover")
 
         # No partition and one group covering every node are one geometry.
         from repro.dataflow.schedule import replay_schedule
 
         whole = replay_schedule(graph)
         assert replay_schedule(graph, [list(graph.order[1:])]) is whole
-        assert len(replays) == 2
+        assert len(solves) == 2
+
+    def test_cold_simulate_solves_once(self, monkeypatch):
+        graph = FAMILIES["resnet18"]()
+        images = _images(graph, 8)
+        solves = _count_solves(monkeypatch)
+        first = simulate(graph, images)
+        assert len(solves) == 1
+        assert not hasattr(graph, "_replay_handover")
+        # The schedule is cached but its solve was taken: a second run solves its own prefix.
+        second = simulate(graph, images)
+        assert len(solves) == 2
+        assert tuple(second.run.completion_cycles) == tuple(first.run.completion_cycles)
 
     def test_replay_budget_abort_caches_nothing(self, monkeypatch):
         from repro.dataflow import schedule, solve_skip_capacities
