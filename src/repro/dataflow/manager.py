@@ -263,7 +263,7 @@ def build_pipeline(
         prod = producer[name]
         targets: list[tuple[Kernel, int]] = []
         for consumer in consumers:
-            port = graph.graph.edges[name, consumer]["port"]
+            port = graph.producers[consumer].index(name)
             targets.append((kernels[consumer], port))
         if name == graph.output_name:
             targets.append((sink, 0))

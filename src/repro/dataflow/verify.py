@@ -46,7 +46,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-import networkx as nx
 import numpy as np
 
 from ..nn.graph import (
@@ -351,22 +350,21 @@ def _graph_structure(graph: LayerGraph) -> list[Diagnostic]:
             _diag("V107", "error", graph.name, "graph has no input node", "§III-B")
         )
         return diags
-    if not nx.is_directed_acyclic_graph(graph.graph):
-        cycle_edges = nx.find_cycle(graph.graph)
-        members = " -> ".join(edge[0] for edge in cycle_edges)
+    cycle = graph.find_cycle()
+    if cycle:
+        members = " -> ".join(cycle)
         diags.append(
             _diag(
                 "V105",
                 "error",
                 graph.name,
-                f"graph contains a cycle: {members} -> {cycle_edges[0][0]}",
+                f"graph contains a cycle: {members} -> {cycle[0]}",
                 "§III-B",
-                cycle=[edge[0] for edge in cycle_edges],
+                cycle=cycle,
             )
         )
         return diags
-    reachable = nx.descendants(graph.graph, graph.input_name) | {graph.input_name}
-    for name in sorted(set(graph.nodes) - reachable):
+    for name in graph.unreachable():
         diags.append(
             _diag(
                 "V106",
@@ -379,10 +377,8 @@ def _graph_structure(graph: LayerGraph) -> list[Diagnostic]:
     for name, node in graph.nodes.items():
         if isinstance(node, InputNode):
             continue
-        ports = sorted(
-            data["port"] for _, _, data in graph.graph.in_edges(name, data=True)
-        )
-        if ports != list(range(node.arity)):
+        ports = list(range(len(graph.producers[name])))
+        if len(ports) != node.arity:
             diags.append(
                 _diag(
                     "V103",

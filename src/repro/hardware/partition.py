@@ -161,10 +161,13 @@ def partition_crossings(
     if graph.input_name is not None:
         dfe_of.setdefault(graph.input_name, 0)
     crossings: list[tuple[str, str, float]] = []
-    for u, v in graph.graph.edges:
-        if dfe_of.get(u, 0) != dfe_of.get(v, 0):
-            bits = graph.specs[u].stream_bits
-            crossings.append((u, v, required_bandwidth_mbps(bits, fclk_mhz)))
+    # Producers in construction order, each one's consumers in added order:
+    # reports list the crossings in this order.
+    for u in graph.order:
+        for v in graph.fanout[u]:
+            if dfe_of.get(u, 0) != dfe_of.get(v, 0):
+                bits = graph.specs[u].stream_bits
+                crossings.append((u, v, required_bandwidth_mbps(bits, fclk_mhz)))
     return crossings
 
 

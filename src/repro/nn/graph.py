@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
 import numpy as np
 
 from ..quantization.bitops import BitPackedMatrix, BitplaneTensor, bitplane_gemm, pack_signs
@@ -364,12 +363,16 @@ class LayerGraph:
 
     Nodes are added in construction order; ``inputs`` names the producing
     nodes.  ``specs[name]`` is the output :class:`TensorSpec` of each node,
-    available immediately after ``add``.
+    available immediately after ``add``.  The edges live in two tables
+    filled by ``add``: ``producers[name]`` holds the node's producers in
+    port order (port ``i`` is ``producers[name][i]``) and ``fanout[name]``
+    its consumers in the order they were added.
     """
 
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
     nodes: dict[str, Node] = field(default_factory=dict)
     specs: dict[str, TensorSpec] = field(default_factory=dict)
+    producers: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    fanout: dict[str, list[str]] = field(default_factory=dict)
     order: list[str] = field(default_factory=list)
     input_name: str | None = None
     output_name: str | None = None
@@ -382,17 +385,20 @@ class LayerGraph:
         inputs = tuple(inputs)
         if len(inputs) != node.arity:
             raise ValueError(f"{node.name}: expected {node.arity} inputs, got {len(inputs)}")
-        for parent in inputs:
+        for i, parent in enumerate(inputs):
             if parent not in self.nodes:
                 raise ValueError(f"{node.name}: unknown input {parent!r}")
+            if parent in inputs[:i]:
+                raise ValueError(f"{node.name}: input {parent!r} is repeated")
         in_specs = [self.specs[p] for p in inputs]
         spec = node.infer(in_specs)
         self.nodes[node.name] = node
         self.specs[node.name] = spec
         self.order.append(node.name)
-        self.graph.add_node(node.name)
-        for i, parent in enumerate(inputs):
-            self.graph.add_edge(parent, node.name, port=i)
+        self.producers[node.name] = inputs
+        self.fanout[node.name] = []
+        for parent in inputs:
+            self.fanout[parent].append(node.name)
         if isinstance(node, InputNode):
             if self.input_name is not None:
                 raise ValueError("LayerGraph supports a single input node")
@@ -402,14 +408,72 @@ class LayerGraph:
 
     def parents(self, name: str) -> list[str]:
         """Producing nodes of ``name`` in port order."""
-        preds = [(self.graph.edges[p, name]["port"], p) for p in self.graph.predecessors(name)]
-        return [p for _, p in sorted(preds)]
+        return list(self.producers[name])
 
     def consumers(self, name: str) -> list[str]:
-        return list(self.graph.successors(name))
+        """Consuming nodes of ``name`` in the order they were added."""
+        return list(self.fanout[name])
 
     def topological(self) -> list[str]:
-        return list(nx.topological_sort(self.graph))
+        """Kahn's algorithm by generations, each node's consumers in added order.
+
+        The first generation is in construction order.  Kernel order, and
+        with it every report, trace and plan byte, follows this order;
+        ``tests/test_graph_ir.py`` checks it against a graph library.
+        """
+        indegree = {name: len(self.producers[name]) for name in self.order}
+        generation = [name for name, degree in indegree.items() if degree == 0]
+        order: list[str] = []
+        while generation:
+            order.extend(generation)
+            ready: list[str] = []
+            for name in generation:
+                for child in self.fanout[name]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        ready.append(child)
+            generation = ready
+        if len(order) != len(indegree):
+            raise ValueError("graph has cycles")
+        return order
+
+    def find_cycle(self) -> list[str]:
+        """One cycle of the producer table in edge order, or ``[]`` if acyclic.
+
+        Both structural checks read ``producers`` alone, so a corrupted port
+        table shows in them.
+        """
+        # Peel every node whose producers are all peeled.  Each node left has
+        # a producer left, so walking producers from one must revisit a node.
+        left = dict(self.producers)
+        while True:
+            count = len(left)
+            for name in list(left):
+                if not any(p in left for p in left[name]):
+                    del left[name]
+            if len(left) == count:
+                break
+        if not left:
+            return []
+        path = [next(iter(left))]
+        while True:
+            parent = next(p for p in left[path[-1]] if p in left)
+            if parent in path:
+                # parent -> path[-1] -> ... -> parent: reversed, that is edge order.
+                return path[path.index(parent):][::-1]
+            path.append(parent)
+
+    def unreachable(self) -> list[str]:
+        """Nodes the producer table does not connect to the input, sorted."""
+        reached = {self.input_name}
+        grew = True
+        while grew:
+            grew = False
+            for name in self.order:
+                if name not in reached and any(p in reached for p in self.producers[name]):
+                    reached.add(name)
+                    grew = True
+        return sorted(set(self.nodes) - reached)
 
     @property
     def input_spec(self) -> TensorSpec:
@@ -434,9 +498,8 @@ class LayerGraph:
         """Structural checks: single component, acyclic, one input."""
         if self.input_name is None:
             raise ValueError("graph has no input")
-        if not nx.is_directed_acyclic_graph(self.graph):
+        if self.find_cycle():
             raise ValueError("graph has cycles")
-        reachable = nx.descendants(self.graph, self.input_name) | {self.input_name}
-        unreachable = set(self.nodes) - reachable
+        unreachable = self.unreachable()
         if unreachable:
-            raise ValueError(f"nodes unreachable from input: {sorted(unreachable)}")
+            raise ValueError(f"nodes unreachable from input: {unreachable}")

@@ -182,6 +182,12 @@ class TestLayerGraph:
         with pytest.raises(ValueError):
             g.add(InputNode("in2", 8, 8, 2, 2))
 
+    def test_repeated_input_rejected(self):
+        g = self.make_chain()
+        with pytest.raises(ValueError, match=r"^a: input 'p1' is repeated$"):
+            g.add(AddNode("a"), ["p1", "p1"])
+        assert "a" not in g.nodes and g.fanout["p1"] == []
+
     def test_parents_in_port_order(self):
         g = self.make_chain()
         g.add(ConvNode("c2", signs((1, 1, 4, 4))), ["p1"])
@@ -204,3 +210,48 @@ class TestLayerGraph:
     def test_validate_empty(self):
         with pytest.raises(ValueError):
             LayerGraph().validate()
+
+
+def _networkx_twin(graph):
+    """The graph's edges in a ``networkx.DiGraph``, added as ``add`` adds them."""
+    nx = pytest.importorskip("networkx")
+    twin = nx.DiGraph()
+    for name in graph.order:
+        twin.add_node(name)
+        for port, parent in enumerate(graph.producers[name]):
+            twin.add_edge(parent, name, port=port)
+    return twin
+
+
+def _oracle_graphs():
+    from repro.models import direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph
+
+    from .test_random_topologies import build_random_graph
+
+    # The edges do not depend on width, so the 224 graphs stay narrow.
+    yield direct_vgg_graph(32, width=0.25, classes=10, seed=11)
+    yield direct_resnet18_graph(64, width=0.125, classes=10)
+    yield direct_alexnet_graph(64, width=0.125, classes=10, fc_features=256)
+    yield direct_vgg_graph(224, width=0.0625)
+    yield direct_alexnet_graph(224, width=0.0625, fc_features=64)
+    yield direct_resnet18_graph(224, width=0.0625)
+    for seed in range(12):
+        yield build_random_graph(seed, 16, 6, True)
+
+
+def test_tables_match_networkx():
+    """Topological order, consumers, parents and the edge walk equal networkx's."""
+    from repro.hardware.partition import partition_crossings
+
+    nx = pytest.importorskip("networkx")
+    for graph in _oracle_graphs():
+        twin = _networkx_twin(graph)
+        assert graph.topological() == list(nx.topological_sort(twin)), graph.name
+        for name in graph.order:
+            assert graph.consumers(name) == list(twin.successors(name)), (graph.name, name)
+            ports = sorted((twin.edges[p, name]["port"], p) for p in twin.predecessors(name))
+            assert graph.parents(name) == [p for _, p in ports], (graph.name, name)
+        # One node per DFE: every edge crosses, in the order the walk visits them.
+        alone = [[name] for name in graph.order]
+        crossings = [(u, v) for u, v, _ in partition_crossings(graph, alone)]
+        assert crossings == list(twin.edges), graph.name

@@ -182,23 +182,26 @@ class TestGraphFaults:
     def test_cycle_detected(self, tiny_resnet_model):
         graph = _fresh_resnet_graph(tiny_resnet_model)
         order = graph.topological()
-        graph.graph.add_edge(order[-1], order[1], port=1)  # back edge
+        head, tail = order[1], order[-1]
+        graph.producers[head] += (tail,)  # back edge tail -> head on port 1
         report = verify(graph)
         assert not report.ok
-        assert "V105" in report.codes()
+        (diag,) = report.by_code("V105")
+        assert f"{tail} -> {head}" in diag.message
+        assert {head, tail} <= set(diag.data["cycle"])
 
     def test_unreachable_node_detected(self, tiny_resnet_model):
         graph = _fresh_resnet_graph(tiny_resnet_model)
         first = graph.topological()[1]
-        graph.graph.remove_edge(graph.input_name, first)
+        assert graph.producers[first] == (graph.input_name,)
+        graph.producers[first] = ()  # cut the input edge
         report = verify(graph)
         assert "V106" in report.codes()
 
     def test_missing_input_port_detected(self, tiny_resnet_model):
         graph = _fresh_resnet_graph(tiny_resnet_model)
         add = _first_add(graph)
-        parent = graph.parents(add)[1]
-        graph.graph.remove_edge(parent, add)
+        graph.producers[add] = graph.producers[add][:1]  # drop port 1
         report = verify(graph)
         codes = report.codes()
         assert "V103" in codes
