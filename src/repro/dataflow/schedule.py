@@ -38,13 +38,32 @@ That leaves no op below the budget unsolved: the uncommitted op that truly
 runs earliest heads its kernel's window and waits only on committed ops,
 so it settles at its true time and is committed unless that time is at or
 past the budget.  Every other uncommitted op runs later, or never: it lies
-on a dependency cycle (its kernel is marked dead) or waits for one.  A
-slab that settles in few sweeps grows each width to twice the ops its
-kernel just committed when that is wider (capped, which bounds peak
-memory), one that needs many halves every width, and one that does not
-settle narrows every window and retries.  The engine remains the test oracle
-(``tests/test_schedule.py``), and the solved times do not depend on the
-window widths (tested).
+on a dependency cycle (its kernel is marked dead) or waits for one.
+
+A relax does work in proportion to what changed.  Within a slab every
+window time is a lower bound of its settled value and only rises: the seed
+is one, and a relax is monotone in the times it reads.  So each window
+keeps its constraint maxima ``c`` between sweeps.  A constraint on a
+partner's committed op, or on one past the partner's window (held at
+"never"), is fixed for the slab and read into ``c`` once, when the window
+opens.  A relax re-reads only the partner ops that changed since it last
+read them (an unchanged time adds nothing to a maximum that already holds
+it), recomputes the window only from its first op whose maximum rose, and
+stops at its first op at "never" (every later op waits on it, so stays at
+"never" for the slab).  Each relax thus leaves exactly the times a relax
+from scratch would, and the fixed point is the same.
+
+Windows are sized to a common cycle horizon, ``horizon`` cycles past the
+latest committed op.  A kernel runs at most one op per cycle, so its next
+window holds at most the cycles from its last committed op to the horizon.
+It also ends before its first op that pops an element its writer's window
+does not push, or pushes into a slot its reader's window does not free:
+that op waits on "never" and cannot commit in the slab.  Every window
+keeps at least one op, and a cap bounds it (hence peak memory).  A slab
+that settles in few sweeps doubles the horizon, one that needs many halves
+it, and one that does not settle narrows every window, halves the horizon
+and retries.  The engine remains the test oracle (``tests/test_schedule.py``),
+and the solved times do not depend on the window widths (tested).
 
 The replay's skip FIFOs are unbounded.  A skip FIFO sized to its
 high-water mark ``C`` never retimes anything — every push in the
@@ -142,9 +161,9 @@ REPLAY_MAX_CYCLES = 500_000_000
 # inside int32, the dtype of every time array.
 _NEVER = 1 << 30
 
-# Every kernel's first window width (ops), its floor and its cap (the cap
-# bounds the index tables, hence peak memory), and the sweep counts that grow
-# or shrink every width.
+# Every kernel's first window width (ops) and the first horizon (cycles),
+# the floor of both and their cap (the cap bounds the index tables, hence
+# peak memory), and the sweep counts that grow or shrink the horizon.
 _DELTA_START = 4096
 _DELTA_MIN = 1
 _DELTA_CAP = 1 << 16
@@ -393,8 +412,10 @@ def _over_budget(graph: LayerGraph) -> RuntimeError:
     )
 
 
-def _span(index: np.ndarray) -> np.ndarray | slice:
+def _span(index: np.ndarray | slice) -> np.ndarray | slice:
     """``index`` as a slice when it is a contiguous ascending run (cheaper gathers)."""
+    if type(index) is slice:
+        return index
     if index.size and int(index[-1]) - int(index[0]) == index.size - 1:
         return slice(int(index[0]), int(index[-1]) + 1)
     return index
@@ -404,8 +425,8 @@ class _Node:
     """One kernel's ops: their times and the current slab window ``[lo, hi)``, ``width`` ops wide."""
 
     __slots__ = (
-        "n", "total", "t", "lo", "hi", "width", "ins", "outs", "terms", "neighbors",
-        "arrivals", "ran", "lead", "dead",
+        "n", "total", "t", "lo", "hi", "width", "ins", "outs", "terms", "c", "stale", "finite", "changes",
+        "evaluated", "neighbors", "arrivals", "ran", "lead", "dead",
     )
 
     def __init__(self, n: int, images: int) -> None:
@@ -417,8 +438,17 @@ class _Node:
         self.width = _DELTA_START
         self.ins: list[_Edge] = []
         self.outs: list[_Edge] = []
-        # Per slab: (own ops, partner times, partner ops, delay) per constraint.
-        self.terms: list[tuple[Any, np.ndarray, Any, int]] = []
+        # Per slab: the constraints on partner window ops; the window's
+        # constraint maxima ``c`` read so far; whether the window has yet to
+        # be recomputed from them; how many of its ops are below "never"; the
+        # first op each change of the window moved.  ``evaluated`` counts the
+        # ops recomputed over the solve.
+        self.terms: list[_Term] = []
+        self.c = np.zeros(0, dtype=np.int32)
+        self.stale = False
+        self.finite = 0
+        self.changes: list[int] = []
+        self.evaluated = 0
         self.neighbors: list[int] = []
         # Open-loop source only: image m's first op runs no earlier than arrivals[m].
         self.arrivals: np.ndarray | None = None
@@ -456,6 +486,10 @@ class _Solution:
     cycles: int
     sink: int  # the sink's position in ``nodes``
     aborted: bool = False  # the sink did not finish before ``cycles``, the limit
+    # The solve's work: slabs, window ops opened over all slabs, ops recomputed.
+    slabs: int = 0
+    opened: int = 0
+    evaluations: int = 0
 
 
 def _finish(nodes: list[_Node], edges: dict[int, _Edge], sink: int, limit: int) -> _Solution:
@@ -512,21 +546,49 @@ def _certified_period(solution: _Solution, images: int) -> int:
     return period
 
 
-def _elements_before(table: np.ndarray, n: int, per_image: int, op: int) -> int:
-    """How many elements the ops before ``op`` moved, given one image's ``table``."""
-    image, local = divmod(op, n)
-    return image * per_image + int(np.searchsorted(table, local))
+class _Ops:
+    """The ops of one kernel moving each element of one port: one image's table, shifted by images."""
 
+    __slots__ = ("table", "n", "per_image")
 
-def _ops_of(table: np.ndarray, n: int, per_image: int, first: int, stop: int) -> np.ndarray:
-    """The ops moving elements ``first .. stop - 1``."""
-    parts: list[np.ndarray] = []
-    while first < stop:
-        image, local = divmod(first, per_image)
-        end = min(per_image, local + stop - first)
-        parts.append(table[local:end] + image * n)
-        first += end - local
-    return np.concatenate(parts) if len(parts) != 1 else parts[0]
+    def __init__(self, table: np.ndarray, n: int) -> None:
+        self.table = np.asarray(table, dtype=np.intp)
+        self.n = n
+        self.per_image = self.table.size
+
+    def before(self, op: int) -> int:
+        """How many elements the ops before ``op`` moved."""
+        image, local = divmod(op, self.n)
+        return image * self.per_image + int(self.table.searchsorted(local))
+
+    def op(self, element: int) -> int:
+        """The op moving ``element``."""
+        image, index = divmod(element, self.per_image)
+        return image * self.n + int(self.table[index])
+
+    def of(self, first: int, stop: int, base: int = 0) -> np.ndarray | slice:
+        """The ops moving elements ``first .. stop - 1``, less ``base``.
+
+        The table's rows, each shifted by its image; a slice when every op
+        moves one element.
+        """
+        per_image, table, n = self.per_image, self.table, self.n
+        if per_image == n:
+            return slice(first - base, stop - base)
+        image, start = divmod(first, per_image)
+        end = stop - image * per_image
+        if end <= per_image:
+            return table[start:end] + (image * n - base)
+        ops = np.empty(stop - first, dtype=np.intp)
+        head = per_image - start
+        np.add(table[start:], image * n - base, out=ops[:head])
+        full, tail = divmod(end - per_image, per_image)
+        if full:
+            shifts = (image + 1 + np.arange(full))[:, None] * n - base
+            np.add(table, shifts, out=ops[head : head + full * per_image].reshape(full, per_image))
+        if tail:
+            np.add(table[:tail], (image + 1 + full) * n - base, out=ops[head + full * per_image :])
+        return ops
 
 
 def _solve(
@@ -570,6 +632,12 @@ def _solve(
         edges[id(stream)] = edge
         nodes[writer].outs.append(edge)
         nodes[reader].ins.append(edge)
+    by_writer = sorted(edges.values(), key=lambda edge: edge.writer)
+    # Each edge's (push, pop) op tables.
+    tables = {
+        id(edge): (_Ops(edge.push, nodes[edge.writer].n), _Ops(edge.pop, nodes[edge.reader].n))
+        for edge in edges.values()
+    }
     for node, program in zip(nodes, programs):
         bounded_writers = {e.writer for e in node.ins if e.capacity is not None}
         node.neighbors = sorted(bounded_writers | {e.reader for e in node.outs})
@@ -586,34 +654,43 @@ def _solve(
     sink_index = position[id(pipeline.sink)]
     cut = np.int32(min(limit, _NEVER))
     sweep_cap = 256 + 4 * len(nodes)
+    slabs = opened = 0
+    horizon = _DELTA_START
     while any(node.lo < node.total and not node.dead for node in nodes):
         for node in nodes:
             _open_window(node)
+            opened += node.hi - node.lo
         for node in nodes:
-            _build_terms(node, nodes)
+            _build_terms(node, nodes, tables)
+        slabs += 1
         sweeps = _relax_all(nodes, sweep_cap)
         if sweeps is None and any(node.hi - node.lo > _DELTA_MIN for node in nodes):
             # No fixed point within the cap: a slab too wide to settle, or
             # a dependency cycle (deadlock).  Narrow every window and retry.
             for node in nodes:
                 node.width = max(_DELTA_MIN, min(node.width, node.hi - node.lo) // 2)
+            horizon = max(_DELTA_MIN, horizon // 2)
             continue
         while sweeps is None:
             _retire_cycles(nodes)
             sweeps = _relax_all(nodes, sweep_cap)
         # Every finite time of the settled slab is exact (module docstring).
-        committed = [int(np.searchsorted(node.t[node.lo : node.hi], cut)) for node in nodes]
+        committed = [int(node.t[node.lo : node.hi].searchsorted(cut)) for node in nodes]
         if not any(committed):
             break
         for node, ops in zip(nodes, committed):
             node.lo += ops
-            if sweeps <= _FEW_SWEEPS:
-                node.width = min(max(node.width, 2 * ops), _DELTA_CAP)
-            elif sweeps > _MANY_SWEEPS:
-                node.width = max(_DELTA_MIN, node.width // 2)
+        if sweeps <= _FEW_SWEEPS:
+            horizon = min(2 * horizon, _DELTA_CAP)
+        elif sweeps > _MANY_SWEEPS:
+            horizon = max(_DELTA_MIN, horizon // 2)
+        _size_windows(nodes, by_writer, tables, horizon)
     for node in nodes:
-        node.terms = []
-    return _finish(nodes, edges, sink_index, limit)
+        node.terms, node.changes, node.c = [], [], np.zeros(0, dtype=np.int32)
+    solution = _finish(nodes, edges, sink_index, limit)
+    solution.slabs, solution.opened = slabs, opened
+    solution.evaluations = sum(node.evaluated for node in nodes)
+    return solution
 
 
 def _retire_cycles(nodes: list[_Node]) -> None:
@@ -630,7 +707,8 @@ def _retire_cycles(nodes: list[_Node]) -> None:
         node.dead = True
         node.t[node.lo : node.hi] = _NEVER
         node.hi = node.lo
-        node.terms = []
+        node.terms, node.finite = [], 0
+        node.changes.append(node.lo)
 
 
 def _times(node: _Node, table: np.ndarray, per_image: int, elements: np.ndarray) -> np.ndarray:
@@ -668,7 +746,7 @@ def _moved(solution: _Solution, stream: Stream, popped: bool, offset: int = 0, s
     edge = solution.edges[id(stream)]
     node = solution.nodes[edge.reader if popped else edge.writer]
     table = edge.pop if popped else edge.push
-    count = _elements_before(table, node.n, edge.per_image, node.ran)
+    count = _Ops(table, node.n).before(node.ran)
     return _times(node, table, edge.per_image, np.arange(offset, count, step))
 
 
@@ -750,29 +828,34 @@ def _moved_counts(solution: _Solution, edge: _Edge) -> tuple[int, int]:
     """Elements of ``edge`` pushed and popped before the run ended."""
     writer, reader = solution.nodes[edge.writer], solution.nodes[edge.reader]
     return (
-        _elements_before(edge.push, writer.n, edge.per_image, writer.ran),
-        _elements_before(edge.pop, reader.n, edge.per_image, reader.ran),
+        _Ops(edge.push, writer.n).before(writer.ran),
+        _Ops(edge.pop, reader.n).before(reader.ran),
     )
 
 
+# Ops (elements) per chunk of the stall derivation (high-water mark): bounds their temporaries.
+_CHUNK = 1 << 16
+
+
 def _max_occupancy(solution: _Solution, edge: _Edge) -> int:
-    """The stream's high-water mark: the most pushes less earlier pops, one image at a time.
+    """The stream's high-water mark: the most pushes less earlier pops, whole images at a time.
 
     A pop at ``t`` lands after a push at ``t`` (the reader ticks later), so
-    each push counts the pops strictly before it.  Pops before an image's
+    each push counts the pops strictly before it.  Pops before a chunk's
     last push are of its elements or earlier ones, so the pop times
-    gathered per image stay within one image plus the occupancy.
+    gathered per chunk stay within the chunk plus the occupancy.
     """
     writer, reader = solution.nodes[edge.writer], solution.nodes[edge.reader]
-    per_image = edge.per_image
+    pushes, pops = _Ops(edge.push, writer.n), _Ops(edge.pop, reader.n)
+    chunk = edge.per_image * max(1, _CHUNK // edge.per_image)
     pushed, popped = _moved_counts(solution, edge)
     best = done = 0
-    for first in range(0, pushed, per_image):
-        stop = min(first + per_image, pushed)
-        push = writer.t[_ops_of(edge.push, writer.n, per_image, first, stop)]
+    for first in range(0, pushed, chunk):
+        stop = min(first + chunk, pushed)
+        push = writer.t[pushes.of(first, stop)]
         upto = min(stop, popped)
         if upto > done:
-            pop = reader.t[_ops_of(edge.pop, reader.n, per_image, done, upto)]
+            pop = reader.t[pops.of(done, upto)]
             before = np.searchsorted(pop, push)
         else:
             before = np.zeros(push.size, dtype=np.int64)
@@ -780,10 +863,6 @@ def _max_occupancy(solution: _Solution, edge: _Edge) -> int:
         best = max(best, int(occupancy.max()))
         done += int(before[-1])
     return best
-
-
-# Ops per chunk of the stall derivation (bounds its temporaries).
-_STALL_CHUNK = 1 << 16
 
 
 def _readiness(solution: _Solution, node: _Node, kind: int, ops: np.ndarray) -> np.ndarray:
@@ -850,8 +929,8 @@ def _waits(
         first = np.where(ready >= _NEVER, length, np.clip(ready - start, 0, length))
         return start, first, length, kinds
 
-    for lo in range(0, ran, _STALL_CHUNK):
-        hi = min(ran, lo + _STALL_CHUNK)
+    for lo in range(0, ran, _CHUNK):
+        hi = min(ran, lo + _CHUNK)
         times = t[lo:hi].astype(np.int64)
         start = np.empty_like(times)
         start[0] = int(t[lo - 1]) + 1 if lo else 0
@@ -1130,6 +1209,41 @@ def _write_trace(tracer: Tracer, timeline: Timeline, pipeline: Pipeline) -> None
         tracer.finish(timeline.cycles)
 
 
+def _size_windows(
+    nodes: list[_Node], edges: list[_Edge], tables: dict[int, tuple[_Ops, _Ops]], horizon: int
+) -> None:
+    """Size every window to the ops its kernel can run before a common cycle horizon.
+
+    The horizon lies ``horizon`` cycles past the latest committed op.  A
+    kernel runs at most one op per cycle; an op that pops an element its
+    writer's window does not push, or pushes into a slot its reader's window
+    does not free, waits on "never" (as does every later op), so a window
+    ends before it.  Every window keeps at least one op.
+    """
+    reach = max([int(node.t[node.lo - 1]) for node in nodes if node.lo], default=-1) + horizon
+    ends = []
+    for node in nodes:
+        last = int(node.t[node.lo - 1]) if node.lo else -1
+        ends.append(node.lo if node.dead else node.lo + min(_DELTA_CAP, max(_DELTA_MIN, reach - last - 1)))
+
+    def cut(k: int, op: int) -> None:
+        ends[k] = min(ends[k], max(op, nodes[k].lo + _DELTA_MIN))
+
+    for edge in edges:  # writers before readers
+        pushes, pops = tables[id(edge)]
+        available = pushes.before(min(ends[edge.writer], nodes[edge.writer].total))
+        if available < pops.before(nodes[edge.reader].total):
+            cut(edge.reader, pops.op(available))
+    for edge in sorted(edges, key=lambda edge: -edge.reader):
+        if edge.capacity is not None:
+            pushes, pops = tables[id(edge)]
+            blocked = pops.before(min(ends[edge.reader], nodes[edge.reader].total)) + edge.capacity
+            if blocked < pushes.before(nodes[edge.writer].total):
+                cut(edge.writer, pushes.op(blocked))
+    for node, end in zip(nodes, ends):
+        node.width = max(_DELTA_MIN, end - node.lo)
+
+
 def _open_window(node: _Node) -> None:
     """Widen or narrow ``node``'s window to its width and seed it from below."""
     lo, old_hi = node.lo, node.hi
@@ -1145,66 +1259,158 @@ def _open_window(node: _Node) -> None:
     node.hi = hi
 
 
-def _build_terms(node: _Node, nodes: list[_Node]) -> None:
-    """Index tables of every constraint on ``node``'s window ops, for this slab."""
-    terms: list[tuple[Any, np.ndarray, Any, int]] = []
-    lo, hi, n = node.lo, node.hi, node.n
-    if hi > lo:
-        for edge in node.ins:
-            # Pops wait for the pushed element to become visible.
-            first = _elements_before(edge.pop, n, edge.per_image, lo)
-            stop = _elements_before(edge.pop, n, edge.per_image, hi)
-            if stop > first:
-                writer = nodes[edge.writer]
-                own = _ops_of(edge.pop, n, edge.per_image, first, stop) - lo
-                partner = _ops_of(edge.push, writer.n, edge.per_image, first, stop)
-                terms.append((_span(own), writer.t, _span(partner), 1 + edge.latency))
-        for edge in node.outs:
-            if edge.capacity is None:
-                continue
-            # Pushes wait for the slot freed by the pop `capacity` elements back.
-            first = max(_elements_before(edge.push, n, edge.per_image, lo), edge.capacity)
-            stop = _elements_before(edge.push, n, edge.per_image, hi)
-            if stop > first:
-                reader = nodes[edge.reader]
-                own = _ops_of(edge.push, n, edge.per_image, first, stop) - lo
-                partner = _ops_of(
-                    edge.pop, reader.n, edge.per_image, first - edge.capacity, stop - edge.capacity
-                )
-                terms.append((_span(own), reader.t, _span(partner), 1))
-        if node.arrivals is not None:
-            # An open-loop image's first push waits for its arrival.
-            first_op = int(node.outs[0].push[0])
-            begin = max(0, -((first_op - lo) // n))
-            end = (hi - 1 - first_op) // n + 1
-            if end > begin:
-                own = np.arange(begin, end) * n + first_op - lo
-                terms.append((_span(own), node.arrivals, slice(begin, end), 0))
-    node.terms = terms
+def _build_terms(node: _Node, nodes: list[_Node], tables: dict[int, tuple[_Ops, _Ops]]) -> None:
+    """The constraints on ``node``'s window ops for this slab, and its maxima ``c`` so far.
+
+    A constraint on a partner's committed op or on one past its window
+    never changes within the slab, so it is read into ``c`` here, once; a
+    term keeps the rest.
+    """
+    lo, hi = node.lo, node.hi
+    node.terms, node.changes = [], []
+    node.c = c = np.zeros(max(0, hi - lo), dtype=np.int32)
+    node.finite = max(0, hi - lo)
+    node.stale = hi > lo
+    if hi <= lo:
+        return
+    c[0] = int(node.t[lo - 1]) + 1 if lo else 0
+    for edge in node.ins:
+        # Pops wait for the pushed element to become visible.
+        pushes, pops = tables[id(edge)]
+        first, stop = pops.before(lo), pops.before(hi)
+        if stop > first:
+            own, ops = pops.of(first, stop, lo), pushes.of(first, stop)
+            _add_term(node, nodes[edge.writer], own, ops, stop - first, 1 + edge.latency)
+    for edge in node.outs:
+        if edge.capacity is None:
+            continue
+        # Pushes wait for the slot freed by the pop `capacity` elements back.
+        pushes, pops = tables[id(edge)]
+        first, stop = max(pushes.before(lo), edge.capacity), pushes.before(hi)
+        if stop > first:
+            own = pushes.of(first, stop, lo)
+            freed = pops.of(first - edge.capacity, stop - edge.capacity)
+            _add_term(node, nodes[edge.reader], own, freed, stop - first, 1)
+    if node.arrivals is not None:
+        # An open-loop image's first push waits for its arrival.
+        n, first_op = node.n, int(node.outs[0].push[0])
+        begin = max(0, -((first_op - lo) // n))
+        end = (hi - 1 - first_op) // n + 1
+        if end > begin:
+            own = np.arange(begin, end) * n + first_op - lo
+            c[own] = np.maximum(c[own], node.arrivals[begin:end])
+
+
+@dataclass(slots=True)
+class _Term:
+    """A constraint of one slab: window ops ``own`` wait ``delay`` cycles past partner ``ops``.
+
+    ``own`` (window-relative) and ``ops`` are ascending slices or arrays of
+    ``count`` ops each.  ``seen`` is how many changes of the partner's window
+    the term has read (-1: none yet).
+    """
+
+    own: Any
+    partner: _Node
+    ops: Any
+    delay: int
+    count: int
+    first_op: int  # ops[0]
+    own_stop: int  # own[-1] + 1
+    seen: int = -1
+
+
+def _add_term(node: _Node, partner: _Node, own: Any, ops: Any, count: int, delay: int) -> None:
+    """Read ``partner``'s fixed ones of its ``count`` ``ops`` into ``node.c``; keep a term on the rest.
+
+    ``own`` and ``ops`` are ascending slices or arrays.
+    """
+    c = node.c
+    fixed, window = _below(ops, partner.lo), _below(ops, partner.hi)
+    if fixed:
+        head = _part(own, 0, fixed)
+        c[head] = np.maximum(c[head], partner.t[_part(ops, 0, fixed)] + delay)
+    if window < count:
+        # An op waiting on one past the partner's window never runs in this slab.
+        c[_part(own, window, count)] = _NEVER
+    if window > fixed:
+        own, ops = _span(_part(own, fixed, window)), _span(_part(ops, fixed, window))
+        first_op = ops.start if type(ops) is slice else int(ops[0])
+        own_stop = own.stop if type(own) is slice else int(own[-1]) + 1
+        node.terms.append(_Term(own, partner, ops, delay, window - fixed, first_op, own_stop))
 
 
 def _relax(node: _Node) -> bool:
-    """Recompute ``node``'s window from its neighbours' times; report a change."""
-    lo, hi = node.lo, node.hi
-    if hi <= lo:
+    """Recompute ``node``'s window from what its partners changed since it last read them.
+
+    Reports a change.  Times only rise within a slab (module docstring), so
+    partner ops that have not changed add nothing: a term re-reads only the
+    ops from its partner's first change since, and the window is recomputed
+    only from the first op whose maximum in ``c`` rose, up to its first op
+    at "never" (every later op stays at "never" for the rest of the slab).
+    """
+    finite = node.finite
+    c = node.c
+    rose = 0 if node.stale else finite
+    node.stale = False
+    for term in node.terms:
+        partner, seen = term.partner, term.seen
+        changes = partner.changes
+        if len(changes) == seen:
+            continue
+        term.seen = len(changes)
+        begin = 0
+        if seen >= 0:
+            changed = min(changes[seen:])
+            if changed > term.first_op:
+                begin = _below(term.ops, changed)
+        end = term.count if finite >= term.own_stop else _below(term.own, finite)
+        if begin >= end:
+            continue
+        own = _part(term.own, begin, end)
+        ready = partner.t[_part(term.ops, begin, end)] + term.delay
+        current = c[own]
+        higher = ready > current
+        first = int(higher.argmax())
+        if higher[first]:
+            rose = min(rose, own.start + first if type(own) is slice else int(own[first]))
+            np.maximum(current, ready, out=ready)
+            c[own] = ready
+    if rose >= finite:
         return False
-    size = hi - lo
-    c = np.zeros(size, dtype=np.int32)
-    c[0] = int(node.t[lo - 1]) + 1 if lo else 0
-    for own, times, partner, delay in node.terms:
-        ready = times[partner] + delay
-        np.maximum(c[own], ready, out=ready)
-        c[own] = ready
-    steps = np.arange(size, dtype=np.int32)
-    c -= steps
-    np.maximum.accumulate(c, out=c)
-    c += steps
-    np.minimum(c, _NEVER, out=c)
-    window = node.t[lo:hi]
-    if np.array_equal(c, window):
+    node.evaluated += finite - rose
+    lo = node.lo
+    steps = np.arange(rose, finite, dtype=np.int32)
+    window = node.t[lo + rose : lo + finite]
+    t = c[rose:finite] - steps
+    if rose:
+        # The running maximum of ``c - step`` up to the op before.
+        t[0] = max(int(t[0]), int(node.t[lo + rose - 1]) - rose + 1)
+    np.maximum.accumulate(t, out=t)
+    t += steps
+    np.minimum(t, _NEVER, out=t)
+    moved = t != window
+    first = int(moved.argmax())
+    if not moved[first]:
         return False
-    window[:] = c
+    window[first:] = t[first:]
+    node.finite = rose + first + int(t[first:].searchsorted(_NEVER))
+    node.changes.append(lo + rose + first)
     return True
+
+
+def _below(index: Any, bound: int) -> int:
+    """How many entries of the ascending ``index`` (a slice or an array) lie below ``bound``."""
+    if type(index) is slice:
+        return min(max(0, bound - index.start), index.stop - index.start)
+    return int(index.searchsorted(bound))
+
+
+def _part(index: Any, begin: int, end: int) -> Any:
+    """Entries ``begin .. end - 1`` of ``index`` (a slice or an array)."""
+    if type(index) is slice:
+        return slice(index.start + begin, index.start + end)
+    return index[begin:end]
 
 
 def _relax_all(nodes: list[_Node], sweep_cap: int) -> int | None:

@@ -390,6 +390,8 @@ class LayerGraph:
                 raise ValueError(f"{node.name}: unknown input {parent!r}")
             if parent in inputs[:i]:
                 raise ValueError(f"{node.name}: input {parent!r} is repeated")
+        if isinstance(node, InputNode) and self.input_name is not None:
+            raise ValueError("LayerGraph supports a single input node")
         in_specs = [self.specs[p] for p in inputs]
         spec = node.infer(in_specs)
         self.nodes[node.name] = node
@@ -400,8 +402,6 @@ class LayerGraph:
         for parent in inputs:
             self.fanout[parent].append(node.name)
         if isinstance(node, InputNode):
-            if self.input_name is not None:
-                raise ValueError("LayerGraph supports a single input node")
             self.input_name = node.name
         self.output_name = node.name
         return node

@@ -182,6 +182,16 @@ class TestLayerGraph:
         with pytest.raises(ValueError):
             g.add(InputNode("in2", 8, 8, 2, 2))
 
+    def test_refused_input_leaves_the_graph_unchanged(self):
+        g = self.make_chain()
+        before = (list(g.order), dict(g.nodes), dict(g.specs), dict(g.producers))
+        fanout = {name: list(consumers) for name, consumers in g.fanout.items()}
+        with pytest.raises(ValueError, match="single input node"):
+            g.add(InputNode("in2", 8, 8, 2, 2))
+        assert (g.order, g.nodes, g.specs, g.producers) == before
+        assert g.fanout == fanout
+        g.validate()
+
     def test_repeated_input_rejected(self):
         g = self.make_chain()
         with pytest.raises(ValueError, match=r"^a: input 'p1' is repeated$"):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.dataflow import build_pipeline, solve_skip_capacities
 from repro.dataflow import schedule as schedule_module
 from repro.dataflow.engine import CycleBudgetExceeded
-from repro.dataflow.schedule import _NEVER, REPLAY_IMAGES, Schedule, _solve, replay_schedule
+from repro.dataflow.schedule import _NEVER, REPLAY_IMAGES, Schedule, _Ops, _solve, replay_schedule
 from repro.kernels import (
     AddKernel,
     ConvKernel,
@@ -146,6 +146,71 @@ def test_deadlocked_geometry_raises_and_caches_nothing():
     with pytest.raises(RuntimeError, match="python -m repro check"):
         replay_schedule(graph)
     assert not graph._schedule_cache
+
+
+# Solver work per committed op: each op recomputed about once per sweep
+# that moves it, and windows that commit nearly all they open.
+WORK_CEILINGS = {"opened": 1.4, "evaluations": 4.0}
+
+
+@pytest.mark.parametrize("graph_name", ["tiny_chain_graph", "tiny_resnet_graph"])
+def test_solver_work_stays_under_its_ceilings(graph_name, request):
+    solution = _solve(_zero_pipeline(request.getfixturevalue(graph_name)))
+    ops = sum(node.lo for node in solution.nodes)
+    assert ops == sum(node.total for node in solution.nodes)
+    assert 1 <= solution.slabs <= 4
+    for field, ceiling in WORK_CEILINGS.items():
+        assert getattr(solution, field) <= ceiling * ops, field
+
+
+# ---------------------------------------------------------------------------
+# Op tables: one image's table shifted by whole images
+# ---------------------------------------------------------------------------
+
+
+def _per_image_ops(table, n, images):
+    """Every op of the run moving one port's elements, built one image at a time."""
+    return np.concatenate([np.asarray(table) + image * n for image in range(images)])
+
+
+def _assert_tables_match(table, n, images, first, stop, base):
+    whole = _per_image_ops(table, n, images)
+    ops = _Ops(np.asarray(table), n)
+    got = ops.of(first, stop, base)
+    if isinstance(got, slice):
+        got = np.arange(got.start, got.stop)
+    assert got.tolist() == (whole[first:stop] - base).tolist()
+    assert [ops.op(e) for e in range(first, stop)] == whole[first:stop].tolist()
+    for op in range(images * n + 1):
+        assert ops.before(op) == int((whole < op).sum())
+
+
+@pytest.mark.parametrize(
+    "table, n, images, first, stop",
+    [
+        ([3], 5, 10, 2, 9),  # one element per image, across many images
+        ([0, 2, 3], 6, 9, 4, 25),  # starts mid-image, crosses many images
+        ([1, 4], 5, 3, 1, 4),  # crosses one image boundary
+        ([0, 1, 2, 3], 4, 5, 3, 17),  # every op moves one element
+        ([2, 5, 7], 9, 4, 7, 8),  # a single element
+    ],
+)
+def test_op_tables_match_the_per_image_construction(table, n, images, first, stop):
+    _assert_tables_match(table, n, images, first, stop, 0)
+    first_op = int(_per_image_ops(table, n, images)[first])
+    _assert_tables_match(table, n, images, first, stop, first_op)
+
+
+@given(st.integers(1, 30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_op_tables_match_on_random_spans(n, data):
+    table = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    images = data.draw(st.integers(1, 12))
+    elements = images * len(table)
+    first = data.draw(st.integers(0, elements - 1))
+    stop = data.draw(st.integers(first + 1, elements))
+    base = data.draw(st.integers(0, first // len(table) * n + table[first % len(table)]))
+    _assert_tables_match(table, n, images, first, stop, base)
 
 
 # ---------------------------------------------------------------------------
