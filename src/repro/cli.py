@@ -7,15 +7,16 @@ Commands
 ``report NETWORK [--size N] [--device stratix5|stratix10]``
     Full design report (resources / partition / timing / power / GPU
     baseline) for ``vgg``, ``alexnet`` or ``resnet18``.
-``simulate [--size N] [--images M] [--mode MODE] [--json] [--prom F] [--snapshot F]``
+``simulate [--size N] [--images M] [--exhaustive] [--json] [--prom F] [--snapshot F]``
     Train nothing, build a tiny random-threshold network, stream images
     through the cycle-accurate simulator and print the pipeline waterfall
-    (or, with ``--json``, a machine-readable telemetry snapshot).
-    ``--mode`` picks the scheduler — ``exhaustive``, ``fast`` (default) or
-    ``leap`` (``fast`` plus a report of how far the solved prefix was
-    extended) — all bit-identical.  ``--json``, ``--prom`` and
-    ``--snapshot`` attach telemetry, whose samples cover every image, so the
-    run is solved whole and leap warns that it was demoted.
+    (or, with ``--json``, a machine-readable telemetry snapshot).  The run
+    is solved from the kernels' op recurrences, and one line reports how
+    far the certified period extended the solved prefix or why it did
+    not; ``--exhaustive`` ticks the reference loop instead, bit-identical.
+    ``--json``, ``--prom`` and ``--snapshot`` attach telemetry, whose
+    samples cover every image, so the run is solved whole (with ``--json``
+    the report line goes to stderr).
 ``trace [--size N] [--images M] [--out trace.json] [--force]``
     Stream a network with event tracing enabled and write the full
     cycle-exact event log as Chrome-trace JSON (load it at
@@ -92,7 +93,7 @@ def _emit(args: argparse.Namespace, text: str, what: str) -> None:
 
 def _mode(args: argparse.Namespace) -> str:
     """The scheduler an ``--exhaustive`` flag selects."""
-    return "exhaustive" if args.exhaustive else "fast"
+    return "exhaustive" if args.exhaustive else "leap"
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -177,7 +178,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
 
     run = simulate(
-        graph, images, telemetry=telemetry, mode=args.mode, arrival_cycles=arrival_cycles
+        graph, images, telemetry=telemetry, mode=_mode(args), arrival_cycles=arrival_cycles
     )
     if args.prom:
         assert telemetry is not None
@@ -185,15 +186,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.snapshot:
         assert telemetry is not None
         _write(args.snapshot, json.dumps(telemetry.export_json(), indent=2) + "\n")
-    rep = run.leap_report
-    if rep is not None and rep.demoted:
-        print(
-            f"warning: leap demoted to the fast path: {rep.demotion_reason}",
-            file=sys.stderr,
-        )
-
     if args.json:
         assert telemetry is not None
+        print(run.leap_report.line(), file=sys.stderr)  # stdout carries the JSON
         payload = telemetry.export_json()
         stats: dict[str, object] = {
             "cycles": run.cycles,
@@ -216,15 +211,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     interval = run.run.steady_state_interval
     if interval is not None:
         print(f"steady-state interval: {interval:,.0f} cycles/image")
-    if run.leap_report is not None:
-        rep = run.leap_report
-        if rep.leaps:
-            print(
-                f"leap: extended the solved prefix by {rep.windows} image(s) of "
-                f"{rep.period:,} cycles ({rep.leaped_cycles:,} cycles not solved)"
-            )
-        elif not rep.demoted:  # demotion already warned on stderr above
-            print("leap: the solved prefix covered every image (nothing to extend)")
+    print(run.leap_report.line())
     trace = analyze_run(run.run)
     print(render_waterfall(trace))
     if args.prom:
@@ -413,11 +400,21 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if len(set(specs)) > 1:
             print("--find-capacity scales one replica spec; give --mix a single spec", file=sys.stderr)
             return 2
-        try:
-            config = config_for(args.rate, args.policy)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+    sweeping = args.sweep is not None and not args.find_capacity
+    try:
+        if sweeping:
+            rates = args.sweep or default_rate_ladder(specs)
+            policies = args.policies or [args.policy]
+        else:
+            rates = [args.rate if args.rate is not None else 0.5 * fleet_capacity_fps(specs)]
+            policies = [args.policy]
+        # Every sweep point's config is checked before any replica runs.
+        config, *_ = [config_for(rate, policy) for policy in policies for rate in rates]
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+    if args.find_capacity:
         answer = min_replicas_for_slo(config, args.slo_p99_cycles, args.max_replicas)
         if args.json or args.out:
             _emit(args, json.dumps(answer, indent=2), "capacity answer")
@@ -439,10 +436,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 print(f"  R={step['replicas']}: p99 sojourn {shown} cycles [{mark}]")
         return 0 if answer["min_replicas"] is not None else 1
 
-    if args.sweep is not None:
-        rates = args.sweep or default_rate_ladder(specs)
-        policies = args.policies or [args.policy]
-        config = config_for(rates[0], policies[0])
+    if sweeping:
         payload = fleet_sweep(config, rates, policies)
         _emit(
             args,
@@ -451,15 +445,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.rate is None:
-        rate = 0.5 * fleet_capacity_fps(specs)
-    else:
-        rate = args.rate
-    try:
-        config = config_for(rate, args.policy)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     report = simulate_fleet(config)
     if args.json or args.out:
         _emit(args, json.dumps(report.as_dict(), indent=2), "fleet report")
@@ -483,6 +468,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .telemetry import run_attributed
 
     size = args.size
+    if args.images < 1:
+        print(f"--images must be >= 1, got {args.images}", file=sys.stderr)
+        return 2
+    if args.skip_capacity is not None and args.skip_capacity < 1:
+        print(f"--skip-capacity must be >= 1, got {args.skip_capacity}", file=sys.stderr)
+        return 2
     if args.network == "vgg":
         if size % 8:
             print(f"size must be divisible by 8, got {size}", file=sys.stderr)
@@ -521,12 +512,18 @@ DEFAULT_CHECK_TOPOLOGIES = ["vgg:16:0.0625", "vgg:32:0.25", "alexnet:64:0.25", "
 def _check_graph(name: str, size: int | None, width: float | None):
     from .models import direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph
 
+    if size is not None and size < 8:
+        raise ValueError(f"size must be >= 8, got {size}")
+    if width is None:
+        width = 1.0
+    elif width <= 0:
+        raise ValueError(f"width must be > 0, got {width}")
     if name == "vgg":
-        return direct_vgg_graph(size or 32, width=width or 1.0, classes=4)
+        return direct_vgg_graph(32 if size is None else size, width=width, classes=4)
     if name == "alexnet":
-        return direct_alexnet_graph(size or 224, width=width or 1.0)
+        return direct_alexnet_graph(224 if size is None else size, width=width)
     if name == "resnet18":
-        return direct_resnet18_graph(size or 224, width=width or 1.0)
+        return direct_resnet18_graph(224 if size is None else size, width=width)
     raise ValueError(f"unknown network {name!r} (want vgg, alexnet or resnet18)")
 
 
@@ -621,6 +618,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     except PlanError as exc:
         print(f"plan {args.topology}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"plan {args.topology}: {exc}", file=sys.stderr)
+        return 2
 
     rc = 0
     if args.check:
@@ -644,7 +644,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         images = rng.integers(
             0, 4, size=(plan.predicted.n_images, spec.height, spec.width, spec.channels)
         )
-        run = simulate(graph, images, partition=plan.groups, mode="leap")
+        run = simulate(graph, images, partition=plan.groups)
         measured = run.steady_state_interval
         predicted = plan.predicted.interval
         exact = (
@@ -676,7 +676,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             0, 4, size=(plan.predicted.n_images, spec.height, spec.width, spec.channels)
         )
         for cuts, partition in neighbor_partitions(graph, plan):
-            run = simulate(graph, images, partition=partition, mode="leap")
+            run = simulate(graph, images, partition=partition)
             interval = run.steady_state_interval
             winner = plan.predicted.interval
             worse = interval is None or winner is None or interval >= winner
@@ -733,20 +733,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--images", type=int, default=1)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument(
-        "--mode",
-        choices=["exhaustive", "fast", "leap"],
-        default="fast",
-        help="scheduler: exhaustive tick loop, fast (solved from op recurrences; "
-        "telemetry samples are read off the solve in every mode), or leap (fast, "
-        "reporting the images the certified period added past the solved prefix); "
-        "bit-identical results, see DESIGN.md §4.6",
+        "--exhaustive",
+        action="store_true",
+        help="tick the exhaustive reference loop instead of solving the schedule "
+        "(bit-identical results, see DESIGN.md §4.6)",
     )
     p_sim.add_argument(
         "--rate",
         type=float,
         default=None,
         help="open-loop arrivals at this offered FPS instead of back-to-back "
-        "streaming (note: an open-loop source demotes --mode leap)",
+        "streaming (an open-loop run is solved whole, not extended by its period)",
     )
     p_sim.add_argument(
         "--process",
@@ -1086,7 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument(
         "--simulate",
         action="store_true",
-        help="leap-simulate the winner and assert the measured interval equals the prediction",
+        help="simulate the winner and assert the measured interval equals the prediction",
     )
     p_plan.add_argument(
         "--neighbors",

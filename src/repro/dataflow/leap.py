@@ -1,11 +1,12 @@
-"""Leap mode: what extending a solved run by its period did, and the outputs it needs.
+"""Leap mode: how a solved run used its period, and the outputs it needs.
 
-A closed-loop ``simulate(mode="leap")`` (or ``"fast"``) run solves a
-prefix of its images from the kernels' op recurrences and extends it by
-its certified per-image period — the steady state the paper's §IV-B4
-clocks-per-picture model describes — without ticking
-(:func:`repro.dataflow.schedule.solve_run`, where the argument that the
-extension is exact lives).  :class:`LeapReport` records what that did.
+``simulate`` solves a run from the kernels' op recurrences instead of
+ticking (:func:`repro.dataflow.schedule.solve_run`, where the argument
+that the solve is exact lives).  A closed-loop run solves a prefix of its
+images and extends it by its certified per-image period — the steady state
+the paper's §IV-B4 clocks-per-picture model describes.  :class:`LeapReport`,
+written by the solve, records how far the period carried the run, or why
+it could not.
 
 No image's values are streamed on that path, so
 :func:`batch_reference_outputs` recomputes every output through the
@@ -35,25 +36,44 @@ __all__ = ["LeapReport", "batch_reference_outputs"]
 _CHUNK_IMAGES = 16
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LeapReport:
-    """What one ``mode="leap"`` run did.
+    """How one run was solved: how far its period carried it, or why it could not.
 
     ``windows`` images past the solved prefix were added by the certified
-    ``period`` (``leaps`` is 1 when there were any).  A run that could not
-    be extended — an open-loop source, a tracer or telemetry (solved
-    whole), or one that had to tick (a kernel without an op program) — sets
-    ``demoted`` and names the cause in ``demotion_reason``, so the CLI can
-    warn.  ``leaps == 0`` without ``demoted`` means the prefix reached every
-    image: the whole run was solved.
+    ``period``.  Any other run names the cause in ``reason``: the solved
+    prefix reached every image, or the run is ``demoted`` — solved whole
+    because it is open-loop, traced or telemetered, or ticked by the
+    engine's reference loop (``cycles`` is then ``None``) because it is
+    exhaustive or the solver declines it.
     """
 
-    leaps: int = 0  # 1 when the solved prefix was extended, else 0
-    windows: int = 0  # images added past the solved prefix
-    leaped_cycles: int = 0  # windows * period
+    cycles: int | None = None  # the solved cycle count; None when the engine ticked the run
+    windows: int = 0  # images past the solved prefix, added by the period
     period: int = 0  # the certified cycles per image
-    demoted: bool = False  # True when the run could not be extended at all
-    demotion_reason: str | None = None
+    demoted: bool = False  # solved whole for a tracer, telemetry or open loop, or ticked
+    reason: str | None = None  # why the period did not extend the run
+
+    @property
+    def leaps(self) -> int:
+        """1 when the solved prefix was extended, else 0."""
+        return int(self.windows > 0)
+
+    @property
+    def leaped_cycles(self) -> int:
+        """Cycles the period added past the solved prefix."""
+        return self.windows * self.period
+
+    def line(self) -> str:
+        """The report in one line, as ``repro simulate`` prints it."""
+        if self.windows:
+            return (
+                f"leap: extended the solved prefix by {self.windows} image(s) of "
+                f"{self.period:,} cycles ({self.leaped_cycles:,} cycles not solved)"
+            )
+        if self.cycles is None:
+            return f"leap: the engine ticked the run: {self.reason}"
+        return f"leap: solved whole: {self.reason}"
 
 
 def batch_reference_outputs(pipeline: Pipeline, images: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ from .trace import Tracer
 
 if TYPE_CHECKING:
     from ..telemetry.collector import Telemetry
-    from .schedule import SolvedRun, Timeline
+    from .schedule import Timeline
 
 __all__ = ["build_pipeline", "simulate", "StreamingRun", "LinkCrossing", "Pipeline"]
 
@@ -104,10 +104,8 @@ class StreamingRun:
     cycles: int
     run: RunResult
     pipeline: Pipeline
-    # Set on every mode="leap" run (None for other modes): how many images
-    # the solved prefix was extended by and at what period, or — when the
-    # run could not be extended at all — the demotion flag and reason.
-    leap_report: LeapReport | None = None
+    # How far the period extended the solved prefix, or why it did not.
+    leap_report: LeapReport
 
     @property
     def latency_cycles(self) -> int:
@@ -384,23 +382,6 @@ def _wire(
         skip_streams[to_node] = stream
 
 
-def _leap_report(pipeline: Pipeline, solved: SolvedRun | None, whole: str | None) -> LeapReport:
-    """What ``mode="leap"`` did: how far the period extended the solved run, or why it could not."""
-    if solved is None:
-        from .schedule import unsolvable
-
-        reason = unsolvable(pipeline) or "its op schedule did not solve"
-        return LeapReport(demoted=True, demotion_reason=reason)
-    if whole is not None:
-        return LeapReport(demoted=True, demotion_reason=f"{whole}, so the run is solved whole")
-    return LeapReport(
-        leaps=int(solved.windows > 0),
-        windows=solved.windows,
-        leaped_cycles=solved.windows * solved.period,
-        period=solved.period,
-    )
-
-
 def simulate(
     graph: LayerGraph,
     images: np.ndarray,
@@ -413,7 +394,7 @@ def simulate(
     telemetry: "Telemetry | None" = None,
     skip_sizing: str | dict[str, int] = "exact",
     arrival_cycles: list[int] | None = None,
-    mode: str = "fast",
+    mode: str = "leap",
 ) -> StreamingRun:
     """Cycle-accurately stream ``images`` through ``graph``.
 
@@ -441,26 +422,21 @@ def simulate(
     (:func:`~repro.dataflow.verify.check_skip_high_water`): the verifier's
     solver and the engine must agree, or the run raises.
 
-    ``mode`` names how the run executes: ``"fast"`` (default),
-    ``"exhaustive"`` or ``"leap"``.  An exhaustive run ticks the engine's
-    reference loop, every kernel every cycle.  A fast or leap run does not
-    tick: :func:`~repro.dataflow.schedule.solve_run` solves every op's
-    cycle from the kernels' op recurrences and derives the counters,
-    instants and any ``trace`` from them, and the outputs come from the
-    batched functional pass (through the packed popcount path with
-    ``use_bitops``).  A closed-loop untraced run solves only a prefix of
-    its images and extends it by the certified per-image period.  Only a
-    pipeline :func:`~repro.dataflow.schedule.unsolvable` names makes a
-    fast or leap run tick the reference loop.  Results (cycles, outputs,
-    stats, traces, telemetry samples, per-image instants) are
-    bit-identical across all three modes.
-
-    ``mode="leap"`` runs the same path as ``"fast"`` and adds a
+    ``mode`` names how the run executes: ``"leap"`` (default) or
+    ``"exhaustive"``.  A leap run does not tick:
+    :func:`~repro.dataflow.schedule.solve_run` solves every op's cycle from
+    the kernels' op recurrences and derives the counters, instants and any
+    ``trace`` from them, and the outputs come from the batched functional
+    pass (through the packed popcount path with ``use_bitops``).  A
+    closed-loop untraced, untelemetered run solves only a prefix of its
+    images and extends it by the certified per-image period.  An
+    exhaustive run ticks the engine's reference loop, every kernel every
+    cycle; only a pipeline :func:`~repro.dataflow.schedule.unsolvable`
+    names makes a leap run tick it too.  Results (cycles, outputs, stats,
+    traces, telemetry samples, per-image instants) are bit-identical in
+    both modes.  Every run carries a
     :class:`~repro.dataflow.leap.LeapReport`: how many images past the
-    solved prefix the period extended the run by.  A leap run that could
-    not be extended because it is open-loop, traced or telemetered (solved
-    whole), or that ticked, sets ``demoted`` and names the cause in
-    ``demotion_reason``.
+    solved prefix the period extended the run by, or why it did not.
 
     ``max_cycles`` must be a positive ``int``; anything else raises
     ``ValueError`` before the pipeline is built.  A run that does not
@@ -471,8 +447,8 @@ def simulate(
     generation, attribution and fleet replicas report on.  A solved run
     reaches that state without ticking.
     """
-    if mode not in ("exhaustive", "fast", "leap"):
-        raise ValueError(f"mode must be 'exhaustive', 'fast' or 'leap', got {mode!r}")
+    if mode not in ("exhaustive", "leap"):
+        raise ValueError(f"mode must be 'exhaustive' or 'leap', got {mode!r}")
     if isinstance(max_cycles, bool) or not isinstance(max_cycles, int) or max_cycles <= 0:
         raise ValueError(f"max_cycles must be a positive int cycle budget, got {max_cycles!r}")
     images = np.asarray(images)
@@ -494,13 +470,13 @@ def simulate(
         telemetry.attach_pipeline(pipeline)
     from .schedule import replay_timeline, solve_run, solve_timeline
 
-    solved: SolvedRun | None = None
+    report = LeapReport(demoted=True, reason="mode='exhaustive'")
     timeline: Timeline | None = None  # a ticked run's trace and samples, from a solve of the same run
     try:
-        if mode != "exhaustive":
-            solved = solve_run(pipeline, max_cycles, trace, telemetry)
-        if solved is not None:
-            cycles = solved.cycles
+        if mode == "leap":
+            report = solve_run(pipeline, max_cycles, trace, telemetry)
+        if report.cycles is not None:
+            cycles = report.cycles
         else:
             if trace is not None or telemetry is not None:
                 timeline = solve_timeline(pipeline, max_cycles)
@@ -517,15 +493,7 @@ def simulate(
 
         check_skip_high_water(pipeline, n_images=int(images.shape[0]))
     kstats, sstats = pipeline.engine.collect_stats()
-    leap_report = None
-    if mode == "leap":
-        whole = None  # why leap could not extend a solved prefix
-        if pipeline.source.arrival_cycles is not None:
-            whole = f"open-loop arrival schedule on source {pipeline.source.name!r} (arrivals need not repeat)"
-        elif trace is not None or telemetry is not None:
-            whole = "a tracer is attached" if trace is not None else "telemetry is attached"
-        leap_report = _leap_report(pipeline, solved, whole)
-    if solved is not None:
+    if report.cycles is not None:
         # A solved run streamed no values: the batched functional path
         # computes every image exactly (it is bit-identical to the
         # streaming datapath — tested property).
@@ -540,6 +508,4 @@ def simulate(
         stream_stats=sstats,
         converged=True,
     )
-    return StreamingRun(
-        output=output, cycles=cycles, run=run, pipeline=pipeline, leap_report=leap_report
-    )
+    return StreamingRun(output=output, cycles=cycles, run=run, pipeline=pipeline, leap_report=report)

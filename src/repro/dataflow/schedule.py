@@ -128,6 +128,7 @@ import numpy as np
 
 from ..nn.graph import AddNode, LayerGraph
 from .kernel import STALL_BLOCKED, STALL_IDLE, STALL_STARVED, Kernel, KernelStats
+from .leap import LeapReport
 from .links import MAXRING, LinkSpec
 from .manager import Pipeline, build_pipeline
 from .stream import Stream, StreamStats
@@ -179,15 +180,6 @@ class Schedule:
     completion_cycles: tuple[int, ...]
     skip_high_water: Mapping[str, int]  # residual adder -> skip stream max occupancy
     segments: tuple[tuple[str, float], ...]  # (label, mean cycles) per partition segment
-
-
-@dataclass(frozen=True, slots=True)
-class SolvedRun:
-    """A run :func:`solve_run` solved: its cycle count and how far it extended a prefix."""
-
-    cycles: int
-    windows: int = 0  # images past the solved prefix, added by the period
-    period: int = 0  # the certified cycles per image (0: the whole run was solved)
 
 
 def replay_schedule(
@@ -265,8 +257,8 @@ def unsolvable(pipeline: Pipeline) -> str | None:
 
 def solve_run(
     pipeline: Pipeline, max_cycles: int, trace: Tracer | None = None, telemetry: Any = None
-) -> SolvedRun | None:
-    """Run ``pipeline`` by solving its schedule instead of ticking.
+) -> LeapReport:
+    """Run ``pipeline`` by solving its schedule instead of ticking, and report how.
 
     The solve takes the source's open-loop arrivals and every stream's
     built capacity, skip FIFOs included.  A closed-loop run solves a
@@ -284,25 +276,38 @@ def solve_run(
     ``trace`` registered on the pipeline's engine
     (:meth:`~repro.dataflow.trace.Tracer.attach`) and a fresh
     ``telemetry`` receive the run's event log and samples, read off its
-    :class:`Timeline`.
+    :class:`Timeline`.  The returned
+    :class:`~repro.dataflow.leap.LeapReport` carries the cycle count and
+    how far the period extended the prefix, or why the run was solved
+    whole.
 
     A run that would not finish within ``max_cycles``, deadlocked or not,
     is solved to that cycle: the state the engine leaves at its abort is
     stamped (the trace and the telemetry left unsealed) and the engine's
     :class:`~repro.dataflow.engine.CycleBudgetExceeded` raised.
 
-    Returns ``None`` and changes nothing when the engine has to run it
-    instead: :func:`unsolvable` names a reason, a kernel pushes before its
-    first pop, or a run not deadlocked outlasts :data:`REPLAY_MAX_CYCLES`
-    (with a ``trace`` or ``telemetry`` the last two raise ``ValueError``).
+    When the engine has to run it instead — :func:`unsolvable` names a
+    reason, a kernel pushes before its first pop, or a run not deadlocked
+    outlasts :data:`REPLAY_MAX_CYCLES` — it changes nothing and returns a
+    demoted report without ``cycles`` naming why (with a ``trace`` or
+    ``telemetry`` the last two raise ``ValueError``).
     """
-    if unsolvable(pipeline) is not None:
-        return None
+    reason = unsolvable(pipeline)
+    if reason is not None:
+        return LeapReport(demoted=True, reason=reason)
     images = pipeline.source.n_images
-    whole = trace is not None or telemetry is not None or pipeline.source.arrival_cycles is not None
+    whole: str | None  # why the run is solved whole, not extended by its period
+    if pipeline.source.arrival_cycles is not None:
+        whole = f"open-loop arrival schedule on source {pipeline.source.name!r} (arrivals need not repeat)"
+    elif trace is not None:
+        whole = "a tracer is attached"
+    elif telemetry is not None:
+        whole = "telemetry is attached"
+    else:
+        whole = None
     limit = min(max_cycles, REPLAY_MAX_CYCLES)
     prefix = REPLAY_IMAGES
-    while not whole and prefix < images:
+    while whole is None and prefix < images:
         taken = _take_replay(pipeline, limit) if prefix == REPLAY_IMAGES else None
         solution = taken or _solve(pipeline, bounded_skips=True, limit=limit, images=prefix)
         if solution.aborted or any(node.lead < 0 for node in solution.nodes):
@@ -318,14 +323,14 @@ def solve_run(
             )
             if observed.cycles < max_cycles:
                 _stamp(pipeline, observed)
-                return SolvedRun(observed.cycles, windows, period)
+                return LeapReport(observed.cycles, windows, period)
             break
         prefix *= 2
     solved = _solve_whole(pipeline, max_cycles)
     if isinstance(solved, str):
         if trace is not None or telemetry is not None:
             raise _declined(solved)
-        return None
+        return LeapReport(demoted=True, reason=solved)
     if trace is None and telemetry is None:
         _stamp(pipeline, observed := _observe(solved, pipeline))
     else:
@@ -334,7 +339,9 @@ def solve_run(
         replay_timeline(timeline, pipeline, trace, telemetry)
     if solved.aborted:
         raise pipeline.engine._no_convergence(max_cycles)
-    return SolvedRun(observed.cycles)
+    if whole is None:
+        return LeapReport(observed.cycles, reason="the solved prefix reached every image")
+    return LeapReport(observed.cycles, demoted=True, reason=whole)
 
 
 def solve_timeline(pipeline: Pipeline, max_cycles: int) -> Timeline:

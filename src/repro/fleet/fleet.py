@@ -58,7 +58,7 @@ __all__ = [
 
 DEFAULT_FCLK_MHZ = 105.0
 # Closed-loop images per profiling run: enough completions for a
-# steady-state interval (and for leap mode to extend its solved prefix)
+# steady-state interval (and for the solve to extend its prefix by the period)
 # while staying a fixed, small cost per distinct replica configuration.
 PROFILE_IMAGES = 6
 
@@ -131,10 +131,9 @@ def profile_replica(spec: ReplicaSpec, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> tu
     """(first-image latency, steady-state interval) for one replica config.
 
     Runs :data:`PROFILE_IMAGES` zero images *closed-loop* through the
-    replica's pipeline in leap mode — the one place in the fleet layer
-    where a run is extended from a solved prefix by its period (open-loop
-    replica runs are solved whole), so paper-scale replicas profile in
-    seconds, not minutes.  Timing is value-independent, so zero images
+    replica's pipeline — the one place in the fleet layer where a run is
+    extended from a solved prefix by its period (open-loop replica runs are
+    solved whole), so paper-scale replicas profile in seconds, not minutes.  Timing is value-independent, so zero images
     measure the real schedule.
     """
     key = (spec.family, spec.size, spec.width, spec.classes, fclk_mhz)
@@ -146,7 +145,7 @@ def profile_replica(spec: ReplicaSpec, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> tu
     graph = spec.graph()
     ispec = graph.input_spec
     images = np.zeros((PROFILE_IMAGES, ispec.height, ispec.width, ispec.channels), dtype=np.int64)
-    run = simulate(graph, images, fclk_mhz=fclk_mhz, mode="leap")
+    run = simulate(graph, images, fclk_mhz=fclk_mhz)
     interval = run.steady_state_interval
     assert interval is not None  # PROFILE_IMAGES >= 2 completions
     profile = (run.latency_cycles, interval)
@@ -179,6 +178,8 @@ class FleetConfig:
             raise ValueError(f"need at least one request, got {self.n_requests!r}")
         if self.rate_fps <= 0:
             raise ValueError(f"rate must be > 0 FPS, got {self.rate_fps!r}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch!r}")
         if self.policy == "static" and self.process != "poisson":
             raise ValueError(
                 "policy 'static' pre-partitions traffic into independent "

@@ -4,7 +4,7 @@ The router runs on the host, ahead of the shared PCIe ingress, and decides
 from *host-observable* state only: how many images it has dispatched to
 each replica and a calibrated service model (first-image latency plus the
 steady-state completion interval from a closed-loop profiling run, whose
-solved prefix leap mode extends by the period).  It never peeks at
+solved prefix is extended by the period).  It never peeks at
 cycle-exact fabric state — that is what keeps replica simulations
 independent of each other between router decisions, which in turn is what
 lets the fleet layer run replicas on a worker pool and still produce

@@ -69,9 +69,9 @@ def verify_backends(
         packed = run_graph(graph, levels, use_bitops=True)
         bit_ok = bool((packed.output == reference.output).all())
 
-    # The exhaustive loop ticks every kernel's datapath.  An untraced "fast"
-    # run would solve its schedule and take values from the batched
-    # functional pass, which is not the streamed datapath under test.
+    # The exhaustive loop ticks every kernel's datapath.  A solved ("leap")
+    # run takes its values from the batched functional pass, which is not
+    # the streamed datapath under test.
     streaming = simulate(graph, levels, max_cycles=max_cycles, mode="exhaustive")
     ref_shaped = reference.output.reshape(streaming.output.shape)
     stream_ok = bool((streaming.output == ref_shaped).all())

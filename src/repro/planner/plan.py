@@ -108,7 +108,7 @@ class PredictedTiming:
 
     ``interval`` and ``latency_cycles`` are *bit-equal* to what
     ``simulate(graph, images, partition=...)`` measures with the same
-    image count (leap/fast bit-identity): kernel scheduling never depends
+    image count, solved or ticked: kernel scheduling never depends
     on data values, so the op-recurrence solve over a zero batch yields
     the identical cycle schedule.  ``period`` is the
     count-independent exact completion period when the run reached one.

@@ -33,7 +33,7 @@ def predict_partition_timing(
     """Exact interval/latency of ``partition``, from the geometry's op-recurrence solve.
 
     Bit-equal to a real ``simulate(...)`` of the same partition and image
-    count (``REPLAY_IMAGES``) in any mode (exhaustive/fast/leap) — tested
+    count (``REPLAY_IMAGES``) in either mode (leap or exhaustive) — tested
     property.
     """
     schedule = replay_schedule(graph, partition, link=link)

@@ -319,7 +319,7 @@ def run_attributed(
     images: np.ndarray,
     *,
     max_cycles: int = 50_000_000,
-    mode: str = "fast",
+    mode: str = "leap",
     skip_sizing: "str | dict[str, int]" = "exact",
 ) -> AttributionReport:
     """Run ``images`` through ``graph`` and attribute the result.

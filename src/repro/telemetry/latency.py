@@ -108,7 +108,7 @@ def exact_quantile(values: list[int], q: float) -> int:
     The nearest-rank definition (value at rank ``ceil(q * n)``) always
     returns an observed value, so quantiles stay in the cycle domain and
     are bit-identical wherever the underlying records are — the property
-    the fast/exhaustive reconciliation tests pin down.
+    the solved/exhaustive reconciliation tests pin down.
     """
     if not values:
         raise ValueError("quantile of an empty sample")

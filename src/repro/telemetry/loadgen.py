@@ -232,7 +232,7 @@ def run_load(
     process: str = "fixed",
     seed: int = 0,
     fclk_mhz: float = DEFAULT_FCLK_MHZ,
-    mode: str = "fast",
+    mode: str = "leap",
     max_cycles: int = 50_000_000,
 ) -> LoadResult:
     """Stream ``images`` through ``graph`` at a target offered rate.
@@ -285,7 +285,7 @@ def sweep(
     process: str = "fixed",
     seed: int = 0,
     fclk_mhz: float = DEFAULT_FCLK_MHZ,
-    mode: str = "fast",
+    mode: str = "leap",
     max_cycles: int = 50_000_000,
 ) -> dict[str, Any]:
     """The FINN-style latency-throughput curve: one open-loop run per rate.

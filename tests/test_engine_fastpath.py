@@ -1,15 +1,15 @@
-"""Mode equivalence for the cycle simulator: exhaustive / fast / leap.
+"""Mode equivalence for the cycle simulator: solved == reference loop.
 
-A ``simulate(mode="fast")`` run is solved from the kernels' op recurrences
-(see test_schedule_run.py) and leap mode (``mode="leap"``) extends a solved
-prefix by its period; both must be *observably identical* to the
-exhaustive per-cycle tick loop: same total cycles, same per-image
-completion cycles, same output tensors, bit-identical kernel and stream
-statistics — stall counters included, since the paper's occupancy and
-bottleneck analyses are computed from them — and byte-identical event
+A solved run (``mode="leap"``, the default) takes its timing from the
+kernels' op recurrences (see test_schedule_run.py) and extends a solved
+prefix by its period; it must be *observably identical* to the exhaustive
+per-cycle tick loop (``mode="exhaustive"``): same total cycles, same
+per-image completion cycles, same output tensors, bit-identical kernel and
+stream statistics — stall counters included, since the paper's occupancy
+and bottleneck analyses are computed from them — and byte-identical event
 traces.  These tests drive every tiny topology used across the suite
-through all three modes, plus hypothesis-randomized networks for the long
-tail of shapes, and pin the reference loop's own budget abort.  (Deeper
+through both modes, plus hypothesis-randomized networks for the long tail
+of shapes, and pin the reference loop's own budget abort.  (Deeper
 leap-specific behaviour — demotion, the paper-scale interval check — lives
 in test_leap.py.)
 """
@@ -42,15 +42,15 @@ def _half_partition(graph):
     return [names[:half], names[half:]]
 
 
-def _assert_runs_identical(slow, fast):
-    assert fast.cycles == slow.cycles
-    assert fast.run.completion_cycles == slow.run.completion_cycles
-    assert np.array_equal(fast.output, slow.output)
+def _assert_runs_identical(slow, solved):
+    assert solved.cycles == slow.cycles
+    assert solved.run.completion_cycles == slow.run.completion_cycles
+    assert np.array_equal(solved.output, slow.output)
     for name, a in slow.run.kernel_stats.items():
-        b = fast.run.kernel_stats[name]
+        b = solved.run.kernel_stats[name]
         assert dataclasses.asdict(b) == dataclasses.asdict(a), f"kernel {name}"
     for name, a in slow.run.stream_stats.items():
-        b = fast.run.stream_stats[name]
+        b = solved.run.stream_stats[name]
         assert dataclasses.asdict(b) == dataclasses.asdict(a), f"stream {name}"
 
 
@@ -74,17 +74,21 @@ def _case(name: str):
 
 @pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
 def test_fast_path_matches_exhaustive(topology):
+    """Two images: the solved prefix reaches every image, so the whole run is solved."""
     graph, kwargs = _case(topology)
     images = _images(0)
     slow = simulate(graph, images, mode="exhaustive", **kwargs)
-    fast = simulate(graph, images, mode="fast", **kwargs)
-    assert "_flat" not in vars(fast.pipeline.source)  # solved, never ticked
-    _assert_runs_identical(slow, fast)
+    solved = simulate(graph, images, **kwargs)
+    assert "_flat" not in vars(solved.pipeline.source)  # solved, never ticked
+    _assert_runs_identical(slow, solved)
+    report = solved.leap_report
+    assert not report.demoted and report.leaps == 0
+    assert report.reason == "the solved prefix reached every image"
 
 
 @pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
 def test_leap_mode_matches_exhaustive_and_fast(topology):
-    """Three-way equivalence with leap mode actually extending a solved prefix.
+    """Solved == reference loop with the solve actually extending its prefix.
 
     Eight images leave room past the certified prefix; everything
     observable — cycles, outputs, stats — must still be bit-identical.
@@ -94,37 +98,34 @@ def test_leap_mode_matches_exhaustive_and_fast(topology):
     graph, kwargs = _case(topology)
     images = _images(1, n=8)
     slow = simulate(graph, images, mode="exhaustive", **kwargs)
-    fast = simulate(graph, images, mode="fast", **kwargs)
     leap = simulate(graph, images, mode="leap", **kwargs)
-    _assert_runs_identical(slow, fast)
     _assert_runs_identical(slow, leap)
     report = leap.leap_report
-    assert report is not None
-    assert not report.demoted
-    assert report.leaps == 1, "leap mode never extended the solved prefix"
+    assert not report.demoted and report.reason is None
+    assert report.leaps == 1, "the solve never extended its prefix"
+    assert report.cycles == leap.cycles
     assert "_flat" not in vars(leap.pipeline.source)
-    assert fast.leap_report is None
+    ticked = slow.leap_report
+    assert ticked.demoted and ticked.cycles is None and ticked.leaps == 0
+    assert ticked.reason == "mode='exhaustive'"
 
 
 @pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
 def test_traced_leap_mode_solves_whole_and_traces_identically(topology):
-    """A traced leap run is solved whole, not extended (demoted), with the reference loop's trace."""
+    """A traced run is solved whole, not extended (demoted), with the reference loop's trace."""
     graph, kwargs = _case(topology)
     images = _images(1, n=8)
-    t_loop, t_slow, t_fast, t_leap = Tracer(), Tracer(), Tracer(), Tracer()
+    t_loop, t_slow, t_leap = Tracer(), Tracer(), Tracer()
     engine_run(graph, images, trace=t_loop, **kwargs)
     slow = simulate(graph, images, mode="exhaustive", trace=t_slow, **kwargs)
-    fast = simulate(graph, images, mode="fast", trace=t_fast, **kwargs)
     leap = simulate(graph, images, mode="leap", trace=t_leap, **kwargs)
-    _assert_runs_identical(slow, fast)
     _assert_runs_identical(slow, leap)
     expected = t_loop.state()
     assert t_slow.state() == expected
-    assert t_fast.state() == expected
     assert t_leap.state() == expected
     report = leap.leap_report
-    assert report is not None and report.demoted and report.leaps == 0
-    assert "tracer" in report.demotion_reason
+    assert report.demoted and report.leaps == 0 and report.cycles == leap.cycles
+    assert "tracer" in report.reason
 
 
 @settings(max_examples=10, deadline=None)
@@ -140,9 +141,7 @@ def test_fast_path_matches_exhaustive_random(seed, size, depth, with_residual):
     channels = graph.input_spec.channels
     images = rng.integers(0, 4, size=(5, size, size, channels), dtype=np.int64)
     slow = simulate(graph, images, mode="exhaustive")
-    fast = simulate(graph, images, mode="fast")
     leap = simulate(graph, images, mode="leap")
-    _assert_runs_identical(slow, fast)
     _assert_runs_identical(slow, leap)
 
 
@@ -193,7 +192,7 @@ def test_deadlock_aborts_at_max_cycles(traced):
         assert [(s.kind, s.start, s.end) for s in trace.kernel_spans["a"]] == [("starved", 0, 499)]
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "fast", "leap"])
+@pytest.mark.parametrize("mode", ["exhaustive", "leap"])
 def test_budget_abort_carries_the_partly_run_pipeline(mode):
     graph, _ = _case("chain")
     with pytest.raises(CycleBudgetExceeded, match="no convergence after 100 cycles") as info:
@@ -232,7 +231,7 @@ def test_run_rejects_non_positive_cycle_budget(max_cycles):
 
 
 @pytest.mark.parametrize("max_cycles", [0, -1, True, 2.5, "100"])
-@pytest.mark.parametrize("mode", ["exhaustive", "fast", "leap"])
+@pytest.mark.parametrize("mode", ["exhaustive", "leap"])
 def test_simulate_rejects_a_budget_that_is_not_a_positive_int(monkeypatch, mode, max_cycles):
     """Checked before the pipeline is built, so a solved run checks it too."""
     graph, _ = _case("chain")
@@ -243,3 +242,15 @@ def test_simulate_rejects_a_budget_that_is_not_a_positive_int(monkeypatch, mode,
     monkeypatch.setattr(manager, "build_pipeline", refuse)
     with pytest.raises(ValueError, match="max_cycles must be a positive int cycle budget"):
         simulate(graph, _images(0), max_cycles=max_cycles, mode=mode)
+
+
+def test_simulate_rejects_an_unknown_mode(monkeypatch):
+    """Two modes remain: the deleted ``"fast"`` is refused before anything is built."""
+    graph, _ = _case("chain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline was built")
+
+    monkeypatch.setattr(manager, "build_pipeline", refuse)
+    with pytest.raises(ValueError, match="mode must be 'exhaustive' or 'leap', got 'fast'"):
+        simulate(graph, _images(0), mode="fast")

@@ -159,6 +159,9 @@ class TestSpecs:
         # static pre-partitions Poisson streams; fixed arrivals make no sense.
         with pytest.raises(ValueError):
             _config(policy="static", process="fixed")
+        for policy in ("batch", "rr"):  # checked for every policy, before any routing
+            with pytest.raises(ValueError, match="batch must be >= 1, got 0"):
+                _config(policy=policy, batch=0)
 
 
 class TestConservation:

@@ -81,7 +81,7 @@ def _state(run):
     pipeline = run.pipeline
     return {
         **observables(run),
-        "leap": dataclasses.asdict(run.leap_report) if run.leap_report is not None else None,
+        "leap": dataclasses.asdict(run.leap_report),
         "skip_capacities": dict(pipeline.skip_capacities),
         "capacities": [stream.capacity for stream in pipeline.engine.streams],
         "crossings": len(pipeline.crossings),
@@ -131,7 +131,7 @@ def test_handed_over_run_is_bit_identical(monkeypatch, case, taken):
         states.append(_state(run))
     assert states[0] == states[1]
     assert counts[1] - counts[0] == int(taken)
-    assert states[0]["leap"]["leaps"] == int(case != "deep")
+    assert (states[0]["leap"]["windows"] > 0) == (case != "deep")
     if case == "two_dfes":
         assert states[0]["crossings"] > 0
 

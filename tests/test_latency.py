@@ -1,7 +1,7 @@
 """Per-image latency observability: records, percentiles, reconciliation.
 
 The load-bearing property: latency percentiles are *bit-identical* between
-solved fast runs and the exhaustive loop on every topology — single
+solved runs and the exhaustive loop on every topology — single
 DFE chains, residual graphs, and a 2-DFE MaxRing partition — in both
 closed-loop and open-loop (rate-limited) runs, and every record reconciles
 exactly with the Tracer's completion events and the aggregate
@@ -101,14 +101,14 @@ def test_percentiles_bit_identical_fast_vs_exhaustive(topology, open_loop):
     arrivals = _open_loop_schedule(N_IMAGES) if open_loop else None
     kwargs = dict(partition=partition, arrival_cycles=arrivals)
     slow = simulate(graph, images, mode="exhaustive", **kwargs)
-    fast = simulate(graph, images, mode="fast", **kwargs)
+    solved = simulate(graph, images, mode="leap", **kwargs)
     rep_slow = latency_report(slow.pipeline, slow.cycles)
-    rep_fast = latency_report(fast.pipeline, fast.cycles)
-    assert rep_fast.service == rep_slow.service
-    assert rep_fast.queue_wait == rep_slow.queue_wait
-    assert rep_fast.sojourn == rep_slow.sojourn
-    assert [r.as_dict() for r in rep_fast.records] == [r.as_dict() for r in rep_slow.records]
-    assert [s for s in rep_fast.as_dict()["segments"]] == [
+    rep_solved = latency_report(solved.pipeline, solved.cycles)
+    assert rep_solved.service == rep_slow.service
+    assert rep_solved.queue_wait == rep_slow.queue_wait
+    assert rep_solved.sojourn == rep_slow.sojourn
+    assert [r.as_dict() for r in rep_solved.records] == [r.as_dict() for r in rep_slow.records]
+    assert [s for s in rep_solved.as_dict()["segments"]] == [
         s for s in rep_slow.as_dict()["segments"]
     ]
 

@@ -1,17 +1,17 @@
 """Leap mode: extension, demotion, fallback, synthesis, and the paper interval.
 
-The three-way cycle/output/stats/trace equivalence lives in
-test_engine_fastpath.py and test_schedule_run.py; this file covers the
+The solved == reference-loop cycle/output/stats/trace equivalence lives
+in test_engine_fastpath.py and test_schedule_run.py; this file covers the
 leap-specific behaviour on top of it:
 
 * the shared interval helpers (one derivation used by the engine, the
   telemetry collector and the benches);
-* the demotion rules — an open-loop or traced run is solved whole and not
-  extended, and a run that has to tick (telemetry, a kernel without an op
-  program) is demoted, each with a reason naming the cause;
+* the demotion rules — an open-loop, traced or telemetered run is solved
+  whole and not extended, and a run that has to tick (exhaustive, a kernel
+  without an op program) is demoted, each with a reason naming the cause;
 * fallback properties under randomized open-loop arrivals, undersized skip
   buffers (deadlock), and cycle-budget aborts — bit-identical behaviour in
-  all three modes whether or not leaping is possible;
+  both modes whether or not leaping is possible;
 * synthesized observables: batched functional outputs against
   ``run_graph``, and per-image latency records/percentiles across a leap;
 * §IV-B4: the simulated per-image interval against the analytic
@@ -161,7 +161,7 @@ class TestControllerConstruction:
         graph = _chain_graph()
         run = simulate(graph, _images(graph, 8), mode="leap")
         rep = run.leap_report
-        assert rep is not None and not rep.demoted and rep.demotion_reason is None
+        assert not rep.demoted and rep.reason is None
         assert rep.leaps == 1
         assert "_flat" not in vars(run.pipeline.source)  # solved, never ticked
 
@@ -173,7 +173,7 @@ class TestControllerConstruction:
         run = simulate(graph, images, mode="leap")
         assert "_flat" in vars(run.pipeline.source)  # the engine ticked it
         rep = run.leap_report
-        assert rep is not None and rep.demoted and rep.leaps == 0
+        assert rep.demoted and rep.leaps == 0 and rep.cycles is None
         assert run.cycles == expected.cycles
         np.testing.assert_array_equal(run.output, expected.output)
 
@@ -182,31 +182,34 @@ class TestControllerConstruction:
         run = simulate(graph, _images(graph, 2), mode="leap", arrival_cycles=[0, 9000])
         assert "_flat" not in vars(run.pipeline.source)  # solved whole, not extended
         rep = run.leap_report
-        assert rep is not None and rep.demoted and rep.leaps == rep.windows == 0
+        assert rep.demoted and rep.leaps == rep.windows == 0 and rep.cycles == run.cycles
 
     def test_open_loop_leap_run_reports_visible_demotion(self):
         graph = _chain_graph()
         images = _images(graph, 2)
         run = simulate(graph, images, mode="leap", arrival_cycles=[0, 9000])
         rep = run.leap_report  # solved whole without an extension, visibly
-        assert rep is not None and rep.demoted and rep.leaps == 0
-        assert rep.demotion_reason is not None and "open-loop" in rep.demotion_reason
+        assert rep.demoted and rep.leaps == 0
+        assert rep.reason is not None and "open-loop" in rep.reason
+        assert rep.line() == f"leap: solved whole: {rep.reason}"
 
     def test_ineligibility_reasons_name_the_cause(self, monkeypatch):
         graph = _chain_graph()
         images = _images(graph, 2)
 
         def reason(**kwargs):
-            rep = simulate(graph, images, mode="leap", **kwargs).leap_report
-            assert rep is not None and rep.demoted
-            return rep.demotion_reason
+            rep = simulate(graph, images, **kwargs).leap_report
+            assert rep.demoted
+            return rep.reason
 
-        assert simulate(graph, images, mode="leap").leap_report.demotion_reason is None
+        whole = "the solved prefix reached every image"  # two images: nothing to extend
+        assert simulate(graph, images).leap_report.reason == whole
+        assert simulate(graph, images, use_bitops=True).leap_report.reason == whole
         open_loop = reason(arrival_cycles=[0, 9000])
         assert "open-loop" in open_loop and "host_source" in open_loop
         assert "tracer" in reason(trace=Tracer())
         assert "telemetry" in reason(telemetry=Telemetry())
-        assert simulate(graph, images, mode="leap", use_bitops=True).leap_report.demotion_reason is None
+        assert reason(mode="exhaustive") == "mode='exhaustive'"
         _without_op_program(monkeypatch)
         pool = next(name for name, node in graph.nodes.items() if isinstance(node, MaxPoolNode))
         custom = reason()
@@ -223,7 +226,7 @@ class TestEngagement:
         graph = _chain_graph()
         run = simulate(graph, _images(graph, 10), mode="leap")
         rep = run.leap_report
-        assert rep is not None and rep.leaps >= 1
+        assert rep.leaps >= 1
         assert rep.windows >= rep.leaps
         assert rep.period > 0
         assert rep.leaped_cycles > 0
@@ -238,17 +241,18 @@ class TestEngagement:
         graph = _chain_graph()
         images = _images(graph, 2)
         run = simulate(graph, images, mode="leap")
-        assert run.leap_report is not None and run.leap_report.leaps == 0
-        fast = simulate(graph, images, mode="fast")
-        assert run.cycles == fast.cycles
-        np.testing.assert_array_equal(run.output, fast.output)
+        assert run.leap_report.leaps == 0 and not run.leap_report.demoted
+        assert "_flat" not in vars(run.pipeline.source)  # solved, never ticked
+        slow = simulate(graph, images, mode="exhaustive")
+        assert run.cycles == slow.cycles
+        np.testing.assert_array_equal(run.output, slow.output)
 
     def test_leap_engages_through_skip_buffer_refills(self):
         # The residual topology parks and refills the skip delay FIFO every
         # image; the period must still be certified across it.
         graph = _residual_graph()
         run = simulate(graph, _images(graph, 8), mode="leap")
-        assert run.leap_report is not None and run.leap_report.leaps >= 1
+        assert run.leap_report.leaps >= 1
         slow = simulate(graph, _images(graph, 8), mode="exhaustive")
         assert run.cycles == slow.cycles
         np.testing.assert_array_equal(run.output, slow.output)
@@ -270,30 +274,24 @@ class TestFallback:
         images = _images(graph, len(gaps), seed=seed)
         arrivals = list(np.cumsum(gaps))
         slow = simulate(graph, images, mode="exhaustive", arrival_cycles=arrivals)
-        fast = simulate(graph, images, mode="fast", arrival_cycles=arrivals)
         leap = simulate(graph, images, mode="leap", arrival_cycles=arrivals)
         # Open loop: solved whole, not extended, and the report says so.
-        assert leap.leap_report is not None and leap.leap_report.demoted
-        assert slow.cycles == fast.cycles == leap.cycles
-        assert (
-            slow.run.completion_cycles
-            == fast.run.completion_cycles
-            == leap.run.completion_cycles
-        )
-        np.testing.assert_array_equal(slow.output, fast.output)
+        assert leap.leap_report.demoted and leap.leap_report.cycles == leap.cycles
+        assert slow.cycles == leap.cycles
+        assert slow.run.completion_cycles == leap.run.completion_cycles
         np.testing.assert_array_equal(slow.output, leap.output)
 
     def test_undersized_skip_buffer_deadlocks_identically(self):
         # A one-element skip FIFO wedges the fork before the main branch
         # can deliver its first element to the adder: classic deadlock.
-        # The solve finds the ops that never run, and all three modes must
+        # The solve finds the ops that never run, and both modes must
         # abort at exactly the cycle budget.
         graph = _residual_graph()
         images = _images(graph, 3)
         adds = [n for n in graph.order if type(graph.nodes[n]).__name__ == "AddNode"]
         assert adds, "residual graph must contain an adder"
         caps = {n: 1 for n in adds}
-        for mode in ("exhaustive", "fast", "leap"):
+        for mode in ("exhaustive", "leap"):
             with pytest.raises(RuntimeError, match="no convergence after 4000 cycles"):
                 simulate(graph, images, mode=mode, skip_sizing=caps, max_cycles=4000)
 
@@ -304,9 +302,9 @@ class TestFallback:
         graph = _chain_graph()
         images = _images(graph, 10)
         full = simulate(graph, images, mode="leap")
-        assert full.leap_report is not None and full.leap_report.leaps >= 1
+        assert full.leap_report.leaps >= 1
         budget = full.cycles - 10
-        for mode in ("exhaustive", "fast", "leap"):
+        for mode in ("exhaustive", "leap"):
             with pytest.raises(RuntimeError, match=f"no convergence after {budget} cycles"):
                 simulate(graph, images, mode=mode, max_cycles=budget)
 
@@ -321,7 +319,7 @@ class TestSynthesis:
         graph = _residual_graph()
         images = _images(graph, 8)
         run = simulate(graph, images, mode="leap")
-        assert run.leap_report is not None and run.leap_report.leaps >= 1
+        assert run.leap_report.leaps >= 1
         ref = run_graph(graph, images)
         np.testing.assert_array_equal(run.output, ref.output)
         np.testing.assert_array_equal(batch_reference_outputs(run.pipeline, images), ref.output)
@@ -347,7 +345,7 @@ class TestSynthesis:
         ref = run_graph(graph, images).output
         # The data really needs the wide type: float32 would round these.
         assert np.abs(ref).max() >= 1 << 24
-        run = simulate(graph, images, mode="fast")
+        run = simulate(graph, images)
         kernel = run.pipeline.kernels_by_node["conv"]
         assert kernel.acc_bound >= 1 << 24
         assert kernel._wmat.dtype == np.float64
@@ -358,7 +356,7 @@ class TestSynthesis:
         graph = _mixed_slope_graph()
         images = _images(graph, 6, seed=4)
         ref = run_graph(graph, images).output
-        run = simulate(graph, images, mode="fast")
+        run = simulate(graph, images)
         conv1 = run.pipeline.kernels_by_node["conv1"]
         assert conv1._wmat.dtype == np.float32
         # The fused cascade on its own, then the whole graph streamed.
@@ -374,7 +372,7 @@ class TestSynthesis:
         images = _images(graph, 8)
         slow = simulate(graph, images, mode="exhaustive")
         leap = simulate(graph, images, mode="leap")
-        assert leap.leap_report is not None and leap.leap_report.leaps >= 1
+        assert leap.leap_report.leaps >= 1
         rep_slow = latency_report(slow.pipeline, slow.cycles)
         rep_leap = latency_report(leap.pipeline, leap.cycles)
         assert rep_leap.service == rep_slow.service
@@ -389,7 +387,7 @@ class TestSynthesis:
         images = _images(graph, 8)
         slow = simulate(graph, images, mode="exhaustive")
         leap = simulate(graph, images, mode="leap")
-        assert leap.leap_report is not None and leap.leap_report.leaps == 1
+        assert leap.leap_report.leaps == 1
         assert leap.pipeline.source.admission_cycles == slow.pipeline.source.admission_cycles
         assert leap.run.completion_cycles == slow.run.completion_cycles
         for ours, theirs in zip(leap.pipeline.engine.streams, slow.pipeline.engine.streams):
@@ -404,7 +402,7 @@ class TestSynthesis:
         t_loop, t_leap = Tracer(), Tracer()
         slow = engine_run(graph, images, trace=t_loop)
         leap = simulate(graph, images, mode="leap", trace=t_leap)
-        assert leap.leap_report is not None and leap.leap_report.demoted
+        assert leap.leap_report.demoted
         assert t_leap.state() == t_loop.state()
         assert json.dumps(t_leap.to_chrome_trace()) == json.dumps(t_loop.to_chrome_trace())
         assert slow.cycles == leap.cycles
@@ -443,7 +441,7 @@ class TestPaperInterval:
         # is what licenses the paper-window assertion above.
         graph = _residual_graph()
         run = simulate(graph, _images(graph, 8), mode="leap")
-        assert run.leap_report is not None and run.leap_report.leaps >= 1
+        assert run.leap_report.leaps >= 1
         timing = estimate_network_timing(graph)
         interval = run.steady_state_interval
         assert abs(interval - timing.interval_cycles) / timing.interval_cycles < 0.05
@@ -483,7 +481,7 @@ class TestPaperInterval:
         run = simulate(graph, _images(graph, 8), mode="leap")
         assert len(solves) == 1
         assert run.cycles == 8_178_157
-        assert run.leap_report is not None and run.leap_report.period == 1_007_052
+        assert run.leap_report.period == 1_007_052
         assert run.pipeline.skip_capacities == _RESNET18_224_MARKS
 
     @pytest.mark.skipif(
@@ -495,7 +493,7 @@ class TestPaperInterval:
         graph = direct_resnet18_graph()
         images = _images(graph, 6)
         run = simulate(graph, images, mode="leap", skip_sizing="bound")
-        assert run.leap_report is not None and run.leap_report.leaps >= 1
+        assert run.leap_report.leaps >= 1
         period = exact_completion_period(run.run.completion_cycles, window=1)
         assert period is not None
         # Same order as the paper's 1.85e6 clocks/picture...

@@ -5,7 +5,7 @@ The acceptance contract has three legs, each asserted here per family:
 1. **Strict-clean winners** — the min-DFE plan's partition re-verifies with
    the full static checker and produces zero error/warning diagnostics.
 2. **Exact prediction** — the plan's predicted steady-state interval and
-   fill latency equal what a real (leap-mode) simulation of the planned
+   fill latency equal what a real (solved or exhaustive) simulation of the planned
    partition measures, bit for bit, for the same image count.  This leans
    on value-independent scheduling: the planner's zero-batch replay walks
    the identical cycle schedule as a run on real data.
@@ -102,7 +102,7 @@ class TestExactPrediction:
         graph = FAMILIES["vgg"]()
         predicted = predict_partition_timing(graph, [list(graph.order[1:])])
         run = simulate(
-            graph, _images(graph, predicted.n_images), mode="fast"
+            graph, _images(graph, predicted.n_images), mode="exhaustive"
         )
         assert run.latency_cycles == predicted.latency_cycles
         assert tuple(run.run.completion_cycles) == predicted.completion_cycles

@@ -1,6 +1,6 @@
 """Solved runs against ticked ones: ``simulate``'s schedule path is exact.
 
-A ``simulate(mode="fast")`` or ``mode="leap"`` run takes its timing from
+A solved ``simulate`` run (``mode="leap"``, the default) takes its timing from
 the op-recurrence solve and its outputs from the batched functional pass;
 it never ticks.  A closed-loop run without a tracer or telemetry solves a
 prefix of its images and extends it by the certified per-image period.
@@ -27,6 +27,7 @@ from repro.dataflow import build_pipeline, simulate, solve_skip_capacities
 from repro.dataflow import schedule as schedule_module
 from repro.dataflow.engine import CycleBudgetExceeded, Engine, RunResult
 from repro.dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
+from repro.dataflow.leap import LeapReport
 from repro.dataflow.manager import Pipeline, StreamingRun
 from repro.dataflow.stream import Stream
 from repro.dataflow.trace import Tracer
@@ -72,7 +73,8 @@ def engine_run(graph, images, max_cycles=50_000_000, trace=None, **kwargs) -> St
     output = pipeline.sink.output_tensor()
     kstats, sstats = pipeline.engine.collect_stats()
     run = RunResult(cycles, pipeline.sink.completion_cycles, output, kstats, sstats, True)
-    return StreamingRun(output=output, cycles=cycles, run=run, pipeline=pipeline)
+    report = LeapReport(demoted=True, reason="mode='exhaustive'")
+    return StreamingRun(output=output, cycles=cycles, run=run, pipeline=pipeline, leap_report=report)
 
 
 def observables(run: StreamingRun) -> dict:
@@ -94,8 +96,8 @@ def observables(run: StreamingRun) -> dict:
     }
 
 
-def assert_schedule_path_exact(graph, images, leap=True, traced=False, **kwargs):
-    """The solved run equals the engine's reference loop, in fast and leap mode.
+def assert_schedule_path_exact(graph, images, traced=False, **kwargs):
+    """The solved run equals the engine's reference loop.
 
     ``traced`` also holds a solved traced run's event log equal to the
     one recorded off the reference loop.
@@ -105,9 +107,6 @@ def assert_schedule_path_exact(graph, images, leap=True, traced=False, **kwargs)
     oracle_trace = Tracer() if traced else None
     expected = observables(engine_run(graph, images, trace=oracle_trace, **kwargs))
     assert observables(solved) == expected
-    if leap:
-        leaped = simulate(graph, images, mode="leap", **kwargs)
-        assert observables(leaped) == expected
     if traced:
         tracer = Tracer()
         simulate(graph, images, trace=tracer, **kwargs)
@@ -119,9 +118,8 @@ def assert_schedule_path_exact(graph, images, leap=True, traced=False, **kwargs)
 def test_closed_loop(topology):
     graph = _chain() if topology == "chain" else _resnet()
     kwargs = {"partition": halves(graph)} if topology == "multi_dfe" else {}
-    assert_schedule_path_exact(graph, _images(graph, 8), **kwargs)
-    report = simulate(graph, _images(graph, 8), mode="leap", **kwargs).leap_report
-    assert report is not None and report.leaps == 1  # the 8 images were extended
+    report = assert_schedule_path_exact(graph, _images(graph, 8), **kwargs).leap_report
+    assert report.leaps == 1  # the 8 images were extended
 
 
 @pytest.mark.parametrize("process", ["fixed", "poisson"])
@@ -139,16 +137,14 @@ def test_open_loop(topology, rate_fps, process):
         assert stats.idle_cycles > stats.active_cycles  # the source waited for arrivals
     else:
         assert stats.output_blocked_cycles > 0  # admission was back-pressured
-    leaped = simulate(graph, _images(graph, 5), mode="leap", arrival_cycles=arrivals)
-    assert leaped.leap_report is not None and leaped.leap_report.demoted
-    assert observables(leaped) == observables(solved)
+    assert solved.leap_report.demoted and "open-loop" in solved.leap_report.reason
 
 
 def test_open_loop_across_two_dfes():
     graph = _resnet()
     arrivals = make_schedule(4, 20_000.0, "poisson", seed=1).cycles
     assert_schedule_path_exact(
-        graph, _images(graph, 4), leap=False, partition=halves(graph), arrival_cycles=arrivals
+        graph, _images(graph, 4), partition=halves(graph), arrival_cycles=arrivals
     )
 
 
@@ -165,7 +161,7 @@ def test_post_drain_ops_are_active_cycles():
     """After its last image a padded conv feeds the next image's leading pad pixels."""
     graph = _resnet()
     images = _images(graph, 3)
-    solved = assert_schedule_path_exact(graph, images, leap=False)
+    solved = assert_schedule_path_exact(graph, images)
     extra = {}
     for kernel in solved.pipeline.engine.kernels:
         if isinstance(kernel, ConvKernel) and kernel.pad:
@@ -191,7 +187,7 @@ def test_random_topologies(seed, size, depth, with_residual, split, rate):
         kwargs["partition"] = halves(graph)
     if rate is not None:
         kwargs["arrival_cycles"] = make_schedule(4, rate, "poisson", seed=seed).cycles
-    assert_schedule_path_exact(graph, images, leap=False, **kwargs)
+    assert_schedule_path_exact(graph, images, **kwargs)
 
 
 @settings(max_examples=10, deadline=None)
@@ -230,8 +226,8 @@ def test_extension_past_a_crossing_longer_than_an_image():
     images = _images(graph, 20)
     solved = assert_schedule_path_exact(graph, images, partition=partition)
     assert max(s.capacity for s in solved.pipeline.engine.streams) == 36
-    report = simulate(graph, images, mode="leap", partition=partition).leap_report
-    assert report is not None and report.leaps == 1
+    report = solved.leap_report
+    assert report.leaps == 1
     assert report.windows < len(images) - schedule_module.REPLAY_IMAGES  # a longer prefix
 
 
@@ -249,7 +245,7 @@ def test_extended_run_solves_only_its_prefix(monkeypatch):
     graph = _resnet()
     run = simulate(graph, _images(graph, 12), mode="leap")
     assert "_flat" not in vars(run.pipeline.source), "the extended run ticked"
-    assert run.leap_report is not None and run.leap_report.leaps == 1
+    assert run.leap_report.leaps == 1
     assert allocated and max(allocated) == schedule_module.REPLAY_IMAGES
 
 
@@ -258,7 +254,7 @@ def test_budget_boundary_on_the_extended_path():
     graph = _chain()
     images = _images(graph, 10)
     run = simulate(graph, images, mode="leap")
-    assert run.leap_report is not None and run.leap_report.leaps == 1
+    assert run.leap_report.leaps == 1
     with pytest.raises(CycleBudgetExceeded) as info:
         simulate(graph, images, mode="leap", max_cycles=run.cycles)
     with pytest.raises(CycleBudgetExceeded) as oracle:
@@ -266,16 +262,15 @@ def test_budget_boundary_on_the_extended_path():
     assert str(info.value) == str(oracle.value)
     assert info.value.pipeline is not None
     within = simulate(graph, images, mode="leap", max_cycles=run.cycles + 1)
-    assert within.leap_report is not None and within.leap_report.leaps == 1
+    assert within.leap_report.leaps == 1
     assert "_flat" not in vars(within.pipeline.source)
     assert observables(within) == observables(run)
 
 
 def _engine_only(monkeypatch):
     """Make ``simulate`` tick every run, as it did before it could solve one."""
-    monkeypatch.setattr(
-        schedule_module, "solve_run", lambda pipeline, max_cycles, trace, telemetry: None
-    )
+    ticked = LeapReport(demoted=True, reason="ticked by the test")
+    monkeypatch.setattr(schedule_module, "solve_run", lambda pipeline, max_cycles, trace, telemetry: ticked)
 
 
 @pytest.mark.parametrize("rate_fps", [3_000.0, 1e6])
@@ -366,10 +361,9 @@ def test_only_exhaustive_runs_tick(monkeypatch):
     images = _images(graph, 3)
     simulate(graph, images, trace=Tracer())
     simulate(graph, images, use_bitops=True)
-    for mode in ("fast", "leap"):
-        telemetry = Telemetry(sample_every=97)
-        simulate(graph, images, mode=mode, telemetry=telemetry)
-        assert telemetry.finished
+    telemetry = Telemetry(sample_every=97)
+    simulate(graph, images, telemetry=telemetry)
+    assert telemetry.finished
     with pytest.raises(CycleBudgetExceeded):
         simulate(graph, images, max_cycles=100)
     telemetry = Telemetry(sample_every=40)
@@ -403,7 +397,7 @@ def test_deadlock_past_the_solver_horizon():
 
     early, late = kernel_stats("exhaustive", 20_000), kernel_stats("exhaustive", 30_000)
     budget = 10 * schedule_module.REPLAY_MAX_CYCLES
-    far = kernel_stats("fast", budget)
+    far = kernel_stats("leap", budget)
     for name, counters in early.items():
         for field, value in counters.items():
             if value is not None:  # a never-active kernel has no first/last cycle
@@ -421,7 +415,7 @@ def _abort_case(case):
     if case == "closed_loop":
         images = _images(graph, 6)
         run = simulate(graph, images, mode="leap")
-        assert run.leap_report is not None and run.leap_report.leaps == 1  # long enough to extend
+        assert run.leap_report.leaps == 1  # long enough to extend
         return graph, images, run.cycles - 10, {}
     images = _images(graph, 3)
     kwargs = {"arrival_cycles": make_schedule(3, 20_000.0, "poisson", seed=5).cycles}
@@ -456,7 +450,7 @@ def test_solved_abort_matches_the_engine(case, traced):
     """Fault injection: a solved abort leaves exactly the reference loop's state."""
     graph, images, budget, kwargs = _abort_case(case)
     expected = _abort_state("exhaustive", graph, images, budget, traced, **kwargs)
-    solved = _abort_state("fast", graph, images, budget, traced, **kwargs)
+    solved = _abort_state("leap", graph, images, budget, traced, **kwargs)
     assert expected.pop("ticked") and not solved.pop("ticked")
     assert solved == expected
     assert f"no convergence after {budget} cycles" in solved["message"]
@@ -475,8 +469,9 @@ def test_declined_traced_runs_raise(monkeypatch):
     graph = _chain()
     images = _images(graph, 2)
     monkeypatch.setattr(MaxPoolKernel, "op_program", Kernel.op_program)
-    assert simulate(graph, images).cycles > 0  # untraced, the engine ticks it
-    for mode in ("fast", "leap", "exhaustive"):
+    report = simulate(graph, images).leap_report  # untraced, the engine ticks it
+    assert report.demoted and report.cycles is None and "op program" in report.reason
+    for mode in ("leap", "exhaustive"):
         tracer = Tracer()
         with pytest.raises(ValueError, match="declines this run: .*op program"):
             simulate(graph, images, mode=mode, trace=tracer)
@@ -514,7 +509,7 @@ def test_reused_tracer_raises_before_anything_runs(monkeypatch):
 
     monkeypatch.setattr(Engine, "run", refuse)
     monkeypatch.setattr(schedule_module, "_solve", refuse)
-    for mode in ("fast", "leap", "exhaustive"):
+    for mode in ("leap", "exhaustive"):
         with pytest.raises(ValueError, match="single-use"):
             simulate(graph, images, mode=mode, trace=tracer)
 

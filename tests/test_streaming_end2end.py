@@ -15,8 +15,8 @@ def levels_for(model, images):
 
 class TestBitExactness:
     # The streamed datapath is the subject, so these pin the exhaustive loop:
-    # an untraced "fast" run solves its schedule and takes its values from
-    # the batched functional pass instead.  That path must agree too.
+    # a solved ("leap") run takes its values from the batched functional
+    # pass instead.  That path must agree too.
     def test_chain_network(self, tiny_chain_model, tiny_chain_graph, images16):
         lv = levels_for(tiny_chain_model, images16)
         ref = run_graph(tiny_chain_graph, lv)

@@ -125,7 +125,7 @@ def _assert_reconciles(telemetry, run):
     assert telemetry.registry.get("repro_cycles")._default().value == run.cycles
 
 
-@pytest.mark.parametrize("mode", ["fast", "exhaustive"])
+@pytest.mark.parametrize("mode", ["leap", "exhaustive"])
 def test_telemetry_reconciles_with_collect_stats(chain_case, mode):
     graph, levels = chain_case
     telemetry = Telemetry(sample_every=100)
@@ -134,7 +134,7 @@ def test_telemetry_reconciles_with_collect_stats(chain_case, mode):
     _assert_reconciles(telemetry, run)
 
 
-@pytest.mark.parametrize("mode", ["fast", "exhaustive"])
+@pytest.mark.parametrize("mode", ["leap", "exhaustive"])
 def test_telemetry_reconciles_with_pipeline_trace(chain_case, mode):
     """The sealed counters equal the Tracer-derived PipelineTrace's."""
     graph, levels = chain_case
@@ -303,7 +303,7 @@ def _assert_samples_match(case):
     oracle, final = _reference_states(graph, images, budget, **kwargs)
     end = len(oracle) - 1
     for every in (1, 97):
-        for mode in ("fast", "exhaustive"):
+        for mode in ("leap", "exhaustive"):
             where = f"{case} {mode} every={every}"
             telemetry = _KeepsTimeline(sample_every=every)
             if case == "abort":
@@ -360,7 +360,7 @@ def test_final_sample_is_taken_once(chain_case):
 
 def test_no_images_keep_one_sealed_sample(chain_case):
     graph, levels = chain_case
-    for mode in ("fast", "exhaustive"):
+    for mode in ("leap", "exhaustive"):
         telemetry = Telemetry()
         simulate(graph, levels[:0], mode=mode, telemetry=telemetry)
         assert _samples_taken(telemetry) == 1 and telemetry.finished
@@ -371,7 +371,7 @@ def test_no_images_keep_one_sealed_sample(chain_case):
 def test_budget_below_the_cadence_takes_no_sample(chain_case):
     """A run cut before its first sample instant leaves the registry unsampled and unsealed."""
     graph, levels = chain_case
-    for mode in ("fast", "exhaustive"):
+    for mode in ("leap", "exhaustive"):
         telemetry = Telemetry(sample_every=1_000)
         with pytest.raises(CycleBudgetExceeded):
             simulate(graph, levels, mode=mode, max_cycles=999, telemetry=telemetry)
@@ -392,7 +392,7 @@ def test_declined_runs_refuse_telemetry(chain_case, monkeypatch):
     graph, levels = chain_case
     monkeypatch.setattr(MaxPoolKernel, "op_program", Kernel.op_program)
     assert simulate(graph, levels).cycles > 0  # without telemetry the engine ticks it
-    for mode in ("fast", "exhaustive"):
+    for mode in ("leap", "exhaustive"):
         with pytest.raises(ValueError, match="op program"):
             simulate(graph, levels, mode=mode, telemetry=Telemetry())
 
@@ -407,7 +407,7 @@ def test_run_past_the_solver_horizon_is_declined_after_one_solve(chain_case, mon
     solve = schedule._solve
     monkeypatch.setattr(schedule, "_solve", lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     monkeypatch.setattr(schedule, "REPLAY_MAX_CYCLES", 1_000)
-    for mode in ("fast", "leap", "exhaustive"):
+    for mode in ("leap", "exhaustive"):
         solves.clear()
         with pytest.raises(ValueError, match="has not deadlocked"):
             simulate(graph, levels, mode=mode, telemetry=Telemetry())
@@ -556,7 +556,7 @@ def test_attribution_on_healthy_run(tiny_residual):
     assert "stall-adjusted utilization" in report.render()
 
 
-@pytest.mark.parametrize("mode", ["fast", "exhaustive"])
+@pytest.mark.parametrize("mode", ["leap", "exhaustive"])
 def test_attribution_names_v301_edge_on_undersized_skip(tiny_residual, mode):
     """Fault injection: `repro stats` and `repro check` must point at the
     same edge when a skip FIFO is deliberately undersized (V301)."""

@@ -86,6 +86,12 @@ class TestSimulateJson:
         ["load", "--rate", "100", "--images", "2", "--max-cycles", "0"],
         ["load", "--sweep", "100", "200", "--images", "2", "--max-cycles", "0"],
         ["fleet", "--max-cycles", "0"],
+        ["stats", "--images", "-1"],
+        ["stats", "--images", "0"],
+        ["stats", "--network", "resnet18", "--skip-capacity", "0"],
+        ["fleet", "--mix", "vgg:16", "--images", "4", "--policy", "batch", "--batch", "0"],
+        ["fleet", "--mix", "vgg:16", "--sweep", "100", "-5"],
+        ["plan", "vgg:16", "--objective", "min-latency", "--dfes", "0"],
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
@@ -98,41 +104,82 @@ def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypat
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["plan", "vgg:0"], "size must be >= 8, got 0"),
+        (["plan", "alexnet:64:0"], "width must be > 0, got 0.0"),
+        (["check", "vgg:16:0"], "width must be > 0, got 0.0"),
+        (["check", "resnet18:4"], "size must be >= 8, got 4"),
+        (["plan", "vgg:16:-0.5"], "width must be > 0, got -0.5"),
+    ],
+)
+def test_zero_size_or_width_is_refused_not_defaulted(argv, message, capsys):
+    """A size or width of zero is malformed input, not a request for the default."""
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{argv[0]} {argv[1]}: {message}\n"
+    assert captured.out == ""
+
+
+def _leap_lines(text):
+    return [line for line in text.splitlines() if line.startswith("leap: ")]
+
+
 class TestSimulateLeapDemotion:
     def test_open_loop_leap_warns_with_reason(self, capsys):
-        # An open-loop arrival schedule demotes --mode leap to the fast
-        # path; the CLI must say so (one stderr line naming the reason)
-        # instead of silently delivering fast-path wall clock.
-        rc = cli_main(
-            ["simulate", "--images", "2", "--mode", "leap", "--rate", "9000"]
-        )
+        # An open-loop arrival schedule makes the run solved whole, not
+        # extended by its period; the report's one stdout line says why.
+        rc = cli_main(["simulate", "--images", "2", "--rate", "9000"])
         assert rc == 0
         captured = capsys.readouterr()
-        assert "leap demoted to the fast path" in captured.err
-        assert "open-loop" in captured.err
-        # The demotion line replaces the no-window note on stdout.
-        assert "no steady-state window" not in captured.out
+        (line,) = _leap_lines(captured.out)
+        assert line.startswith("leap: solved whole: open-loop")
+        assert captured.err == ""
 
     def test_json_leap_warns_and_names_telemetry(self, capsys):
         # --json attaches telemetry, whose samples cover every image: the
-        # run is solved whole, the leap demoted, and the CLI names the cause.
-        rc = cli_main(["simulate", "--images", "2", "--mode", "leap", "--json"])
+        # run is solved whole, and the report line, on stderr since stdout
+        # carries the JSON, names the cause.
+        rc = cli_main(["simulate", "--images", "2", "--json"])
         assert rc == 0
         captured = capsys.readouterr()
-        assert "leap demoted" in captured.err
-        assert "telemetry" in captured.err
+        assert captured.err == "leap: solved whole: telemetry is attached\n"
         assert json.loads(captured.out)["stats"]["images"] == 2
 
     def test_closed_loop_leap_does_not_warn(self, capsys):
-        rc = cli_main(["simulate", "--images", "2", "--mode", "leap"])
+        rc = cli_main(["simulate", "--images", "8"])
         assert rc == 0
         captured = capsys.readouterr()
-        assert "demoted" not in captured.err
+        assert captured.err == ""
+        (line,) = _leap_lines(captured.out)
+        assert line.startswith("leap: extended the solved prefix by 4 image(s)")
 
     def test_open_loop_rate_without_leap_mode_is_quiet(self, capsys):
-        rc = cli_main(["simulate", "--images", "2", "--rate", "9000"])
+        rc = cli_main(["simulate", "--images", "2", "--rate", "9000", "--exhaustive"])
         assert rc == 0
-        assert "demoted" not in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _leap_lines(captured.out) == ["leap: the engine ticked the run: mode='exhaustive'"]
+
+    def test_exhaustive_prints_the_same_cycles_as_the_default(self, capsys):
+        """``--exhaustive`` ticks the reference loop; every line but the report's is the same."""
+        outs = []
+        for extra in ([], ["--exhaustive"]):
+            assert cli_main(["simulate", "--images", "8", *extra]) == 0
+            outs.append(capsys.readouterr().out.splitlines())
+        solved, ticked = outs
+        assert solved[0] == ticked[0] and "19,798 cycles" in solved[0]
+        assert [line for line in solved if not line.startswith("leap: ")] == [
+            line for line in ticked if not line.startswith("leap: ")
+        ]
+        assert _leap_lines("\n".join(ticked)) == ["leap: the engine ticked the run: mode='exhaustive'"]
+
+    def test_mode_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["simulate", "--mode", "fast"])
+        assert info.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestTraceOverwriteGuard:

@@ -2,9 +2,8 @@
 
 The tracing contract (DESIGN.md) is that a traced run is *observationally
 free*: tracing changes no statistic and no schedule, and — the strong
-property — the event log a run writes from its solved op times, in fast
-and exhaustive mode alike, is the one recorded off the engine's reference
-loop on the same workload (``tests.conftest.record_trace`` reads the
+property — the event log a run writes from its solved op times, in
+either mode, is the one recorded off the engine's reference loop on the same workload (``tests.conftest.record_trace`` reads the
 loop's counters and FIFOs every cycle).  These tests pin that contract
 over every equivalence topology, then check the derived views (occupancy
 timelines, link transits, waterfall analysis) and the Chrome-trace export
@@ -56,16 +55,16 @@ TOPOLOGIES = ["chain", "resnet", "bitops", "multi_dfe"]
 
 @pytest.fixture(scope="module")
 def traced_runs():
-    """Per topology: one traced fast and exhaustive run, and the reference loop's recorded trace."""
+    """Per topology: one traced solved and exhaustive run, and the reference loop's recorded trace."""
     runs = {}
     for name in TOPOLOGIES:
         graph, kwargs = _case(name)
         images = _images(0)
-        t_fast, t_slow, t_loop = Tracer(), Tracer(), Tracer()
-        fast = simulate(graph, images, mode="fast", trace=t_fast, **kwargs)
+        t_solved, t_slow, t_loop = Tracer(), Tracer(), Tracer()
+        solved = simulate(graph, images, mode="leap", trace=t_solved, **kwargs)
         slow = simulate(graph, images, mode="exhaustive", trace=t_slow, **kwargs)
         engine_run(graph, images, trace=t_loop, **kwargs)
-        runs[name] = (fast, slow, t_fast, t_slow, t_loop)
+        runs[name] = (solved, slow, t_solved, t_slow, t_loop)
     return runs
 
 
@@ -75,10 +74,10 @@ def traced_runs():
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_fast_and_exhaustive_traces_identical(traced_runs, topology):
     """The tentpole property: both modes write the event log recorded off the reference loop."""
-    fast, slow, t_fast, t_slow, t_loop = traced_runs[topology]
-    assert "_flat" not in vars(fast.pipeline.source)  # solved, never ticked
+    solved, slow, t_solved, t_slow, t_loop = traced_runs[topology]
+    assert "_flat" not in vars(solved.pipeline.source)  # solved, never ticked
     assert "_flat" in vars(slow.pipeline.source)  # ticked for its outputs and counters
-    assert t_fast.state() == t_loop.state()
+    assert t_solved.state() == t_loop.state()
     assert t_slow.state() == t_loop.state()
 
 
@@ -86,15 +85,15 @@ def test_fast_and_exhaustive_traces_identical(traced_runs, topology):
 def test_tracing_is_observationally_free(traced_runs, topology):
     """A traced run has bit-identical stats to an untraced one."""
     graph, kwargs = _case(topology)
-    fast, _, _, _, _ = traced_runs[topology]
-    bare = simulate(graph, _images(0), mode="fast", **kwargs)
-    assert bare.cycles == fast.cycles
-    assert bare.run.completion_cycles == fast.run.completion_cycles
-    assert np.array_equal(bare.output, fast.output)
+    solved, _, _, _, _ = traced_runs[topology]
+    bare = simulate(graph, _images(0), mode="leap", **kwargs)
+    assert bare.cycles == solved.cycles
+    assert bare.run.completion_cycles == solved.run.completion_cycles
+    assert np.array_equal(bare.output, solved.output)
     for name, stats in bare.run.kernel_stats.items():
-        assert dataclasses.asdict(fast.run.kernel_stats[name]) == dataclasses.asdict(stats)
+        assert dataclasses.asdict(solved.run.kernel_stats[name]) == dataclasses.asdict(stats)
     for name, stats in bare.run.stream_stats.items():
-        assert dataclasses.asdict(fast.run.stream_stats[name]) == dataclasses.asdict(stats)
+        assert dataclasses.asdict(solved.run.stream_stats[name]) == dataclasses.asdict(stats)
 
 
 # -- span/event structure ----------------------------------------------
@@ -102,19 +101,19 @@ def test_tracing_is_observationally_free(traced_runs, topology):
 
 def test_spans_tile_the_run_exactly(traced_runs):
     """Per kernel: spans are disjoint, contiguous, and cover [0, cycles)."""
-    fast, _, tracer, _, _ = traced_runs["chain"]
+    solved, _, tracer, _, _ = traced_runs["chain"]
     for kernel, spans in tracer.kernel_spans.items():
         assert spans, f"{kernel}: no spans"
         assert spans[0].start == 0, kernel
         for a, b in zip(spans, spans[1:]):
             assert b.start == a.end + 1, f"{kernel}: gap/overlap at {a}..{b}"
-        assert spans[-1].end == fast.cycles - 1, kernel
+        assert spans[-1].end == solved.cycles - 1, kernel
 
 
 def test_span_cycles_match_aggregate_counters(traced_runs):
     """Summed span lengths reproduce every KernelStats counter."""
-    fast, _, tracer, _, _ = traced_runs["resnet"]
-    for name, stats in fast.run.kernel_stats.items():
+    solved, _, tracer, _, _ = traced_runs["resnet"]
+    for name, stats in solved.run.kernel_stats.items():
         by_kind: dict[str, int] = {}
         for span in tracer.kernel_spans[name]:
             by_kind[span.kind] = by_kind.get(span.kind, 0) + span.cycles
@@ -126,8 +125,8 @@ def test_span_cycles_match_aggregate_counters(traced_runs):
 
 def test_stream_events_match_aggregate_counters(traced_runs):
     """Push/pop event counts and reject span cycles match StreamStats."""
-    fast, _, tracer, _, _ = traced_runs["chain"]
-    for name, stats in fast.run.stream_stats.items():
+    solved, _, tracer, _, _ = traced_runs["chain"]
+    for name, stats in solved.run.stream_stats.items():
         events = tracer.stream_events[name]
         assert sum(1 for e in events if e.kind == "push") == stats.pushes, name
         assert sum(1 for e in events if e.kind == "pop") == stats.pops, name
@@ -141,8 +140,8 @@ def test_stream_events_match_aggregate_counters(traced_runs):
 
 
 def test_completions_match_run(traced_runs):
-    fast, _, tracer, _, _ = traced_runs["chain"]
-    assert [c.cycle for c in tracer.completions] == fast.run.completion_cycles
+    solved, _, tracer, _, _ = traced_runs["chain"]
+    assert [c.cycle for c in tracer.completions] == solved.run.completion_cycles
     assert [c.index for c in tracer.completions] == list(range(len(tracer.completions)))
 
 
@@ -179,8 +178,8 @@ def test_link_transits_only_on_latency_streams(traced_runs):
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_analyze_trace_matches_analyze_run(traced_runs, topology):
     """The event log derives the same PipelineTrace as the aggregate stats."""
-    fast, _, tracer, _, _ = traced_runs[topology]
-    from_stats = analyze_run(fast.run, skip_idle=False)
+    solved, _, tracer, _, _ = traced_runs[topology]
+    from_stats = analyze_run(solved.run, skip_idle=False)
     from_trace = analyze_trace(tracer, skip_idle=False)
     assert from_trace.total_cycles == from_stats.total_cycles
     assert {w.name: w for w in from_trace.windows} == {w.name: w for w in from_stats.windows}
@@ -190,11 +189,11 @@ def test_analyze_trace_matches_analyze_run(traced_runs, topology):
 
 
 def test_chrome_trace_round_trips_and_validates(traced_runs, tmp_path):
-    fast, _, tracer, _, _ = traced_runs["multi_dfe"]
+    solved, _, tracer, _, _ = traced_runs["multi_dfe"]
     path = tracer.write_chrome_trace(tmp_path / "trace.json")
     data = load_chrome_trace(path)
     events = data["traceEvents"]
-    assert data["otherData"]["total_cycles"] == fast.cycles
+    assert data["otherData"]["total_cycles"] == solved.cycles
     phases = {e["ph"] for e in events}
     # Metadata, spans, counters, async transit pairs, and instants all present.
     assert {"M", "X", "C", "b", "e", "i"} <= phases
@@ -202,7 +201,7 @@ def test_chrome_trace_round_trips_and_validates(traced_runs, tmp_path):
         assert isinstance(event["name"], str)
         assert event["pid"] in (0, 1)
         if event["ph"] in ("X", "C", "b", "e", "i"):
-            assert 0 <= event["ts"] <= fast.cycles
+            assert 0 <= event["ts"] <= solved.cycles
         if event["ph"] == "X":
             assert event["dur"] >= 1
     begins = sorted(e["id"] for e in events if e["ph"] == "b")
@@ -214,7 +213,7 @@ def test_chrome_trace_round_trips_and_validates(traced_runs, tmp_path):
 
 def test_no_images_keep_an_empty_sealed_trace():
     graph, kwargs = _case("chain")
-    for mode in ("fast", "exhaustive"):
+    for mode in ("leap", "exhaustive"):
         tracer = Tracer()
         simulate(graph, _images(1, n=0), mode=mode, trace=tracer, **kwargs)
         assert tracer.total_cycles == 0 and tracer.event_count() == 0
@@ -231,7 +230,7 @@ def test_tracer_is_single_use():
 
 def test_chrome_trace_image_lifecycle_spans(traced_runs):
     """Schema v2: every completed image renders as an admission->sink span."""
-    fast, _, tracer, _, _ = traced_runs["chain"]
+    solved, _, tracer, _, _ = traced_runs["chain"]
     data = tracer.to_chrome_trace()
     assert data["otherData"]["schema"] == "repro-trace/2"
     spans = [

@@ -149,7 +149,7 @@ class TestSkipSolver:
         sr = simulate(tiny_resnet_graph, resnet_levels[:1])
         assert sr.output.shape[0] == 1
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "fast"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "leap"])
     def test_open_loop_gaps_held_to_at_most(self, tiny_resnet_graph, resnet_levels, mode):
         # Images arriving far apart each enter a drained pipeline: the skip
         # FIFOs peak below the closed-loop mark, and the run is still valid.
@@ -159,7 +159,7 @@ class TestSkipSolver:
         assert all(marks[add] <= exact[add] for add in exact)
         assert any(marks[add] < exact[add] for add in exact)
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "fast"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "leap"])
     def test_skip_edge_across_dfes_checked_against_prediction(self, mode):
         # A skip edge crossing DFEs gets the link's buffering as capacity,
         # above the predicted mark; the sanitizer compares the prediction.
