@@ -401,13 +401,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print("--find-capacity scales one replica spec; give --mix a single spec", file=sys.stderr)
             return 2
     sweeping = args.sweep is not None and not args.find_capacity
+    policies = (args.policies or [args.policy]) if sweeping else [args.policy]
     try:
+        # A default rate profiles every replica spec: check each policy's
+        # config at a placeholder rate before that work.
+        for policy in policies:
+            config_for(1.0, policy)
         if sweeping:
             rates = args.sweep or default_rate_ladder(specs)
-            policies = args.policies or [args.policy]
         else:
             rates = [args.rate if args.rate is not None else 0.5 * fleet_capacity_fps(specs)]
-            policies = [args.policy]
         # Every sweep point's config is checked before any replica runs.
         config, *_ = [config_for(rate, policy) for policy in policies for rate in rates]
     except ValueError as exc:

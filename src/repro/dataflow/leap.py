@@ -14,7 +14,10 @@ kernels' vectorized ``batch_compute`` methods, a slice of images at a
 time.  Convolutions run their GEMMs in float32 when the layer's
 accumulator bound is below 2**24 and in float64 otherwise, so the
 arithmetic is exact integer arithmetic and bit-identical to the streaming
-datapath — a tested property.
+datapath — a tested property.  Threshold units, fused or standalone,
+count integer cuts (``ThresholdCuts``): an integer passes an endpoint
+exactly when it passes the endpoint's ceiling, so one table of integer
+cuts per unit replaces the float64 comparisons.
 """
 
 from __future__ import annotations

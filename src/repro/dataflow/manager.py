@@ -30,7 +30,6 @@ from ..nn.graph import (
     AddNode,
     ConvNode,
     GlobalAvgSumNode,
-    InputNode,
     LayerGraph,
     MaxPoolNode,
     TensorSpec,

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from ..baselines.finn import FINN_PAPER_POINT, finn_performance_model
 from ..datasets import make_dataset
 from ..hardware import (

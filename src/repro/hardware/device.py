@@ -8,7 +8,7 @@ upcoming Stratix 10 FPGA promises 5x higher frequency".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["FPGASpec", "GPUSpec", "STRATIX_V_5SGSD8", "STRATIX_10_PROJECTION", "P100", "GTX1080", "MAX4_FABRIC_MHZ"]
 

@@ -20,15 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nn.graph import (
-    AddNode,
-    ConvNode,
-    GlobalAvgSumNode,
-    InputNode,
-    LayerGraph,
-    MaxPoolNode,
-    ThresholdNode,
-)
+from ..nn.graph import ConvNode, GlobalAvgSumNode, LayerGraph, MaxPoolNode
 from .calibration import DEFAULT_GPU_CAL, GPUCalibration
 from .device import GPUSpec
 

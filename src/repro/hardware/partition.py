@@ -20,7 +20,7 @@ from ..dataflow.links import MAXRING, LinkSpec, required_bandwidth_mbps
 from ..nn.graph import AddNode, InputNode, LayerGraph
 from .calibration import DEFAULT_RESOURCE_CAL, ResourceCalibration
 from .device import FPGASpec, STRATIX_V_5SGSD8
-from .resources import M20K_KBITS, NetworkResources, ResourceEstimate, estimate_node
+from .resources import M20K_KBITS, ResourceEstimate, estimate_node
 
 __all__ = [
     "PartitionResult",

@@ -29,6 +29,7 @@ import numpy as np
 from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
 from ..dataflow.window import ScanWindow, depth_first_buffer_elements
 from ..nn.graph import ConvNode, TensorSpec
+from ..quantization.thresholds import ThresholdCuts
 
 __all__ = ["ConvKernel"]
 
@@ -93,22 +94,12 @@ class ConvKernel(Kernel):
             self._plane_shifts = np.arange(self._in_bits, dtype=np.int64)[:, None]
         else:
             self._packed_words = None
-        # Fused-threshold tables, precomputed once (the paper's
-        # normalization cache): per-output-channel endpoints, slope signs
-        # and constant levels for the vectorized comparison cascade.
+        # The fused threshold unit as one integer cut table in the GEMM
+        # dtype, built once (the paper's normalization cache).
         if node.threshold is not None:
-            unit = node.threshold
-            ends = unit.endpoints()  # (O, 2**n - 1)
-            sign = np.asarray(unit.slope_sign)
-            # Fold the slope sign into the endpoints so one >= comparison
-            # covers both polarities: count(acc <= e) == count(-acc >= -e).
-            sv = np.where(sign < 0, -1.0, 1.0)
-            self._th_ends = ends * sv[:, None]
-            self._th_sv = sv
-            self._th_is_const = sign == 0
-            self._th_const = np.asarray(unit.const_level)
+            self._cuts = ThresholdCuts(node.threshold, gemm_dtype)
         else:
-            self._th_ends = None
+            self._cuts = None
         self._window = ScanWindow(self.hp, self.wp, self.channels, self.k)
         self._pending: deque[int] = deque()
         self.images_done = 0
@@ -176,47 +167,36 @@ class ConvKernel(Kernel):
         """
         if self.use_bitops:
             acc = self._accumulate_bitpacked(window.reshape(-1))
-            acc_f = acc.astype(np.float64)
         else:
-            acc_f = window.reshape(-1).astype(self._wmat.dtype) @ self._wmat
-        ends = self._th_ends
-        if ends is None:
-            return acc_f.astype(np.int64).tolist()
-        # Vectorized equivalent of ThresholdUnit.apply for a (O,) vector:
-        # the level is the count of sign-folded endpoints at-or-below the
-        # accumulator, constant level where the slope is zero.
-        out = ((acc_f * self._th_sv)[:, None] >= ends).sum(axis=-1, dtype=np.int64)
-        out = np.where(self._th_is_const, self._th_const, out)
-        return out.tolist()
+            acc = window.reshape(-1).astype(self._wmat.dtype) @ self._wmat
+        if self._cuts is None:
+            return acc.astype(np.int64).tolist()
+        return self._cuts(acc).tolist()
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
         """All output pixels of a batch of images as one blocked GEMM.
 
         ``x`` is ``(N, H, W, C)`` level-space int64; the result is
-        ``(N, Ho, Wo, O)``.  The taps go through the same weight matrix and
-        threshold endpoints as the streaming per-window path.  The GEMM runs
-        in float32 when :attr:`acc_bound` is below 2**24 and in float64
-        otherwise, so every product and partial sum is an exact integer and
-        the result is bit-identical regardless of BLAS blocking (and to the
-        bitops route, a tested property).  With ``use_bitops`` the
-        accumulators come from the packed AND-popcount path
-        (:meth:`~repro.nn.graph.ConvNode.accumulate_bitpacked`) instead.  A
-        solved run, which streams no values, takes its outputs from this.
+        ``(N, Ho, Wo, O)`` int64.  The taps go through the same weight
+        matrix and threshold cut table as the streaming per-window path.
+        The GEMM runs in float32 when :attr:`acc_bound` is below 2**24 and
+        in float64 otherwise, so every product and partial sum is an exact
+        integer and the result is bit-identical regardless of BLAS blocking
+        (and to the bitops route, a tested property).  The fused threshold
+        counts each accumulator's integer cuts level by level in that dtype
+        (:class:`ThresholdCuts`).  With
+        ``use_bitops`` the accumulators come from the packed AND-popcount
+        path (:meth:`~repro.nn.graph.ConvNode.accumulate_bitpacked`)
+        instead.  A solved run, which streams no values, takes its outputs
+        from this.
         """
         if self.use_bitops:
-            acc = self.node.accumulate_bitpacked(x, self._in_bits).astype(np.float64)
+            acc = self.node.accumulate_bitpacked(x, self._in_bits)
         else:
             acc = self._accumulate_gemm(x)
-        ends = self._th_ends
-        if ends is None:
+        if self._cuts is None:
             return acc.astype(np.int64)
-        # The streaming path's cascade, one level at a time: count the
-        # sign-folded endpoints at-or-below each accumulator, in float64.
-        folded = acc * self._th_sv
-        out = np.zeros(folded.shape, dtype=np.int64)
-        for level_ends in ends.T:
-            out += folded >= level_ends
-        return np.where(self._th_is_const, self._th_const, out)
+        return self._cuts(acc)
 
     def _accumulate_gemm(self, x: np.ndarray) -> np.ndarray:
         """The batch's accumulators, ``(N, Ho, Wo, O)`` in the GEMM dtype."""

@@ -81,15 +81,26 @@ class MaxPoolKernel(Kernel):
 
         Mirrors the streaming kernel exactly: the grid is padded with level 0
         (neutral under max for non-negative levels) and outputs appear at the
-        stride-valid window positions.
+        stride-valid window positions.  The result is the running maximum
+        of the k*k strided taps, one in-place ``np.maximum`` per tap, in
+        the input's dtype.
         """
-        n = x.shape[0]
-        grid = np.zeros((n, self.h, self.w, self.channels), dtype=np.int64)
-        p = self.pad
-        grid[:, p : self.h - p, p : self.w - p, :] = x
-        windows = np.lib.stride_tricks.sliding_window_view(grid, (self.k, self.k), axis=(1, 2))
-        windows = windows[:, :: self.stride, :: self.stride]
-        return windows.max(axis=(-2, -1))
+        k, stride, p = self.k, self.stride, self.pad
+        grid = x
+        if p:
+            grid = np.zeros((x.shape[0], self.h, self.w, self.channels), dtype=x.dtype)
+            grid[:, p : self.h - p, p : self.w - p, :] = x
+        span_r = (self.h - k) // stride * stride + 1
+        span_c = (self.w - k) // stride * stride + 1
+        taps = [
+            grid[:, dr : dr + span_r : stride, dc : dc + span_c : stride]
+            for dr in range(k)
+            for dc in range(k)
+        ]
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        return out
 
     def _emits_at(self, r: int, c: int) -> bool:
         if r < self.k - 1 or c < self.k - 1:

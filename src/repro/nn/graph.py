@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..quantization.bitops import BitPackedMatrix, BitplaneTensor, bitplane_gemm, pack_signs
+from ..quantization.bitops import BitPackedMatrix, BitplaneTensor, bitplane_gemm
 from ..quantization.thresholds import ThresholdUnit
 from . import functional as F
 

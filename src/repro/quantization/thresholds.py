@@ -30,7 +30,7 @@ import numpy as np
 
 from .quantizers import UniformQuantizer
 
-__all__ = ["BatchNormParams", "ThresholdUnit", "fold_batchnorm", "fold_batchnorm_sign"]
+__all__ = ["BatchNormParams", "ThresholdCuts", "ThresholdUnit", "fold_batchnorm", "fold_batchnorm_sign"]
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,57 @@ class ThresholdUnit:
             const_level=np.zeros_like(sign),
             bits=bits,
         )
+
+
+class ThresholdCuts:
+    """A :class:`ThresholdUnit` compiled to integer cuts in ``dtype``.
+
+    The hardware compares an integer accumulator against the endpoints.
+    Folding the slope sign in (``a <= e`` is ``-a >= -e``), the level is
+    the count of folded endpoints at or below the folded input, and for an
+    integer ``x`` the test ``x >= e`` is the test ``x >= ceil(e)``.  So
+    each endpoint becomes one integer cut ``ceil(sign · e)`` per level and
+    channel.  The cuts are clipped to ``±limit``, the dtype's exact-integer
+    limit (2**24 in float32, 2**53 in float64, 2**62 in int64): against an
+    input of smaller magnitude a clipped cut tests the same as the cut, and
+    every clipped cut is exact in ``dtype``.  A NaN endpoint never counts
+    (``x >= nan`` is false), so its cut is ``limit``.  Calling the table on
+    integer inputs below the limit, channels last, gives exactly
+    :meth:`ThresholdUnit.apply`.
+    """
+
+    __slots__ = ("cuts", "sign", "const_mask", "const_level", "_count_dtype")
+
+    def __init__(self, unit: ThresholdUnit, dtype: np.dtype) -> None:
+        dtype = np.dtype(dtype)
+        exact_bits = np.finfo(dtype).nmant + 1 if dtype.kind == "f" else 8 * dtype.itemsize - 2
+        limit = float(1 << exact_bits)
+        slope_sign = np.asarray(unit.slope_sign)
+        sign = np.where(slope_sign < 0, -1.0, 1.0)
+        with np.errstate(invalid="ignore"):
+            cuts = np.ceil(unit.endpoints() * sign[:, None])
+        cuts = np.where(np.isnan(cuts), limit, np.clip(cuts, -limit, limit))
+        self.cuts = np.ascontiguousarray(cuts.T, dtype=dtype)  # (levels - 1, channels)
+        self.sign = sign.astype(dtype) if (slope_sign < 0).any() else None
+        const = slope_sign == 0
+        self.const_mask = const if const.any() else None
+        self.const_level = np.asarray(unit.const_level, dtype=np.int64)
+        self._count_dtype = np.min_scalar_type(self.cuts.shape[0])
+
+    def __call__(self, acc: np.ndarray) -> np.ndarray:
+        """Levels (int64) of integer inputs ``acc`` whose last axis is the channel."""
+        folded = acc if self.sign is None else acc * self.sign
+        if folded.ndim == 1:
+            # One streamed window: a single broadcast compare beats the loop.
+            out = (folded >= self.cuts).sum(axis=0, dtype=self._count_dtype)
+        else:
+            out = np.zeros(folded.shape, dtype=self._count_dtype)
+            for cut in self.cuts:
+                out += folded >= cut
+        del folded  # free the sign-folded copy before the int64 result is made
+        if self.const_mask is not None:
+            return np.where(self.const_mask, self.const_level, out)
+        return out.astype(np.int64)
 
 
 def fold_batchnorm(params: BatchNormParams, quantizer: UniformQuantizer) -> ThresholdUnit:

@@ -1,6 +1,5 @@
 """Tests for the dataflow substrate: streams, windows, engine, links."""
 
-import numpy as np
 import pytest
 
 from repro.dataflow import (

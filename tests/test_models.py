@@ -1,6 +1,5 @@
 """Tests for the model zoo: topology fidelity to the paper."""
 
-import numpy as np
 import pytest
 
 from repro.models import (

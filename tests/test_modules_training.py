@@ -8,9 +8,6 @@ from repro.models import build_vgg_like
 from repro.nn import (
     Adam,
     BatchNorm2d,
-    Flatten,
-    GlobalAvgPool,
-    MaxPool2d,
     QActivation,
     QConv2d,
     QLinear,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataflow import DEFAULT_STREAM_CAPACITY, Engine, Stream, simulate
+from repro.dataflow import DEFAULT_STREAM_CAPACITY, simulate
 from repro.dataflow.manager import build_pipeline
 from repro.models import build_vgg_like, randomize_batchnorm
 from repro.nn import Tensor, export_model, input_to_levels, run_graph

@@ -1,6 +1,5 @@
 """End-to-end streaming tests: whole networks through the cycle simulator."""
 
-import numpy as np
 import pytest
 
 from repro.dataflow import MAXRING, simulate

@@ -105,6 +105,29 @@ def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["fleet", "--mix", "vgg:16", "--images", "4", "--policy", "batch", "--batch", "0"],
+        ["fleet", "--mix", "vgg:16", "--images", "0"],
+        ["fleet", "--mix", "vgg:16", "--sweep", "--policies", "batch", "--batch", "0"],
+    ],
+)
+def test_fleet_refuses_malformed_input_before_profiling(argv, capsys, monkeypatch):
+    """Without --rate the default rate profiles every replica: bad input must not get that far."""
+    import repro.fleet
+
+    def profile(*_args, **_kwargs):
+        raise AssertionError("profiled a replica before refusing malformed input")
+
+    monkeypatch.setattr(repro.fleet, "fleet_capacity_fps", profile)
+    monkeypatch.setattr(repro.fleet, "default_rate_ladder", profile)
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     ("argv", "message"),
     [
         (["plan", "vgg:0"], "size must be >= 8, got 0"),
