@@ -17,7 +17,11 @@ arithmetic is exact integer arithmetic and bit-identical to the streaming
 datapath — a tested property.  Threshold units, fused or standalone,
 count integer cuts (``ThresholdCuts``): an integer passes an endpoint
 exactly when it passes the endpoint's ceiling, so one table of integer
-cuts per unit replaces the float64 comparisons.
+cuts per unit replaces the float64 comparisons.  Level tensors stay in
+their cut table's count dtype (``uint8`` up to 8-bit activations) through
+max pools and into the next convolution's GEMM grid, as the hardware
+streams 2-bit pixels; only sums that can outgrow a level — the residual
+adder, raw accumulators and channel sums — widen to int64.
 """
 
 from __future__ import annotations
@@ -83,28 +87,37 @@ def batch_reference_outputs(pipeline: Pipeline, images: np.ndarray) -> np.ndarra
     """All images' outputs through the kernels' batched functional paths.
 
     Walks the IR graph topologically, feeding each kernel's
-    ``batch_compute`` the (port-ordered) parent tensors.  The walk runs on
+    ``batch_compute`` the (port-ordered) parent tensors in the dtype the
+    parent made them: integer images as they are (any other input is cast
+    once to int64), levels in their count dtype.  The walk runs on
     :data:`_CHUNK_IMAGES` images at a time and fills one preallocated
-    output array, so only one slice's intermediate tensors are alive at
-    once.  Bit-identical to both the streamed outputs and
+    int64 output array, so only one slice's intermediate tensors are alive
+    at once, each until its last reader has run.  Bit-identical to both the streamed outputs and
     :func:`repro.nn.inference.run_graph` (tested properties); a solved run
     takes its outputs from here, as it streams no values.
     """
     graph = pipeline.graph
     images = np.asarray(images)
+    if images.dtype.kind not in "iu":
+        images = images.astype(np.int64)
     if images.ndim == 3:
         images = images[None]
     n = images.shape[0]
     spec = graph.output_spec
     out = np.empty((n, spec.height, spec.width, spec.channels), dtype=np.int64)
     order = [name for name in graph.topological() if name != graph.input_name]
+    # Dropping a tensor after its last reader hands its cache-warm memory
+    # to the next kernel's result.
+    last_read = {p: name for name in order for p in graph.parents(name)}
     for start in range(0, n, _CHUNK_IMAGES):
         chunk = images[start : start + _CHUNK_IMAGES]
-        values: dict[str, np.ndarray] = {graph.input_name: chunk.astype(np.int64)}
+        values: dict[str, np.ndarray] = {graph.input_name: chunk}
         for name in order:
             kernel = pipeline.kernels_by_node[name]
-            ins = [values[p] for p in graph.parents(name)]
-            compute = getattr(kernel, "batch_compute")
-            values[name] = np.asarray(compute(*ins), dtype=np.int64)
+            parents = graph.parents(name)
+            values[name] = getattr(kernel, "batch_compute")(*[values[p] for p in parents])
+            for p in parents:
+                if last_read[p] == name:
+                    values.pop(p, None)
         out[start : start + len(chunk)] = values[graph.output_name]
     return out

@@ -850,7 +850,9 @@ def _max_occupancy(solution: _Solution, edge: _Edge) -> int:
     A pop at ``t`` lands after a push at ``t`` (the reader ticks later), so
     each push counts the pops strictly before it.  Pops before a chunk's
     last push are of its elements or earlier ones, so the pop times
-    gathered per chunk stay within the chunk plus the occupancy.
+    gathered per chunk stay within the chunk plus the occupancy.  A push
+    into a bounded stream waits for the pop ``capacity`` elements back, so
+    the scan stops once the mark reaches the capacity.
     """
     writer, reader = solution.nodes[edge.writer], solution.nodes[edge.reader]
     pushes, pops = _Ops(edge.push, writer.n), _Ops(edge.pop, reader.n)
@@ -868,6 +870,8 @@ def _max_occupancy(solution: _Solution, edge: _Edge) -> int:
             before = np.zeros(push.size, dtype=np.int64)
         occupancy = np.arange(first + 1 - done, stop + 1 - done) - before
         best = max(best, int(occupancy.max()))
+        if best == edge.capacity:
+            break
         done += int(before[-1])
     return best
 

@@ -230,7 +230,6 @@ class Tracer:
                     }
                 )
         for tid, stream in enumerate(self.stream_events):
-            meta = self._stream_meta.get(stream, {})
             events.append(
                 {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "args": {"name": stream}}
             )

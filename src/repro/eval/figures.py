@@ -175,6 +175,7 @@ def figure8_energy() -> ExperimentResult:
         title="Energy per inference (J)",
         columns=["input", "network", "DFE (J)", "P100 (J)", "GTX1080 (J)", "GPU/DFE"],
         rows=rows,
+        notes=notes,
     )
 
 

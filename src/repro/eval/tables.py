@@ -51,7 +51,6 @@ def table1_resnet_architecture() -> ExperimentResult:
     rows.append(
         {"layer": "conv1", "output size": f"{spec.height}x{spec.width}", "parameters": "7x7, 64, stride 2"}
     )
-    pool_spec = g.specs["maxpool"]
     stage_names = ["conv2_x", "conv3_x", "conv4_x", "conv5_x"]
     stage_channels = [64, 128, 256, 512]
     for i, (nm, c) in enumerate(zip(stage_names, stage_channels)):

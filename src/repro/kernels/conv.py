@@ -23,12 +23,13 @@ map size (§III-B4).
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 import numpy as np
 
 from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
 from ..dataflow.window import ScanWindow, depth_first_buffer_elements
-from ..nn.graph import ConvNode, TensorSpec
+from ..nn.graph import SKIP_DTYPE_BITS, ConvNode, TensorSpec
 from ..quantization.thresholds import ThresholdCuts
 
 __all__ = ["ConvKernel"]
@@ -77,10 +78,13 @@ class ConvKernel(Kernel):
         # largest input level, the pad level included.  Every partial sum of
         # a GEMM is an integer no larger than this, so a float type that
         # holds all integers up to it is exact in any BLAS summation order:
-        # float32 below 2**24, float64 (exact below 2**53) otherwise.
+        # float32 below 2**24, float64 (exact below 2**53) otherwise.  An
+        # input spec at SKIP_DTYPE_BITS may be clipped there (a raw conv's
+        # accumulators), so it bounds nothing: such a conv runs in float64.
         max_level = max((1 << in_spec.bits) - 1, abs(int(node.pad_level)))
         self.acc_bound = self.k * self.k * self.channels * max_level
-        gemm_dtype = np.float32 if self.acc_bound < _FLOAT32_EXACT else np.float64
+        exact32 = self.acc_bound < _FLOAT32_EXACT and in_spec.bits != SKIP_DTYPE_BITS
+        gemm_dtype = np.float32 if exact32 else np.float64
         self._wmat = node.weights.reshape(-1, node.out_channels).astype(gemm_dtype)
         # Bitops operands hoisted out of the per-position path: the packed
         # weight words, activation bit width, and a reusable plane-packing
@@ -95,11 +99,19 @@ class ConvKernel(Kernel):
         else:
             self._packed_words = None
         # The fused threshold unit as one integer cut table in the GEMM
-        # dtype, built once (the paper's normalization cache).
+        # dtype, built once (the paper's normalization cache).  The GEMM
+        # weights carry its slope signs, so their accumulators come out
+        # sign-folded and are counted as they are; the bitops path's packed
+        # weights do not, so its accumulators are folded by the table.
+        self._levels: Callable[[np.ndarray], np.ndarray] | None = None
         if node.threshold is not None:
-            self._cuts = ThresholdCuts(node.threshold, gemm_dtype)
-        else:
-            self._cuts = None
+            cuts = ThresholdCuts(node.threshold, gemm_dtype)
+            if use_bitops:
+                self._levels = cuts
+            else:
+                if cuts.sign is not None:
+                    self._wmat *= cuts.sign
+                self._levels = cuts.count
         self._window = ScanWindow(self.hp, self.wp, self.channels, self.k)
         self._pending: deque[int] = deque()
         self.images_done = 0
@@ -169,22 +181,25 @@ class ConvKernel(Kernel):
             acc = self._accumulate_bitpacked(window.reshape(-1))
         else:
             acc = window.reshape(-1).astype(self._wmat.dtype) @ self._wmat
-        if self._cuts is None:
+        if self._levels is None:
             return acc.astype(np.int64).tolist()
-        return self._cuts(acc).tolist()
+        return self._levels(acc).tolist()
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
         """All output pixels of a batch of images as one blocked GEMM.
 
-        ``x`` is ``(N, H, W, C)`` level-space int64; the result is
-        ``(N, Ho, Wo, O)`` int64.  The taps go through the same weight
+        ``x`` is ``(N, H, W, C)`` integers: levels in their cut table's
+        count dtype, or int64 sums.  The result is ``(N, Ho, Wo, O)``
+        levels in this layer's count dtype, or int64 accumulators without a
+        threshold.  The taps go through the same weight
         matrix and threshold cut table as the streaming per-window path.
         The GEMM runs in float32 when :attr:`acc_bound` is below 2**24 and
         in float64 otherwise, so every product and partial sum is an exact
         integer and the result is bit-identical regardless of BLAS blocking
-        (and to the bitops route, a tested property).  The fused threshold
-        counts each accumulator's integer cuts level by level in that dtype
-        (:class:`ThresholdCuts`).  With
+        (and to the bitops route, a tested property).  The weights carry the
+        fused threshold's slope signs, so it counts each sign-folded
+        accumulator's integer cuts level by level in that dtype
+        (:meth:`ThresholdCuts.count`).  With
         ``use_bitops`` the accumulators come from the packed AND-popcount
         path (:meth:`~repro.nn.graph.ConvNode.accumulate_bitpacked`)
         instead.  A solved run, which streams no values, takes its outputs
@@ -194,9 +209,9 @@ class ConvKernel(Kernel):
             acc = self.node.accumulate_bitpacked(x, self._in_bits)
         else:
             acc = self._accumulate_gemm(x)
-        if self._cuts is None:
+        if self._levels is None:
             return acc.astype(np.int64)
-        return self._cuts(acc)
+        return self._levels(acc)
 
     def _accumulate_gemm(self, x: np.ndarray) -> np.ndarray:
         """The batch's accumulators, ``(N, Ho, Wo, O)`` in the GEMM dtype."""

@@ -41,8 +41,11 @@ class AddKernel(Kernel):
         return OpProgram(ops=self._per_image, pops=(ops, ops), pushes=(ops,))
 
     def batch_compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched functional residual add over ``(N, H, W, C)`` tensors."""
-        return a + b
+        """Batched functional residual add over ``(N, H, W, C)`` tensors, in int64.
+
+        The operands may be narrow level tensors whose sum outgrows them.
+        """
+        return np.add(a, b, dtype=np.int64)
 
     def tick(self, cycle: int) -> None:
         a, b = self.inputs

@@ -58,12 +58,13 @@ class ThresholdKernel(Kernel):
         return OpProgram(ops=self._per_image, pops=(ops,), pushes=(ops,))
 
     def batch_compute(self, x: np.ndarray) -> np.ndarray:
-        """Batched threshold pass over ``(N, H, W, C)`` int64 levels or sums.
+        """Batched threshold pass over ``(N, H, W, C)`` integer levels or sums.
 
         Counts each element's integer cuts level by level through the
         unit's cut table (:class:`ThresholdCuts`), built once in int64: the
         same count as the per-element bisect of :meth:`tick` for every input
         below 2**62 in magnitude, far past the adder's 16-bit skip width.
+        The levels come back in the table's count dtype.
         """
         return self._cuts(x)
 

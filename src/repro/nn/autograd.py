@@ -292,7 +292,6 @@ def batchnorm(
             beta.accumulate_grad(g.sum(axis=axes))
         if x.requires_grad:
             if training:
-                m = x.data.size // x.data.shape[-1]
                 gxhat = g * gamma.data
                 gx = (
                     gxhat

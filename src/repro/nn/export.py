@@ -175,7 +175,6 @@ class _Exporter:
     def linear(self, lin: QLinear, st: _State, bn: BatchNorm2d | None, act: Module | None) -> _State:
         if not lin.binary:
             raise ExportError(f"{lin.name}: only binary-weight FC layers are exportable")
-        k = st.height
         if st.height != st.width:
             raise ExportError(f"{lin.name}: FC-as-convolution requires a square feature map")
         expected = st.height * st.width * st.channels

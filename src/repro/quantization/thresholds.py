@@ -216,7 +216,9 @@ class ThresholdCuts:
     every clipped cut is exact in ``dtype``.  A NaN endpoint never counts
     (``x >= nan`` is false), so its cut is ``limit``.  Calling the table on
     integer inputs below the limit, channels last, gives exactly
-    :meth:`ThresholdUnit.apply`.
+    :meth:`ThresholdUnit.apply`, in the table's count dtype: the narrowest
+    unsigned type that holds ``levels - 1`` (``uint8`` up to 8-bit
+    activations), so a level tensor moves one byte per value.
     """
 
     __slots__ = ("cuts", "sign", "const_mask", "const_level", "_count_dtype")
@@ -234,23 +236,30 @@ class ThresholdCuts:
         self.sign = sign.astype(dtype) if (slope_sign < 0).any() else None
         const = slope_sign == 0
         self.const_mask = const if const.any() else None
-        self.const_level = np.asarray(unit.const_level, dtype=np.int64)
         self._count_dtype = np.min_scalar_type(self.cuts.shape[0])
+        self.const_level = np.asarray(unit.const_level).astype(self._count_dtype)
 
     def __call__(self, acc: np.ndarray) -> np.ndarray:
-        """Levels (int64) of integer inputs ``acc`` whose last axis is the channel."""
-        folded = acc if self.sign is None else acc * self.sign
+        """Levels (in the count dtype) of integer inputs ``acc`` whose last axis is the channel."""
+        return self.count(acc if self.sign is None else acc * self.sign)
+
+    def count(self, folded: np.ndarray) -> np.ndarray:
+        """Levels of inputs already multiplied by :attr:`sign`: the cuts at or below each."""
         if folded.ndim == 1:
             # One streamed window: a single broadcast compare beats the loop.
             out = (folded >= self.cuts).sum(axis=0, dtype=self._count_dtype)
         else:
+            # Compare along the last two axes merged, against cuts tiled to
+            # match: one long inner loop per row instead of one per pixel.
+            shape = folded.shape
+            folded = folded.reshape(*shape[:-2], -1)
             out = np.zeros(folded.shape, dtype=self._count_dtype)
-            for cut in self.cuts:
+            for cut in np.tile(self.cuts, shape[-2]):
                 out += folded >= cut
-        del folded  # free the sign-folded copy before the int64 result is made
+            out = out.reshape(shape)
         if self.const_mask is not None:
             return np.where(self.const_mask, self.const_level, out)
-        return out.astype(np.int64)
+        return out
 
 
 def fold_batchnorm(params: BatchNormParams, quantizer: UniformQuantizer) -> ThresholdUnit:

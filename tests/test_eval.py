@@ -75,6 +75,9 @@ class TestFigures:
         res = run_experiment("figure8")
         assert all(r["GPU/DFE"] > 1.0 for r in res.rows)
 
+    def test_figure8_prints_its_paper_comparison(self):
+        assert "paper: energy up to 20x" in run_experiment("figure8").render()
+
     def test_scalability_rows(self):
         res = run_experiment("scalability")
         q = {r["quantity"]: r["value"] for r in res.rows}

@@ -84,7 +84,6 @@ class TestSweepShapes:
     def test_first_layer_stride_speedup(self):
         """§III-B1: 'given the stride S = 4, we acquire around 13x speedup'
         in the first layer — emit stalls drop by roughly S^2."""
-        g = direct_vgg_graph(32)  # stride-1 network, for the conv shape
         from repro.nn.graph import TensorSpec
 
         in_spec = TensorSpec(224, 224, 3, "levels", 2)
