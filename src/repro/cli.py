@@ -121,14 +121,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .models import direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph
 
     device = STRATIX_10_PROJECTION if args.device == "stratix10" else STRATIX_V_5SGSD8
-    if args.network == "vgg":
-        graph = direct_vgg_graph(args.size or 32, pool_to=4)
-    elif args.network == "alexnet":
-        graph = direct_alexnet_graph(args.size or 224)
-    elif args.network == "resnet18":
-        graph = direct_resnet18_graph(args.size or 224)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(args.network)
+    try:
+        if args.network == "vgg":
+            graph = direct_vgg_graph(32 if args.size is None else args.size, pool_to=4)
+        elif args.network == "alexnet":
+            graph = direct_alexnet_graph(224 if args.size is None else args.size)
+        else:
+            graph = direct_resnet18_graph(224 if args.size is None else args.size)
+    except ValueError as exc:
+        print(f"report {args.network}: {exc}", file=sys.stderr)
+        return 2
     print(build_design_report(graph, device=device).render())
     return 0
 
@@ -137,22 +139,18 @@ def _tiny_vgg(args: argparse.Namespace, min_images: int = 1):
     """The CLI's stock tiny network + input batch (simulate/trace/top/load)."""
     from .models import direct_vgg_graph
 
-    size = args.size
-    if size % 8:
-        raise ValueError(f"size must be divisible by 8, got {size}")
     if args.images < min_images:
         raise ValueError(f"--images must be >= {min_images}, got {args.images}")
-    graph = direct_vgg_graph(size, width=0.0625, classes=4)
+    graph = direct_vgg_graph(args.size, width=0.0625, classes=4)
     rng = np.random.default_rng(args.seed)
-    images = rng.integers(0, 4, size=(args.images, size, size, 3))
+    images = rng.integers(0, 4, size=(args.images, args.size, args.size, 3))
     return graph, images
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import json
 
-    from .dataflow import simulate
-    from .dataflow.tracing import analyze_run, render_waterfall
+    from .dataflow import LayerTable, simulate
 
     try:
         graph, images = _tiny_vgg(args)
@@ -212,8 +210,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if interval is not None:
         print(f"steady-state interval: {interval:,.0f} cycles/image")
     print(run.leap_report.line())
-    trace = analyze_run(run.run)
-    print(render_waterfall(trace))
+    print(LayerTable.of(run.pipeline).waterfall())
     if args.prom:
         print(f"wrote Prometheus exposition to {args.prom}")
     if args.snapshot:
@@ -222,8 +219,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .dataflow import Tracer, simulate
-    from .dataflow.tracing import analyze_trace, render_waterfall
+    from .dataflow import LayerTable, Tracer, simulate
 
     try:
         graph, images = _tiny_vgg(args)
@@ -239,7 +235,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"{args.images} image(s) through {graph.name}: {run.cycles:,} cycles; "
         f"latency {run.latency_cycles:,}"
     )
-    print(render_waterfall(analyze_trace(tracer)))
+    print(LayerTable.of(run.pipeline).waterfall())
     print(
         f"wrote {tracer.event_count():,} events ({path.stat().st_size:,} bytes) to {path} — "
         "open in https://ui.perfetto.dev"
@@ -477,13 +473,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.skip_capacity is not None and args.skip_capacity < 1:
         print(f"--skip-capacity must be >= 1, got {args.skip_capacity}", file=sys.stderr)
         return 2
-    if args.network == "vgg":
-        if size % 8:
-            print(f"size must be divisible by 8, got {size}", file=sys.stderr)
-            return 2
-        graph = direct_vgg_graph(size, width=args.width, classes=4)
-    else:
-        graph = direct_resnet18_graph(size, width=args.width, classes=4, stages=[(64, 1, 1)])
+    try:
+        if args.network == "vgg":
+            graph = direct_vgg_graph(size, width=args.width, classes=4)
+        else:
+            graph = direct_resnet18_graph(size, width=args.width, classes=4, stages=[(64, 1, 1)])
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     images = rng.integers(0, 4, size=(args.images, size, size, 3))
 
@@ -515,12 +512,7 @@ DEFAULT_CHECK_TOPOLOGIES = ["vgg:16:0.0625", "vgg:32:0.25", "alexnet:64:0.25", "
 def _check_graph(name: str, size: int | None, width: float | None):
     from .models import direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph
 
-    if size is not None and size < 8:
-        raise ValueError(f"size must be >= 8, got {size}")
-    if width is None:
-        width = 1.0
-    elif width <= 0:
-        raise ValueError(f"width must be > 0, got {width}")
+    width = 1.0 if width is None else width
     if name == "vgg":
         return direct_vgg_graph(32 if size is None else size, width=width, classes=4)
     if name == "alexnet":

@@ -22,7 +22,7 @@ from .trace import (
     Tracer,
     load_chrome_trace,
 )
-from .tracing import KernelWindow, PipelineTrace, analyze_run, analyze_trace, render_waterfall
+from .tracing import LayerRow, LayerTable
 from .verify import (
     Diagnostic,
     VerifyReport,
@@ -69,11 +69,8 @@ __all__ = [
     "verify",
     "verify_graph",
     "verify_pipeline",
-    "KernelWindow",
-    "PipelineTrace",
-    "analyze_run",
-    "analyze_trace",
-    "render_waterfall",
+    "LayerRow",
+    "LayerTable",
     "Stream",
     "StreamStats",
     "Tracer",

@@ -69,25 +69,6 @@ class RunResult:
         """Mean cycles between completions (throughput⁻¹); ``None`` under two."""
         return mean_completion_interval(self.completion_cycles)
 
-    def overlap_fraction(self, kernels: list[str]) -> float:
-        """Fraction of the run during which all named kernels were concurrently live.
-
-        A kernel is "live" between its first and last active cycle; full
-        pipelining means every layer's live window covers nearly the whole
-        run after the initiation interval.
-        """
-        windows = []
-        for name in kernels:
-            st = self.kernel_stats[name]
-            if st.first_active_cycle is None:
-                return 0.0
-            windows.append((st.first_active_cycle, st.last_active_cycle))
-        start = max(w[0] for w in windows)
-        end = min(w[1] for w in windows)
-        if end <= start:
-            return 0.0
-        return (end - start) / max(1, self.cycles)
-
 
 class Engine:
     """A single simulated DFE (or a chain of them when links have latency)."""

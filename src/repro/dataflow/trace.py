@@ -18,10 +18,10 @@ the same solve.  The test suite holds each solved trace equal to one
 recorded off the engine's reference loop, whose ``done`` callback reads
 every counter and FIFO once per cycle, over every equivalence topology.
 
-Everything the older aggregate analysis needs (live windows, duty cycles,
-stall breakdowns) is derivable from the event log — see
-:func:`repro.dataflow.tracing.analyze_trace` — plus quantities the
-aggregate counters cannot express: FIFO occupancy over time
+The event log is the oracle of :class:`repro.dataflow.tracing.LayerTable`
+(live windows, duty cycles, stall breakdowns: each row equals a kernel's
+summed spans), and it holds what the aggregate counters cannot express:
+FIFO occupancy over time
 (:meth:`occupancy_timeline`) and the full Chrome-trace/Perfetto timeline
 (:meth:`to_chrome_trace` / :meth:`write_chrome_trace`, one simulated cycle
 mapped to one microsecond; load the JSON at https://ui.perfetto.dev).

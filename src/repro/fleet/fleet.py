@@ -73,10 +73,11 @@ class ReplicaSpec:
     classes: int = 4
 
     def __post_init__(self) -> None:
+        from ..models.direct import check_geometry
+
         if self.family not in ("vgg", "alexnet", "resnet18"):
             raise ValueError(f"unknown model family {self.family!r}")
-        if self.size < 8:
-            raise ValueError(f"input size must be >= 8, got {self.size!r}")
+        check_geometry(self.size, self.width)
 
     def graph(self) -> "LayerGraph":
         from ..models import direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph

@@ -30,7 +30,26 @@ from .alexnet import ALEXNET_CONV_PLAN
 from .resnet import RESNET18_STAGES
 from .vgg import vgg_channel_plan
 
-__all__ = ["random_threshold_unit", "direct_vgg_graph", "direct_alexnet_graph", "direct_resnet18_graph"]
+__all__ = [
+    "check_geometry",
+    "random_threshold_unit",
+    "direct_vgg_graph",
+    "direct_alexnet_graph",
+    "direct_resnet18_graph",
+]
+
+
+def check_geometry(input_size: int, width: float) -> None:
+    """Refuse an input size under 8 or a width that is not positive.
+
+    Every builder below applies this rule before building, so a zero or
+    negative size or width is malformed input, never a request for a
+    default; only a positive width is rounded and clamped to one channel.
+    """
+    if input_size < 8:
+        raise ValueError(f"size must be >= 8, got {input_size}")
+    if not width > 0:
+        raise ValueError(f"width must be > 0, got {width}")
 
 
 def random_threshold_unit(rng: np.random.Generator, channels: int, bits: int) -> ThresholdUnit:
@@ -62,8 +81,9 @@ def direct_vgg_graph(
     seed: int = 0,
 ) -> LayerGraph:
     """The VGG-like network as a bare IR graph (see build_vgg_like)."""
+    check_geometry(input_size, width)
     if input_size % 8 != 0:
-        raise ValueError(f"input_size must be divisible by 8, got {input_size}")
+        raise ValueError(f"size must be divisible by 8, got {input_size}")
     rng = np.random.default_rng(seed)
     chans = vgg_channel_plan(width)
     fc = max(1, int(round(fc_features * width)))
@@ -121,6 +141,7 @@ def direct_alexnet_graph(
     seed: int = 0,
 ) -> LayerGraph:
     """AlexNet as a bare IR graph."""
+    check_geometry(input_size, width)
     rng = np.random.default_rng(seed)
     g = LayerGraph(name=f"alexnet-{input_size}-direct")
     g.add(InputNode("input", input_size, input_size, in_channels, input_bits))
@@ -168,6 +189,7 @@ def direct_resnet18_graph(
     seed: int = 0,
 ) -> LayerGraph:
     """ResNet-18 (Table I) as a bare IR graph with explicit skip structure."""
+    check_geometry(input_size, width)
     rng = np.random.default_rng(seed)
     stages = RESNET18_STAGES if stages is None else stages
     g = LayerGraph(name=f"resnet18-{input_size}-direct")

@@ -32,7 +32,6 @@ from .attribution import (
     AttributionReport,
     attribute_run,
     deadlock_root_edge,
-    kernel_attributions,
     run_attributed,
 )
 from .collector import DEFAULT_SAMPLE_EVERY, OCCUPANCY_BUCKETS, Telemetry
@@ -84,7 +83,6 @@ __all__ = [
     "fixed_rate_schedule",
     "host_manifest",
     "image_records",
-    "kernel_attributions",
     "latency_report",
     "make_schedule",
     "poisson_schedule",

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..dataflow.interval import mean_completion_interval
+from ..dataflow.tracing import LayerRow, LayerTable
 
 if TYPE_CHECKING:
     from ..dataflow.engine import Engine
@@ -34,28 +35,11 @@ if TYPE_CHECKING:
     from ..nn.graph import LayerGraph
 
 __all__ = [
-    "KernelAttribution",
     "AttributionReport",
     "deadlock_root_edge",
     "attribute_run",
-    "kernel_attributions",
     "run_attributed",
 ]
-
-
-@dataclass(slots=True)
-class KernelAttribution:
-    """One kernel's stall accounting over a run."""
-
-    name: str
-    busy: int
-    starved: int
-    blocked: int
-    idle: int
-    utilization: float  # busy / (busy + starved + blocked)
-    verdict: str  # "busy" | "starved" | "blocked" | "idle"
-    edge: str | None  # the starving input / back-pressuring output stream
-    edge_role: str | None  # "starving" | "backpressure"
 
 
 @dataclass(slots=True)
@@ -72,7 +56,7 @@ class AttributionReport:
     interval_cycles: float | None
     fps: float | None
     initiation_cycles: int | None
-    kernels: list[KernelAttribution] = field(default_factory=list)
+    kernels: list[LayerRow] = field(default_factory=list)
     root_edge: str | None = None
     root_capacity: int | None = None
     root_required: int | None = None
@@ -98,7 +82,7 @@ class AttributionReport:
         lines.append(header)
         for k in self.kernels:
             cause = k.verdict
-            if k.edge is not None and k.edge_role is not None:
+            if k.edge is not None:
                 cause += f" ({k.edge_role} edge {k.edge!r})"
             lines.append(
                 f"    {k.name:<22} {k.utilization:>6.1%} {k.busy:>10,} {k.starved:>10,} "
@@ -145,7 +129,7 @@ def deadlock_root_edge(engine: "Engine") -> str | None:
 
     def blocked_output(kernel: Any) -> Any:
         for stream in kernel.outputs:
-            if len(stream._fifo) >= stream.capacity:
+            if stream.occupancy >= stream.capacity:
                 return stream
         return None
 
@@ -169,66 +153,6 @@ def deadlock_root_edge(engine: "Engine") -> str | None:
         current = downstream
 
 
-def _starving_edge(kernel: Any) -> str | None:
-    """The input FIFO that chronically ran dry (lowest high-water mark)."""
-    if not kernel.inputs:
-        return None
-    return min(kernel.inputs, key=lambda s: (s.stats.max_occupancy, s.name)).name
-
-
-def _backpressure_edge(kernel: Any) -> str | None:
-    """The output FIFO that pushed back (most rejections, then fullest)."""
-    if not kernel.outputs:
-        return None
-    return max(
-        kernel.outputs,
-        key=lambda s: (s.stats.full_rejections, len(s._fifo) / s.capacity, s.name),
-    ).name
-
-
-def kernel_attributions(engine: "Engine") -> list[KernelAttribution]:
-    """Per-kernel stall accounting for every kernel of a finished engine.
-
-    The rows (in engine order, unsorted) carry each kernel's stall-adjusted
-    utilization, dominant verdict, and the specific starving or
-    back-pressuring edge — the accounting both :func:`attribute_run` and
-    the latency tail attribution rank bottlenecks with.
-    """
-    kernels: list[KernelAttribution] = []
-    for kernel in engine.kernels:
-        stats = kernel.stats
-        busy = stats.active_cycles
-        starved = stats.input_starved_cycles
-        blocked = stats.output_blocked_cycles
-        idle = stats.idle_cycles
-        stalls = busy + starved + blocked
-        util = busy / stalls if stalls else 0.0
-        dominant = max(
-            (("busy", busy), ("starved", starved), ("blocked", blocked), ("idle", idle)),
-            key=lambda pair: pair[1],
-        )[0]
-        edge: str | None = None
-        role: str | None = None
-        if dominant == "starved":
-            edge, role = _starving_edge(kernel), "starving"
-        elif dominant == "blocked":
-            edge, role = _backpressure_edge(kernel), "backpressure"
-        kernels.append(
-            KernelAttribution(
-                name=kernel.name,
-                busy=busy,
-                starved=starved,
-                blocked=blocked,
-                idle=idle,
-                utilization=util,
-                verdict=dominant,
-                edge=edge,
-                edge_role=role,
-            )
-        )
-    return kernels
-
-
 def attribute_run(
     pipeline: "Pipeline",
     cycles: int,
@@ -240,13 +164,7 @@ def attribute_run(
     from ..nn.graph import ConvNode
 
     engine = pipeline.engine
-    kernels = kernel_attributions(engine)
-    first_actives: list[int] = [
-        k.stats.first_active_cycle
-        for k in engine.kernels
-        if k.stats.first_active_cycle is not None
-    ]
-    kernels.sort(key=lambda k: (k.utilization, k.name))
+    table = LayerTable.of(pipeline)
 
     completions = pipeline.sink.completion_cycles
     latency = completions[0] if completions else None
@@ -304,8 +222,8 @@ def attribute_run(
         latency_cycles=latency,
         interval_cycles=interval,
         fps=fps,
-        initiation_cycles=max(first_actives) if first_actives else None,
-        kernels=kernels,
+        initiation_cycles=table.initiation_interval,
+        kernels=sorted(table.rows, key=lambda k: (k.utilization, k.name)),
         root_edge=root_edge,
         root_capacity=root_capacity,
         root_required=root_required,

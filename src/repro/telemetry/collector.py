@@ -28,10 +28,12 @@ run's :class:`~repro.dataflow.schedule.Timeline` (:meth:`Telemetry.replay`
 says when samples fall).  Nothing hooks the engine.  The registry is
 filled once, after the solve: the occupancy histogram takes every sample's
 occupancy and the sample counter counts them, and every other metric is
-the state at the last sample.  The sealed sample reconciles exactly with
-``Engine.collect_stats`` and the Tracer-derived
-:class:`~repro.dataflow.tracing.PipelineTrace`, and every sample with the
-reference loop at the same cycle — tested properties.
+the state at the last sample.  The derived per-kernel gauges and the
+initiation interval are read off a
+:class:`~repro.dataflow.tracing.LayerTable` built from that sample.  The
+sealed sample reconciles exactly with ``Engine.collect_stats`` and the
+Tracer's summed spans, and every sample with the reference loop at the
+same cycle — tested properties.
 
 Like a :class:`~repro.dataflow.trace.Tracer`, a Telemetry is single-use:
 create a fresh one per run.
@@ -42,6 +44,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..dataflow.interval import mean_completion_interval
+from ..dataflow.tracing import LayerRow, LayerTable
 from .latency import LATENCY_BUCKETS, exact_quantile
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -76,6 +79,8 @@ class Telemetry:
         self.pipeline: "Pipeline | None" = None
         self.finished = False
         self.total_cycles: int | None = None
+        # The per-kernel layer table as of the last sample (all zero until one is taken).
+        self._table = LayerTable([], 0)
         # Summary of the last sample (dashboard food).
         self.last: dict[str, Any] = {"cycle": 0, "images": 0}
         # Metric children resolved once per kernel, stream and crossing by
@@ -198,6 +203,7 @@ class Telemetry:
             cells += [self._m_kelems.labels(kernel=name, direction=d) for d in ("in", "out")]
             duty, utilization = self._m_duty.labels(kernel=name), self._m_util.labels(kernel=name)
             self._kernels.append((name, cells, duty, utilization))  # type: ignore[arg-type]
+        self._table = LayerTable([LayerRow(name, None, None, 0, 0, 0, 0) for name, *_ in self._kernels], 0)
         streams = pipeline.engine.streams
         for stream in streams:
             name = stream.name
@@ -267,17 +273,19 @@ class Telemetry:
         """
         self._m_cycles.set(cycle)
 
-        first_actives: list[int] = []
-        for (_, cells, duty, utilization), row in zip(self._kernels, kernels):
+        rows = []
+        for (name, cells, duty, utilization), row in zip(self._kernels, kernels):
             for cell, value in zip(cells, row):
                 cell.set_total(value)
-            busy, starved, blocked, _, _, _, first, last = row
-            if first >= 0:
-                first_actives.append(first)
-                span = last - first + 1
-                duty.set(busy / span if span else 0.0)
-            stalls = busy + starved + blocked
-            utilization.set(busy / stalls if stalls else 0.0)
+            busy, starved, blocked, idle, _, _, first, last = row
+            if first < 0:  # not active yet
+                first = last = None
+            layer = LayerRow(name, first, last, busy, starved, blocked, idle)
+            if not layer.is_idle:
+                duty.set(layer.duty)
+            utilization.set(layer.utilization)
+            rows.append(layer)
+        self._table = LayerTable(rows, cycle)
 
         for (_, events, occupancy, peak, _, _), row in zip(self._streams, streams):
             occupancy.set(row[0])
@@ -301,8 +309,9 @@ class Telemetry:
             self._m_interval.set(interval)
             if interval > 0:
                 self._m_fps.set(self.fclk_mhz * 1e6 / interval)
-        if first_actives:
-            self._m_initiation.set(max(first_actives))
+        initiation = self._table.initiation_interval
+        if initiation is not None:
+            self._m_initiation.set(initiation)
 
         # Per-image service latency: sink completions paired with source
         # admissions by image index.
@@ -326,7 +335,7 @@ class Telemetry:
             "latency": completions[0] if completions else None,
             "interval": interval,
             "fps": (self.fclk_mhz * 1e6 / interval) if interval else None,
-            "initiation": max(first_actives) if first_actives else None,
+            "initiation": initiation,
             **quantiles,
             "queue_depth": queue_depth,
         }
@@ -336,15 +345,15 @@ class Telemetry:
         """Per-kernel values as of the last sample (dashboard/report food)."""
         return [
             {
-                "name": name,
-                "busy": int(cells[0].value),
-                "starved": int(cells[1].value),
-                "blocked": int(cells[2].value),
-                "idle": int(cells[3].value),
-                "utilization": utilization.value,
-                "duty": duty.value,
+                "name": row.name,
+                "busy": row.busy,
+                "starved": row.starved,
+                "blocked": row.blocked,
+                "idle": row.idle,
+                "utilization": row.utilization,
+                "duty": row.duty,
             }
-            for name, cells, duty, utilization in self._kernels
+            for row in self._table.rows
         ]
 
     def stream_rows(self) -> list[dict[str, Any]]:

@@ -192,12 +192,12 @@ class TailAttribution:
 def tail_attribution(records: list[ImageRecord], pipeline: "Pipeline") -> "TailAttribution | None":
     """Name the kernel/edge responsible for the slowest decile of images.
 
-    Reuses :mod:`repro.telemetry.attribution`'s stall accounting: among the
+    Reads the run's :class:`~repro.dataflow.tracing.LayerTable`: among the
     compute kernels (host endpoints excluded — their stalls *are* the
     latency being explained), the one with the most stall cycles carries
     the blame, together with the specific starving/back-pressuring edge.
     """
-    from .attribution import kernel_attributions
+    from ..dataflow.tracing import LayerTable
 
     if not records:
         return None
@@ -206,7 +206,7 @@ def tail_attribution(records: list[ImageRecord], pipeline: "Pipeline") -> "TailA
     slow = [r.index for r in records if r.service_cycles >= threshold]
     candidates = [
         k
-        for k in kernel_attributions(pipeline.engine)
+        for k in LayerTable.of(pipeline).rows
         if k.name not in (pipeline.source.name, pipeline.sink.name)
     ]
     if not candidates:
@@ -373,12 +373,7 @@ def segment_summaries(
     return _segments(pipeline, records)
 
 
-def latency_report(
-    pipeline: "Pipeline",
-    cycles: int,
-    *,
-    attribute_tail: bool = True,
-) -> LatencyReport:
+def latency_report(pipeline: "Pipeline", cycles: int) -> LatencyReport:
     """Build the per-image latency report from a finished (or aborted) run."""
     records = image_records(pipeline)
     return LatencyReport(
@@ -392,7 +387,7 @@ def latency_report(
         sojourn=summarize([r.sojourn_cycles for r in records]),
         queue_wait=summarize([r.queue_wait for r in records]),
         segments=_segments(pipeline, records),
-        tail=tail_attribution(records, pipeline) if attribute_tail else None,
+        tail=tail_attribution(records, pipeline),
     )
 
 

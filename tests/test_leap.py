@@ -43,11 +43,11 @@ from repro.dataflow.leap import _CHUNK_IMAGES
 from repro.dataflow.schedule import replay_schedule
 from repro.hardware.timing import estimate_network_timing
 from repro.kernels.pooling import MaxPoolKernel
-from repro.models import direct_resnet18_graph, direct_vgg_graph
+from repro.models import direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph
 from repro.nn import run_graph
 from repro.nn.graph import ConvNode, InputNode, LayerGraph, MaxPoolNode, ThresholdNode
 from repro.quantization.thresholds import ThresholdUnit
-from repro.telemetry import Telemetry, latency_report
+from repro.telemetry import Telemetry, latency_report, make_schedule
 
 from .test_schedule_run import engine_run
 
@@ -365,6 +365,18 @@ class TestSynthesis:
         )
         np.testing.assert_array_equal(run.output, ref)
         np.testing.assert_array_equal(batch_reference_outputs(run.pipeline, images), ref)
+
+    def test_open_loop_alexnet_outputs_match_run_graph(self):
+        # The open-loop AlexNet path is solved whole and takes its outputs
+        # from the batched pass, through the stride-4 11x11 first conv.
+        graph = direct_alexnet_graph(64, width=0.125, classes=10, fc_features=256)
+        assert graph.nodes["conv1"].stride == 4 and graph.nodes["conv1"].weights.shape[:2] == (11, 11)
+        n = 20
+        images = np.random.default_rng(3).integers(0, 4, size=(n, 64, 64, 3))
+        arrivals = make_schedule(n, 5000.0, "poisson", 7).cycles
+        run = simulate(graph, images, arrival_cycles=arrivals)
+        assert run.leap_report.demoted and len(run.run.completion_cycles) == n
+        np.testing.assert_array_equal(run.output, run_graph(graph, images).output)
 
     @pytest.mark.parametrize("topology", ["chain", "residual"])
     def test_latency_records_bit_identical_across_a_leap(self, topology):

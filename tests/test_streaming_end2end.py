@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow import MAXRING, simulate
+from repro.dataflow import MAXRING, LayerTable, simulate
 from repro.dataflow.window import skip_buffer_elements
 from repro.hardware import estimate_network_timing
 from repro.nn import input_to_levels, run_graph
@@ -68,11 +68,12 @@ class TestPipelineBehaviour:
         lv = levels_for(tiny_chain_model, images)
         sr = simulate(tiny_chain_graph, lv)
         conv_kernels = [n for n in tiny_chain_graph.order if "conv" in n]
-        overlap = sr.run.overlap_fraction(conv_kernels)
+        table = LayerTable.of(sr.pipeline)
+        overlap = table.overlap(conv_kernels)
         assert overlap > 0.5, f"pipeline overlap only {overlap:.2f}"
         # and including the late FC stages it is still substantial
         all_compute = [n for n in tiny_chain_graph.order if "conv" in n or "fc" in n]
-        assert sr.run.overlap_fraction(all_compute) > 0.35
+        assert table.overlap(all_compute) > 0.35
 
     def test_latency_much_less_than_sequential(self, tiny_chain_model, tiny_chain_graph, images16):
         lv = levels_for(tiny_chain_model, images16[:1])

@@ -8,7 +8,7 @@ import pytest
 from repro.dataflow import CycleBudgetExceeded, Tracer, mean_completion_interval, simulate
 from repro.dataflow.engine import Engine
 from repro.dataflow.manager import build_pipeline
-from repro.dataflow.tracing import analyze_trace
+from repro.dataflow.tracing import LayerTable
 from repro.dataflow.verify import solve_skip_capacities, verify_pipeline
 from repro.models import direct_resnet18_graph
 from repro.nn import input_to_levels
@@ -136,17 +136,25 @@ def test_telemetry_reconciles_with_collect_stats(chain_case, mode):
 
 @pytest.mark.parametrize("mode", ["leap", "exhaustive"])
 def test_telemetry_reconciles_with_pipeline_trace(chain_case, mode):
-    """The sealed counters equal the Tracer-derived PipelineTrace's."""
+    """The sealed counters and the layer table's rows equal the Tracer's summed spans."""
     graph, levels = chain_case
     telemetry = Telemetry(sample_every=100)
     tracer = Tracer()
     run = simulate(graph, levels, mode=mode, trace=tracer, telemetry=telemetry)
-    trace = analyze_trace(tracer, skip_idle=False)
     kc = telemetry.registry.get("repro_kernel_cycles_total")
-    for window in trace.windows:
-        assert kc.labels(kernel=window.name, state="busy").value == window.active_cycles
-        assert kc.labels(kernel=window.name, state="starved").value == window.input_starved
-        assert kc.labels(kernel=window.name, state="blocked").value == window.output_blocked
+    duty = telemetry.registry.get("repro_kernel_duty_cycle")
+    rows = {row.name: row for row in LayerTable.of(run.pipeline).rows}
+    firsts = []
+    for name, spans in tracer.kernel_spans.items():
+        compute = [s for s in spans if s.kind == "compute"]
+        firsts.append(compute[0].start)
+        for kind, state in (("compute", "busy"), ("starved", "starved"), ("blocked", "blocked")):
+            summed = sum(s.cycles for s in spans if s.kind == kind)
+            assert kc.labels(kernel=name, state=state).value == summed
+            assert getattr(rows[name], state) == summed
+        assert (rows[name].first_active, rows[name].last_active) == (compute[0].start, compute[-1].end)
+        assert duty.labels(kernel=name).value == rows[name].duty
+    assert telemetry.last["initiation"] == max(firsts)
     images = telemetry.registry.get("repro_images_completed_total")._default().value
     assert images == len(run.pipeline.sink.completion_cycles)
 

@@ -92,6 +92,14 @@ class TestSimulateJson:
         ["fleet", "--mix", "vgg:16", "--images", "4", "--policy", "batch", "--batch", "0"],
         ["fleet", "--mix", "vgg:16", "--sweep", "100", "-5"],
         ["plan", "vgg:16", "--objective", "min-latency", "--dfes", "0"],
+        ["stats", "--size", "0"],
+        ["stats", "--network", "resnet18", "--size", "0"],
+        ["stats", "--width", "0"],
+        ["stats", "--width", "-1"],
+        ["fleet", "--width", "0"],
+        ["fleet", "--mix", "vgg:16:0"],
+        ["report", "vgg", "--size", "0"],
+        ["report", "vgg", "--size", "12"],
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
@@ -110,6 +118,8 @@ def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypat
         ["fleet", "--mix", "vgg:16", "--images", "4", "--policy", "batch", "--batch", "0"],
         ["fleet", "--mix", "vgg:16", "--images", "0"],
         ["fleet", "--mix", "vgg:16", "--sweep", "--policies", "batch", "--batch", "0"],
+        ["fleet", "--width", "0"],
+        ["fleet", "--mix", "vgg:16:0"],
     ],
 )
 def test_fleet_refuses_malformed_input_before_profiling(argv, capsys, monkeypatch):

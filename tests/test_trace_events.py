@@ -18,8 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.dataflow import Tracer, analyze_trace, load_chrome_trace, simulate
-from repro.dataflow.tracing import analyze_run
+from repro.dataflow import LayerTable, Tracer, load_chrome_trace, simulate
 from repro.nn import export_model
 
 from .conftest import make_tiny_chain_model, make_tiny_resnet_model
@@ -177,12 +176,21 @@ def test_link_transits_only_on_latency_streams(traced_runs):
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_analyze_trace_matches_analyze_run(traced_runs, topology):
-    """The event log derives the same PipelineTrace as the aggregate stats."""
+    """Every row of the layer table is the event log's summed spans and compute window."""
     solved, _, tracer, _, _ = traced_runs[topology]
-    from_stats = analyze_run(solved.run, skip_idle=False)
-    from_trace = analyze_trace(tracer, skip_idle=False)
-    assert from_trace.total_cycles == from_stats.total_cycles
-    assert {w.name: w for w in from_trace.windows} == {w.name: w for w in from_stats.windows}
+    table = LayerTable.of(solved.pipeline)
+    assert table.cycles == tracer.total_cycles
+    assert [row.name for row in table.rows] == list(tracer.kernel_spans)
+    for row in table.rows:
+        spans = tracer.kernel_spans[row.name]
+        summed = tuple(
+            sum(s.cycles for s in spans if s.kind == kind)
+            for kind in ("compute", "starved", "blocked", "idle")
+        )
+        assert (row.busy, row.starved, row.blocked, row.idle) == summed, row.name
+        compute = [s for s in spans if s.kind == "compute"]
+        window = (compute[0].start, compute[-1].end) if compute else (None, None)
+        assert (row.first_active, row.last_active) == window, row.name
 
 
 # -- Chrome-trace export -----------------------------------------------

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.dataflow import simulate
-from repro.dataflow.tracing import analyze_run, render_waterfall
+from repro.dataflow import LayerTable, simulate
 from repro.hardware import STRATIX_10_PROJECTION, STRATIX_V_5SGSD8
 from repro.hardware.report import build_design_report
 from repro.models import direct_resnet18_graph, direct_vgg_graph
@@ -26,18 +25,18 @@ def chain_run():
 
 class TestTracing:
     def test_windows_cover_all_active_kernels(self, chain_run):
-        trace = analyze_run(chain_run.run)
-        names = {w.name for w in trace.windows}
+        table = LayerTable.of(chain_run.pipeline)
+        names = {row.name for row in table.rows}
         assert "host_source" in names and "host_sink" in names
 
     def test_initiation_interval_positive(self, chain_run):
-        trace = analyze_run(chain_run.run)
-        assert 0 < trace.initiation_interval < chain_run.cycles
+        table = LayerTable.of(chain_run.pipeline)
+        assert 0 < table.initiation_interval < chain_run.cycles
 
     def test_pipeline_fill_is_monotone(self, chain_run):
         """Downstream kernels wake up later: the stair-step waterfall."""
-        trace = analyze_run(chain_run.run)
-        firsts = {w.name: w.first_active for w in trace.windows}
+        table = LayerTable.of(chain_run.pipeline)
+        firsts = {row.name: row.first_active for row in table.rows}
         assert firsts["host_source"] <= firsts["host_sink"]
         convs = [n for n in firsts if n.startswith("conv")]
         ordered = sorted(convs)
@@ -45,71 +44,60 @@ class TestTracing:
             assert firsts[earlier] <= firsts[later]
 
     def test_duty_cycles_bounded(self, chain_run):
-        trace = analyze_run(chain_run.run)
-        for w in trace.windows:
-            assert 0.0 <= w.duty_cycle <= 1.0
-
-    def test_stall_report_sorted(self, chain_run):
-        trace = analyze_run(chain_run.run)
-        rows = trace.stall_report()
-        totals = [starved + blocked for _, starved, blocked in rows]
-        assert totals == sorted(totals, reverse=True)
+        table = LayerTable.of(chain_run.pipeline)
+        for row in table.rows:
+            assert 0.0 <= row.duty <= 1.0
+            assert 0.0 <= row.utilization <= 1.0
 
     def test_waterfall_renders(self, chain_run):
-        trace = analyze_run(chain_run.run)
-        text = render_waterfall(trace)
+        table = LayerTable.of(chain_run.pipeline)
+        text = table.waterfall()
         assert "initiation interval" in text
-        assert len(text.splitlines()) == len(trace.windows) + 2
+        assert len(text.splitlines()) == len(table.rows) + 2
 
-    def test_busiest_is_a_conv(self, chain_run):
-        trace = analyze_run(chain_run.run)
-        assert "conv" in trace.busiest.name or "fc" in trace.busiest.name
-
-    def test_empty_run_raises(self):
-        from repro.dataflow.engine import RunResult
-
-        empty = RunResult(cycles=0, completion_cycles=[], output=None, kernel_stats={}, stream_stats={}, converged=True)
+    def test_empty_run_raises(self, chain_run):
+        """A run of no images has only idle rows: no initiation interval, no waterfall."""
+        empty = simulate(chain_run.pipeline.graph, np.zeros((0, 16, 16, 3), dtype=np.int64))
+        table = LayerTable.of(empty.pipeline)
+        assert table.cycles == 0 and all(row.is_idle for row in table.rows)
+        assert table.initiation_interval is None and table.overlap() == 0.0
         with pytest.raises(ValueError):
-            analyze_run(empty)
+            table.waterfall()
 
     def test_idle_kernels_keep_no_fake_window(self, chain_run):
-        """skip_idle=False must not fabricate [0, 0] windows for dead kernels.
+        """An idle row must not be a fabricated [0, 0] window.
 
         A never-active kernel used to appear as first=last=0, silently
-        shrinking the initiation interval and steady fraction; it must now
-        surface as an explicit idle window excluded from interval math.
+        shrinking the initiation interval and steady fraction; it is an
+        explicit idle row, kept out of interval and overlap math.
         """
         from dataclasses import replace
 
-        from repro.dataflow.engine import RunResult
-        from repro.dataflow.kernel import KernelStats
+        from repro.dataflow import LayerRow
 
-        stats = dict(chain_run.run.kernel_stats)
-        stats["dead"] = KernelStats(input_starved_cycles=chain_run.cycles)
-        run = replace(chain_run.run, kernel_stats=stats)
+        baseline = LayerTable.of(chain_run.pipeline)
+        dead = LayerRow("dead", None, None, 0, chain_run.cycles, 0, 0)
+        table = replace(baseline, rows=[*baseline.rows, dead])
+        assert dead.is_idle and dead.duty == 0.0 and dead.verdict == "starved"
+        assert table.initiation_interval == baseline.initiation_interval
+        assert table.overlap() == baseline.overlap()
+        assert table.overlap(["dead", "host_source"]) == 0.0
+        # The idle row stays visible in the waterfall.
+        assert table.waterfall().splitlines()[-2] == f"{'dead':24s} |{' ' * 60}| idle"
 
-        trace = analyze_run(run, skip_idle=False)
-        dead = next(w for w in trace.windows if w.name == "dead")
-        assert dead.is_idle
-        assert dead.first_active is None and dead.last_active is None
-        assert dead.live_span == 0 and dead.duty_cycle == 0.0
-        baseline = analyze_run(chain_run.run)
-        assert trace.initiation_interval == baseline.initiation_interval
-        assert trace.steady_fraction == baseline.steady_fraction
-        # The idle kernel's stalls stay visible in the report and waterfall.
-        assert ("dead", chain_run.cycles, 0) in trace.stall_report()
-        assert "idle" in render_waterfall(trace)
+    @pytest.mark.parametrize("mode", ["leap", "exhaustive"])
+    def test_rows_account_for_every_cycle(self, chain_run, mode):
+        """Each kernel's busy + starved + blocked + idle is the run's cycle count, also when cut."""
+        from repro.dataflow import CycleBudgetExceeded
 
-    def test_skip_idle_default_drops_idle_windows(self, chain_run):
-        from dataclasses import replace
-
-        from repro.dataflow.kernel import KernelStats
-
-        stats = dict(chain_run.run.kernel_stats)
-        stats["dead"] = KernelStats()
-        run = replace(chain_run.run, kernel_stats=stats)
-        names = {w.name for w in analyze_run(run).windows}
-        assert "dead" not in names
+        graph, images = chain_run.pipeline.graph, np.zeros((2, 16, 16, 3), dtype=np.int64)
+        with pytest.raises(CycleBudgetExceeded) as cut:
+            simulate(graph, images, mode=mode, max_cycles=100)
+        for pipeline, cycles in ((chain_run.pipeline, chain_run.cycles), (cut.value.pipeline, 100)):
+            table = LayerTable.of(pipeline)
+            assert table.cycles == cycles
+            for row in table.rows:
+                assert row.busy + row.starved + row.blocked + row.idle == cycles, row.name
 
 
 class TestDesignReport:
@@ -184,6 +172,23 @@ class TestCLI:
         data = load_chrome_trace(out)
         assert data["otherData"]["total_cycles"] > 0
         assert any(e.get("ph") == "X" for e in data["traceEvents"])
+
+    def test_trace_and_simulate_print_one_waterfall(self, capsys, tmp_path):
+        """Both commands draw the same layer table for the same run."""
+
+        def waterfall(text):
+            lines = text.splitlines()
+            start = next(i for i, line in enumerate(lines) if line.startswith("kernel "))
+            end = next(i for i, line in enumerate(lines) if "initiation interval:" in line)
+            return lines[start : end + 1]
+
+        run = ["--size", "16", "--images", "3", "--seed", "3"]
+        assert cli_main(["simulate", *run]) == 0
+        simulated = waterfall(capsys.readouterr().out)
+        assert cli_main(["trace", *run, "--out", str(tmp_path / "t.json")]) == 0
+        traced = waterfall(capsys.readouterr().out)
+        assert traced == simulated
+        assert len(simulated) == 14 + 2  # 12 layers, the host endpoints, header and summary
 
     def test_trace_into_a_missing_directory(self, capsys, tmp_path):
         from repro.dataflow import load_chrome_trace
