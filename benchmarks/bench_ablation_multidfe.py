@@ -76,7 +76,7 @@ def test_resnet18_maxring_bandwidth(benchmark):
 
     part = benchmark(build)
     assert part.n_dfes == 2
-    assert part.link_feasible(MAXRING, fclk_mhz=105.0)
+    assert part.link_feasible(MAXRING)
     for _, _, mbps in part.crossings:
         assert mbps == 210.0
         assert mbps / (MAXRING.bandwidth_gbps * 1000) < 0.06  # far below capacity

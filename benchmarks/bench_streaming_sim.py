@@ -51,7 +51,6 @@ _RECORDED_RATES = {
     "tiny_chain_plan": 177684.1,
     "tiny_resnet": 58316.1,
     "vgg32_dense": 194846.4,
-    "vgg32_bitops": 141284.8,
     "vgg32_leap": 3802926.8,
     "alexnet224_leap": 256602.2,
 }
@@ -256,16 +255,6 @@ def test_streaming_vgg_paper_scale(benchmark):
     rate = _note_throughput(benchmark, sr)
     assert sr.cycles > 0
     _guard_regression("vgg32_dense", rate, benchmark.extra_info)
-
-
-def test_streaming_vgg_paper_scale_bitops(benchmark):
-    """Same workload through the packed XNOR-popcount datapath (§III-B1)."""
-    graph, levels = _vgg_paper_scale()
-
-    sr = benchmark(simulate, graph, levels, use_bitops=True)
-    rate = _note_throughput(benchmark, sr)
-    assert sr.cycles > 0
-    _guard_regression("vgg32_bitops", rate, benchmark.extra_info)
 
 
 def test_streaming_vgg_leap(benchmark):

@@ -270,7 +270,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     try:
         graph, images = _tiny_vgg(args, min_images=0)
         for rate in args.sweep or ([] if args.rate is None else [args.rate]):
-            cycles_per_image(rate)  # rejects a rate that is not positive
+            cycles_per_image(rate)  # rejects a rate that is not finite and positive
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -1104,6 +1104,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "max_cycles", 1) <= 0:
         print(f"--max-cycles must be a positive cycle budget, got {args.max_cycles}", file=sys.stderr)
+        return 2
+    if getattr(args, "seed", 0) < 0:
+        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
     return args.func(args)
 

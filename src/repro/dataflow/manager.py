@@ -38,7 +38,7 @@ from ..nn.graph import (
 from .engine import CycleBudgetExceeded, Engine, RunResult
 from .kernel import Kernel
 from .leap import LeapReport, batch_reference_outputs
-from .links import MAXRING, PCIE_GEN2_X8, LinkSpec, required_bandwidth_mbps
+from .links import MAXRING, LinkSpec, required_bandwidth_mbps
 from .stream import Stream
 from .trace import Tracer
 
@@ -115,12 +115,12 @@ class StreamingRun:
         return self.run.steady_state_interval
 
 
-def _node_to_kernel(graph: LayerGraph, name: str, use_bitops: bool) -> Kernel:
+def _node_to_kernel(graph: LayerGraph, name: str) -> Kernel:
     node = graph.nodes[name]
     parents = graph.parents(name)
     in_spec = graph.specs[parents[0]] if parents else None
     if isinstance(node, ConvNode):
-        return ConvKernel(name, node, in_spec, use_bitops=use_bitops)
+        return ConvKernel(name, node, in_spec)
     if isinstance(node, MaxPoolNode):
         return MaxPoolKernel(name, node, in_spec)
     if isinstance(node, ThresholdNode):
@@ -170,10 +170,8 @@ def _resolve_skip_capacities(
 def build_pipeline(
     graph: LayerGraph,
     images: np.ndarray,
-    use_bitops: bool = False,
     partition: list[list[str]] | None = None,
     link: LinkSpec = MAXRING,
-    host_link: LinkSpec = PCIE_GEN2_X8,
     fclk_mhz: float = 105.0,
     skip_sizing: str | dict[str, int] = "exact",
     arrival_cycles: list[int] | None = None,
@@ -186,8 +184,6 @@ def build_pipeline(
         An exported LayerGraph.
     images:
         Input level tensor ``(N, H, W, C)`` (or a single HWC image).
-    use_bitops:
-        Route convolution math through packed popcounts.
     partition:
         Optional list of node-name groups, one per DFE, covering all
         compute nodes contiguously in topological order.  ``None`` puts
@@ -240,7 +236,7 @@ def build_pipeline(
     for name in topo:
         if name == graph.input_name:
             continue
-        kernel = _node_to_kernel(graph, name, use_bitops)
+        kernel = _node_to_kernel(graph, name)
         kernels[name] = kernel
         engine.add_kernel(kernel)
     engine.add_kernel(sink)
@@ -276,7 +272,7 @@ def build_pipeline(
             prod = fork
         for consumer_kernel, port in sorted(targets, key=lambda t: t[1]):
             _wire(
-                engine, graph, prod, consumer_kernel, name, port, spec, dfe_of_node, link, fclk_mhz, crossings, skip_streams, skip_caps
+                engine, prod, consumer_kernel, name, port, spec, dfe_of_node, link, fclk_mhz, crossings, skip_streams, skip_caps
             )
 
     # Image-boundary marks for the per-image lifecycle records: the sink
@@ -345,7 +341,6 @@ def _make_stream(
 
 def _wire(
     engine: Engine,
-    graph: LayerGraph,
     prod: Kernel,
     consumer_kernel: Kernel,
     from_node: str,
@@ -384,7 +379,6 @@ def _wire(
 def simulate(
     graph: LayerGraph,
     images: np.ndarray,
-    use_bitops: bool = False,
     partition: list[list[str]] | None = None,
     link: LinkSpec = MAXRING,
     fclk_mhz: float = 105.0,
@@ -426,9 +420,8 @@ def simulate(
     :func:`~repro.dataflow.schedule.solve_run` solves every op's cycle from
     the kernels' op recurrences and derives the counters, instants and any
     ``trace`` from them, and the outputs come from the batched functional
-    pass (through the packed popcount path with ``use_bitops``).  A
-    closed-loop untraced, untelemetered run solves only a prefix of its
-    images and extends it by the certified per-image period.  An
+    pass.  A closed-loop untraced, untelemetered run solves only a prefix
+    of its images and extends it by the certified per-image period.  An
     exhaustive run ticks the engine's reference loop, every kernel every
     cycle; only a pipeline :func:`~repro.dataflow.schedule.unsolvable`
     names makes a leap run tick it too.  Results (cycles, outputs, stats,
@@ -456,7 +449,6 @@ def simulate(
     pipeline = build_pipeline(
         graph,
         images,
-        use_bitops=use_bitops,
         partition=partition,
         link=link,
         fclk_mhz=fclk_mhz,

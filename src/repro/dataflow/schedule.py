@@ -138,7 +138,6 @@ __all__ = [
     "REPLAY_IMAGES",
     "REPLAY_MAX_CYCLES",
     "Schedule",
-    "SolvedRun",
     "Timeline",
     "replay_schedule",
     "replay_timeline",

@@ -100,10 +100,6 @@ class ScanWindow:
     def done(self) -> bool:
         return self._pos >= self._total
 
-    def hardware_buffer_elements(self) -> int:
-        """The flip-flop footprint the real shift register would need."""
-        return depth_first_buffer_elements(self.width, self.channels, self.k)
-
     def feed(self, value: int) -> tuple[int, int, np.ndarray] | None:
         """Write one element; if a window just completed, return it.
 

@@ -177,10 +177,12 @@ class FleetConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.n_requests < 1:
             raise ValueError(f"need at least one request, got {self.n_requests!r}")
-        if self.rate_fps <= 0:
-            raise ValueError(f"rate must be > 0 FPS, got {self.rate_fps!r}")
+        if not 0 < self.rate_fps < float("inf"):
+            raise ValueError(f"rate must be a finite FPS > 0, got {self.rate_fps!r}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch!r}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers!r}")
         if self.policy == "static" and self.process != "poisson":
             raise ValueError(
                 "policy 'static' pre-partitions traffic into independent "

@@ -56,7 +56,7 @@ class PartitionResult:
             "bram": est.bram_kbits / self.device.bram_kbits,
         }
 
-    def link_feasible(self, link: LinkSpec = MAXRING, fclk_mhz: float = 105.0) -> bool:
+    def link_feasible(self, link: LinkSpec = MAXRING) -> bool:
         return all(mbps <= link.bandwidth_gbps * 1000.0 for _, _, mbps in self.crossings)
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
-from ..dataflow.window import ScanWindow, depth_first_buffer_elements
+from ..dataflow.window import ScanWindow
 from ..nn.graph import SKIP_DTYPE_BITS, ConvNode, TensorSpec
 from ..quantization.thresholds import ThresholdCuts
 
@@ -50,19 +50,13 @@ class ConvKernel(Kernel):
         optional fused threshold unit.
     in_spec:
         Input tensor spec (unpadded).
-    use_bitops:
-        Compute each output position through the packed XNOR/AND-popcount
-        route instead of a dense ±1 matmul.  Bit-identical; slower in
-        NumPy, faithful to the hardware datapath.
     """
 
     blocked_rejects_output = True
     # Each op checks one port: a feed its input, an emit its output slot.
     stall_order = (STALL_STARVED, STALL_BLOCKED)
 
-    def __init__(
-        self, name: str, node: ConvNode, in_spec: TensorSpec, use_bitops: bool = False
-    ) -> None:
+    def __init__(self, name: str, node: ConvNode, in_spec: TensorSpec) -> None:
         super().__init__(name)
         self.node = node
         self.in_spec = in_spec
@@ -73,7 +67,6 @@ class ConvKernel(Kernel):
         self.wp = in_spec.width + 2 * node.pad
         self.channels = in_spec.channels
         self.out_channels = node.out_channels
-        self.use_bitops = use_bitops
         # Largest accumulator magnitude: k*k*C taps of ±1 weights times the
         # largest input level, the pad level included.  Every partial sum of
         # a GEMM is an integer no larger than this, so a float type that
@@ -86,32 +79,16 @@ class ConvKernel(Kernel):
         exact32 = self.acc_bound < _FLOAT32_EXACT and in_spec.bits != SKIP_DTYPE_BITS
         gemm_dtype = np.float32 if exact32 else np.float64
         self._wmat = node.weights.reshape(-1, node.out_channels).astype(gemm_dtype)
-        # Bitops operands hoisted out of the per-position path: the packed
-        # weight words, activation bit width, and a reusable plane-packing
-        # buffer sized to the window vector (tail bits stay zero).
-        self._in_bits = in_spec.bits
-        if use_bitops:
-            self._packed_words = node.packed_weights().words
-            n_taps = self.k * self.k * self.channels
-            n_words = (n_taps + 63) // 64
-            self._pack_buf = np.zeros((self._in_bits, n_words * 64), dtype=np.uint8)
-            self._plane_shifts = np.arange(self._in_bits, dtype=np.int64)[:, None]
-        else:
-            self._packed_words = None
         # The fused threshold unit as one integer cut table in the GEMM
         # dtype, built once (the paper's normalization cache).  The GEMM
         # weights carry its slope signs, so their accumulators come out
-        # sign-folded and are counted as they are; the bitops path's packed
-        # weights do not, so its accumulators are folded by the table.
+        # sign-folded and are counted as they are.
         self._levels: Callable[[np.ndarray], np.ndarray] | None = None
         if node.threshold is not None:
             cuts = ThresholdCuts(node.threshold, gemm_dtype)
-            if use_bitops:
-                self._levels = cuts
-            else:
-                if cuts.sign is not None:
-                    self._wmat *= cuts.sign
-                self._levels = cuts.count
+            if cuts.sign is not None:
+                self._wmat *= cuts.sign
+            self._levels = cuts.count
         self._window = ScanWindow(self.hp, self.wp, self.channels, self.k)
         self._pending: deque[int] = deque()
         self.images_done = 0
@@ -124,11 +101,6 @@ class ConvKernel(Kernel):
         self._valid_px = [
             self._is_valid_position(r, c) for r in range(self.hp) for c in range(self.wp)
         ]
-        # Parameter-fetch cost (paper: weights + normalization parameters are
-        # streamed in depth-first once, before inference starts).
-        self.param_load_cycles = node.weight_count // max(1, self.k * self.k * self.channels) + (
-            node.out_channels if node.threshold is not None else 0
-        )
 
     # -- geometry ------------------------------------------------------
     def _is_pad(self, r: int, c: int) -> bool:
@@ -137,22 +109,6 @@ class ConvKernel(Kernel):
 
     def _is_valid_position(self, r: int, c: int) -> bool:
         return (r - (self.k - 1)) % self.stride == 0 and (c - (self.k - 1)) % self.stride == 0
-
-    def hardware_buffer_elements(self) -> int:
-        """Shift-register footprint: ``I·L·(K−1) + I·K`` over the padded line."""
-        return depth_first_buffer_elements(self.wp, self.channels, self.k)
-
-    def expected_cycles_per_image(self) -> int:
-        """Closed-form per-image cycles: scan elements + per-position emits.
-
-        This is the quantity the paper's §IV-B4 "theoretical estimation of
-        the number of clocks per picture" sums over layers; the cycle
-        simulator is tested to match it exactly in steady state.
-        """
-        scan = self.hp * self.wp * self.channels
-        n_out_r = (self.hp - self.k) // self.stride + 1
-        n_out_c = (self.wp - self.k) // self.stride + 1
-        return scan + n_out_r * n_out_c * self.out_channels
 
     def op_program(self) -> OpProgram:
         """C feed ops per scan pixel (pad pixels pop nothing), then O emits per valid window."""
@@ -172,15 +128,11 @@ class ConvKernel(Kernel):
     def _compute_outputs(self, window: np.ndarray) -> list[int]:
         """All ``O`` filter outputs of one completed window, as one batch.
 
-        One GEMM (or one bitplane GEMM in bitops mode) plus one vectorized
-        threshold pass replaces the per-filter loop; the results are then
-        replayed onto the output stream one element per clock, so cycle
-        accounting is untouched.
+        One GEMM plus one vectorized threshold pass replaces the
+        per-filter loop; the results are then replayed onto the output
+        stream one element per clock, so cycle accounting is untouched.
         """
-        if self.use_bitops:
-            acc = self._accumulate_bitpacked(window.reshape(-1))
-        else:
-            acc = window.reshape(-1).astype(self._wmat.dtype) @ self._wmat
+        acc = window.reshape(-1).astype(self._wmat.dtype) @ self._wmat
         if self._levels is None:
             return acc.astype(np.int64).tolist()
         return self._levels(acc).tolist()
@@ -196,19 +148,14 @@ class ConvKernel(Kernel):
         The GEMM runs in float32 when :attr:`acc_bound` is below 2**24 and
         in float64 otherwise, so every product and partial sum is an exact
         integer and the result is bit-identical regardless of BLAS blocking
-        (and to the bitops route, a tested property).  The weights carry the
-        fused threshold's slope signs, so it counts each sign-folded
-        accumulator's integer cuts level by level in that dtype
-        (:meth:`ThresholdCuts.count`).  With
-        ``use_bitops`` the accumulators come from the packed AND-popcount
-        path (:meth:`~repro.nn.graph.ConvNode.accumulate_bitpacked`)
-        instead.  A solved run, which streams no values, takes its outputs
-        from this.
+        (and to the packed AND-popcount route of
+        :meth:`~repro.nn.graph.ConvNode.accumulate_bitpacked`, a tested
+        property).  The weights carry the fused threshold's slope signs, so
+        it counts each sign-folded accumulator's integer cuts level by level
+        in that dtype (:meth:`ThresholdCuts.count`).  A solved run, which
+        streams no values, takes its outputs from this.
         """
-        if self.use_bitops:
-            acc = self.node.accumulate_bitpacked(x, self._in_bits)
-        else:
-            acc = self._accumulate_gemm(x)
+        acc = self._accumulate_gemm(x)
         if self._levels is None:
             return acc.astype(np.int64)
         return self._levels(acc)
@@ -234,26 +181,6 @@ class ConvKernel(Kernel):
                 rows = grid[:, dr : dr + (n_out_r - 1) * stride + 1 : stride,
                             dc : dc + (n_out_c - 1) * stride + 1 : stride, :]
                 acc += rows @ taps[dr, dc]
-        return acc
-
-    def _accumulate_bitpacked(self, vec: np.ndarray) -> np.ndarray:
-        """One AND-popcount GEMM for a single window vector.
-
-        Equivalent to ``bitplane_gemm(packed_weights, pack_bitplanes(vec))``
-        but packs into a reusable buffer and skips the (1, O, W) broadcast
-        shape, since the conv hot loop always computes one position.
-        """
-        buf = self._pack_buf
-        buf[:, : vec.shape[0]] = (vec >> self._plane_shifts) & 1
-        planes = np.packbits(buf, axis=-1, bitorder="little").view(np.uint64)
-        w_words = self._packed_words
-        acc = None
-        for b in range(self._in_bits):
-            plane = planes[b]
-            and_pc = np.bitwise_count(w_words & plane).sum(axis=-1, dtype=np.int64)
-            mask_pc = int(np.bitwise_count(plane).sum())
-            term = (2 * and_pc - mask_pc) << b
-            acc = term if acc is None else acc + term
         return acc
 
     # -- cycle behaviour --------------------------------------------------

@@ -32,9 +32,6 @@ class AddKernel(Kernel):
         self._count = 0
         self.images_done = 0
 
-    def expected_cycles_per_image(self) -> int:
-        return self._per_image
-
     def op_program(self) -> OpProgram:
         """Each op pops both inputs and pushes their sum."""
         ops = np.arange(self._per_image)
@@ -85,9 +82,6 @@ class ForkKernel(Kernel):
         self._per_image = per_image_elements
         self._count = 0
         self.images_done = 0
-
-    def expected_cycles_per_image(self) -> int:
-        return self._per_image
 
     def op_program(self) -> OpProgram:
         """Each op pops one element and pushes it to every output."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataflow.kernel import STALL_BLOCKED, STALL_STARVED, Kernel, OpProgram
-from ..dataflow.window import depth_first_buffer_elements
 from ..nn.graph import MaxPoolNode, TensorSpec
 
 __all__ = ["MaxPoolKernel"]
@@ -59,13 +58,6 @@ class MaxPoolKernel(Kernel):
             for dr in range(self.k)
             for dc in range(self.k)
         ]
-
-    def hardware_buffer_elements(self) -> int:
-        return depth_first_buffer_elements(self.w, self.channels, self.k)
-
-    def expected_cycles_per_image(self) -> int:
-        """Pooling adds no stall cycles: per-image cost is the scan itself."""
-        return self._total
 
     def op_program(self) -> OpProgram:
         """One op per padded-grid element: pops unless padding, pushes at emit pixels."""

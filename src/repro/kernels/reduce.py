@@ -31,10 +31,6 @@ class GlobalAvgSumKernel(Kernel):
         self._emit_chan: int | None = None
         self.images_done = 0
 
-    def expected_cycles_per_image(self) -> int:
-        """Consume every element, then drain the C channel sums."""
-        return self._per_image + self.channels
-
     def op_program(self) -> OpProgram:
         """Pop every element, then push the C channel sums."""
         return OpProgram(

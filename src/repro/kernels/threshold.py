@@ -50,9 +50,6 @@ class ThresholdKernel(Kernel):
         self._count = 0
         self._per_image = in_spec.elements
 
-    def expected_cycles_per_image(self) -> int:
-        return self._per_image
-
     def op_program(self) -> OpProgram:
         ops = np.arange(self._per_image)
         return OpProgram(ops=self._per_image, pops=(ops,), pushes=(ops,))

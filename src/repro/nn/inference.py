@@ -74,16 +74,12 @@ def run_graph(
             values[name] = x.astype(np.int64)
             continue
         inputs = [values[p] for p in graph.parents(name)]
-        if use_bitops and hasattr(node, "accumulate_bitpacked") and node.threshold is not None:
+        if use_bitops and hasattr(node, "accumulate_bitpacked"):
             in_spec = graph.specs[graph.parents(name)[0]]
             if in_spec.kind == "levels":
                 acc = node.accumulate_bitpacked(inputs[0], in_spec.bits)
-                values[name] = node.threshold.apply(acc, channel_axis=-1)
-                continue
-        if use_bitops and hasattr(node, "accumulate_bitpacked") and node.threshold is None:
-            in_spec = graph.specs[graph.parents(name)[0]]
-            if in_spec.kind == "levels":
-                values[name] = node.accumulate_bitpacked(inputs[0], in_spec.bits)
+                unit = node.threshold
+                values[name] = acc if unit is None else unit.apply(acc, channel_axis=-1)
                 continue
         values[name] = node.compute(inputs)
 
@@ -92,8 +88,8 @@ def run_graph(
     return InferenceResult(output=output, activations=acts)
 
 
-def classify(graph: LayerGraph, x: np.ndarray, use_bitops: bool = False) -> np.ndarray:
+def classify(graph: LayerGraph, x: np.ndarray) -> np.ndarray:
     """Top-1 class prediction for a batch of inputs."""
-    result = run_graph(graph, x, use_bitops=use_bitops)
+    result = run_graph(graph, x)
     logits = result.logits(graph)
     return np.argmax(logits, axis=-1)

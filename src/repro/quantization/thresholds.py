@@ -17,9 +17,12 @@ i_k)`` — generate every range endpoint, and the activation level is found by
 a binary search over the ``2**n − 1`` interior endpoints (an n-input
 comparator feeding a ``2**n -> 1`` multiplexer in hardware).
 
-This module implements both the parameter folding and the binary-search
-evaluation, exactly mirroring the paper's two stored 32-bit parameters per
-channel (packed as one 64-bit word in the normalization cache).
+This module implements the parameter folding and the level evaluation,
+exactly mirroring the paper's two stored 32-bit parameters per channel
+(packed as one 64-bit word in the normalization cache).  The literal
+comparator cascade runs in the streaming threshold kernel's ``tick``
+(:class:`~repro.kernels.threshold.ThresholdKernel`), held to
+:meth:`ThresholdUnit.apply` by the streaming tests.
 """
 
 from __future__ import annotations
@@ -145,34 +148,6 @@ class ThresholdUnit:
         neg = (a_moved[..., None] <= ends).sum(axis=-1, dtype=np.int64)
         out = np.where(self.slope_sign > 0, pos, neg)
         out = np.where(self.slope_sign == 0, self.const_level, out)
-        return np.moveaxis(out, -1, channel_axis)
-
-    def apply_binary_search(self, a: np.ndarray, channel_axis: int = -1) -> np.ndarray:
-        """Literal binary-search evaluation (the hardware comparator tree).
-
-        Functionally identical to :meth:`apply`; kept separate so tests can
-        pin the hardware-faithful algorithm against the vectorised one.
-        """
-        a = np.asarray(a, dtype=np.float64)
-        a_moved = np.moveaxis(a, channel_axis, -1)
-        ends = self.endpoints()
-        out = np.empty(a_moved.shape, dtype=np.int64)
-        flat = a_moved.reshape(-1, self.channels)
-        res = np.empty(flat.shape, dtype=np.int64)
-        for c in range(self.channels):
-            sign = self.slope_sign[c]
-            if sign == 0:
-                res[:, c] = self.const_level[c]
-                continue
-            e = ends[c]
-            if sign > 0:
-                res[:, c] = np.searchsorted(e, flat[:, c], side="right")
-            else:
-                # Endpoints are decreasing in alpha; search the reversed array
-                # for how many endpoints are >= a.
-                rev = e[::-1]
-                res[:, c] = len(e) - np.searchsorted(rev, flat[:, c], side="left")
-        out = res.reshape(a_moved.shape)
         return np.moveaxis(out, -1, channel_axis)
 
     def cache_words(self) -> np.ndarray:

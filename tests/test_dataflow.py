@@ -138,10 +138,6 @@ class TestScanWindow:
         with pytest.raises(ValueError):
             ScanWindow(2, 2, 1, 3)
 
-    def test_hardware_buffer_elements(self):
-        w = ScanWindow(5, 7, 4, 3)
-        assert w.hardware_buffer_elements() == depth_first_buffer_elements(7, 4, 3)
-
     def test_reset(self):
         w = ScanWindow(2, 2, 1, 1)
         for v in range(4):

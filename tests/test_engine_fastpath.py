@@ -60,19 +60,17 @@ def _images(seed: int, n: int = 2, size: int = 16) -> np.ndarray:
 
 
 def _case(name: str):
-    if name in ("chain", "bitops"):
+    if name == "chain":
         graph = export_model(make_tiny_chain_model(), (16, 16, 3), name="tiny-chain")
     else:
         graph = export_model(make_tiny_resnet_model(), (16, 16, 3), name="tiny-resnet")
     kwargs = {}
-    if name == "bitops":
-        kwargs["use_bitops"] = True
     if name == "multi_dfe":
         kwargs["partition"] = _half_partition(graph)
     return graph, kwargs
 
 
-@pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
+@pytest.mark.parametrize("topology", ["chain", "resnet", "multi_dfe"])
 def test_fast_path_matches_exhaustive(topology):
     """Two images: the solved prefix reaches every image, so the whole run is solved."""
     graph, kwargs = _case(topology)
@@ -86,14 +84,12 @@ def test_fast_path_matches_exhaustive(topology):
     assert report.reason == "the solved prefix reached every image"
 
 
-@pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
+@pytest.mark.parametrize("topology", ["chain", "resnet", "multi_dfe"])
 def test_leap_mode_matches_exhaustive_and_fast(topology):
     """Solved == reference loop with the solve actually extending its prefix.
 
     Eight images leave room past the certified prefix; everything
     observable — cycles, outputs, stats — must still be bit-identical.
-    ``use_bitops`` changes only how the batched pass computes values, so
-    that run extends too.
     """
     graph, kwargs = _case(topology)
     images = _images(1, n=8)
@@ -110,7 +106,7 @@ def test_leap_mode_matches_exhaustive_and_fast(topology):
     assert ticked.reason == "mode='exhaustive'"
 
 
-@pytest.mark.parametrize("topology", ["chain", "resnet", "bitops", "multi_dfe"])
+@pytest.mark.parametrize("topology", ["chain", "resnet", "multi_dfe"])
 def test_traced_leap_mode_solves_whole_and_traces_identically(topology):
     """A traced run is solved whole, not extended (demoted), with the reference loop's trace."""
     graph, kwargs = _case(topology)

@@ -156,6 +156,11 @@ class TestSpecs:
             _config(n_requests=0)
         with pytest.raises(ValueError):
             _config(rate_fps=0.0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                _config(rate_fps=rate)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            _config(workers=-1)
         # static pre-partitions Poisson streams; fixed arrivals make no sense.
         with pytest.raises(ValueError):
             _config(policy="static", process="fixed")

@@ -204,7 +204,6 @@ class TestControllerConstruction:
 
         whole = "the solved prefix reached every image"  # two images: nothing to extend
         assert simulate(graph, images).leap_report.reason == whole
-        assert simulate(graph, images, use_bitops=True).leap_report.reason == whole
         open_loop = reason(arrival_cycles=[0, 9000])
         assert "open-loop" in open_loop and "host_source" in open_loop
         assert "tracer" in reason(trace=Tracer())

@@ -35,8 +35,9 @@ class TestSchedules:
     def test_cycles_per_image(self):
         assert cycles_per_image(105e6, fclk_mhz=105.0) == 1.0
         assert cycles_per_image(1000.0, fclk_mhz=105.0) == 105_000.0
-        with pytest.raises(ValueError):
-            cycles_per_image(0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cycles_per_image(rate)
 
     def test_fixed_rate_is_a_metronome(self):
         sched = fixed_rate_schedule(4, 1000.0, fclk_mhz=105.0)

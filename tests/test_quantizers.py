@@ -141,14 +141,6 @@ class TestFoldBatchnorm:
         expected = q.quantize_level(np.full_like(a, 1.2))
         assert (unit.apply(a) == expected).all()
 
-    def test_binary_search_equivalence(self):
-        rng = np.random.default_rng(6)
-        p = random_bn(8, rng)
-        q = UniformQuantizer(bits=3, lo=0.0, d=0.4)
-        unit = fold_batchnorm(p, q)
-        a = rng.normal(0, 5, size=(30, 8))
-        assert (unit.apply_binary_search(a) == unit.apply(a)).all()
-
     def test_two_parameters_suffice(self):
         """The paper's claim: τ and d/(γ·i) generate all endpoints."""
         rng = np.random.default_rng(7)

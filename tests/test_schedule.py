@@ -14,6 +14,7 @@ from repro.dataflow import build_pipeline, solve_skip_capacities
 from repro.dataflow import schedule as schedule_module
 from repro.dataflow.engine import CycleBudgetExceeded
 from repro.dataflow.schedule import _NEVER, REPLAY_IMAGES, Schedule, _Ops, _solve, replay_schedule
+from repro.hardware.timing import kernel_timing
 from repro.kernels import (
     AddKernel,
     ConvKernel,
@@ -107,15 +108,30 @@ def test_random_graphs_match_engine(seed, size, depth, with_residual, split):
     assert_same(graph, halves(graph) if split else None)
 
 
+def _closed_form_ops(graph, kernel) -> int:
+    """One pipeline kernel's per-image cycles from the §IV-B4 model (`kernel_timing`).
+
+    A fork and the host endpoints are no graph node: each takes one op per
+    element of the tensor it carries.
+    """
+    if isinstance(kernel, ForkKernel):
+        return graph.specs[kernel.name.removesuffix(".fork")].elements
+    if isinstance(kernel, HostSource):
+        return graph.input_spec.elements
+    if isinstance(kernel, HostSink):
+        return graph.output_spec.elements
+    return kernel_timing(graph, kernel.name).cycles_per_image
+
+
 class TestOpPrograms:
     def test_ops_per_image_match_closed_forms(self, tiny_chain_graph, tiny_resnet_graph):
         seen = set()
-        for graph in (tiny_chain_graph, tiny_resnet_graph):
+        families = [FAMILIES[family]() for family in sorted(FAMILIES)]
+        for graph in (tiny_chain_graph, tiny_resnet_graph, *families):
             for kernel in _zero_pipeline(graph).engine.kernels:
                 seen.add(type(kernel))
                 program = kernel.op_program()
-                if hasattr(kernel, "expected_cycles_per_image"):
-                    assert program.ops == kernel.expected_cycles_per_image(), kernel.name
+                assert program.ops == _closed_form_ops(graph, kernel), (graph.name, kernel.name)
                 for table in program.pops + program.pushes:
                     assert np.all(np.diff(table) > 0) and table[-1] < program.ops, kernel.name
         assert seen == {

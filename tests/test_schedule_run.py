@@ -43,7 +43,7 @@ from .conftest import inject_maxpool_fault, make_tiny_chain_model, make_tiny_res
 from .test_random_topologies import build_random_graph
 from .test_schedule import halves
 
-_BUILD_ARGS = ("use_bitops", "partition", "skip_sizing", "arrival_cycles")
+_BUILD_ARGS = ("partition", "skip_sizing", "arrival_cycles")
 
 
 def _chain():
@@ -339,19 +339,19 @@ class TestFallback:
         assert run.cycles == 0 and run.output.shape[0] == 0
         assert run.run.completion_cycles == []
 
-    @pytest.mark.parametrize("hook", ["trace", "telemetry", "use_bitops"])
+    @pytest.mark.parametrize("hook", ["trace", "telemetry"])
     def test_hooks_keep_the_solved_run(self, hook):
         """A hook keeps every observable of the plain run, and the run stays solved."""
         graph = _chain()
         images = _images(graph, 2)
-        value = {"trace": Tracer(), "telemetry": Telemetry(), "use_bitops": True}[hook]
+        value = {"trace": Tracer(), "telemetry": Telemetry()}[hook]
         run = simulate(graph, images, **{hook: value})
         assert "_flat" not in vars(run.pipeline.source), "the engine ticked"
         assert observables(run) == observables(simulate(graph, images))
 
 
 def test_only_exhaustive_runs_tick(monkeypatch):
-    """Traced, use_bitops, telemetered, deadlocked and over-budget runs are solved, never ticked."""
+    """Traced, telemetered, deadlocked and over-budget runs are solved, never ticked."""
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("the engine ticked")
@@ -360,7 +360,6 @@ def test_only_exhaustive_runs_tick(monkeypatch):
     graph = _chain()
     images = _images(graph, 3)
     simulate(graph, images, trace=Tracer())
-    simulate(graph, images, use_bitops=True)
     telemetry = Telemetry(sample_every=97)
     simulate(graph, images, telemetry=telemetry)
     assert telemetry.finished

@@ -31,10 +31,11 @@ class TestBitExactness:
         assert (simulate(tiny_resnet_graph, lv).output == sr.output).all()
 
     def test_bitops_route(self, tiny_chain_model, tiny_chain_graph, images16):
+        """The streamed outputs equal the packed AND-popcount route's."""
         lv = levels_for(tiny_chain_model, images16[:1])
-        ref = run_graph(tiny_chain_graph, lv)
-        sr = simulate(tiny_chain_graph, lv, use_bitops=True)
-        assert (sr.output == ref.output).all()
+        packed = run_graph(tiny_chain_graph, lv, use_bitops=True)
+        sr = simulate(tiny_chain_graph, lv)
+        assert (sr.output == packed.output).all()
 
 
 class TestPipelineBehaviour:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataflow import Engine, Stream
+from repro.dataflow import Engine, Stream, depth_first_buffer_elements
 from repro.kernels import (
     AddKernel,
     ConvKernel,
@@ -93,12 +93,15 @@ class TestConvKernel:
         assert (out.reshape(3, 3, 3) == node.compute([x])).all()
 
     def test_bitops_route(self):
-        node = ConvNode("c", signs((3, 3, 2, 3)), pad=1, threshold=random_threshold_unit(RNG, 3, 2))
+        """The streamed kernel equals the paper's packed AND-popcount arithmetic."""
+        unit = random_threshold_unit(RNG, 3, 2)
+        node = ConvNode("c", signs((3, 3, 2, 3)), pad=1, threshold=unit)
         in_spec = TensorSpec(6, 6, 2, "levels", 2)
         out_spec = node.infer([in_spec])
         x = RNG.integers(0, 4, size=(6, 6, 2))
-        out, _ = run_single_kernel(ConvKernel("c", node, in_spec, use_bitops=True), [x.reshape(-1)], out_spec)
-        assert (out.reshape(node.compute([x]).shape) == node.compute([x])).all()
+        out, _ = run_single_kernel(ConvKernel("c", node, in_spec), [x.reshape(-1)], out_spec)
+        packed = unit.apply(node.accumulate_bitpacked(x, in_spec.bits))
+        assert (out.reshape(packed.shape) == packed).all()
 
     def test_multi_image(self):
         node = ConvNode("c", signs((2, 2, 1, 2)), threshold=random_threshold_unit(RNG, 2, 2))
@@ -120,7 +123,7 @@ class TestConvKernel:
         x = RNG.integers(0, 4, size=(6, 6, 2))
         kernel = ConvKernel("c", node, in_spec)
         _, cycles = run_single_kernel(kernel, [x.reshape(-1)], out_spec)
-        expected = kernel.expected_cycles_per_image()
+        expected = kernel.op_program().ops
         # allow pipeline fill slack (register delays at both ends)
         assert expected <= cycles <= expected + 16
 
@@ -132,15 +135,15 @@ class TestConvKernel:
         k1 = ConvKernel("s1", node_s1, in_spec)
         k4 = ConvKernel("s4", node_s4, in_spec)
         scan = 17 * 17 * 1
-        stall1 = k1.expected_cycles_per_image() - scan
-        stall4 = k4.expected_cycles_per_image() - scan
+        stall1 = k1.op_program().ops - scan
+        stall4 = k4.op_program().ops - scan
         assert stall1 / stall4 > 10
 
     def test_buffer_formula(self):
         node = ConvNode("c", signs((3, 3, 4, 4)), pad=1)
         in_spec = TensorSpec(10, 10, 4, "levels", 2)
         kernel = ConvKernel("c", node, in_spec)
-        assert kernel.hardware_buffer_elements() == 4 * 12 * 2 + 4 * 3
+        assert depth_first_buffer_elements(kernel.wp, kernel.channels, kernel.k) == 4 * 12 * 2 + 4 * 3
 
 
 class TestMaxPoolKernel:

@@ -100,6 +100,16 @@ class TestSimulateJson:
         ["fleet", "--mix", "vgg:16:0"],
         ["report", "vgg", "--size", "0"],
         ["report", "vgg", "--size", "12"],
+        ["stats", "--images", "2", "--seed", "-1"],
+        ["fleet", "--images", "4", "--rate", "1000", "--seed", "-1"],
+        ["plan", "vgg:16", "--simulate", "--seed", "-1"],
+        ["load", "--rate", "nan", "--images", "2"],
+        ["load", "--images", "2", "--sweep", "nan"],
+        ["load", "--rate", "inf", "--images", "2"],
+        ["fleet", "--images", "4", "--rate", "nan"],
+        ["fleet", "--images", "4", "--rate", "1000", "--sweep", "nan"],
+        ["fleet", "--images", "4", "--rate", "inf"],
+        ["fleet", "--images", "4", "--rate", "1000", "--workers", "-1"],
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):

@@ -37,19 +37,17 @@ def _half_partition(graph):
 
 
 def _case(name: str):
-    if name in ("chain", "bitops"):
+    if name == "chain":
         graph = export_model(make_tiny_chain_model(), (16, 16, 3), name="tiny-chain")
     else:
         graph = export_model(make_tiny_resnet_model(), (16, 16, 3), name="tiny-resnet")
     kwargs = {}
-    if name == "bitops":
-        kwargs["use_bitops"] = True
     if name == "multi_dfe":
         kwargs["partition"] = _half_partition(graph)
     return graph, kwargs
 
 
-TOPOLOGIES = ["chain", "resnet", "bitops", "multi_dfe"]
+TOPOLOGIES = ["chain", "resnet", "multi_dfe"]
 
 
 @pytest.fixture(scope="module")
