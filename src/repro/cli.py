@@ -151,6 +151,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     import json
 
     from .dataflow import LayerTable, simulate
+    from .dataflow.links import MAX4_FABRIC_MHZ
 
     try:
         graph, images = _tiny_vgg(args)
@@ -159,9 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             from .telemetry import Telemetry, run_manifest
 
             telemetry = Telemetry(sample_every=args.every)
-            telemetry.manifest = run_manifest(
-                graph, seed=args.seed, images=args.images, fclk_mhz=105.0
-            )
+            telemetry.manifest = run_manifest(graph, seed=args.seed, images=args.images)
         arrival_cycles = None
         if args.rate is not None:
             from .telemetry.loadgen import make_schedule
@@ -197,7 +196,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         interval = run.run.steady_state_interval
         if interval is not None:
             stats["steady_state_interval_cycles"] = interval
-            stats["fps"] = run.pipeline.fclk_mhz * 1e6 / interval
+            stats["fps"] = MAX4_FABRIC_MHZ * 1e6 / interval
         payload["stats"] = stats
         print(json.dumps(payload, indent=2))
         return 0
@@ -265,12 +264,14 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_load(args: argparse.Namespace) -> int:
     import json
 
-    from .telemetry.loadgen import cycles_per_image, run_load, sweep
+    from .telemetry.loadgen import make_schedule, run_load, sweep
 
     try:
         graph, images = _tiny_vgg(args, min_images=0)
         for rate in args.sweep or ([] if args.rate is None else [args.rate]):
-            cycles_per_image(rate)  # rejects a rate that is not finite and positive
+            # Refuses a rate that is not finite and positive, or whose
+            # arrivals pass the 64-bit cycle count.
+            make_schedule(int(images.shape[0]), rate, args.process, args.seed)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -407,8 +408,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             rates = args.sweep or default_rate_ladder(specs)
         else:
             rates = [args.rate if args.rate is not None else 0.5 * fleet_capacity_fps(specs)]
-        # Every sweep point's config is checked before any replica runs.
-        config, *_ = [config_for(rate, policy) for policy in policies for rate in rates]
+        # Every sweep point's config, and its arrival schedules, are checked
+        # before any replica runs.
+        configs = [config_for(rate, policy) for policy in policies for rate in rates]
+        for checked in configs:
+            checked.host_schedules()
+        config = configs[0]
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -522,21 +527,11 @@ def _check_graph(name: str, size: int | None, width: float | None):
     raise ValueError(f"unknown network {name!r} (want vgg, alexnet or resnet18)")
 
 
-def _parse_topology(spec: str) -> tuple[str, int | None, float | None]:
-    name, size, width, *extra = spec.split(":") + ["", ""]
-    try:
-        parsed = name, int(size) if size else None, float(width) if width else None
-    except ValueError:
-        parsed = None
-    if parsed is None or any(extra):
-        raise ValueError("want name[:size[:width]] with an integer size and a numeric width")
-    return parsed
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
 
     from .dataflow.verify import verify
+    from .models.direct import parse_topology
 
     specs = args.topologies or DEFAULT_CHECK_TOPOLOGIES
     if _out_exists(args):
@@ -545,7 +540,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     reports = []
     for spec in specs:
         try:
-            graph = _check_graph(*_parse_topology(spec))
+            graph = _check_graph(*parse_topology(spec))
         except ValueError as exc:
             print(f"check {spec}: {exc}", file=sys.stderr)
             return 2
@@ -587,10 +582,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
+    from .models.direct import parse_topology
     from .planner import PlanError, neighbor_partitions, plan_partition
 
     try:
-        graph = _check_graph(*_parse_topology(args.topology))
+        graph = _check_graph(*parse_topology(args.topology))
     except ValueError as exc:
         print(f"plan {args.topology}: {exc}", file=sys.stderr)
         return 2

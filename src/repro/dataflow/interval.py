@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .links import MAX4_FABRIC_MHZ
+
 __all__ = ["achieved_fps", "mean_completion_interval", "exact_completion_period"]
 
 
@@ -36,8 +38,8 @@ def mean_completion_interval(completion_cycles: Sequence[int]) -> float | None:
     return span / (len(completion_cycles) - 1)
 
 
-def achieved_fps(completion_cycles: Sequence[int], fclk_mhz: float) -> float | None:
-    """Completed images per second over the first-to-last completion span.
+def achieved_fps(completion_cycles: Sequence[int]) -> float | None:
+    """Completed images per second over the first-to-last completion span, at the fabric clock.
 
     Load generation, fleet replicas and the fleet aggregate all report this
     figure.  Returns ``None`` with fewer than two completions or a zero span
@@ -46,7 +48,7 @@ def achieved_fps(completion_cycles: Sequence[int], fclk_mhz: float) -> float | N
     if len(completion_cycles) < 2 or completion_cycles[-1] <= completion_cycles[0]:
         return None
     span = completion_cycles[-1] - completion_cycles[0]
-    return (len(completion_cycles) - 1) / span * fclk_mhz * 1e6
+    return (len(completion_cycles) - 1) / span * MAX4_FABRIC_MHZ * 1e6
 
 
 def exact_completion_period(completion_cycles: Sequence[int], window: int = 2) -> int | None:

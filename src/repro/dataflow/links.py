@@ -4,15 +4,22 @@ The paper's §III-B6 bandwidth argument: a 2-bit pixel stream at a 105 MHz
 fabric clock needs only 210 Mbps of DFE-to-DFE bandwidth, while a MaxRing
 link provides several Gbps — so splitting a network across DFEs is
 essentially free.  These classes carry the numbers; the cycle simulator
-realises a link as extra stream latency, and the analytic timing model uses
-:meth:`LinkSpec.supports` to check feasibility.
+realises a link as extra stream latency, and the verifier compares each
+crossing's :func:`required_bandwidth_mbps` with the link's capacity.
+
+:data:`MAX4_FABRIC_MHZ` is the simulator side's one fabric clock: every
+cycle-to-seconds conversion outside the device-priced hardware models
+(:mod:`repro.hardware.timing`, :mod:`repro.hardware.power`) reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LinkSpec", "MAXRING", "PCIE_GEN2_X8", "required_bandwidth_mbps"]
+__all__ = ["LinkSpec", "MAXRING", "MAX4_FABRIC_MHZ", "PCIE_GEN2_X8", "required_bandwidth_mbps"]
+
+# The paper's measured designs close timing at 105 MHz on the MAX4 fabric.
+MAX4_FABRIC_MHZ = 105.0
 
 
 @dataclass(frozen=True)
@@ -23,18 +30,10 @@ class LinkSpec:
     bandwidth_gbps: float
     latency_cycles: int
 
-    def supports(self, stream_bits: int, fclk_mhz: float) -> bool:
-        """Can this link sustain one ``stream_bits``-wide element per fabric clock?"""
-        return required_bandwidth_mbps(stream_bits, fclk_mhz) <= self.bandwidth_gbps * 1000.0
 
-    def utilization(self, stream_bits: int, fclk_mhz: float) -> float:
-        """Fraction of link bandwidth consumed by the stream."""
-        return required_bandwidth_mbps(stream_bits, fclk_mhz) / (self.bandwidth_gbps * 1000.0)
-
-
-def required_bandwidth_mbps(stream_bits: int, fclk_mhz: float) -> float:
+def required_bandwidth_mbps(stream_bits: int) -> float:
     """Bandwidth for one element per clock: ``bits × f_clk`` (the paper's 210 Mbps)."""
-    return stream_bits * fclk_mhz
+    return stream_bits * MAX4_FABRIC_MHZ
 
 
 # The paper: "this link can be set to rates of up to several Gbps".

@@ -90,7 +90,6 @@ class Pipeline:
     dfe_of_node: dict[str, int]
     partition: list[list[str]] | None = None
     link: LinkSpec = MAXRING
-    fclk_mhz: float = 105.0
     skip_sizing: str = "exact"  # "exact" | "bound" | "custom"
     skip_capacities: dict[str, int] = field(default_factory=dict)
 
@@ -172,7 +171,6 @@ def build_pipeline(
     images: np.ndarray,
     partition: list[list[str]] | None = None,
     link: LinkSpec = MAXRING,
-    fclk_mhz: float = 105.0,
     skip_sizing: str | dict[str, int] = "exact",
     arrival_cycles: list[int] | None = None,
 ) -> Pipeline:
@@ -267,12 +265,12 @@ def build_pipeline(
             fork = ForkKernel(f"{name}.fork", spec.elements)
             engine.kernels.insert(engine.kernels.index(prod) + 1, fork)
             _make_stream(
-                f"{name}->fork", spec, prod, fork, dfe_of_node, name, name, link, fclk_mhz, crossings, engine
+                f"{name}->fork", spec, prod, fork, dfe_of_node, name, name, link, crossings, engine
             )
             prod = fork
         for consumer_kernel, port in sorted(targets, key=lambda t: t[1]):
             _wire(
-                engine, prod, consumer_kernel, name, port, spec, dfe_of_node, link, fclk_mhz, crossings, skip_streams, skip_caps
+                engine, prod, consumer_kernel, name, port, spec, dfe_of_node, link, crossings, skip_streams, skip_caps
             )
 
     # Image-boundary marks for the per-image lifecycle records: the sink
@@ -297,7 +295,6 @@ def build_pipeline(
         dfe_of_node=dfe_of_node,
         partition=partition,
         link=link,
-        fclk_mhz=fclk_mhz,
         skip_sizing=skip_mode,
         skip_capacities=dict(skip_caps),
     )
@@ -312,7 +309,6 @@ def _make_stream(
     from_node: str,
     to_node: str,
     link: LinkSpec,
-    fclk_mhz: float,
     crossings: list[LinkCrossing],
     engine: Engine,
     capacity: int = DEFAULT_STREAM_CAPACITY,
@@ -328,7 +324,7 @@ def _make_stream(
                 from_dfe=d_from,
                 to_dfe=d_to,
                 stream_bits=spec.stream_bits,
-                required_mbps=required_bandwidth_mbps(spec.stream_bits, fclk_mhz),
+                required_mbps=required_bandwidth_mbps(spec.stream_bits),
                 link=link,
             )
         )
@@ -348,7 +344,6 @@ def _wire(
     spec: TensorSpec,
     dfe_of_node: dict[str, int],
     link: LinkSpec,
-    fclk_mhz: float,
     crossings: list[LinkCrossing],
     skip_streams: dict[str, Stream],
     skip_caps: dict[str, int],
@@ -367,7 +362,6 @@ def _wire(
         from_node,
         to_node,
         link,
-        fclk_mhz,
         crossings,
         engine,
         capacity=capacity,
@@ -381,7 +375,6 @@ def simulate(
     images: np.ndarray,
     partition: list[list[str]] | None = None,
     link: LinkSpec = MAXRING,
-    fclk_mhz: float = 105.0,
     max_cycles: int = 50_000_000,
     trace: Tracer | None = None,
     telemetry: "Telemetry | None" = None,
@@ -451,7 +444,6 @@ def simulate(
         images,
         partition=partition,
         link=link,
-        fclk_mhz=fclk_mhz,
         skip_sizing=skip_sizing,
         arrival_cycles=arrival_cycles,
     )

@@ -60,9 +60,7 @@ from .schedule import replay_schedule
 from .window import depth_first_buffer_elements
 
 if TYPE_CHECKING:
-    from ..hardware.calibration import ResourceCalibration
     from ..hardware.device import FPGASpec
-    from ..hardware.resources import ResourceEstimate
     from .manager import Pipeline
 
 __all__ = [
@@ -421,7 +419,6 @@ def _graph_rates(
     graph: LayerGraph,
     partition: list[list[str]] | None,
     link: LinkSpec,
-    fclk_mhz: float,
 ) -> list[Diagnostic]:
     """V303: the initiation-interval algebra, reported as one rate summary.
 
@@ -435,7 +432,7 @@ def _graph_rates(
     """
     from ..hardware.timing import estimate_network_timing
 
-    timing = estimate_network_timing(graph, fclk_mhz=fclk_mhz, partition=partition, link=link)
+    timing = estimate_network_timing(graph, partition=partition, link=link)
     bn = timing.bottleneck
     return [
         _diag(
@@ -539,27 +536,22 @@ def verify_graph(
     graph: LayerGraph,
     partition: list[list[str]] | None = None,
     link: LinkSpec = MAXRING,
-    fclk_mhz: float = 105.0,
     exact_skip: dict[str, int] | None = None,
-    solve: bool = False,
 ) -> VerifyReport:
     """Static checks that need only the IR graph (no pipeline build).
 
-    ``exact_skip`` supplies pre-solved §III-B5 requirements; ``solve=True``
-    computes them here (the op-recurrence solve builds a pipeline but
-    never runs it).  With neither, the closed-form bound is reported.
+    ``exact_skip`` supplies pre-solved §III-B5 requirements (:func:`verify`
+    solves them); without it the closed-form bound is reported.
     """
-    report = VerifyReport(subject=graph.name, skip_mode="exact" if solve or exact_skip else "bound")
+    report = VerifyReport(subject=graph.name, skip_mode="exact" if exact_skip else "bound")
     structure = _graph_structure(graph)
     report.extend(structure)
     if any(d.severity == "error" for d in structure):
         report.sort()
         return report
-    if exact_skip is None and solve:
-        exact_skip = solve_skip_capacities(graph, partition=partition, link=link)
     report.extend(_graph_skip_widths(graph))
     report.extend(_graph_skip_requirements(graph, exact_skip))
-    report.extend(_graph_rates(graph, partition, link, fclk_mhz))
+    report.extend(_graph_rates(graph, partition, link))
     report.extend(_graph_bram_audit(graph))
     if exact_skip:
         report.skip_capacities = dict(exact_skip)
@@ -848,7 +840,7 @@ def _pipeline_links(pipeline: "Pipeline") -> list[Diagnostic]:
                         "warning",
                         stream.name,
                         "skip stream crosses a chip boundary; §III-B6 keeps residual "
-                        "blocks on one DFE (see hardware.partition.atomic_groups)",
+                        "blocks on one DFE (see hardware.partition.allowed_cut_positions)",
                         "§III-B6",
                         latency=stream.latency,
                     )
@@ -895,12 +887,9 @@ def partition_feasibility(
     partition: list[list[str]],
     *,
     device: "FPGASpec | None" = None,
-    cal: "ResourceCalibration | None" = None,
     fill_cap: float = 0.8,
     link: LinkSpec = MAXRING,
-    fclk_mhz: float = 105.0,
     slo_fps: float | None = None,
-    per_dfe: "list[ResourceEstimate] | None" = None,
 ) -> list[Diagnostic]:
     """Score a candidate partition statically — no pipeline build, no replay.
 
@@ -909,17 +898,13 @@ def partition_feasibility(
     §III-B6 link bandwidth on every crossing (V501, with the worst-case
     headroom as V502), skip streams crossing a chip boundary (V503), and an
     optional throughput SLO against the analytic rate model (V704).  An
-    empty list means the candidate is feasible.  ``per_dfe`` lets the
-    planner hand in ledgers it already computed from cached node estimates.
+    empty list means the candidate is feasible.
     """
-    from ..hardware.calibration import DEFAULT_RESOURCE_CAL
     from ..hardware.device import STRATIX_V_5SGSD8
     from ..hardware.partition import partition_crossings, partition_resources
 
     dev = device if device is not None else STRATIX_V_5SGSD8
-    res_cal = cal if cal is not None else DEFAULT_RESOURCE_CAL
-    if per_dfe is None:
-        per_dfe = partition_resources(graph, partition, res_cal)
+    per_dfe = partition_resources(graph, partition)
 
     diags: list[Diagnostic] = []
     budgets = (
@@ -946,7 +931,7 @@ def partition_feasibility(
                     )
                 )
 
-    crossings = partition_crossings(graph, partition, fclk_mhz)
+    crossings = partition_crossings(graph, partition)
     diags += _link_budget([((u, v), link, mbps) for u, v, mbps in crossings])
 
     dfe_of = {n: idx for idx, group in enumerate(partition) for n in group}
@@ -972,9 +957,7 @@ def partition_feasibility(
     if slo_fps is not None:
         from ..hardware.timing import estimate_network_timing
 
-        timing = estimate_network_timing(
-            graph, fclk_mhz=fclk_mhz, partition=partition, link=link
-        )
+        timing = estimate_network_timing(graph, partition=partition, link=link)
         if timing.throughput_fps < slo_fps:
             diags.append(
                 _diag(
@@ -996,7 +979,6 @@ def verify(
     graph: LayerGraph,
     partition: list[list[str]] | None = None,
     link: LinkSpec = MAXRING,
-    fclk_mhz: float = 105.0,
     exact: bool | None = None,
     replay_budget: int = DEFAULT_REPLAY_BUDGET,
     build: bool = True,
@@ -1022,9 +1004,7 @@ def verify(
     exact_skip: dict[str, int] | None = None
     if exact and has_adds:
         exact_skip = solve_skip_capacities(graph, partition=partition, link=link)
-    report = verify_graph(
-        graph, partition=partition, link=link, fclk_mhz=fclk_mhz, exact_skip=exact_skip
-    )
+    report = verify_graph(graph, partition=partition, link=link, exact_skip=exact_skip)
     report.skip_mode = "exact" if exact_skip is not None or not has_adds else "bound"
     if build:
         from .manager import build_pipeline
@@ -1036,7 +1016,6 @@ def verify(
             zeros,
             partition=partition,
             link=link,
-            fclk_mhz=fclk_mhz,
             skip_sizing="exact" if exact_skip is not None else "bound",
         )
         pipe_report = verify_pipeline(pipeline, exact_skip=exact_skip, solve=False)

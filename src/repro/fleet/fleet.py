@@ -31,9 +31,9 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..dataflow.interval import achieved_fps
-from ..dataflow.links import PCIE_GEN2_X8, LinkSpec
+from ..dataflow.links import MAX4_FABRIC_MHZ, PCIE_GEN2_X8
 from ..telemetry.latency import latency_report, summarize
-from ..telemetry.loadgen import make_schedule, spawn_poisson_schedules
+from ..telemetry.loadgen import ArrivalSchedule, make_schedule, spawn_poisson_schedules
 from .ingress import IngressTransfer, SharedIngress
 from .router import POLICIES, ReplicaState, make_router
 
@@ -56,11 +56,12 @@ __all__ = [
     "simulate_fleet",
 ]
 
-DEFAULT_FCLK_MHZ = 105.0
 # Closed-loop images per profiling run: enough completions for a
 # steady-state interval (and for the solve to extend its prefix by the period)
 # while staying a fixed, small cost per distinct replica configuration.
 PROFILE_IMAGES = 6
+# DFEs on one MPC-X node, the paper's hardware target.
+NODE_DFES = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,26 +110,36 @@ class ReplicaSpec:
 def parse_mix(mix: str) -> list[ReplicaSpec]:
     """Parse ``family[:size[:width]]`` specs, comma-separated.
 
-    ``"vgg:16,vgg:16:0.25"`` → a two-replica heterogeneous fleet.
+    ``"vgg:16,vgg:16:0.25"`` → a two-replica heterogeneous fleet.  Each
+    spec is split by :func:`repro.models.direct.parse_topology`; an omitted
+    size is 16 and an omitted width 0.0625.
     """
+    from ..models.direct import parse_topology
+
     specs: list[ReplicaSpec] = []
     for chunk in mix.split(","):
-        parts = chunk.strip().split(":")
-        if not parts[0]:
+        try:
+            family, size, width = parse_topology(chunk.strip())
+        except ValueError as exc:
+            raise ValueError(f"replica spec {chunk.strip()!r}: {exc}") from None
+        if not family:
             raise ValueError(f"empty replica spec in mix {mix!r}")
-        family = parts[0]
-        size = int(parts[1]) if len(parts) > 1 and parts[1] else 16
-        width = float(parts[2]) if len(parts) > 2 and parts[2] else 0.0625
-        specs.append(ReplicaSpec(family=family, size=size, width=width))
+        specs.append(
+            ReplicaSpec(
+                family=family,
+                size=16 if size is None else size,
+                width=0.0625 if width is None else width,
+            )
+        )
     return specs
 
 
-# Profiles are deterministic per spec/fclk, so one closed-loop run per
+# Profiles are deterministic per spec, so one closed-loop run per
 # distinct configuration serves every fleet built in this process.
-_PROFILE_CACHE: dict[tuple[Any, ...], tuple[int, float]] = {}
+_PROFILE_CACHE: dict[ReplicaSpec, tuple[int, float]] = {}
 
 
-def profile_replica(spec: ReplicaSpec, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> tuple[int, float]:
+def profile_replica(spec: ReplicaSpec) -> tuple[int, float]:
     """(first-image latency, steady-state interval) for one replica config.
 
     Runs :data:`PROFILE_IMAGES` zero images *closed-loop* through the
@@ -137,8 +148,7 @@ def profile_replica(spec: ReplicaSpec, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> tu
     solved whole), so paper-scale replicas profile in seconds, not minutes.  Timing is value-independent, so zero images
     measure the real schedule.
     """
-    key = (spec.family, spec.size, spec.width, spec.classes, fclk_mhz)
-    cached = _PROFILE_CACHE.get(key)
+    cached = _PROFILE_CACHE.get(spec)
     if cached is not None:
         return cached
     from ..dataflow.manager import simulate
@@ -146,11 +156,11 @@ def profile_replica(spec: ReplicaSpec, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> tu
     graph = spec.graph()
     ispec = graph.input_spec
     images = np.zeros((PROFILE_IMAGES, ispec.height, ispec.width, ispec.channels), dtype=np.int64)
-    run = simulate(graph, images, fclk_mhz=fclk_mhz)
+    run = simulate(graph, images)
     interval = run.steady_state_interval
     assert interval is not None  # PROFILE_IMAGES >= 2 completions
     profile = (run.latency_cycles, interval)
-    _PROFILE_CACHE[key] = profile
+    _PROFILE_CACHE[spec] = profile
     return profile
 
 
@@ -164,8 +174,6 @@ class FleetConfig:
     policy: str = "rr"  # "rr" | "jsq" | "batch" | "static"
     process: str = "fixed"  # arrival process ("static" policy forces poisson)
     seed: int = 0
-    fclk_mhz: float = DEFAULT_FCLK_MHZ
-    host_link: LinkSpec = PCIE_GEN2_X8
     batch: int = 4  # batch-aware policy's granularity
     max_cycles: int = 50_000_000  # per-replica abort budget
     workers: int = 0  # 0 = serial reference path
@@ -188,6 +196,24 @@ class FleetConfig:
                 "policy 'static' pre-partitions traffic into independent "
                 "per-replica Poisson streams; it requires process='poisson'"
             )
+
+    def host_schedules(self) -> list[ArrivalSchedule]:
+        """The host arrival schedules: one shared stream, or under ``static`` one per replica.
+
+        ``static`` pre-partitions traffic into independent per-replica
+        Poisson streams (decorrelated via ``SeedSequence.spawn``), each long
+        enough for the largest replica share.  A rate whose arrivals pass
+        the 64-bit cycle count raises ``ValueError``.
+        """
+        if self.policy == "static":
+            n_replicas = len(self.replicas)
+            return spawn_poisson_schedules(
+                n_replicas,
+                max(_split_requests(self.n_requests, n_replicas)),
+                self.rate_fps / n_replicas,
+                self.seed,
+            )
+        return [make_schedule(self.n_requests, self.rate_fps, self.process, self.seed)]
 
 
 @dataclass(slots=True)
@@ -212,10 +238,11 @@ class FleetPlan:
 
 def plan_fleet(config: FleetConfig) -> FleetPlan:
     """Route every request to a replica and serialize the shared ingress."""
-    profiles = [profile_replica(spec, config.fclk_mhz) for spec in config.replicas]
+    schedules = config.host_schedules()  # refuses an overflowing rate before any profiling
+    profiles = [profile_replica(spec) for spec in config.replicas]
     n_replicas = len(config.replicas)
     graphs = [spec.graph() for spec in config.replicas]
-    ingress = SharedIngress(link=config.host_link, fclk_mhz=config.fclk_mhz)
+    ingress = SharedIngress()
 
     assignments: list[list[int]] = [[] for _ in range(n_replicas)]
     host_arrivals: list[list[int]] = [[] for _ in range(n_replicas)]
@@ -231,20 +258,12 @@ def plan_fleet(config: FleetConfig) -> FleetPlan:
         return transfer
 
     if config.policy == "static":
-        # Pre-partitioned traffic: independent per-replica Poisson streams
-        # (decorrelated via SeedSequence.spawn), merged only so the shared
-        # ingress serializes transfers in true arrival order.
+        # Pre-partitioned traffic, merged only so the shared ingress
+        # serializes transfers in true arrival order.
         per_replica = _split_requests(config.n_requests, n_replicas)
-        streams = spawn_poisson_schedules(
-            n_replicas,
-            max(per_replica),
-            config.rate_fps / n_replicas,
-            config.seed,
-            config.fclk_mhz,
-        )
         merged = sorted(
             (stream.cycles[i], r, i)
-            for r, stream in enumerate(streams)
+            for r, stream in enumerate(schedules)
             for i in range(per_replica[r])
         )
         for request, (arrival, replica, _) in enumerate(merged):
@@ -252,9 +271,7 @@ def plan_fleet(config: FleetConfig) -> FleetPlan:
     else:
         # Router policies observe the virtual queue, so every dispatch must
         # feed back into the state the next decision reads.
-        schedule = make_schedule(
-            config.n_requests, config.rate_fps, config.process, config.seed, config.fclk_mhz
-        )
+        (schedule,) = schedules
         router = make_router(config.policy, config.batch)
         states = [
             ReplicaState(index=r, latency_cycles=lat, interval_cycles=interval)
@@ -282,8 +299,6 @@ def plan_fleet_dfes(
     *,
     fill_cap: float = 0.8,
     slo_fps: float | None = None,
-    fclk_mhz: float = DEFAULT_FCLK_MHZ,
-    node_dfes: int = 8,
 ) -> dict[str, Any]:
     """How many DFEs does this fleet mix occupy on an MPC-X node?
 
@@ -305,7 +320,6 @@ def plan_fleet_dfes(
                 objective="min-dfes",
                 slo_fps=slo_fps,
                 fill_cap=fill_cap,
-                fclk_mhz=fclk_mhz,
                 predict=False,
             )
             plans[label] = plan
@@ -325,10 +339,10 @@ def plan_fleet_dfes(
         "device": device_name,
         "fill_cap": fill_cap,
         "slo_fps": slo_fps,
-        "node_dfes": node_dfes,
+        "node_dfes": NODE_DFES,
         "replicas": replicas,
         "total_dfes": total,
-        "fits_node": total <= node_dfes,
+        "fits_node": total <= NODE_DFES,
     }
 
 
@@ -365,7 +379,6 @@ def _replica_worker(job: tuple[Any, ...]) -> dict[str, Any]:
         requests,
         fabric_arrivals,
         seed,
-        fclk_mhz,
         max_cycles,
     ) = job
     spec = ReplicaSpec(family=family, size=size, width=width, classes=classes)
@@ -396,13 +409,7 @@ def _replica_worker(job: tuple[Any, ...]) -> dict[str, Any]:
         ]
     )
     try:
-        run = simulate(
-            graph,
-            images,
-            fclk_mhz=fclk_mhz,
-            max_cycles=max_cycles,
-            arrival_cycles=list(fabric_arrivals),
-        )
+        run = simulate(graph, images, max_cycles=max_cycles, arrival_cycles=list(fabric_arrivals))
     except CycleBudgetExceeded as err:
         result["aborted"] = True
         result["abort_message"] = str(err)
@@ -415,7 +422,7 @@ def _replica_worker(job: tuple[Any, ...]) -> dict[str, Any]:
     result["cycles"] = cycles
     result["latency"] = latency_report(pipeline, cycles).as_dict()
     result["completions"] = list(completions)
-    result["achieved_fps"] = achieved_fps(completions, fclk_mhz)
+    result["achieved_fps"] = achieved_fps(completions)
     return result
 
 
@@ -431,7 +438,6 @@ def _replica_jobs(plan: FleetPlan) -> list[tuple[Any, ...]]:
             list(plan.assignments[r]),
             list(plan.fabric_arrivals[r]),
             config.seed,
-            config.fclk_mhz,
             config.max_cycles,
         )
         for r, spec in enumerate(config.replicas)
@@ -484,7 +490,7 @@ class FleetReport:
             and all(rep["n_completed"] == rep["n_dispatched"] for rep in self.replicas),
             "aborted_replicas": sum(1 for rep in self.replicas if rep["aborted"]),
             "offered_fps": config.rate_fps,
-            "achieved_fps": achieved_fps(merged, config.fclk_mhz),
+            "achieved_fps": achieved_fps(merged),
             "makespan_cycles": merged[-1] if merged else 0,
             "sojourn_cycles": summarize(sojourn).as_dict(),
             "service_cycles": summarize(service).as_dict(),
@@ -509,14 +515,14 @@ class FleetReport:
             "policy": config.policy,
             "process": config.process,
             "seed": config.seed,
-            "fclk_mhz": config.fclk_mhz,
+            "fclk_mhz": MAX4_FABRIC_MHZ,
             "requests": config.n_requests,
             "offered_fps": config.rate_fps,
             "batch": config.batch,
             "ingress": {
-                "link": config.host_link.name,
-                "bandwidth_gbps": config.host_link.bandwidth_gbps,
-                "latency_cycles": config.host_link.latency_cycles,
+                "link": PCIE_GEN2_X8.name,
+                "bandwidth_gbps": PCIE_GEN2_X8.bandwidth_gbps,
+                "latency_cycles": PCIE_GEN2_X8.latency_cycles,
                 "busy_cycles": self.plan.ingress_busy_cycles,
                 "utilization": self.plan.ingress_utilization,
             },
@@ -556,7 +562,7 @@ class FleetReport:
             else:
                 lines.append(f"  {label}: n/a (no completed images)")
         lines.append(
-            f"  ingress [{config.host_link.name}]: "
+            f"  ingress [{PCIE_GEN2_X8.name}]: "
             f"{agg['ingress_utilization']:.1%} utilized, "
             f"wait p99 {agg['ingress_wait_cycles']['p99'] or 0:,} cycles"
         )
@@ -590,22 +596,18 @@ def simulate_fleet(config: FleetConfig, plan: FleetPlan | None = None) -> FleetR
     return FleetReport(config=config, plan=plan, replicas=replicas)
 
 
-def fleet_capacity_fps(
-    specs: list[ReplicaSpec], fclk_mhz: float = DEFAULT_FCLK_MHZ
-) -> float:
+def fleet_capacity_fps(specs: list[ReplicaSpec]) -> float:
     """The fleet's aggregate steady-state capacity from profiled intervals."""
-    return sum(fclk_mhz * 1e6 / profile_replica(s, fclk_mhz)[1] for s in specs)
+    return sum(MAX4_FABRIC_MHZ * 1e6 / profile_replica(s)[1] for s in specs)
 
 
-def default_rate_ladder(
-    specs: list[ReplicaSpec], fclk_mhz: float = DEFAULT_FCLK_MHZ
-) -> list[float]:
+def default_rate_ladder(specs: list[ReplicaSpec]) -> list[float]:
     """An offered-rate ladder bracketing the fleet's profiled capacity.
 
     The knee of the latency-throughput curve sits at capacity; points at
     25/50/75/90/100/110% expose both the flat region and the blow-up.
     """
-    capacity = fleet_capacity_fps(specs, fclk_mhz)
+    capacity = fleet_capacity_fps(specs)
     return [round(capacity * f, 1) for f in (0.25, 0.5, 0.75, 0.9, 1.0, 1.1)]
 
 
@@ -656,8 +658,8 @@ def fleet_sweep(
         "requests": config.n_requests,
         "process": config.process,
         "seed": config.seed,
-        "fclk_mhz": config.fclk_mhz,
-        "capacity_fps": fleet_capacity_fps(config.replicas, config.fclk_mhz),
+        "fclk_mhz": MAX4_FABRIC_MHZ,
+        "capacity_fps": fleet_capacity_fps(config.replicas),
         "policies": frontiers,
     }
 

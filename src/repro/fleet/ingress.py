@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..dataflow.links import PCIE_GEN2_X8, LinkSpec
+from ..dataflow.links import MAX4_FABRIC_MHZ, PCIE_GEN2_X8, LinkSpec
 
 if TYPE_CHECKING:
     from ..nn.graph import TensorSpec
@@ -50,18 +50,15 @@ class IngressTransfer:
 class SharedIngress:
     """Serializes image transfers over one host link, FIFO in arrival order."""
 
-    def __init__(self, link: LinkSpec = PCIE_GEN2_X8, fclk_mhz: float = 105.0) -> None:
-        if fclk_mhz <= 0:
-            raise ValueError(f"fclk must be > 0 MHz, got {fclk_mhz!r}")
+    def __init__(self, link: LinkSpec = PCIE_GEN2_X8) -> None:
         self.link = link
-        self.fclk_mhz = fclk_mhz
         self._free_at = 0  # first cycle the link is idle again
         self.busy_cycles = 0
         self.transfers: list[IngressTransfer] = []
 
     def bits_per_cycle(self) -> float:
         """Link bits deliverable per fabric clock (bandwidth / f_clk)."""
-        return self.link.bandwidth_gbps * 1000.0 / self.fclk_mhz
+        return self.link.bandwidth_gbps * 1000.0 / MAX4_FABRIC_MHZ
 
     def transfer_cycles(self, spec: "TensorSpec") -> int:
         """Whole cycles one image of ``spec`` occupies the link."""

@@ -20,7 +20,7 @@ from .device import (
 from .gpu import GPUModel, GPUTimingReport, gpu_launch_count, network_macs
 from .partition import (
     PartitionResult,
-    atomic_groups,
+    allowed_cut_positions,
     group_estimate,
     infrastructure_estimate,
     partition_crossings,
@@ -61,7 +61,7 @@ __all__ = [
     "gpu_launch_count",
     "network_macs",
     "PartitionResult",
-    "atomic_groups",
+    "allowed_cut_positions",
     "partition_network",
     "group_estimate",
     "infrastructure_estimate",

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FPGASpec", "GPUSpec", "STRATIX_V_5SGSD8", "STRATIX_10_PROJECTION", "P100", "GTX1080", "MAX4_FABRIC_MHZ"]
+from ..dataflow.links import MAX4_FABRIC_MHZ
 
-# The paper's measured designs close timing at 105 MHz on the MAX4 fabric.
-MAX4_FABRIC_MHZ = 105.0
+__all__ = ["FPGASpec", "GPUSpec", "STRATIX_V_5SGSD8", "STRATIX_10_PROJECTION", "P100", "GTX1080", "MAX4_FABRIC_MHZ"]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..nn.graph import ConvNode, GlobalAvgSumNode, LayerGraph, MaxPoolNode
-from .calibration import DEFAULT_GPU_CAL, GPUCalibration
+from .calibration import DEFAULT_GPU_CAL as cal
 from .device import GPUSpec
 
 __all__ = ["GPUModel", "GPUTimingReport", "network_macs", "gpu_launch_count"]
@@ -77,9 +77,8 @@ class GPUTimingReport:
 class GPUModel:
     """Analytic GPU inference timing + power for a LayerGraph."""
 
-    def __init__(self, spec: GPUSpec, cal: GPUCalibration = DEFAULT_GPU_CAL) -> None:
+    def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
-        self.cal = cal
 
     def time_per_image(self, graph: LayerGraph, batch: int = 1) -> GPUTimingReport:
         """Average per-image time for a minibatch of ``batch`` inputs.
@@ -93,20 +92,20 @@ class GPUModel:
         macs = network_macs(graph)
         launches = gpu_launch_count(graph)
         flops = 2.0 * macs
-        sustained = self.spec.peak_fp32_gflops * 1e9 * self.cal.conv_efficiency
+        sustained = self.spec.peak_fp32_gflops * 1e9 * cal.conv_efficiency
         # Below saturation the device is underutilised and per-image compute
         # time barely falls with batch; model that as interpolation toward
         # the saturated (fully parallel) regime.
-        fill = min(1.0, batch / self.cal.saturation_batch)
+        fill = min(1.0, batch / cal.saturation_batch)
         per_image_compute = (flops / sustained) * (1.0 - 0.35 * fill)
         overhead = (
-            self.cal.invocation_overhead_s + launches * self.cal.layer_overhead_s
+            cal.invocation_overhead_s + launches * cal.layer_overhead_s
         ) / batch
         return GPUTimingReport(compute_s=per_image_compute, overhead_s=overhead, batch=batch)
 
     def power_w(self) -> float:
         """Board power while running inference."""
-        return self.spec.idle_power_w + self.cal.load_power_fraction * (
+        return self.spec.idle_power_w + cal.load_power_fraction * (
             self.spec.tdp_w - self.spec.idle_power_w
         )
 

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 from ..dataflow.links import MAXRING, LinkSpec, required_bandwidth_mbps
 from ..nn.graph import AddNode, InputNode, LayerGraph
-from .calibration import DEFAULT_RESOURCE_CAL, ResourceCalibration
+from .calibration import DEFAULT_RESOURCE_CAL as cal
 from .device import FPGASpec, STRATIX_V_5SGSD8
 from .resources import M20K_KBITS, ResourceEstimate, estimate_node
 
 __all__ = [
     "PartitionResult",
     "partition_network",
-    "atomic_groups",
+    "allowed_cut_positions",
     "infrastructure_estimate",
     "per_kernel_overhead",
     "group_estimate",
@@ -60,42 +60,34 @@ class PartitionResult:
         return all(mbps <= link.bandwidth_gbps * 1000.0 for _, _, mbps in self.crossings)
 
 
-def atomic_groups(graph: LayerGraph) -> list[list[str]]:
-    """Split node order into atomic units that must share a DFE.
+def _compute_nodes(graph: LayerGraph) -> list[str]:
+    return [n for n in graph.order if not isinstance(graph.nodes[n], InputNode)]
 
-    A residual block (everything between a fork point and its re-joining
-    AddNode chain) is atomic: skip streams stay on-chip.  We approximate
-    this by grouping each AddNode with every node between its two parents'
-    common ancestor and itself; for graphs built by the exporter this keeps
-    each ``QResidualBlock`` expansion together.
+
+def allowed_cut_positions(graph: LayerGraph) -> list[int]:
+    """Cut positions (in compute-node order) that keep residual blocks whole.
+
+    Position ``p`` cuts between ``nodes[p-1]`` and ``nodes[p]``.  A position
+    strictly between a residual adder and any of its operand producers would
+    route a skip stream across chips (V503), so it is excluded; for linear
+    graphs every interior position is allowed.  This is the one atomicity
+    rule: the greedy :func:`partition_network` and the planner's search
+    both cut only here.
     """
-    order = [n for n in graph.order if not isinstance(graph.nodes[n], InputNode)]
-    groups: list[list[str]] = []
-    i = 0
-    name_to_idx = {n: i for i, n in enumerate(order)}
-    while i < len(order):
-        name = order[i]
-        # Find the furthest AddNode consumer chain reachable through fan-out.
-        j = i
-        frontier = [name]
-        while frontier:
-            nxt: list[str] = []
-            for n in frontier:
-                for consumer in graph.consumers(n):
-                    if isinstance(graph.nodes[consumer], AddNode):
-                        j = max(j, name_to_idx[consumer])
-                        nxt.append(consumer)
-            frontier = nxt
-        if j == i:
-            groups.append([name])
-            i += 1
-        else:
-            groups.append(order[i : j + 1])
-            i = j + 1
-    return groups
+    nodes = _compute_nodes(graph)
+    index = {name: i for i, name in enumerate(nodes)}
+    forbidden: set[int] = set()
+    for name, node in graph.nodes.items():
+        if not isinstance(node, AddNode):
+            continue
+        a = index[name]
+        for parent in graph.parents(name):
+            if parent in index:
+                forbidden.update(range(index[parent] + 1, a + 1))
+    return [p for p in range(1, len(nodes)) if p not in forbidden]
 
 
-def infrastructure_estimate(cal: ResourceCalibration = DEFAULT_RESOURCE_CAL) -> ResourceEstimate:
+def infrastructure_estimate() -> ResourceEstimate:
     """Per-DFE Maxeler infrastructure (PCIe/MaxRing/manager fabric)."""
     return ResourceEstimate(
         luts=cal.lut_infrastructure,
@@ -104,7 +96,7 @@ def infrastructure_estimate(cal: ResourceCalibration = DEFAULT_RESOURCE_CAL) -> 
     )
 
 
-def per_kernel_overhead(cal: ResourceCalibration = DEFAULT_RESOURCE_CAL) -> ResourceEstimate:
+def per_kernel_overhead() -> ResourceEstimate:
     """Per-kernel manager overhead (stream FIFOs, control)."""
     return ResourceEstimate(bram_blocks=int(round(cal.bram_kbits_per_kernel / M20K_KBITS)))
 
@@ -112,44 +104,32 @@ def per_kernel_overhead(cal: ResourceCalibration = DEFAULT_RESOURCE_CAL) -> Reso
 def group_estimate(
     graph: LayerGraph,
     group: list[str],
-    cal: ResourceCalibration = DEFAULT_RESOURCE_CAL,
     node_estimates: dict[str, ResourceEstimate] | None = None,
 ) -> ResourceEstimate:
     """Resources of one contiguous node group, excluding DFE infrastructure.
 
-    ``node_estimates`` lets callers that score many candidate partitions
-    (the planner's DP) amortize the per-node estimation over the search.
+    ``node_estimates`` lets :func:`partition_network`, which prices every
+    node once, reuse those estimates across its groups.
     """
-    overhead = per_kernel_overhead(cal)
+    overhead = per_kernel_overhead()
     est = ResourceEstimate()
     for name in group:
         node_est = (
             node_estimates[name]
             if node_estimates is not None
-            else estimate_node(graph, name, cal).estimate
+            else estimate_node(graph, name).estimate
         )
         est = est + node_est + overhead
     return est
 
 
-def partition_resources(
-    graph: LayerGraph,
-    partition: list[list[str]],
-    cal: ResourceCalibration = DEFAULT_RESOURCE_CAL,
-    node_estimates: dict[str, ResourceEstimate] | None = None,
-) -> list[ResourceEstimate]:
+def partition_resources(graph: LayerGraph, partition: list[list[str]]) -> list[ResourceEstimate]:
     """Per-DFE resource ledger (infrastructure + kernels) for a partition."""
-    infra = infrastructure_estimate(cal)
-    return [
-        infra + group_estimate(graph, group, cal, node_estimates) for group in partition
-    ]
+    infra = infrastructure_estimate()
+    return [infra + group_estimate(graph, group) for group in partition]
 
 
-def partition_crossings(
-    graph: LayerGraph,
-    partition: list[list[str]],
-    fclk_mhz: float = 105.0,
-) -> list[tuple[str, str, float]]:
+def partition_crossings(graph: LayerGraph, partition: list[list[str]]) -> list[tuple[str, str, float]]:
     """Inter-DFE edges of a partition with their §III-B6 bandwidth needs.
 
     Nodes absent from every group (the input) are attributed to DFE 0.
@@ -167,23 +147,23 @@ def partition_crossings(
         for v in graph.fanout[u]:
             if dfe_of.get(u, 0) != dfe_of.get(v, 0):
                 bits = graph.specs[u].stream_bits
-                crossings.append((u, v, required_bandwidth_mbps(bits, fclk_mhz)))
+                crossings.append((u, v, required_bandwidth_mbps(bits)))
     return crossings
 
 
 def partition_network(
     graph: LayerGraph,
     device: FPGASpec = STRATIX_V_5SGSD8,
-    cal: ResourceCalibration = DEFAULT_RESOURCE_CAL,
     fill_cap: float = 0.8,
-    fclk_mhz: float = 105.0,
 ) -> PartitionResult:
     """Greedy first-fit contiguous partition under the fill cap.
 
-    Raises if a single atomic group exceeds one device (the design cannot
+    The atomic units are the runs of compute nodes between consecutive
+    :func:`allowed_cut_positions`, so a residual block never spans two
+    DFEs.  Raises if a single unit exceeds one device (the design cannot
     be built at all, regardless of DFE count).
     """
-    infra = infrastructure_estimate(cal)
+    infra = infrastructure_estimate()
     caps = {
         "lut": device.luts * fill_cap,
         "ff": device.ffs * fill_cap,
@@ -197,10 +177,13 @@ def partition_network(
 
     groups_out: list[list[str]] = [[]]
     per_dfe: list[ResourceEstimate] = [infra]
-    node_estimates = {name: estimate_node(graph, name, cal).estimate for name in graph.order}
+    node_estimates = {name: estimate_node(graph, name).estimate for name in graph.order}
+    nodes = _compute_nodes(graph)
+    bounds = [0, *allowed_cut_positions(graph), len(nodes)]
 
-    for group in atomic_groups(graph):
-        group_est = group_estimate(graph, group, cal, node_estimates)
+    for lo, hi in zip(bounds, bounds[1:]):
+        group = nodes[lo:hi]
+        group_est = group_estimate(graph, group, node_estimates)
         if not fits(infra + group_est):
             raise ValueError(
                 f"atomic group {group[0]}..{group[-1]} exceeds a single "
@@ -217,7 +200,7 @@ def partition_network(
     return PartitionResult(
         groups=groups_out,
         per_dfe=per_dfe,
-        crossings=partition_crossings(graph, groups_out, fclk_mhz),
+        crossings=partition_crossings(graph, groups_out),
         device=device,
         fill_cap=fill_cap,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calibration import DEFAULT_POWER_CAL, PowerCalibration
+from .calibration import DEFAULT_POWER_CAL as cal
 from .device import FPGASpec, MAX4_FABRIC_MHZ
 from .resources import NetworkResources, ResourceEstimate
 
@@ -42,13 +42,8 @@ class PowerReport:
 class FPGAPowerModel:
     """Resource- and clock-aware FPGA board power estimator."""
 
-    def __init__(
-        self,
-        device: FPGASpec,
-        cal: PowerCalibration = DEFAULT_POWER_CAL,
-    ) -> None:
+    def __init__(self, device: FPGASpec) -> None:
         self.device = device
-        self.cal = cal
 
     def power(
         self,
@@ -61,13 +56,13 @@ class FPGAPowerModel:
         est = resources.total if isinstance(resources, NetworkResources) else resources
         scale = fclk / MAX4_FABRIC_MHZ
         dynamic = scale * (
-            self.cal.w_per_lut_at_105mhz * est.luts
-            + self.cal.w_per_ff_at_105mhz * est.ffs
-            + self.cal.w_per_bram_kbit_at_105mhz * est.bram_kbits
+            cal.w_per_lut_at_105mhz * est.luts
+            + cal.w_per_ff_at_105mhz * est.ffs
+            + cal.w_per_bram_kbit_at_105mhz * est.bram_kbits
         )
         return PowerReport(
             static_w=self.device.static_power_w * n_dfes,
             dynamic_w=dynamic,
-            board_overhead_w=self.cal.board_overhead_w * n_dfes,
+            board_overhead_w=cal.board_overhead_w * n_dfes,
             n_dfes=n_dfes,
         )

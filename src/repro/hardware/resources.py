@@ -34,7 +34,7 @@ from ..nn.graph import (
     MaxPoolNode,
     ThresholdNode,
 )
-from .calibration import DEFAULT_RESOURCE_CAL, ResourceCalibration
+from .calibration import DEFAULT_RESOURCE_CAL as cal  # the fitted constants every estimator reads
 from .device import FPGASpec
 
 __all__ = [
@@ -147,9 +147,7 @@ def weight_cache_blocks(node: ConvNode) -> tuple[int, float]:
     return blocks, waste
 
 
-def _conv_resources(
-    graph: LayerGraph, name: str, node: ConvNode, cal: ResourceCalibration
-) -> NodeResources:
+def _conv_resources(graph: LayerGraph, name: str, node: ConvNode) -> NodeResources:
     in_spec = graph.specs[graph.parents(name)[0]]
     padded_line = in_spec.width + 2 * node.pad
     buffer_elements = depth_first_buffer_elements(padded_line, node.in_channels, node.kernel_size)
@@ -190,9 +188,7 @@ def _conv_resources(
     )
 
 
-def _pool_resources(
-    graph: LayerGraph, name: str, node: MaxPoolNode, cal: ResourceCalibration
-) -> NodeResources:
+def _pool_resources(graph: LayerGraph, name: str, node: MaxPoolNode) -> NodeResources:
     in_spec = graph.specs[graph.parents(name)[0]]
     padded_line = in_spec.width + 2 * node.pad
     buffer_elements = depth_first_buffer_elements(padded_line, in_spec.channels, node.kernel_size)
@@ -212,9 +208,7 @@ def _pool_resources(
     )
 
 
-def _threshold_resources(
-    graph: LayerGraph, name: str, node: ThresholdNode, cal: ResourceCalibration
-) -> NodeResources:
+def _threshold_resources(graph: LayerGraph, name: str, node: ThresholdNode) -> NodeResources:
     levels = 1 << node.unit.bits
     luts = cal.lut_per_adder_bit * 16 * (levels - 1) + levels + cal.lut_kernel_base * 0.25
     ffs = cal.ff_kernel_base * 0.25
@@ -227,9 +221,7 @@ def _threshold_resources(
     )
 
 
-def _add_resources(
-    graph: LayerGraph, name: str, node: AddNode, cal: ResourceCalibration
-) -> NodeResources:
+def _add_resources(graph: LayerGraph, name: str, node: AddNode) -> NodeResources:
     """The §III-B5 skip infrastructure: one 16-bit adder + the delay buffer.
 
     The delay buffer matches the convolution buffer of the regular-path
@@ -258,9 +250,7 @@ def _add_resources(
     )
 
 
-def _avg_resources(
-    graph: LayerGraph, name: str, node: GlobalAvgSumNode, cal: ResourceCalibration
-) -> NodeResources:
+def _avg_resources(graph: LayerGraph, name: str, node: GlobalAvgSumNode) -> NodeResources:
     spec = graph.specs[name]
     acc_bits = spec.bits
     ffs = spec.channels * acc_bits + cal.ff_kernel_base * 0.25
@@ -270,21 +260,19 @@ def _avg_resources(
     )
 
 
-def estimate_node(
-    graph: LayerGraph, name: str, cal: ResourceCalibration = DEFAULT_RESOURCE_CAL
-) -> NodeResources:
+def estimate_node(graph: LayerGraph, name: str) -> NodeResources:
     """Resource estimate of a single IR node's streaming kernel."""
     node = graph.nodes[name]
     if isinstance(node, ConvNode):
-        return _conv_resources(graph, name, node, cal)
+        return _conv_resources(graph, name, node)
     if isinstance(node, MaxPoolNode):
-        return _pool_resources(graph, name, node, cal)
+        return _pool_resources(graph, name, node)
     if isinstance(node, ThresholdNode):
-        return _threshold_resources(graph, name, node, cal)
+        return _threshold_resources(graph, name, node)
     if isinstance(node, AddNode):
-        return _add_resources(graph, name, node, cal)
+        return _add_resources(graph, name, node)
     if isinstance(node, GlobalAvgSumNode):
-        return _avg_resources(graph, name, node, cal)
+        return _avg_resources(graph, name, node)
     if isinstance(node, InputNode):
         return NodeResources(name=name, kind="input", estimate=ResourceEstimate(), detail={})
     raise TypeError(f"no resource model for {type(node).__name__}")
@@ -292,11 +280,10 @@ def estimate_node(
 
 def estimate_network(
     graph: LayerGraph,
-    cal: ResourceCalibration = DEFAULT_RESOURCE_CAL,
     n_dfes: int = 1,
 ) -> NetworkResources:
     """Estimate the whole network, including per-DFE Maxeler infrastructure."""
-    per_node = [estimate_node(graph, name, cal) for name in graph.order]
+    per_node = [estimate_node(graph, name) for name in graph.order]
     kernel_count = sum(1 for nr in per_node if nr.kind != "input")
     infra = ResourceEstimate(
         luts=cal.lut_infrastructure * n_dfes,

@@ -32,6 +32,7 @@ from .vgg import vgg_channel_plan
 
 __all__ = [
     "check_geometry",
+    "parse_topology",
     "random_threshold_unit",
     "direct_vgg_graph",
     "direct_alexnet_graph",
@@ -50,6 +51,22 @@ def check_geometry(input_size: int, width: float) -> None:
         raise ValueError(f"size must be >= 8, got {input_size}")
     if not width > 0:
         raise ValueError(f"width must be > 0, got {width}")
+
+
+def parse_topology(spec: str) -> tuple[str, int | None, float | None]:
+    """Split a ``name[:size[:width]]`` spec; an omitted size or width is ``None``.
+
+    Each caller applies its own defaults and graph builder.  A non-integer
+    size, a non-numeric width or a fourth field raises ``ValueError``.
+    """
+    name, size, width, *extra = spec.split(":") + ["", ""]
+    try:
+        parsed = name, int(size) if size else None, float(width) if width else None
+    except ValueError:
+        parsed = None
+    if parsed is None or any(extra):
+        raise ValueError("want name[:size[:width]] with an integer size and a numeric width")
+    return parsed
 
 
 def random_threshold_unit(rng: np.random.Generator, channels: int, bits: int) -> ThresholdUnit:

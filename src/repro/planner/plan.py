@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..dataflow.links import MAX4_FABRIC_MHZ
+
 if TYPE_CHECKING:
     from ..hardware.device import FPGASpec
     from ..hardware.resources import ResourceEstimate
@@ -145,7 +147,6 @@ class PartitionPlan:
     device_name: str
     fill_cap: float
     link_name: str
-    fclk_mhz: float
     groups: list[list[str]]
     cuts: tuple[int, ...]  # node-index start of each device but the first
     ledgers: list[DeviceLedger]
@@ -170,7 +171,7 @@ class PartitionPlan:
             "device": self.device_name,
             "fill_cap": self.fill_cap,
             "link": self.link_name,
-            "fclk_mhz": self.fclk_mhz,
+            "fclk_mhz": MAX4_FABRIC_MHZ,
             "slo_fps": self.slo_fps,
             "n_dfes": self.n_dfes,
             "cuts": list(self.cuts),

@@ -41,16 +41,23 @@ from typing import Any
 
 from ..dataflow.links import MAXRING, LinkSpec
 from ..dataflow.verify import partition_feasibility
-from ..hardware.calibration import DEFAULT_RESOURCE_CAL, ResourceCalibration
 from ..hardware.device import STRATIX_V_5SGSD8, FPGASpec
-from ..hardware.partition import infrastructure_estimate, per_kernel_overhead
+from ..hardware.partition import (
+    _compute_nodes,
+    allowed_cut_positions,
+    infrastructure_estimate,
+    partition_resources,
+    per_kernel_overhead,
+)
 from ..hardware.resources import estimate_node
 from ..hardware.timing import estimate_network_timing
-from ..nn.graph import AddNode, InputNode, LayerGraph
+from ..nn.graph import AddNode, LayerGraph
 from .plan import DeviceLedger, PartitionPlan, PlanError, PredictedTiming, PrunedCandidate
 from .replay import predict_partition_timing
 
 __all__ = ["plan_partition", "neighbor_partitions", "allowed_cut_positions"]
+
+AUDIT_LIMIT = 64  # audit-trail entries a plan keeps; the rest are only counted
 
 
 @dataclass(slots=True)
@@ -124,46 +131,20 @@ class _CostModel:
         return need
 
 
-def _compute_nodes(graph: LayerGraph) -> list[str]:
-    return [n for n in graph.order if not isinstance(graph.nodes[n], InputNode)]
-
-
-def allowed_cut_positions(graph: LayerGraph) -> list[int]:
-    """Cut positions (in compute-node order) that keep residual blocks whole.
-
-    Position ``p`` cuts between ``nodes[p-1]`` and ``nodes[p]``.  A position
-    strictly between a residual adder and any of its operand producers would
-    route a skip stream across chips (V503), so it is excluded; for linear
-    graphs every interior position is allowed.
-    """
-    nodes = _compute_nodes(graph)
-    index = {name: i for i, name in enumerate(nodes)}
-    forbidden: set[int] = set()
-    for name, node in graph.nodes.items():
-        if not isinstance(node, AddNode):
-            continue
-        a = index[name]
-        for parent in graph.parents(name):
-            if parent in index:
-                forbidden.update(range(index[parent] + 1, a + 1))
-    return [p for p in range(1, len(nodes)) if p not in forbidden]
-
-
 def _cuts_to_partition(nodes: list[str], cuts: tuple[int, ...]) -> list[list[str]]:
     bounds = [0, *cuts, len(nodes)]
     return [nodes[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)]
 
 
 class _Audit:
-    """Bounded audit-trail collector (drops beyond the limit, keeps count)."""
+    """Bounded audit-trail collector (drops beyond :data:`AUDIT_LIMIT`, keeps count)."""
 
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
         self.entries: list[PrunedCandidate] = []
         self.dropped = 0
 
     def add(self, cuts: tuple[int, ...], killed_by: str, where: str, message: str) -> None:
-        if len(self.entries) < self.limit:
+        if len(self.entries) < AUDIT_LIMIT:
             self.entries.append(PrunedCandidate(cuts, killed_by, where, message))
         else:
             self.dropped += 1
@@ -226,7 +207,6 @@ def _branch_and_bound(
     *,
     exact_k: int | None,
     link: LinkSpec,
-    fclk_mhz: float,
 ) -> tuple[tuple[int, ...], int]:
     """DFS over node-level cut positions with feasibility + bound pruning.
 
@@ -240,12 +220,7 @@ def _branch_and_bound(
     scored = [0]
 
     def latency_of(cuts: tuple[int, ...]) -> int:
-        timing = estimate_network_timing(
-            graph,
-            fclk_mhz=fclk_mhz,
-            partition=_cuts_to_partition(nodes, cuts),
-            link=link,
-        )
+        timing = estimate_network_timing(graph, partition=_cuts_to_partition(nodes, cuts), link=link)
         return timing.latency_cycles + timing.interval_cycles
 
     def dfs(start: int, cuts: tuple[int, ...], util_so_far: float) -> None:
@@ -326,12 +301,9 @@ def plan_partition(
     n_dfes: int | None = None,
     slo_fps: float | None = None,
     device: FPGASpec = STRATIX_V_5SGSD8,
-    cal: ResourceCalibration = DEFAULT_RESOURCE_CAL,
     fill_cap: float = 0.8,
     link: LinkSpec = MAXRING,
-    fclk_mhz: float = 105.0,
     predict: bool = True,
-    audit_limit: int = 64,
 ) -> PartitionPlan:
     """Search the cut space and return the optimal :class:`PartitionPlan`.
 
@@ -350,13 +322,13 @@ def plan_partition(
     nodes = _compute_nodes(graph)
     if not nodes:
         raise PlanError(f"graph {graph.name!r} has no compute nodes to place")
-    overhead = per_kernel_overhead(cal)
-    infra = infrastructure_estimate(cal)
+    overhead = per_kernel_overhead()
+    infra = infrastructure_estimate()
     pre_luts = [0.0]
     pre_ffs = [0.0]
     pre_bram = [0]
     for name in nodes:
-        est = estimate_node(graph, name, cal).estimate + overhead
+        est = estimate_node(graph, name).estimate + overhead
         pre_luts.append(pre_luts[-1] + est.luts)
         pre_ffs.append(pre_ffs[-1] + est.ffs)
         pre_bram.append(pre_bram[-1] + est.bram_blocks)
@@ -376,7 +348,7 @@ def plan_partition(
         dev_bram_kbits=device.bram_kbits,
     )
     positions = allowed_cut_positions(graph)
-    audit = _Audit(audit_limit)
+    audit = _Audit()
     linear = not any(isinstance(node, AddNode) for node in graph.nodes.values())
 
     if objective == "min-dfes" and linear:
@@ -389,19 +361,11 @@ def plan_partition(
             audit,
             exact_k=n_dfes if objective == "min-latency" else None,
             link=link,
-            fclk_mhz=fclk_mhz,
         )
 
     partition = _cuts_to_partition(nodes, cuts)
     diags = partition_feasibility(
-        graph,
-        partition,
-        device=device,
-        cal=cal,
-        fill_cap=fill_cap,
-        link=link,
-        fclk_mhz=fclk_mhz,
-        slo_fps=slo_fps,
+        graph, partition, device=device, fill_cap=fill_cap, link=link, slo_fps=slo_fps
     )
     problems = [d for d in diags if d.severity in ("error", "warning")]
     if problems:
@@ -412,13 +376,9 @@ def plan_partition(
             + "; ".join(f"{d.code} {d.where}: {d.message}" for d in problems)
         )
 
-    from ..hardware.partition import partition_resources
-
     ledgers = [
         DeviceLedger.from_estimate(idx, group, est, device)
-        for idx, (group, est) in enumerate(
-            zip(partition, partition_resources(graph, partition, cal))
-        )
+        for idx, (group, est) in enumerate(zip(partition, partition_resources(graph, partition)))
     ]
     predicted: PredictedTiming | None = None
     if predict:
@@ -429,7 +389,6 @@ def plan_partition(
         device_name=device.name,
         fill_cap=fill_cap,
         link_name=link.name,
-        fclk_mhz=fclk_mhz,
         groups=partition,
         cuts=cuts,
         ledgers=ledgers,

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..dataflow.interval import mean_completion_interval
+from ..dataflow.links import MAX4_FABRIC_MHZ
 from ..dataflow.tracing import LayerRow, LayerTable
 
 if TYPE_CHECKING:
@@ -50,7 +51,6 @@ class AttributionReport:
     cycles: int
     aborted: bool
     abort_message: str | None
-    fclk_mhz: float
     images: int
     latency_cycles: int | None
     interval_cycles: float | None
@@ -104,7 +104,7 @@ class AttributionReport:
         if self.interval_cycles is not None and self.fps is not None:
             lines.append(
                 f"    steady-state interval: {self.interval_cycles:,.1f} cycles/image "
-                f"-> {self.fps:,.1f} FPS @ {self.fclk_mhz:g} MHz"
+                f"-> {self.fps:,.1f} FPS @ {MAX4_FABRIC_MHZ:g} MHz"
             )
         else:
             lines.append(
@@ -169,7 +169,7 @@ def attribute_run(
     completions = pipeline.sink.completion_cycles
     latency = completions[0] if completions else None
     interval = mean_completion_interval(completions)
-    fps = pipeline.fclk_mhz * 1e6 / interval if interval else None
+    fps = MAX4_FABRIC_MHZ * 1e6 / interval if interval else None
 
     root_edge: str | None = None
     root_capacity: int | None = None
@@ -217,7 +217,6 @@ def attribute_run(
         cycles=cycles,
         aborted=aborted,
         abort_message=abort_message,
-        fclk_mhz=pipeline.fclk_mhz,
         images=len(completions),
         latency_cycles=latency,
         interval_cycles=interval,

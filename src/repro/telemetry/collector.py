@@ -44,6 +44,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..dataflow.interval import mean_completion_interval
+from ..dataflow.links import MAX4_FABRIC_MHZ
 from ..dataflow.tracing import LayerRow, LayerTable
 from .latency import LATENCY_BUCKETS, exact_quantile
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -73,7 +74,6 @@ class Telemetry:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
         self.sample_every = int(sample_every)
-        self.fclk_mhz = 105.0  # the paper's fabric clock until attach_pipeline adopts the run's
         self.registry = MetricsRegistry()
         self.manifest: dict[str, Any] = {}
         self.pipeline: "Pipeline | None" = None
@@ -192,11 +192,10 @@ class Telemetry:
         )
 
     def attach_pipeline(self, pipeline: "Pipeline") -> None:
-        """Adopt a built pipeline: its fabric clock and a metric child per kernel, stream and crossing."""
+        """Adopt a built pipeline: a metric child per kernel, stream and crossing."""
         if self.pipeline is not None or self.finished:
             raise ValueError("a Telemetry is single-use; create a fresh one per run")
         self.pipeline = pipeline
-        self.fclk_mhz = float(pipeline.fclk_mhz)
         for kernel in pipeline.engine.kernels:
             name = kernel.name
             cells = [self._m_kcycles.labels(kernel=name, state=state) for state in _STATES]
@@ -296,7 +295,7 @@ class Telemetry:
         for link, bits, measured, in_flight in self._links:
             in_flight.set(streams[link][5])
             if cycle > 0:
-                measured.set(streams[link][2] * bits * self.fclk_mhz / cycle)
+                measured.set(streams[link][2] * bits * MAX4_FABRIC_MHZ / cycle)
 
         completed, admitted, arrived = images
         completions = timeline.completions[:completed]
@@ -308,7 +307,7 @@ class Telemetry:
         if interval is not None:
             self._m_interval.set(interval)
             if interval > 0:
-                self._m_fps.set(self.fclk_mhz * 1e6 / interval)
+                self._m_fps.set(MAX4_FABRIC_MHZ * 1e6 / interval)
         initiation = self._table.initiation_interval
         if initiation is not None:
             self._m_initiation.set(initiation)
@@ -334,7 +333,7 @@ class Telemetry:
             "images": len(completions),
             "latency": completions[0] if completions else None,
             "interval": interval,
-            "fps": (self.fclk_mhz * 1e6 / interval) if interval else None,
+            "fps": (MAX4_FABRIC_MHZ * 1e6 / interval) if interval else None,
             "initiation": initiation,
             **quantiles,
             "queue_depth": queue_depth,

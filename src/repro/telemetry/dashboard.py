@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..dataflow.links import MAX4_FABRIC_MHZ
+
 if TYPE_CHECKING:
     from .collector import Telemetry
 
 __all__ = ["render_frame"]
 
 _BAR_WIDTH = 24
+_MAX_STREAMS = 12  # FIFO rows a frame shows, fullest first
 
 
 def _bar(fraction: float, width: int = _BAR_WIDTH) -> str:
@@ -23,7 +26,7 @@ def _bar(fraction: float, width: int = _BAR_WIDTH) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-def render_frame(telemetry: "Telemetry", max_streams: int = 12) -> str:
+def render_frame(telemetry: "Telemetry") -> str:
     """One dashboard frame as plain text (also what the tests assert on)."""
     last = telemetry.last
     cycle = last.get("cycle", 0)
@@ -35,7 +38,7 @@ def render_frame(telemetry: "Telemetry", max_streams: int = 12) -> str:
     head = [f"repro top — {title} @ cycle {cycle:,} | images {images}"]
     parts = []
     if fps is not None:
-        parts.append(f"{fps:,.1f} FPS @ {telemetry.fclk_mhz:g} MHz")
+        parts.append(f"{fps:,.1f} FPS @ {MAX4_FABRIC_MHZ:g} MHz")
     if interval is not None:
         parts.append(f"interval {interval:,.0f} cyc/img")
     if initiation is not None:
@@ -64,7 +67,7 @@ def render_frame(telemetry: "Telemetry", max_streams: int = 12) -> str:
 
     streams = telemetry.stream_rows()
     streams.sort(key=lambda r: (-(r["occupancy"] / r["capacity"] if r["capacity"] else 0), r["name"]))
-    shown = streams[:max_streams]
+    shown = streams[:_MAX_STREAMS]
     if shown:
         lines += ["", "  stream                  occupancy                occ/cap (peak)"]
         for row in shown:

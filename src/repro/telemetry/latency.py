@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..dataflow.links import MAX4_FABRIC_MHZ
+
 if TYPE_CHECKING:
     from ..dataflow.engine import RunResult
     from ..dataflow.manager import Pipeline
@@ -230,7 +232,6 @@ class LatencyReport:
     cycles: int
     n_images: int  # completed images
     open_loop: bool
-    fclk_mhz: float
     records: list[ImageRecord]
     service: LatencySummary  # admission -> completion
     sojourn: LatencySummary  # arrival -> completion (== service closed-loop)
@@ -245,7 +246,7 @@ class LatencyReport:
             "cycles": self.cycles,
             "images": self.n_images,
             "open_loop": self.open_loop,
-            "fclk_mhz": self.fclk_mhz,
+            "fclk_mhz": MAX4_FABRIC_MHZ,
             "service_cycles": self.service.as_dict(),
             "sojourn_cycles": self.sojourn.as_dict(),
             "queue_wait_cycles": self.queue_wait.as_dict(),
@@ -357,10 +358,7 @@ def _segments(pipeline: "Pipeline", records: list[ImageRecord]) -> list[tuple[st
     return segments
 
 
-def segment_summaries(
-    pipeline: "Pipeline",
-    records: list[ImageRecord] | None = None,
-) -> list[tuple[str, LatencySummary]]:
+def segment_summaries(pipeline: "Pipeline") -> list[tuple[str, LatencySummary]]:
     """Per-partition segment latencies of a finished run (public API).
 
     The same decomposition :func:`latency_report` embeds — admission to
@@ -368,9 +366,7 @@ def segment_summaries(
     exposed on its own so the partition planner can attach measured
     per-device segments to a plan without building a full report.
     """
-    if records is None:
-        records = image_records(pipeline)
-    return _segments(pipeline, records)
+    return _segments(pipeline, image_records(pipeline))
 
 
 def latency_report(pipeline: "Pipeline", cycles: int) -> LatencyReport:
@@ -381,7 +377,6 @@ def latency_report(pipeline: "Pipeline", cycles: int) -> LatencyReport:
         cycles=cycles,
         n_images=len(records),
         open_loop=pipeline.source.arrival_cycles is not None,
-        fclk_mhz=pipeline.fclk_mhz,
         records=records,
         service=summarize([r.service_cycles for r in records]),
         sojourn=summarize([r.sojourn_cycles for r in records]),

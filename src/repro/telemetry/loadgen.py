@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..dataflow.interval import achieved_fps
+from ..dataflow.links import MAX4_FABRIC_MHZ
 from .latency import LatencyReport, latency_report
 
 if TYPE_CHECKING:
@@ -45,14 +46,23 @@ __all__ = [
     "sweep",
 ]
 
-DEFAULT_FCLK_MHZ = 105.0
+# The last arrival cycle a schedule may hold: the host source, the router
+# and the latency report keep cycles in 64-bit integers.
+MAX_ARRIVAL_CYCLE = 2**63 - 1
 
 
-def cycles_per_image(rate_fps: float, fclk_mhz: float = DEFAULT_FCLK_MHZ) -> float:
+def cycles_per_image(rate_fps: float) -> float:
     """Mean inter-arrival gap in fabric cycles for a target FPS."""
     if not 0 < rate_fps < float("inf"):
         raise ValueError(f"rate must be a finite FPS > 0, got {rate_fps!r}")
-    return fclk_mhz * 1e6 / rate_fps
+    return MAX4_FABRIC_MHZ * 1e6 / rate_fps
+
+
+def _check_last_arrival(last: float, rate_fps: float) -> None:
+    if not last <= MAX_ARRIVAL_CYCLE:
+        raise ValueError(
+            f"rate {rate_fps!r} FPS puts arrivals past cycle 2**63 - 1, the 64-bit cycle count"
+        )
 
 
 @dataclass(slots=True)
@@ -61,7 +71,6 @@ class ArrivalSchedule:
 
     kind: str  # "fixed" | "poisson"
     rate_fps: float  # offered rate
-    fclk_mhz: float
     seed: int | None  # None for the (seedless) fixed process
     cycles: list[int]  # non-decreasing arrival cycle per image
 
@@ -73,43 +82,48 @@ class ArrivalSchedule:
         return {
             "kind": self.kind,
             "rate_fps": self.rate_fps,
-            "fclk_mhz": self.fclk_mhz,
+            "fclk_mhz": MAX4_FABRIC_MHZ,
             "seed": self.seed,
             "cycles": list(self.cycles),
         }
 
 
-def fixed_rate_schedule(
-    n_images: int, rate_fps: float, fclk_mhz: float = DEFAULT_FCLK_MHZ
-) -> ArrivalSchedule:
-    """Image *i* arrives at ``round(i * gap)`` — a metronome at the target rate."""
-    gap = cycles_per_image(rate_fps, fclk_mhz)
+def fixed_rate_schedule(n_images: int, rate_fps: float) -> ArrivalSchedule:
+    """Image *i* arrives at ``round(i * gap)`` — a metronome at the target rate.
+
+    A rate whose last arrival would pass :data:`MAX_ARRIVAL_CYCLE` raises
+    ``ValueError``.
+    """
+    gap = cycles_per_image(rate_fps)
+    _check_last_arrival(max(0, n_images - 1) * gap, rate_fps)
     cycles = [round(i * gap) for i in range(n_images)]
-    return ArrivalSchedule("fixed", float(rate_fps), float(fclk_mhz), None, cycles)
+    return ArrivalSchedule("fixed", float(rate_fps), None, cycles)
 
 
 def poisson_schedule(
     n_images: int,
     rate_fps: float,
     seed: int,
-    fclk_mhz: float = DEFAULT_FCLK_MHZ,
     rng: np.random.Generator | None = None,
 ) -> ArrivalSchedule:
     """Exponential inter-arrival gaps from a seeded (or injected) RNG.
 
     The first image arrives at cycle 0; subsequent gaps are drawn from
     ``Exp(mean = gap cycles)``.  Passing ``rng`` overrides the seed (for
-    property tests that want to drive the process directly).
+    property tests that want to drive the process directly).  Draws whose
+    sum passes :data:`MAX_ARRIVAL_CYCLE` raise ``ValueError``.
     """
-    gap = cycles_per_image(rate_fps, fclk_mhz)
+    gap = cycles_per_image(rate_fps)
     generator = rng if rng is not None else np.random.default_rng(seed)
     gaps = generator.exponential(gap, size=max(0, n_images - 1))
-    cycles = [0]
+    times = [0.0]
     at = 0.0
     for g in gaps:
         at += float(g)
-        cycles.append(round(at))
-    return ArrivalSchedule("poisson", float(rate_fps), float(fclk_mhz), seed, cycles[:n_images])
+        times.append(at)
+    _check_last_arrival(at, rate_fps)
+    cycles = [round(t) for t in times[:n_images]]
+    return ArrivalSchedule("poisson", float(rate_fps), seed, cycles)
 
 
 def spawn_poisson_schedules(
@@ -117,7 +131,6 @@ def spawn_poisson_schedules(
     n_images: int,
     rate_fps: float,
     seed: int,
-    fclk_mhz: float = DEFAULT_FCLK_MHZ,
 ) -> list[ArrivalSchedule]:
     """One *independent* Poisson arrival stream per replica, from one seed.
 
@@ -138,9 +151,7 @@ def spawn_poisson_schedules(
     children = np.random.SeedSequence(seed).spawn(n_replicas)
     schedules = []
     for child in children:
-        sched = poisson_schedule(
-            n_images, rate_fps, seed, fclk_mhz, rng=np.random.default_rng(child)
-        )
+        sched = poisson_schedule(n_images, rate_fps, seed, rng=np.random.default_rng(child))
         schedules.append(sched)
     return schedules
 
@@ -150,13 +161,12 @@ def make_schedule(
     rate_fps: float,
     process: str = "fixed",
     seed: int = 0,
-    fclk_mhz: float = DEFAULT_FCLK_MHZ,
 ) -> ArrivalSchedule:
     """Dispatch on the process name (``fixed`` | ``poisson``)."""
     if process == "fixed":
-        return fixed_rate_schedule(n_images, rate_fps, fclk_mhz)
+        return fixed_rate_schedule(n_images, rate_fps)
     if process == "poisson":
-        return poisson_schedule(n_images, rate_fps, seed, fclk_mhz)
+        return poisson_schedule(n_images, rate_fps, seed)
     raise ValueError(f"arrival process must be 'fixed' or 'poisson', got {process!r}")
 
 
@@ -231,7 +241,6 @@ def run_load(
     rate_fps: float,
     process: str = "fixed",
     seed: int = 0,
-    fclk_mhz: float = DEFAULT_FCLK_MHZ,
     mode: str = "leap",
     max_cycles: int = 50_000_000,
 ) -> LoadResult:
@@ -249,16 +258,11 @@ def run_load(
     images = np.asarray(images)
     if images.ndim == 3:
         images = images[None]
-    schedule = make_schedule(int(images.shape[0]), rate_fps, process, seed, fclk_mhz)
+    schedule = make_schedule(int(images.shape[0]), rate_fps, process, seed)
     abort_message: str | None = None
     try:
         run = simulate(
-            graph,
-            images,
-            fclk_mhz=fclk_mhz,
-            max_cycles=max_cycles,
-            arrival_cycles=schedule.cycles,
-            mode=mode,
+            graph, images, max_cycles=max_cycles, arrival_cycles=schedule.cycles, mode=mode
         )
     except CycleBudgetExceeded as err:
         abort_message = str(err)
@@ -270,7 +274,7 @@ def run_load(
         cycles=cycles,
         report=latency_report(pipeline, cycles),
         offered_fps=float(rate_fps),
-        achieved_fps=achieved_fps(pipeline.sink.completion_cycles, fclk_mhz),
+        achieved_fps=achieved_fps(pipeline.sink.completion_cycles),
         queue_depth_peak=_queue_depth_peak(schedule, pipeline.source.admission_cycles),
         aborted=abort_message is not None,
         abort_message=abort_message,
@@ -284,7 +288,6 @@ def sweep(
     *,
     process: str = "fixed",
     seed: int = 0,
-    fclk_mhz: float = DEFAULT_FCLK_MHZ,
     mode: str = "leap",
     max_cycles: int = 50_000_000,
 ) -> dict[str, Any]:
@@ -306,7 +309,6 @@ def sweep(
             rate_fps=rate,
             process=process,
             seed=seed,
-            fclk_mhz=fclk_mhz,
             mode=mode,
             max_cycles=max_cycles,
         )
@@ -331,8 +333,8 @@ def sweep(
         "graph": graph.name,
         "process": process,
         "seed": seed,
-        "fclk_mhz": fclk_mhz,
+        "fclk_mhz": MAX4_FABRIC_MHZ,
         "images": int(np.asarray(images).shape[0] if np.asarray(images).ndim == 4 else 1),
-        "manifest": run_manifest(graph, seed=seed, fclk_mhz=fclk_mhz),
+        "manifest": run_manifest(graph, seed=seed),
         "points": points,
     }

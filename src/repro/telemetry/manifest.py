@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..dataflow.links import MAX4_FABRIC_MHZ
+
 if TYPE_CHECKING:
     from ..nn.graph import LayerGraph
 
@@ -62,10 +64,8 @@ def run_manifest(
     *,
     seed: int | None = None,
     images: int | None = None,
-    fclk_mhz: float | None = None,
-    extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """A full run manifest: host metadata plus the run's topology and inputs."""
+    """A full run manifest: host metadata plus the run's topology, inputs and fabric clock."""
     manifest: dict[str, Any] = {
         "schema": "repro-run-manifest/1",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -83,8 +83,5 @@ def run_manifest(
         manifest["seed"] = int(seed)
     if images is not None:
         manifest["images"] = int(images)
-    if fclk_mhz is not None:
-        manifest["fclk_mhz"] = float(fclk_mhz)
-    if extra:
-        manifest.update(extra)
+    manifest["fclk_mhz"] = MAX4_FABRIC_MHZ
     return manifest

@@ -48,7 +48,7 @@ def _config(**overrides):
 
 class TestIngress:
     def test_transfer_cycles_is_image_bits_over_link_rate(self):
-        ingress = SharedIngress(fclk_mhz=105.0)
+        ingress = SharedIngress()
         spec = FAST.graph().input_spec
         # 16x16x3 two-bit pixels over PCIe Gen2 x8 at 105 MHz:
         # 1536 bits / (32000/105 bits-per-cycle) -> 6 whole cycles.
@@ -139,6 +139,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             parse_mix("vgg,,resnet18")
 
+    def test_parse_mix_refuses_what_check_refuses(self):
+        for mix in ("vgg:16:0.0625:9", "vgg:x", "vgg:16,vgg:16:y"):
+            with pytest.raises(ValueError, match=r"want name\[:size\[:width\]\]"):
+                parse_mix(mix)
+
     def test_profile_is_deterministic_and_cached(self):
         first = profile_replica(FAST)
         again = profile_replica(FAST)
@@ -146,6 +151,18 @@ class TestSpecs:
         latency, interval = first
         assert latency > 0 and interval is not None and interval > 0
         assert fleet_capacity_fps([FAST, FAST]) == pytest.approx(2 * 105e6 / interval)
+
+    def test_overflowing_rate_is_refused_before_profiling(self, monkeypatch):
+        """Arrivals past the 64-bit cycle count, under a shared or a static schedule."""
+        import repro.fleet.fleet as fleet_module
+
+        def profile(_spec):
+            raise AssertionError("profiled a replica before refusing the rate")
+
+        monkeypatch.setattr(fleet_module, "profile_replica", profile)
+        for policy, process in (("rr", "fixed"), ("static", "poisson")):
+            with pytest.raises(ValueError, match="64-bit cycle count"):
+                plan_fleet(_config(policy=policy, process=process, rate_fps=1e-300))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from repro.hardware import (
     partition_network,
     weight_cache_blocks,
 )
-from repro.hardware.partition import atomic_groups
 from repro.models import (
     direct_alexnet_graph,
     direct_resnet18_graph,
@@ -328,10 +327,10 @@ class TestPartitioner:
         for _, _, mbps in part.crossings:
             assert mbps == pytest.approx(210.0)
 
-    def test_atomic_groups_partition_order(self, resnet18):
-        groups = atomic_groups(resnet18)
-        flat = [n for g in groups for n in g]
-        assert flat == [n for n in resnet18.order if n != resnet18.input_name]
+    def test_greedy_split_is_pinned(self, alexnet, resnet18):
+        """The greedy cuts themselves, not only the DFE counts: Table III's splits."""
+        assert [len(g) for g in partition_network(alexnet).groups] == [8, 1, 2]
+        assert [len(g) for g in partition_network(resnet18).groups] == [40, 15]
 
     def test_impossible_partition_raises(self, resnet18):
         from repro.hardware import FPGASpec

@@ -33,14 +33,14 @@ def _images(n=5, seed=0):
 
 class TestSchedules:
     def test_cycles_per_image(self):
-        assert cycles_per_image(105e6, fclk_mhz=105.0) == 1.0
-        assert cycles_per_image(1000.0, fclk_mhz=105.0) == 105_000.0
+        assert cycles_per_image(105e6) == 1.0
+        assert cycles_per_image(1000.0) == 105_000.0
         for rate in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 cycles_per_image(rate)
 
     def test_fixed_rate_is_a_metronome(self):
-        sched = fixed_rate_schedule(4, 1000.0, fclk_mhz=105.0)
+        sched = fixed_rate_schedule(4, 1000.0)
         assert sched.cycles == [0, 105_000, 210_000, 315_000]
         assert sched.kind == "fixed" and sched.seed is None
 
@@ -82,6 +82,18 @@ class TestSchedules:
     def test_spawn_rejects_zero_replicas(self):
         with pytest.raises(ValueError):
             spawn_poisson_schedules(0, 4, 100.0, seed=1)
+
+    def test_rate_whose_arrivals_overflow_the_cycle_count_is_refused(self):
+        """A ValueError up front, not an OverflowError from rounding or a 64-bit cast later."""
+        for process in ("fixed", "poisson"):
+            with pytest.raises(ValueError, match="64-bit cycle count"):
+                make_schedule(2, 1e-300, process, seed=1)
+        with pytest.raises(ValueError, match="64-bit cycle count"):
+            fixed_rate_schedule(2, 1e-12)
+        # Arrivals up to the limit still fit, and one image never overflows.
+        assert fixed_rate_schedule(2, 105e6 / 2**62).cycles == [0, 2**62]
+        assert fixed_rate_schedule(1, 1e-300).cycles == [0]
+        assert make_schedule(2, 1e-3, "poisson", seed=1).cycles[0] == 0
 
     def test_make_schedule_dispatch(self):
         assert make_schedule(3, 100.0, "fixed").kind == "fixed"

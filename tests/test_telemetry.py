@@ -7,6 +7,7 @@ import pytest
 
 from repro.dataflow import CycleBudgetExceeded, Tracer, mean_completion_interval, simulate
 from repro.dataflow.engine import Engine
+from repro.dataflow.links import MAX4_FABRIC_MHZ
 from repro.dataflow.manager import build_pipeline
 from repro.dataflow.tracing import LayerTable
 from repro.dataflow.verify import solve_skip_capacities, verify_pipeline
@@ -212,7 +213,7 @@ def _live_state(pipeline, cycle):
         "images": len(done),
         "latency": done[0] if done else None,
         "interval": interval,
-        "fps": pipeline.fclk_mhz * 1e6 / interval if interval else None,
+        "fps": MAX4_FABRIC_MHZ * 1e6 / interval if interval else None,
         "initiation": max(first_actives) if first_actives else None,
         "latency_p50": exact_quantile(service, 0.50) if service else None,
         "latency_p95": exact_quantile(service, 0.95) if service else None,
@@ -455,7 +456,7 @@ def test_derived_gauges(chain_case):
     interval = reg.get("repro_steady_state_interval_cycles")._default().value
     assert interval == pytest.approx(run.run.steady_state_interval)
     fps = reg.get("repro_throughput_fps")._default().value
-    assert fps == pytest.approx(run.pipeline.fclk_mhz * 1e6 / interval)
+    assert fps == pytest.approx(MAX4_FABRIC_MHZ * 1e6 / interval)
     ii = reg.get("repro_initiation_interval_cycles")._default().value
     assert 0 < ii < run.cycles
     duty = reg.get("repro_kernel_duty_cycle")
@@ -519,7 +520,7 @@ class TestManifest:
 
     def test_run_manifest_topology(self, chain_case):
         graph, _ = chain_case
-        mf = run_manifest(graph, seed=7, images=2, fclk_mhz=105.0)
+        mf = run_manifest(graph, seed=7, images=2)
         assert mf["schema"] == "repro-run-manifest/1"
         assert mf["topology"]["name"] == graph.name
         assert mf["topology"]["input"] == [16, 16, 3]

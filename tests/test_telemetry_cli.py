@@ -110,6 +110,14 @@ class TestSimulateJson:
         ["fleet", "--images", "4", "--rate", "1000", "--sweep", "nan"],
         ["fleet", "--images", "4", "--rate", "inf"],
         ["fleet", "--images", "4", "--rate", "1000", "--workers", "-1"],
+        # Rates whose arrival cycles do not fit a 64-bit cycle count.
+        ["load", "--rate", "1e-300", "--images", "2"],
+        ["simulate", "--images", "2", "--rate", "1e-300"],
+        ["fleet", "--images", "4", "--rate", "1e-300"],
+        ["fleet", "--mix", "vgg:16:0.0625", "--replicas", "1", "--images", "2", "--rate", "1e-12"],
+        # Malformed --mix specs, refused as `repro check` refuses them.
+        ["fleet", "--mix", "vgg:16:0.0625:9", "--plan-dfes"],
+        ["fleet", "--mix", "vgg:x"],
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
@@ -163,6 +171,17 @@ def test_zero_size_or_width_is_refused_not_defaulted(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"{argv[0]} {argv[1]}: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["vgg:16:0.0625:9", "vgg:x"])
+def test_fleet_mix_and_check_share_one_topology_parser(spec, capsys):
+    """`fleet --mix` refuses a malformed spec with the words `check` uses."""
+    assert cli_main(["check", spec]) == 2
+    check_err = capsys.readouterr().err
+    assert cli_main(["fleet", "--mix", spec, "--plan-dfes"]) == 2
+    fleet_err = capsys.readouterr().err
+    want = "want name[:size[:width]] with an integer size and a numeric width\n"
+    assert check_err.endswith(want) and fleet_err.endswith(want)
 
 
 def _leap_lines(text):

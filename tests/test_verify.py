@@ -367,6 +367,12 @@ class TestPipelineFaults:
         )
         report = verify_pipeline(pipeline)
         assert "V503" in report.codes()
+        # The message points at the one atomicity rule, which must exist.
+        import repro.hardware.partition as partition_module
+
+        for diag in report.by_code("V503"):
+            assert "hardware.partition.allowed_cut_positions" in diag.message
+        assert callable(partition_module.allowed_cut_positions)
 
 
 # -- raise_on_error and report plumbing ------------------------------------
