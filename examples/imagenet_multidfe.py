@@ -8,7 +8,7 @@ and MaxRing bandwidth — the quantities behind Tables III and Figures 5/7/8
 Run:  python examples/imagenet_multidfe.py
 """
 
-from repro.dataflow.links import MAXRING
+from repro.dataflow.links import link_utilization
 from repro.hardware import (
     P100,
     STRATIX_10_PROJECTION,
@@ -37,9 +37,11 @@ def report(name: str, graph) -> None:
         util = part.utilization(i)
         print(f"  DFE {i}: LUT {util['lut']:.0%}  FF {util['ff']:.0%}  BRAM {util['bram']:.0%}  "
               f"({len(part.groups[i])} kernels)")
-    for u, v, mbps in part.crossings:
+    for crossing in part.crossings:
+        u, v = crossing.edge
+        mbps = crossing.required_mbps
         print(f"  MaxRing crossing {u} -> {v}: {mbps:.0f} Mbps "
-              f"({mbps / (MAXRING.bandwidth_gbps * 1000):.1%} of link)")
+              f"({link_utilization(mbps):.1%} of link)")
     print(f"latency:          {timing.latency_cycles:,} cycles = {timing.latency_ms:.2f} ms @105 MHz")
     print(f"throughput:       {timing.throughput_fps:,.0f} fps (pipelined)")
     print(f"overlap speedup:  {timing.overlap_speedup:.1f}x vs layer-sequential")

@@ -58,6 +58,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -76,10 +77,29 @@ def _out_exists(args: argparse.Namespace) -> bool:
     return False
 
 
+class _Unwritable(Exception):
+    """An output file (``--out``, ``--prom``, ``--snapshot``) could not be written: exit 2."""
+
+
 def _write(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, creating its parent directories."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text)
+    """Write ``text`` to ``path``, creating its parent directories.
+
+    The text goes to a temporary file beside ``path`` that then replaces
+    it, so a failed write leaves an existing file as it was.  Any
+    ``OSError`` becomes :class:`_Unwritable`, which :func:`main` reports
+    in one line.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(args: argparse.Namespace, text: str, what: str) -> None:
@@ -150,7 +170,8 @@ def _tiny_vgg(args: argparse.Namespace, min_images: int = 1):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import json
 
-    from .dataflow import LayerTable, simulate
+    from .dataflow import CycleBudgetExceeded, LayerTable, simulate
+    from .dataflow.engine import DEFAULT_MAX_CYCLES
     from .dataflow.links import MAX4_FABRIC_MHZ
 
     try:
@@ -174,9 +195,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if _out_exists(args):
         return 2
 
-    run = simulate(
-        graph, images, telemetry=telemetry, mode=_mode(args), arrival_cycles=arrival_cycles
-    )
+    try:
+        run = simulate(
+            graph, images, telemetry=telemetry, mode=_mode(args), arrival_cycles=arrival_cycles
+        )
+    except CycleBudgetExceeded as exc:
+        assert exc.pipeline is not None
+        done = len(exc.pipeline.sink.completion_cycles)
+        print(
+            f"simulate {graph.name}: ABORTED at the {DEFAULT_MAX_CYCLES:,}-cycle budget, "
+            f"{done} of {args.images} image(s) completed",
+            file=sys.stderr,
+        )
+        return 1
     if args.prom:
         assert telemetry is not None
         _write(args.prom, telemetry.export_prometheus())
@@ -218,6 +249,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    import json
+
     from .dataflow import LayerTable, Tracer, simulate
 
     try:
@@ -229,7 +262,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     tracer = Tracer()
     run = simulate(graph, images, mode=_mode(args), trace=tracer)
-    path = tracer.write_chrome_trace(args.out)
+    path = Path(args.out)
+    _write(args.out, json.dumps(tracer.to_chrome_trace()) + "\n")
     print(
         f"{args.images} image(s) through {graph.name}: {run.cycles:,} cycles; "
         f"latency {run.latency_cycles:,}"
@@ -699,6 +733,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .dataflow.engine import DEFAULT_MAX_CYCLES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Streaming QNN-on-FPGA reproduction (Baskin et al., IPPS 2018)",
@@ -827,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero unless p99 service latency is within this many cycles",
     )
     p_load.add_argument(
-        "--max-cycles", type=int, default=50_000_000, help="abort budget in cycles"
+        "--max-cycles", type=int, default=DEFAULT_MAX_CYCLES, help="abort budget in cycles"
     )
     p_load.add_argument(
         "--exhaustive",
@@ -939,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="overwrite an existing --out file"
     )
     p_fleet.add_argument(
-        "--max-cycles", type=int, default=50_000_000, help="per-replica abort budget in cycles"
+        "--max-cycles", type=int, default=DEFAULT_MAX_CYCLES, help="per-replica abort budget in cycles"
     )
     p_fleet.set_defaults(func=_cmd_fleet)
 
@@ -1104,7 +1140,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seed", 0) < 0:
         print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,10 +4,9 @@ from .engine import CycleBudgetExceeded, Engine, RunResult
 from .interval import achieved_fps, exact_completion_period, mean_completion_interval
 from .kernel import Kernel, KernelStats
 from .leap import LeapReport, batch_reference_outputs
-from .links import MAXRING, PCIE_GEN2_X8, LinkSpec, required_bandwidth_mbps
+from .links import MAXRING, PCIE_GEN2_X8, LinkCrossing, LinkSpec, required_bandwidth_mbps
 from .manager import (
     DEFAULT_STREAM_CAPACITY,
-    LinkCrossing,
     Pipeline,
     StreamingRun,
     build_pipeline,

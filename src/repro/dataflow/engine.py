@@ -32,7 +32,10 @@ from .stream import Stream, StreamStats
 if TYPE_CHECKING:
     from .manager import Pipeline
 
-__all__ = ["CycleBudgetExceeded", "Engine", "RunResult"]
+__all__ = ["CycleBudgetExceeded", "DEFAULT_MAX_CYCLES", "Engine", "RunResult"]
+
+# The cycle budget of a run whose caller names none (`simulate`, the CLI).
+DEFAULT_MAX_CYCLES = 50_000_000
 
 
 class CycleBudgetExceeded(RuntimeError):
@@ -94,7 +97,7 @@ class Engine:
         stream.reader = consumer
         return stream
 
-    def run(self, done: Callable[[], bool], max_cycles: int = 50_000_000) -> int:
+    def run(self, done: Callable[[], bool], max_cycles: int = DEFAULT_MAX_CYCLES) -> int:
         """Tick every kernel every cycle until ``done()`` is true; returns the cycle count.
 
         This is the reference semantics the schedule solver

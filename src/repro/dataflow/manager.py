@@ -9,8 +9,8 @@ forks for skip connections, sizes skip delay buffers, and attaches the host
 source/sink.  :func:`simulate` runs the result cycle-accurately.
 
 Multi-DFE execution (§III-B6) is expressed as a partition of the node list:
-edges crossing a partition boundary become MaxRing-latency streams, and the
-report records the bandwidth each crossing requires.
+the edges :func:`~repro.dataflow.links.partition_crossings` names become
+MaxRing-latency streams, and ``Pipeline.crossings`` is that very list.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from ..nn.graph import (
     TensorSpec,
     ThresholdNode,
 )
-from .engine import CycleBudgetExceeded, Engine, RunResult
+from .engine import DEFAULT_MAX_CYCLES, CycleBudgetExceeded, Engine, RunResult
 from .kernel import Kernel
 from .leap import LeapReport, batch_reference_outputs
-from .links import MAXRING, LinkSpec, required_bandwidth_mbps
+from .links import MAXRING, LinkCrossing, partition_crossings
 from .stream import Stream
 from .trace import Tracer
 
@@ -46,7 +46,7 @@ if TYPE_CHECKING:
     from ..telemetry.collector import Telemetry
     from .schedule import Timeline
 
-__all__ = ["build_pipeline", "simulate", "StreamingRun", "LinkCrossing", "Pipeline"]
+__all__ = ["build_pipeline", "simulate", "StreamingRun", "Pipeline"]
 
 DEFAULT_STREAM_CAPACITY = 4
 
@@ -64,18 +64,6 @@ DEFAULT_STREAM_CAPACITY = 4
 # in-flight slack (no replay — cheap for paper-scale graphs).
 
 
-@dataclass(frozen=True)
-class LinkCrossing:
-    """A graph edge mapped onto an inter-DFE link."""
-
-    edge: tuple[str, str]
-    from_dfe: int
-    to_dfe: int
-    stream_bits: int
-    required_mbps: float
-    link: LinkSpec
-
-
 @dataclass
 class Pipeline:
     """A built (but not yet run) streaming network."""
@@ -87,9 +75,7 @@ class Pipeline:
     kernels_by_node: dict[str, Kernel]
     skip_streams: dict[str, Stream]
     crossings: list[LinkCrossing]
-    dfe_of_node: dict[str, int]
     partition: list[list[str]] | None = None
-    link: LinkSpec = MAXRING
     skip_sizing: str = "exact"  # "exact" | "bound" | "custom"
     skip_capacities: dict[str, int] = field(default_factory=dict)
 
@@ -135,7 +121,6 @@ def _resolve_skip_capacities(
     graph: LayerGraph,
     skip_sizing: str | dict[str, int],
     partition: list[list[str]] | None,
-    link: LinkSpec,
 ) -> tuple[dict[str, int], str]:
     """Capacity of every skip delay FIFO, per the chosen sizing mode."""
     adds = [n for n in graph.order if isinstance(graph.nodes[n], AddNode)]
@@ -153,7 +138,7 @@ def _resolve_skip_capacities(
         from .verify import solve_skip_capacities
 
         return (
-            solve_skip_capacities(graph, partition=partition, link=link),
+            solve_skip_capacities(graph, partition=partition),
             "exact",
         )
     if skip_sizing == "bound":
@@ -170,7 +155,6 @@ def build_pipeline(
     graph: LayerGraph,
     images: np.ndarray,
     partition: list[list[str]] | None = None,
-    link: LinkSpec = MAXRING,
     skip_sizing: str | dict[str, int] = "exact",
     arrival_cycles: list[int] | None = None,
 ) -> Pipeline:
@@ -185,7 +169,10 @@ def build_pipeline(
     partition:
         Optional list of node-name groups, one per DFE, covering all
         compute nodes contiguously in topological order.  ``None`` puts
-        everything on one DFE.
+        everything on one DFE.  ``Pipeline.crossings`` is
+        :func:`~repro.dataflow.links.partition_crossings` of it, and only
+        the streams of those edges cross :data:`~repro.dataflow.links.MAXRING`:
+        they take its latency and a FIFO deep enough for its round trip.
     arrival_cycles:
         Optional open-loop arrival schedule, one non-decreasing cycle per
         image: the host source withholds image *i* until its arrival cycle
@@ -199,30 +186,24 @@ def build_pipeline(
         schedule solver, fault injection, experiments).
     """
     graph.validate()
-    skip_caps, skip_mode = _resolve_skip_capacities(graph, skip_sizing, partition, link)
+    skip_caps, skip_mode = _resolve_skip_capacities(graph, skip_sizing, partition)
     images = np.asarray(images)
     if images.ndim == 3:
         images = images[None]
 
-    dfe_of_node: dict[str, int] = {}
+    crossings: list[LinkCrossing] = []
     if partition is not None:
         seen: set[str] = set()
-        for idx, group in enumerate(partition):
+        for group in partition:
             for node_name in group:
                 if node_name in seen:
                     raise ValueError(f"node {node_name!r} assigned to two DFEs")
                 seen.add(node_name)
-                dfe_of_node[node_name] = idx
         missing = set(graph.nodes) - seen - {graph.input_name}
         if missing:
             raise ValueError(f"partition misses nodes: {sorted(missing)}")
-    else:
-        for node_name in graph.nodes:
-            dfe_of_node[node_name] = 0
-    dfe_of_node.setdefault(graph.input_name, dfe_of_node.get(graph.topological()[1], 0))
-    # Host endpoints live with the first/last on-fabric kernel; the PCIe hop
-    # is accounted by the timing model, not as a MaxRing crossing.
-    dfe_of_node["host_sink"] = dfe_of_node.get(graph.output_name, 0)
+        crossings = partition_crossings(graph, partition)
+    crossing_edges = {crossing.edge for crossing in crossings}
 
     engine = Engine(graph.name)
     source = HostSource("host_source", images, graph.input_spec, arrival_cycles=arrival_cycles)
@@ -245,7 +226,6 @@ def build_pipeline(
     producer.update(kernels)
 
     skip_streams: dict[str, Stream] = {}
-    crossings: list[LinkCrossing] = []
 
     # Insert forks for fan-out and wire every edge.
     for name in topo:
@@ -264,25 +244,16 @@ def build_pipeline(
             # Fan-out (the skip-path split of Figure 2): insert a fork.
             fork = ForkKernel(f"{name}.fork", spec.elements)
             engine.kernels.insert(engine.kernels.index(prod) + 1, fork)
-            _make_stream(
-                f"{name}->fork", spec, prod, fork, dfe_of_node, name, name, link, crossings, engine
-            )
+            _make_stream(engine, prod, fork, f"{name}->fork", spec, crosses=False)
             prod = fork
         for consumer_kernel, port in sorted(targets, key=lambda t: t[1]):
-            _wire(
-                engine, prod, consumer_kernel, name, port, spec, dfe_of_node, link, crossings, skip_streams, skip_caps
-            )
+            _wire(engine, prod, consumer_kernel, name, port, spec, crossing_edges, skip_streams, skip_caps)
 
-    # Image-boundary marks for the per-image lifecycle records: the sink
-    # edge gives every image a "first pixel reached the sink" instant and
-    # each inter-DFE crossing a "first pixel left the partition" instant.
+    # Image-boundary mark for the per-image lifecycle records: the sink
+    # edge gives every image a "first pixel reached the sink" instant (each
+    # crossing its "first pixel left the partition" one, in `_wire`).
     if sink.inputs:
         sink.inputs[0].mark_every = graph.output_spec.elements
-    crossing_edges = {f"{c.edge[0]}->{c.edge[1]}[" for c in crossings}
-    for stream in engine.streams:
-        if stream.latency > 0 and any(stream.name.startswith(p) for p in crossing_edges):
-            from_node = stream.name.split("->", 1)[0]
-            stream.mark_every = graph.specs[from_node].elements
 
     return Pipeline(
         engine=engine,
@@ -292,42 +263,24 @@ def build_pipeline(
         kernels_by_node=kernels,
         skip_streams=skip_streams,
         crossings=crossings,
-        dfe_of_node=dfe_of_node,
         partition=partition,
-        link=link,
         skip_sizing=skip_mode,
         skip_capacities=dict(skip_caps),
     )
 
 
 def _make_stream(
-    name: str,
-    spec: TensorSpec,
+    engine: Engine,
     prod: Kernel,
     cons: Kernel,
-    dfe_of_node: dict[str, int],
-    from_node: str,
-    to_node: str,
-    link: LinkSpec,
-    crossings: list[LinkCrossing],
-    engine: Engine,
+    name: str,
+    spec: TensorSpec,
+    crosses: bool,
     capacity: int = DEFAULT_STREAM_CAPACITY,
 ) -> Stream:
     latency = 0
-    d_from = dfe_of_node.get(from_node, 0)
-    d_to = dfe_of_node.get(to_node, 0)
-    if d_from != d_to:
-        latency = link.latency_cycles
-        crossings.append(
-            LinkCrossing(
-                edge=(from_node, to_node),
-                from_dfe=d_from,
-                to_dfe=d_to,
-                stream_bits=spec.stream_bits,
-                required_mbps=required_bandwidth_mbps(spec.stream_bits),
-                link=link,
-            )
-        )
+    if crosses:
+        latency = MAXRING.latency_cycles
         # Link buffering must cover its own round-trip latency.
         capacity = max(capacity, 2 * latency + 4)
     stream = Stream(name, capacity=capacity, latency=latency, bits=spec.stream_bits)
@@ -342,9 +295,7 @@ def _wire(
     from_node: str,
     port: int,
     spec: TensorSpec,
-    dfe_of_node: dict[str, int],
-    link: LinkSpec,
-    crossings: list[LinkCrossing],
+    crossing_edges: set[tuple[str, str]],
     skip_streams: dict[str, Stream],
     skip_caps: dict[str, int],
 ) -> None:
@@ -353,19 +304,12 @@ def _wire(
     is_skip = isinstance(consumer_kernel, AddKernel) and port == 1
     if is_skip:
         capacity = skip_caps[to_node]
+    crosses = (from_node, to_node) in crossing_edges
     stream = _make_stream(
-        f"{from_node}->{to_node}[{port}]",
-        spec,
-        prod,
-        consumer_kernel,
-        dfe_of_node,
-        from_node,
-        to_node,
-        link,
-        crossings,
-        engine,
-        capacity=capacity,
+        engine, prod, consumer_kernel, f"{from_node}->{to_node}[{port}]", spec, crosses, capacity=capacity
     )
+    if crosses:
+        stream.mark_every = spec.elements
     if is_skip:
         skip_streams[to_node] = stream
 
@@ -374,8 +318,7 @@ def simulate(
     graph: LayerGraph,
     images: np.ndarray,
     partition: list[list[str]] | None = None,
-    link: LinkSpec = MAXRING,
-    max_cycles: int = 50_000_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     trace: Tracer | None = None,
     telemetry: "Telemetry | None" = None,
     skip_sizing: str | dict[str, int] = "exact",
@@ -443,7 +386,6 @@ def simulate(
         graph,
         images,
         partition=partition,
-        link=link,
         skip_sizing=skip_sizing,
         arrival_cycles=arrival_cycles,
     )

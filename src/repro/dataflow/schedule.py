@@ -2,7 +2,7 @@
 
 Kernel scheduling never depends on data values: the cycle at which any
 kernel consumes or emits depends only on tensor geometry.  So one schedule
-per geometry (graph, partition, link) — :data:`REPLAY_IMAGES` images — is
+per geometry (graph, partition) — :data:`REPLAY_IMAGES` images — is
 the schedule of every real run of that geometry.  The §III-B5 skip solver
 (:func:`repro.dataflow.verify.solve_skip_capacities`) reads the skip
 high-water marks off it; the partition planner
@@ -129,7 +129,6 @@ import numpy as np
 from ..nn.graph import AddNode, LayerGraph
 from .kernel import STALL_BLOCKED, STALL_IDLE, STALL_STARVED, Kernel, KernelStats
 from .leap import LeapReport
-from .links import MAXRING, LinkSpec
 from .manager import Pipeline, build_pipeline
 from .stream import Stream, StreamStats
 from .trace import ImageCompletion, KernelSpan, RejectSpan, StreamEvent, Tracer
@@ -184,7 +183,6 @@ class Schedule:
 def replay_schedule(
     graph: LayerGraph,
     partition: list[list[str]] | None = None,
-    link: LinkSpec = MAXRING,
 ) -> Schedule:
     """The schedule of ``graph`` under ``partition``, solved once and cached on the graph.
 
@@ -193,8 +191,8 @@ def replay_schedule(
     geometry.  Raises ``RuntimeError`` (and caches nothing) if the
     schedule does not drain within :data:`REPLAY_MAX_CYCLES`.
     """
-    key = _geometry(graph, partition, link)
-    partition = None if key[0] is None else partition
+    key = _geometry(graph, partition)
+    partition = None if key is None else partition
     cache: dict[Any, Schedule] = vars(graph).setdefault("_schedule_cache", {})
     if key in cache:
         return cache[key]
@@ -205,9 +203,7 @@ def replay_schedule(
     zeros = np.zeros((REPLAY_IMAGES, spec.height, spec.width, spec.channels), dtype=np.int64)
     adds = [n for n in graph.order if isinstance(graph.nodes[n], AddNode)]
     # Skip capacities are never read: the solver leaves skip edges unbounded.
-    pipeline = build_pipeline(
-        graph, zeros, partition=partition, link=link, skip_sizing={add: 1 for add in adds}
-    )
+    pipeline = build_pipeline(graph, zeros, partition=partition, skip_sizing={add: 1 for add in adds})
     solution = _solve(pipeline)
     if solution.aborted:
         raise _over_budget(graph)
@@ -231,12 +227,12 @@ def replay_schedule(
     return schedule
 
 
-def _geometry(graph: LayerGraph, partition: list[list[str]] | None, link: LinkSpec) -> tuple[Any, LinkSpec]:
-    """The cache key of a geometry: one group covering every compute node is no partition."""
+def _geometry(graph: LayerGraph, partition: list[list[str]] | None) -> tuple[tuple[str, ...], ...] | None:
+    """The cache key of a geometry, its groups: one group covering every compute node is no partition."""
     groups = None if partition is None else tuple(tuple(group) for group in partition)
     if groups is not None and len(groups) == 1 and set(groups[0]) >= set(graph.nodes) - {graph.input_name}:
-        groups = None
-    return groups, link
+        return None
+    return groups
 
 
 def unsolvable(pipeline: Pipeline) -> str | None:
@@ -372,7 +368,7 @@ def _take_replay(pipeline: Pipeline, limit: int) -> _Solution | None:
     """
     graph = pipeline.graph
     slot = vars(graph).get("_replay_handover")
-    if slot is None or slot[0] != _geometry(graph, pipeline.partition, pipeline.link):
+    if slot is None or slot[0] != _geometry(graph, pipeline.partition):
         return None
     _, marks, nodes, edges, sink = vars(graph).pop("_replay_handover")
     short = any(stream.capacity < marks[add] for add, stream in pipeline.skip_streams.items())

@@ -15,7 +15,8 @@ simulated:
 * :func:`verify_pipeline` — contract checks over a *built*
   :class:`~repro.dataflow.manager.Pipeline`: stream endpoint binding,
   kernel port arity, per-edge bitwidth propagation, skip FIFO capacity
-  versus the statically required minimum, and link bandwidth feasibility.
+  versus the statically required minimum, and MaxRing bandwidth
+  feasibility (the one rule, :func:`~repro.dataflow.links.link_utilization`).
 * :func:`verify` — both passes merged; what ``python -m repro check`` runs.
 * :func:`solve_skip_capacities` — the exact §III-B5 solver (below).
 * :func:`check_skip_high_water` — the run-time sanitizer asserting the
@@ -55,7 +56,7 @@ from ..nn.graph import (
     InputNode,
     LayerGraph,
 )
-from .links import MAXRING, LinkSpec
+from .links import MAXRING, MAXRING_MBPS, LinkCrossing, link_utilization, partition_crossings
 from .schedule import replay_schedule
 from .window import depth_first_buffer_elements
 
@@ -291,7 +292,6 @@ def estimated_replay_cost(graph: LayerGraph) -> int:
 def solve_skip_capacities(
     graph: LayerGraph,
     partition: list[list[str]] | None = None,
-    link: LinkSpec = MAXRING,
 ) -> dict[str, int]:
     """Exact §III-B5 skip capacity per residual adder: ``{add_node: high-water}``.
 
@@ -301,7 +301,7 @@ def solve_skip_capacities(
     """
     if not any(isinstance(node, AddNode) for node in graph.nodes.values()):
         return {}
-    schedule = replay_schedule(graph, partition=partition, link=link)
+    schedule = replay_schedule(graph, partition=partition)
     return {add: max(1, hw) for add, hw in schedule.skip_high_water.items()}
 
 
@@ -418,7 +418,6 @@ def _graph_skip_widths(graph: LayerGraph) -> list[Diagnostic]:
 def _graph_rates(
     graph: LayerGraph,
     partition: list[list[str]] | None,
-    link: LinkSpec,
 ) -> list[Diagnostic]:
     """V303: the initiation-interval algebra, reported as one rate summary.
 
@@ -432,7 +431,7 @@ def _graph_rates(
     """
     from ..hardware.timing import estimate_network_timing
 
-    timing = estimate_network_timing(graph, partition=partition, link=link)
+    timing = estimate_network_timing(graph, partition=partition)
     bn = timing.bottleneck
     return [
         _diag(
@@ -535,7 +534,6 @@ def _graph_skip_requirements(
 def verify_graph(
     graph: LayerGraph,
     partition: list[list[str]] | None = None,
-    link: LinkSpec = MAXRING,
     exact_skip: dict[str, int] | None = None,
 ) -> VerifyReport:
     """Static checks that need only the IR graph (no pipeline build).
@@ -551,7 +549,7 @@ def verify_graph(
         return report
     report.extend(_graph_skip_widths(graph))
     report.extend(_graph_skip_requirements(graph, exact_skip))
-    report.extend(_graph_rates(graph, partition, link))
+    report.extend(_graph_rates(graph, partition))
     report.extend(_graph_bram_audit(graph))
     if exact_skip:
         report.skip_capacities = dict(exact_skip)
@@ -771,25 +769,25 @@ def _pipeline_skip_capacities(
     return diags
 
 
-def _link_budget(crossings: list[tuple[tuple[str, str], LinkSpec, float]]) -> list[Diagnostic]:
-    """V501/V502: §III-B6 link bandwidth of every ``((u, v), link, required Mbps)`` crossing."""
+def _link_budget(crossings: list[LinkCrossing]) -> list[Diagnostic]:
+    """V501/V502: §III-B6 MaxRing bandwidth of every crossing."""
     diags: list[Diagnostic] = []
     worst: tuple[float, str] | None = None
-    for (u, v), link, mbps in crossings:
-        capacity_mbps = link.bandwidth_gbps * 1000.0
-        util = mbps / capacity_mbps if capacity_mbps else float("inf")
-        edge = f"{u}->{v}"
+    for crossing in crossings:
+        mbps = crossing.required_mbps
+        util = link_utilization(mbps)
+        edge = "->".join(crossing.edge)
         if util > 1.0:
             diags.append(
                 _diag(
                     "V501",
                     "error",
                     edge,
-                    f"crossing needs {mbps:,.0f} Mbps but {link.name} provides "
-                    f"{capacity_mbps:,.0f} Mbps ({util:.1f}x overcommitted)",
+                    f"crossing needs {mbps:,.0f} Mbps but {MAXRING.name} provides "
+                    f"{MAXRING_MBPS:,.0f} Mbps ({util:.1f}x overcommitted)",
                     "§III-B6",
                     required_mbps=mbps,
-                    capacity_mbps=capacity_mbps,
+                    capacity_mbps=MAXRING_MBPS,
                     utilization=util,
                 )
             )
@@ -814,7 +812,7 @@ def _link_budget(crossings: list[tuple[tuple[str, str], LinkSpec, float]]) -> li
 
 def _pipeline_links(pipeline: "Pipeline") -> list[Diagnostic]:
     """V501/V502/V503/V302: §III-B6 crossing feasibility and buffering."""
-    diags = _link_budget([(c.edge, c.link, c.required_mbps) for c in pipeline.crossings])
+    diags = _link_budget(pipeline.crossings)
     skip_stream_ids = {id(s) for s in pipeline.skip_streams.values()}
     for stream in pipeline.engine.streams:
         if stream.latency > 0:
@@ -861,9 +859,7 @@ def verify_pipeline(
     solution.  ``solve=False`` falls back to the closed-form bound.
     """
     if exact_skip is None and solve and pipeline.skip_streams:
-        exact_skip = solve_skip_capacities(
-            pipeline.graph, partition=pipeline.partition, link=pipeline.link
-        )
+        exact_skip = solve_skip_capacities(pipeline.graph, partition=pipeline.partition)
     report = VerifyReport(
         subject=pipeline.graph.name,
         skip_mode="exact" if exact_skip is not None or not pipeline.skip_streams else "bound",
@@ -888,7 +884,6 @@ def partition_feasibility(
     *,
     device: "FPGASpec | None" = None,
     fill_cap: float = 0.8,
-    link: LinkSpec = MAXRING,
     slo_fps: float | None = None,
 ) -> list[Diagnostic]:
     """Score a candidate partition statically — no pipeline build, no replay.
@@ -901,7 +896,7 @@ def partition_feasibility(
     empty list means the candidate is feasible.
     """
     from ..hardware.device import STRATIX_V_5SGSD8
-    from ..hardware.partition import partition_crossings, partition_resources
+    from ..hardware.partition import partition_resources
 
     dev = device if device is not None else STRATIX_V_5SGSD8
     per_dfe = partition_resources(graph, partition)
@@ -931,8 +926,7 @@ def partition_feasibility(
                     )
                 )
 
-    crossings = partition_crossings(graph, partition)
-    diags += _link_budget([((u, v), link, mbps) for u, v, mbps in crossings])
+    diags += _link_budget(partition_crossings(graph, partition))
 
     dfe_of = {n: idx for idx, group in enumerate(partition) for n in group}
     for name, node in graph.nodes.items():
@@ -957,7 +951,7 @@ def partition_feasibility(
     if slo_fps is not None:
         from ..hardware.timing import estimate_network_timing
 
-        timing = estimate_network_timing(graph, partition=partition, link=link)
+        timing = estimate_network_timing(graph, partition=partition)
         if timing.throughput_fps < slo_fps:
             diags.append(
                 _diag(
@@ -978,12 +972,18 @@ def partition_feasibility(
 def verify(
     graph: LayerGraph,
     partition: list[list[str]] | None = None,
-    link: LinkSpec = MAXRING,
     exact: bool | None = None,
     replay_budget: int = DEFAULT_REPLAY_BUDGET,
     build: bool = True,
 ) -> VerifyReport:
     """Full static verification of a topology: graph checks + a build + pipeline checks.
+
+    ``partition`` (one node group per DFE, ``None`` for one DFE) places the
+    graph; its crossings are :func:`~repro.dataflow.links.partition_crossings`,
+    each held to one MaxRing link by
+    :func:`~repro.dataflow.links.link_utilization` (V501, the worst
+    headroom as V502).  There is no link argument: MaxRing is the one
+    inter-DFE link.
 
     ``exact=None`` (default) runs the §III-B5 exact solver whenever its
     replay cost estimate fits ``replay_budget`` and falls back to the
@@ -1003,8 +1003,8 @@ def verify(
         exact = not has_adds or estimated_replay_cost(graph) <= replay_budget
     exact_skip: dict[str, int] | None = None
     if exact and has_adds:
-        exact_skip = solve_skip_capacities(graph, partition=partition, link=link)
-    report = verify_graph(graph, partition=partition, link=link, exact_skip=exact_skip)
+        exact_skip = solve_skip_capacities(graph, partition=partition)
+    report = verify_graph(graph, partition=partition, exact_skip=exact_skip)
     report.skip_mode = "exact" if exact_skip is not None or not has_adds else "bound"
     if build:
         from .manager import build_pipeline
@@ -1015,7 +1015,6 @@ def verify(
             graph,
             zeros,
             partition=partition,
-            link=link,
             skip_sizing="exact" if exact_skip is not None else "bound",
         )
         pipe_report = verify_pipeline(pipeline, exact_skip=exact_skip, solve=False)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dataflow.links import MAXRING, LinkSpec, required_bandwidth_mbps
+# `partition_crossings` lives with MaxRing in the lowest layer; re-exported here.
+from ..dataflow.links import LinkCrossing, link_utilization, partition_crossings
 from ..nn.graph import AddNode, InputNode, LayerGraph
 from .calibration import DEFAULT_RESOURCE_CAL as cal
 from .device import FPGASpec, STRATIX_V_5SGSD8
@@ -40,7 +41,7 @@ class PartitionResult:
 
     groups: list[list[str]]
     per_dfe: list[ResourceEstimate]
-    crossings: list[tuple[str, str, float]]  # (from, to, required Mbps)
+    crossings: list[LinkCrossing]
     device: FPGASpec
     fill_cap: float
 
@@ -56,8 +57,9 @@ class PartitionResult:
             "bram": est.bram_kbits / self.device.bram_kbits,
         }
 
-    def link_feasible(self, link: LinkSpec = MAXRING) -> bool:
-        return all(mbps <= link.bandwidth_gbps * 1000.0 for _, _, mbps in self.crossings)
+    def link_feasible(self) -> bool:
+        """Every crossing fits one MaxRing link (§III-B6)."""
+        return all(link_utilization(c.required_mbps) <= 1.0 for c in self.crossings)
 
 
 def _compute_nodes(graph: LayerGraph) -> list[str]:
@@ -127,28 +129,6 @@ def partition_resources(graph: LayerGraph, partition: list[list[str]]) -> list[R
     """Per-DFE resource ledger (infrastructure + kernels) for a partition."""
     infra = infrastructure_estimate()
     return [infra + group_estimate(graph, group) for group in partition]
-
-
-def partition_crossings(graph: LayerGraph, partition: list[list[str]]) -> list[tuple[str, str, float]]:
-    """Inter-DFE edges of a partition with their §III-B6 bandwidth needs.
-
-    Nodes absent from every group (the input) are attributed to DFE 0.
-    """
-    dfe_of: dict[str, int] = {}
-    for idx, g in enumerate(partition):
-        for n in g:
-            dfe_of[n] = idx
-    if graph.input_name is not None:
-        dfe_of.setdefault(graph.input_name, 0)
-    crossings: list[tuple[str, str, float]] = []
-    # Producers in construction order, each one's consumers in added order:
-    # reports list the crossings in this order.
-    for u in graph.order:
-        for v in graph.fanout[u]:
-            if dfe_of.get(u, 0) != dfe_of.get(v, 0):
-                bits = graph.specs[u].stream_bits
-                crossings.append((u, v, required_bandwidth_mbps(bits)))
-    return crossings
 
 
 def partition_network(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dataflow.links import MAXRING, LinkSpec
 from ..nn.graph import LayerGraph
 from .device import GPUSpec, P100, STRATIX_V_5SGSD8, FPGASpec
 from .gpu import GPUModel
@@ -61,8 +60,9 @@ class DesignReport:
                 f"  DFE {i}: LUT {util['lut']:.0%}, FF {util['ff']:.0%}, "
                 f"BRAM {util['bram']:.0%} ({len(self.partition.groups[i])} kernels)"
             )
-        for u, v, mbps in self.partition.crossings:
-            lines.append(f"  link {u} -> {v}: {mbps:.0f} Mbps")
+        for crossing in self.partition.crossings:
+            u, v = crossing.edge
+            lines.append(f"  link {u} -> {v}: {crossing.required_mbps:.0f} Mbps")
         lines += [
             f"latency: {t.latency_cycles:,} cycles = {t.latency_ms:.2f} ms @{t.fclk_mhz:.0f} MHz",
             f"throughput: {t.throughput_fps:,.0f} fps pipelined "
@@ -83,15 +83,12 @@ def build_design_report(
     graph: LayerGraph,
     device: FPGASpec = STRATIX_V_5SGSD8,
     gpu: GPUSpec = P100,
-    link: LinkSpec = MAXRING,
     fill_cap: float = 0.8,
 ) -> DesignReport:
     """Run every cost model over ``graph`` and bundle the results."""
     partition = partition_network(graph, device=device, fill_cap=fill_cap)
     resources = estimate_network(graph, n_dfes=partition.n_dfes)
-    timing = estimate_network_timing(
-        graph, fclk_mhz=device.fabric_mhz, partition=partition.groups, link=link
-    )
+    timing = estimate_network_timing(graph, fclk_mhz=device.fabric_mhz, partition=partition.groups)
     power = FPGAPowerModel(device).power(resources, n_dfes=partition.n_dfes)
     gpu_model = GPUModel(gpu)
     return DesignReport(

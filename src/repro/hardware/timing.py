@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataflow.links import MAXRING, LinkSpec
+from ..dataflow.links import MAXRING
 from ..nn.graph import (
     AddNode,
     ConvNode,
@@ -150,7 +150,6 @@ def estimate_network_timing(
     graph: LayerGraph,
     fclk_mhz: float = MAX4_FABRIC_MHZ,
     partition: list[list[str]] | None = None,
-    link: LinkSpec = MAXRING,
 ) -> NetworkTiming:
     """Analytic latency/throughput for ``graph`` (optionally multi-DFE).
 
@@ -162,7 +161,7 @@ def estimate_network_timing(
 
     i.e. a kernel finishes either as soon as its last input arrives (plus
     its drain tail) or as late as its own throughput allows from the moment
-    it started.  Cross-DFE edges add the link latency to both terms.
+    it started.  Cross-DFE edges add the MaxRing latency to both terms.
     """
     timings = {name: kernel_timing(graph, name) for name in graph.order}
     dfe_of: dict[str, int] = {}
@@ -185,7 +184,7 @@ def estimate_network_timing(
         for p in parents:
             if dfe_of and dfe_of.get(p, 0) != dfe_of.get(name, 0):
                 crossings += 1
-                link_lat = max(link_lat, link.latency_cycles)
+                link_lat = MAXRING.latency_cycles
         pf = max(first_out[p] for p in parents) + link_lat
         pl = max(last_out[p] for p in parents) + link_lat
         first_out[name] = pf + t.fill_cycles

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..dataflow.links import MAX4_FABRIC_MHZ
+from ..dataflow.links import MAX4_FABRIC_MHZ, MAXRING
 
 if TYPE_CHECKING:
     from ..hardware.device import FPGASpec
@@ -146,7 +146,6 @@ class PartitionPlan:
     objective: str  # "min-dfes" | "min-latency"
     device_name: str
     fill_cap: float
-    link_name: str
     groups: list[list[str]]
     cuts: tuple[int, ...]  # node-index start of each device but the first
     ledgers: list[DeviceLedger]
@@ -170,7 +169,7 @@ class PartitionPlan:
             "objective": self.objective,
             "device": self.device_name,
             "fill_cap": self.fill_cap,
-            "link": self.link_name,
+            "link": MAXRING.name,
             "fclk_mhz": MAX4_FABRIC_MHZ,
             "slo_fps": self.slo_fps,
             "n_dfes": self.n_dfes,

@@ -16,7 +16,6 @@ than ``REPLAY_IMAGES`` images, untraced, solves once.  Only the winner
 from __future__ import annotations
 
 from ..dataflow.interval import exact_completion_period, mean_completion_interval
-from ..dataflow.links import MAXRING, LinkSpec
 from ..dataflow.schedule import replay_schedule
 from ..nn.graph import LayerGraph
 from .plan import PredictedTiming
@@ -27,8 +26,6 @@ __all__ = ["predict_partition_timing"]
 def predict_partition_timing(
     graph: LayerGraph,
     partition: list[list[str]],
-    *,
-    link: LinkSpec = MAXRING,
 ) -> PredictedTiming:
     """Exact interval/latency of ``partition``, from the geometry's op-recurrence solve.
 
@@ -36,7 +33,7 @@ def predict_partition_timing(
     count (``REPLAY_IMAGES``) in either mode (leap or exhaustive) — tested
     property.
     """
-    schedule = replay_schedule(graph, partition, link=link)
+    schedule = replay_schedule(graph, partition)
     completions = list(schedule.completion_cycles)
     return PredictedTiming(
         n_images=len(completions),

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..dataflow.links import MAXRING, LinkSpec
 from ..dataflow.verify import partition_feasibility
 from ..hardware.device import STRATIX_V_5SGSD8, FPGASpec
 from ..hardware.partition import (
@@ -206,7 +205,6 @@ def _branch_and_bound(
     audit: _Audit,
     *,
     exact_k: int | None,
-    link: LinkSpec,
 ) -> tuple[tuple[int, ...], int]:
     """DFS over node-level cut positions with feasibility + bound pruning.
 
@@ -220,7 +218,7 @@ def _branch_and_bound(
     scored = [0]
 
     def latency_of(cuts: tuple[int, ...]) -> int:
-        timing = estimate_network_timing(graph, partition=_cuts_to_partition(nodes, cuts), link=link)
+        timing = estimate_network_timing(graph, partition=_cuts_to_partition(nodes, cuts))
         return timing.latency_cycles + timing.interval_cycles
 
     def dfs(start: int, cuts: tuple[int, ...], util_so_far: float) -> None:
@@ -302,7 +300,6 @@ def plan_partition(
     slo_fps: float | None = None,
     device: FPGASpec = STRATIX_V_5SGSD8,
     fill_cap: float = 0.8,
-    link: LinkSpec = MAXRING,
     predict: bool = True,
 ) -> PartitionPlan:
     """Search the cut space and return the optimal :class:`PartitionPlan`.
@@ -360,13 +357,10 @@ def plan_partition(
             set(positions),
             audit,
             exact_k=n_dfes if objective == "min-latency" else None,
-            link=link,
         )
 
     partition = _cuts_to_partition(nodes, cuts)
-    diags = partition_feasibility(
-        graph, partition, device=device, fill_cap=fill_cap, link=link, slo_fps=slo_fps
-    )
+    diags = partition_feasibility(graph, partition, device=device, fill_cap=fill_cap, slo_fps=slo_fps)
     problems = [d for d in diags if d.severity in ("error", "warning")]
     if problems:
         for d in problems:
@@ -382,13 +376,12 @@ def plan_partition(
     ]
     predicted: PredictedTiming | None = None
     if predict:
-        predicted = predict_partition_timing(graph, partition, link=link)
+        predicted = predict_partition_timing(graph, partition)
     return PartitionPlan(
         graph_name=graph.name,
         objective=objective,
         device_name=device.name,
         fill_cap=fill_cap,
-        link_name=link.name,
         groups=partition,
         cuts=cuts,
         ledgers=ledgers,

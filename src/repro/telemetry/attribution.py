@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..dataflow.interval import mean_completion_interval
-from ..dataflow.links import MAX4_FABRIC_MHZ
+from ..dataflow.links import MAX4_FABRIC_MHZ, MAXRING, MAXRING_MBPS, link_utilization
 from ..dataflow.tracing import LayerRow, LayerTable
 
 if TYPE_CHECKING:
@@ -186,23 +186,20 @@ def attribute_run(
                 if skip.name == root_edge:
                     from ..dataflow.verify import solve_skip_capacities
 
-                    root_required = solve_skip_capacities(
-                        pipeline.graph, partition=pipeline.partition, link=pipeline.link
-                    )[add_name]
+                    required = solve_skip_capacities(pipeline.graph, partition=pipeline.partition)
+                    root_required = required[add_name]
                     break
 
-    links: list[dict[str, Any]] = []
-    for crossing in pipeline.crossings:
-        capacity_mbps = crossing.link.bandwidth_gbps * 1000.0
-        links.append(
-            {
-                "edge": f"{crossing.edge[0]}->{crossing.edge[1]}",
-                "required_mbps": crossing.required_mbps,
-                "capacity_mbps": capacity_mbps,
-                "utilization": crossing.required_mbps / capacity_mbps if capacity_mbps else 0.0,
-                "link": crossing.link.name,
-            }
-        )
+    links: list[dict[str, Any]] = [
+        {
+            "edge": "->".join(crossing.edge),
+            "required_mbps": crossing.required_mbps,
+            "capacity_mbps": MAXRING_MBPS,
+            "utilization": link_utilization(crossing.required_mbps),
+            "link": MAXRING.name,
+        }
+        for crossing in pipeline.crossings
+    ]
 
     bram: list[dict[str, Any]] = []
     for name, node in pipeline.graph.nodes.items():

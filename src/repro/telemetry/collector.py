@@ -9,7 +9,7 @@ run every ``sample_every`` simulated cycles and fills a typed
 * per-stream **occupancy gauges** (instantaneous + high-water), sampled
   **occupancy histograms**, and push/pop/reject counters;
 * per-crossing **link gauges** — required and measured Mbps against the
-  link's capacity (the paper's 2-bit @ 105 MHz = 210 Mbps budget) and the
+  MaxRing link's capacity (the paper's 2-bit @ 105 MHz = 210 Mbps budget) and the
   elements currently in flight;
 * **derived gauges** — initiation interval, image latency, steady-state
   interval and FPS at the configured fabric clock, per-kernel duty cycle
@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..dataflow.interval import mean_completion_interval
-from ..dataflow.links import MAX4_FABRIC_MHZ
+from ..dataflow.links import MAX4_FABRIC_MHZ, MAXRING_MBPS, link_utilization
 from ..dataflow.tracing import LayerRow, LayerTable
 from .latency import LATENCY_BUCKETS, exact_quantile
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -213,12 +213,11 @@ class Telemetry:
             sampled = self._m_socc.labels(stream=name)
             self._streams.append((name, events, occupancy, peak, capacity, sampled))  # type: ignore[arg-type]
         for crossing in pipeline.crossings:
-            edge = f"{crossing.edge[0]}->{crossing.edge[1]}"
+            edge = "->".join(crossing.edge)
             gauges = {key: family.labels(edge=edge) for key, family in self._m_link.items()}
-            capacity_mbps = crossing.link.bandwidth_gbps * 1000.0
-            util = crossing.required_mbps / capacity_mbps if capacity_mbps else float("inf")
+            util = link_utilization(crossing.required_mbps)
             gauges["required"].set(crossing.required_mbps)  # type: ignore[union-attr]
-            gauges["capacity"].set(capacity_mbps)  # type: ignore[union-attr]
+            gauges["capacity"].set(MAXRING_MBPS)  # type: ignore[union-attr]
             gauges["utilization"].set(util)  # type: ignore[union-attr]
             gauges["within"].set(1.0 if util <= 1.0 else 0.0)  # type: ignore[union-attr]
             link = next(

@@ -263,5 +263,5 @@ def test_tables_match_networkx():
             assert graph.parents(name) == [p for _, p in ports], (graph.name, name)
         # One node per DFE: every edge crosses, in the order the walk visits them.
         alone = [[name] for name in graph.order]
-        crossings = [(u, v) for u, v, _ in partition_crossings(graph, alone)]
+        crossings = [crossing.edge for crossing in partition_crossings(graph, alone)]
         assert crossings == list(twin.edges), graph.name

@@ -188,7 +188,9 @@ def test_next_replay_replaces_the_slot():
     partition = _two_dfes(graph)
     replay_schedule(graph, partition)
     second = vars(graph)[_SLOT]
-    assert second is not first and second[0] == (tuple(map(tuple, partition)), first[0][1])
+    # The slot is keyed by the geometry's groups alone (no partition: None).
+    assert first[0] is None
+    assert second is not first and second[0] == tuple(map(tuple, partition))
     # A run of another geometry leaves the slot to its own.
     simulate(graph, _images(graph), mode="leap")
     assert vars(graph)[_SLOT] is second

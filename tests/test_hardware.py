@@ -324,8 +324,8 @@ class TestPartitioner:
         """§III-B6: every crossing fits MaxRing bandwidth (210 Mbps needed)."""
         part = partition_network(resnet18)
         assert part.link_feasible()
-        for _, _, mbps in part.crossings:
-            assert mbps == pytest.approx(210.0)
+        for crossing in part.crossings:
+            assert crossing.required_mbps == pytest.approx(210.0)
 
     def test_greedy_split_is_pinned(self, alexnet, resnet18):
         """The greedy cuts themselves, not only the DFE counts: Table III's splits."""

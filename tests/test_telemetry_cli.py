@@ -1,6 +1,8 @@
 """CLI tests for the telemetry-facing subcommands (simulate --json, top, stats)."""
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -128,6 +130,51 @@ def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypat
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        # A run cut at its cycle budget: one line (or a report on stdout), exit 1.
+        (["simulate", "--images", "2", "--rate", "1e-3"], 1),
+        (["simulate", "--images", "2", "--rate", "1e-3", "--json"], 1),
+        (["simulate", "--images", "2", "--rate", "1e-3", "--prom", "m.prom", "--snapshot", "s.json"], 1),
+        (["load", "--images", "2", "--rate", "1e-3"], 1),
+        (["stats", "--images", "2", "--max-cycles", "100"], 1),
+        (["fleet", "--images", "4", "--max-cycles", "100"], 1),
+        # An output path under a regular file cannot be written: exit 2.
+        (["load", "--rate", "9000", "--images", "2", "--json", "--out", "{blocked}"], 2),
+        (["fleet", "--images", "4", "--rate", "1000", "--out", "{blocked}"], 2),
+        (["check", "vgg:16:0.0625", "--out", "{blocked}"], 2),
+        (["plan", "vgg:16:0.0625", "--out", "{blocked}"], 2),
+        (["simulate", "--images", "2", "--prom", "{blocked}"], 2),
+        # The disk fills while an existing --out is replaced: it stays as it was.
+        (["check", "vgg:16:0.0625", "--out", "{existing}", "--force"], 2),
+    ],
+)
+def test_failure_paths_exit_with_at_most_one_line(argv, code, capsys, tmp_path, monkeypatch):
+    """Aborted runs and unwritable outputs end in at most one stderr line, never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    existing = tmp_path / "existing.json"
+    if "{existing}" in argv:
+        existing.write_text("old\n")
+
+        def disk_full(*_args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", disk_full)
+    paths = {"{blocked}": str(tmp_path / "blocker" / "out"), "{existing}": str(existing)}
+    assert cli_main([paths.get(arg, arg) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") <= 1, err
+    if argv[0] == "simulate" and code == 1:
+        assert "ABORTED at the 50,000,000-cycle budget, 1 of 2 image(s) completed" in err
+    # No temporary file, export or partial output is left behind.
+    left = sorted(path.name for path in tmp_path.iterdir())
+    assert left == (["blocker", "existing.json"] if "{existing}" in argv else ["blocker"]), left
+    if "{existing}" in argv:
+        assert existing.read_text() == "old\n"
 
 
 @pytest.mark.parametrize(

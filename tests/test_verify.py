@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.dataflow import (
-    LinkSpec,
     build_pipeline,
     check_skip_high_water,
     simulate,
@@ -320,18 +319,21 @@ class TestPipelineFaults:
         report = verify_pipeline(pipeline)
         assert "V102" in report.codes()
 
-    def test_weak_link_overcommitted(self, tiny_chain_model, tiny_chain_graph, images16):
+    def test_weak_link_overcommitted(self, tiny_chain_model, images16):
+        """A crossing hand-widened to 39 bits (4,095 Mbps) overcommits MaxRing's 4,000 Mbps."""
+        from repro.nn import export_model
+
+        graph = export_model(tiny_chain_model, (16, 16, 3), name="tiny-chain")
         lv = _levels(tiny_chain_model, images16[:1])
-        names = [n for n in tiny_chain_graph.order if n != tiny_chain_graph.input_name]
+        names = [n for n in graph.order if n != graph.input_name]
         half = len(names) // 2
-        dialup = LinkSpec(name="dialup", bandwidth_gbps=0.0001, latency_cycles=16)
-        pipeline = build_pipeline(
-            tiny_chain_graph, lv, partition=[names[:half], names[half:]], link=dialup
-        )
+        graph.specs[names[half - 1]] = dataclasses.replace(graph.specs[names[half - 1]], bits=39)
+        pipeline = build_pipeline(graph, lv, partition=[names[:half], names[half:]])
         report = verify_pipeline(pipeline)
-        v501 = report.by_code("V501")
-        assert v501 and all(d.severity == "error" for d in v501)
-        assert all(d.data["utilization"] > 1.0 for d in v501)
+        (v501,) = report.by_code("V501")
+        assert v501.severity == "error" and v501.where == f"{names[half - 1]}->{names[half]}"
+        assert v501.data["required_mbps"] == 4095.0 and v501.data["capacity_mbps"] == 4000.0
+        assert v501.data["utilization"] > 1.0
 
     def test_healthy_link_reports_headroom(
         self, tiny_chain_model, tiny_chain_graph, images16
