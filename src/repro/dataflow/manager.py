@@ -79,6 +79,15 @@ class Pipeline:
     skip_sizing: str = "exact"  # "exact" | "bound" | "custom"
     skip_capacities: dict[str, int] = field(default_factory=dict)
 
+    @property
+    def crossing_streams(self) -> list[Stream]:
+        """The stream carrying each of :attr:`crossings`, in the same order.
+
+        Only a crossing's stream has the MaxRing latency, and ``build_pipeline``
+        wires them in crossing order.
+        """
+        return [stream for stream in self.engine.streams if stream.latency > 0]
+
 
 @dataclass
 class StreamingRun:

@@ -18,7 +18,7 @@ from ..hardware import (
 from ..models import build_vgg_like, direct_alexnet_graph, direct_resnet18_graph, direct_vgg_graph
 from ..nn import export_model, input_to_levels
 from ..nn.graph import LayerGraph
-from ..nn.training import evaluate, train
+from ..nn.training import train
 from .reporting import ExperimentResult
 
 __all__ = [

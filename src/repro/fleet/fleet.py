@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..dataflow.engine import DEFAULT_MAX_CYCLES, CycleBudgetExceeded
 from ..dataflow.interval import achieved_fps
 from ..dataflow.links import MAX4_FABRIC_MHZ, PCIE_GEN2_X8
 from ..telemetry.latency import latency_report, summarize
@@ -175,7 +176,7 @@ class FleetConfig:
     process: str = "fixed"  # arrival process ("static" policy forces poisson)
     seed: int = 0
     batch: int = 4  # batch-aware policy's granularity
-    max_cycles: int = 50_000_000  # per-replica abort budget
+    max_cycles: int = DEFAULT_MAX_CYCLES  # per-replica abort budget
     workers: int = 0  # 0 = serial reference path
 
     def __post_init__(self) -> None:
@@ -397,7 +398,6 @@ def _replica_worker(job: tuple[Any, ...]) -> dict[str, Any]:
     }
     if not requests:
         return result
-    from ..dataflow.engine import CycleBudgetExceeded
     from ..dataflow.manager import simulate
 
     graph = spec.graph()

@@ -47,7 +47,7 @@ def verify_backends(
     graph: LayerGraph,
     levels: np.ndarray,
     check_bitops: bool = True,
-    max_cycles: int = 50_000_000,
+    max_cycles: int | None = None,
 ) -> BackendReport:
     """Run ``levels`` through every backend and compare outputs element-wise.
 
@@ -60,6 +60,9 @@ def verify_backends(
     check_bitops:
         Also route convolutions through the packed XNOR/AND-popcount path
         (slower; skip for very large graphs).
+    max_cycles:
+        The streamed run's cycle budget; ``None`` keeps ``simulate``'s
+        default (``dataflow.engine.DEFAULT_MAX_CYCLES``).
     """
     from ..dataflow.manager import simulate  # local import: avoid cycle
 
@@ -72,7 +75,8 @@ def verify_backends(
     # The exhaustive loop ticks every kernel's datapath.  A solved ("leap")
     # run takes its values from the batched functional pass, which is not
     # the streamed datapath under test.
-    streaming = simulate(graph, levels, max_cycles=max_cycles, mode="exhaustive")
+    budget = {} if max_cycles is None else {"max_cycles": max_cycles}
+    streaming = simulate(graph, levels, mode="exhaustive", **budget)
     ref_shaped = reference.output.reshape(streaming.output.shape)
     stream_ok = bool((streaming.output == ref_shaped).all())
 

@@ -2,14 +2,13 @@
 
 The observability layer the ROADMAP's serving-system north star needs:
 
-* :mod:`~repro.telemetry.registry` — typed Counter/Gauge/Histogram metric
-  families with Prometheus-compatible names and labels;
 * :mod:`~repro.telemetry.collector` — :class:`Telemetry`, the sampler
   ``simulate(telemetry=...)`` accepts (per-kernel busy/starved/blocked
   counters, FIFO occupancy, link bandwidth vs the §III-C budget, derived
   II/FPS/duty-cycle gauges), every sample read off the solved schedule;
-* :mod:`~repro.telemetry.exporters` — Prometheus text exposition and JSON
-  snapshots of the filled registry;
+* :mod:`~repro.telemetry.exporters` — the :class:`MetricFamily` records a
+  run fills (a value per label tuple; :class:`Histogram` for
+  distributions), their Prometheus text exposition and JSON snapshots;
 * :mod:`~repro.telemetry.manifest` — host/run manifests (git describe,
   python/numpy versions, topology) stamped onto every export;
 * :mod:`~repro.telemetry.dashboard` — the ``repro top`` frame of a
@@ -24,7 +23,7 @@ The observability layer the ROADMAP's serving-system north star needs:
   verdicts, and FINN-style latency-throughput sweeps.
 
 Telemetry is strictly opt-in and never hooks the engine: a telemetered
-run is solved whole, and the registry is filled once from the op times
+run is solved whole, and each metric is written once from the op times
 after the solve, so a run without a collector pays nothing for it.
 """
 
@@ -36,7 +35,13 @@ from .attribution import (
 )
 from .collector import DEFAULT_SAMPLE_EVERY, OCCUPANCY_BUCKETS, Telemetry
 from .dashboard import render_frame
-from .exporters import render_prometheus, snapshot_registry, validate_exposition
+from .exporters import (
+    Histogram,
+    MetricFamily,
+    render_prometheus,
+    snapshot_registry,
+    validate_exposition,
+)
 from .latency import (
     LATENCY_BUCKETS,
     ImageRecord,
@@ -59,14 +64,11 @@ from .loadgen import (
     sweep,
 )
 from .manifest import host_manifest, run_manifest
-from .registry import Counter, Gauge, Histogram, MetricFamily, MetricsRegistry
 
 __all__ = [
     "ArrivalSchedule",
     "AttributionReport",
-    "Counter",
     "DEFAULT_SAMPLE_EVERY",
-    "Gauge",
     "Histogram",
     "ImageRecord",
     "LATENCY_BUCKETS",
@@ -74,7 +76,6 @@ __all__ = [
     "LatencySummary",
     "LoadResult",
     "MetricFamily",
-    "MetricsRegistry",
     "OCCUPANCY_BUCKETS",
     "Telemetry",
     "attribute_run",

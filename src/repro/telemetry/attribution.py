@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..dataflow.engine import DEFAULT_MAX_CYCLES, CycleBudgetExceeded
 from ..dataflow.interval import mean_completion_interval
 from ..dataflow.links import MAX4_FABRIC_MHZ, MAXRING, MAXRING_MBPS, link_utilization
 from ..dataflow.tracing import LayerRow, LayerTable
@@ -232,7 +233,7 @@ def run_attributed(
     graph: "LayerGraph",
     images: np.ndarray,
     *,
-    max_cycles: int = 50_000_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     mode: str = "leap",
     skip_sizing: "str | dict[str, int]" = "exact",
 ) -> AttributionReport:
@@ -244,7 +245,6 @@ def run_attributed(
     the attribution needs, so the report is built either way and carries
     the abort message.  Any other error propagates.
     """
-    from ..dataflow.engine import CycleBudgetExceeded
     from ..dataflow.manager import simulate
 
     try:

@@ -1,6 +1,10 @@
-"""Exporters: Prometheus text exposition and JSON snapshots.
+"""The metric records of a run and their two serialisations.
 
-Two serialisations of one :class:`~repro.telemetry.registry.MetricsRegistry`:
+A run's metrics are an ordered list of :class:`MetricFamily` records (the
+collector's ``Telemetry.registry``), each a name, help text, type and label
+names plus one value per label-value tuple: a number, or a
+:class:`Histogram` for a histogram family.  The collector fills them once,
+after the run, and two functions serialise them:
 
 * :func:`render_prometheus` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` headers, escaped label values, cumulative
@@ -21,23 +25,80 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-
 __all__ = [
+    "Histogram",
+    "MetricFamily",
     "render_prometheus",
     "snapshot_registry",
     "validate_exposition",
 ]
 
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\["\\n])*)"')
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>.*)\})?"
     r" (?P<value>[^ ]+)$"
 )
+
+
+class Histogram:
+    """Fixed-bucket distribution with sum and count.
+
+    ``bucket_counts[i]`` counts observations ``<= uppers[i]`` exclusively of
+    earlier buckets (per-bucket, not cumulative — the exporter accumulates);
+    the implicit final ``+Inf`` bucket is ``bucket_counts[-1]``.
+    """
+
+    __slots__ = ("uppers", "bucket_counts", "sum", "count")
+
+    def __init__(self, uppers: Sequence[float]) -> None:
+        self.uppers: tuple[float, ...] = tuple(float(u) for u in uppers)
+        self.bucket_counts: list[int] = [0] * (len(self.uppers) + 1)
+        self.sum: float = 0.0
+        self.count: int = 0
+
+    def observe(self, value: float) -> None:
+        self.bucket_counts[bisect_left(self.uppers, value)] += 1
+        self.sum += value
+        self.count += 1
+
+    def cumulative(self) -> list[tuple[float, int]]:
+        """``(le, cumulative_count)`` pairs ending with ``(+Inf, count)``."""
+        out: list[tuple[float, int]] = []
+        running = 0
+        for upper, n in zip(self.uppers, self.bucket_counts):
+            running += n
+            out.append((upper, running))
+        out.append((math.inf, self.count))
+        return out
+
+
+class MetricFamily:
+    """One named metric: its schema and a value per label-value tuple.
+
+    ``values`` maps a tuple of label values, in ``labelnames`` order, to a
+    number, or to a :class:`Histogram` (which carries its own bucket
+    bounds) on a histogram family.  A label tuple without an entry is not
+    exported.
+    """
+
+    __slots__ = ("name", "help", "type", "labelnames", "values")
+
+    def __init__(self, name: str, help: str, type: str, labelnames: tuple[str, ...] = ()) -> None:
+        self.name = name
+        self.help = help
+        self.type = type  # "counter", "gauge" or "histogram"
+        self.labelnames = labelnames
+        self.values: dict[tuple[str, ...], Any] = {}
+
+    def samples(self) -> Iterator[tuple[dict[str, str], Any]]:
+        """``(labels, value)`` pairs in sorted label order."""
+        for key in sorted(self.values):
+            yield dict(zip(self.labelnames, key)), self.values[key]
 
 
 def _escape_label(value: str) -> str:
@@ -62,8 +123,8 @@ def _labels_block(labels: dict[str, str]) -> str:
     return "{" + body + "}"
 
 
-def render_prometheus(registry: MetricsRegistry, manifest: dict[str, Any] | None = None) -> str:
-    """The registry in Prometheus text exposition format."""
+def render_prometheus(families: Iterable[MetricFamily], manifest: dict[str, Any] | None = None) -> str:
+    """The families in Prometheus text exposition format."""
     lines: list[str] = []
     if manifest:
         # Info-metric idiom: constant 1 with the manifest's scalar entries
@@ -76,43 +137,43 @@ def render_prometheus(registry: MetricsRegistry, manifest: dict[str, Any] | None
         lines.append("# HELP repro_build_info Run manifest (host, toolchain, topology).")
         lines.append("# TYPE repro_build_info gauge")
         lines.append(f"repro_build_info{_labels_block(info_labels)} 1")
-    for family in registry.collect():
+    for family in families:
         lines.append(f"# HELP {family.name} {family.help}")
         lines.append(f"# TYPE {family.name} {family.type}")
-        for labels, child in family.samples():
+        for labels, value in family.samples():
             block = _labels_block(labels)
-            if isinstance(child, (Counter, Gauge)):
-                lines.append(f"{family.name}{block} {_fmt(child.value)}")
-            elif isinstance(child, Histogram):
-                for upper, cum in child.cumulative():
+            if isinstance(value, Histogram):
+                for upper, cum in value.cumulative():
                     bucket_labels = dict(labels)
                     bucket_labels["le"] = _fmt(upper)
                     lines.append(f"{family.name}_bucket{_labels_block(bucket_labels)} {cum}")
-                lines.append(f"{family.name}_sum{block} {_fmt(child.sum)}")
-                lines.append(f"{family.name}_count{block} {child.count}")
+                lines.append(f"{family.name}_sum{block} {_fmt(value.sum)}")
+                lines.append(f"{family.name}_count{block} {value.count}")
+            else:
+                lines.append(f"{family.name}{block} {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
-def snapshot_registry(registry: MetricsRegistry) -> list[dict[str, Any]]:
-    """The registry as a JSON-serialisable list of metric families."""
+def snapshot_registry(families: Iterable[MetricFamily]) -> list[dict[str, Any]]:
+    """The families as a JSON-serialisable list."""
     out: list[dict[str, Any]] = []
-    for family in registry.collect():
+    for family in families:
         samples: list[dict[str, Any]] = []
-        for labels, child in family.samples():
-            if isinstance(child, (Counter, Gauge)):
-                samples.append({"labels": labels, "value": child.value})
-            elif isinstance(child, Histogram):
+        for labels, value in family.samples():
+            if isinstance(value, Histogram):
                 samples.append(
                     {
                         "labels": labels,
                         "buckets": [
                             ["+Inf" if math.isinf(le) else le, cum]
-                            for le, cum in child.cumulative()
+                            for le, cum in value.cumulative()
                         ],
-                        "sum": child.sum,
-                        "count": child.count,
+                        "sum": value.sum,
+                        "count": value.count,
                     }
                 )
+            else:
+                samples.append({"labels": labels, "value": value})
         out.append(
             {
                 "name": family.name,

@@ -284,16 +284,9 @@ class LatencyReport:
 
 def _boundary_streams(pipeline: "Pipeline") -> list[Any]:
     """Marked boundary streams in dataflow order: crossings, then sink edge."""
-    engine = pipeline.engine
-    ordered: list[Any] = []
-    for crossing in pipeline.crossings:
-        prefix = f"{crossing.edge[0]}->{crossing.edge[1]}["
-        for stream in engine.streams:
-            if stream.mark_every and stream.name.startswith(prefix) and stream not in ordered:
-                ordered.append(stream)
-                break
+    ordered: list[Any] = pipeline.crossing_streams
     sink_edge = pipeline.sink.inputs[0] if pipeline.sink.inputs else None
-    if sink_edge is not None and sink_edge.mark_every and sink_edge not in ordered:
+    if sink_edge is not None and sink_edge.mark_every:
         ordered.append(sink_edge)
     return ordered
 

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..dataflow.engine import DEFAULT_MAX_CYCLES, CycleBudgetExceeded
 from ..dataflow.interval import achieved_fps
 from ..dataflow.links import MAX4_FABRIC_MHZ
 from .latency import LatencyReport, latency_report
@@ -242,7 +243,7 @@ def run_load(
     process: str = "fixed",
     seed: int = 0,
     mode: str = "leap",
-    max_cycles: int = 50_000_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> LoadResult:
     """Stream ``images`` through ``graph`` at a target offered rate.
 
@@ -252,7 +253,6 @@ def run_load(
     needs, and the result carries the abort message and an SLO-violating
     verdict.  Any other error propagates.
     """
-    from ..dataflow.engine import CycleBudgetExceeded
     from ..dataflow.manager import simulate
 
     images = np.asarray(images)
@@ -289,7 +289,7 @@ def sweep(
     process: str = "fixed",
     seed: int = 0,
     mode: str = "leap",
-    max_cycles: int = 50_000_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> dict[str, Any]:
     """The FINN-style latency-throughput curve: one open-loop run per rate.
 

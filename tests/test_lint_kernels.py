@@ -41,6 +41,8 @@ class TestRepoIsClean:
     def test_cli_exit_nonzero_on_missing_path(self, capsys):
         assert lint_kernels.main([str(REPO_ROOT / "no" / "such" / "file.py")]) == 1
         assert "KC000" in capsys.readouterr().out
+        assert lint_kernels.main(["--select", "F401", str(REPO_ROOT / "no" / "such")]) == 1
+        assert "KC000" in capsys.readouterr().out
 
 
 class TestTickReturns:
@@ -418,3 +420,70 @@ class Base(Kernel):
         pass
 """
         assert _codes(src, tmp_path, whole_kernel=True) == []
+
+
+class TestUnusedImports:
+    """F401: ruff's unused-import rule, run by the same linter."""
+
+    def _f401(self, source, tmp_path):
+        return [code for code in _codes(source, tmp_path) if code == "F401"]
+
+    def test_unused_import_flagged(self, tmp_path):
+        assert self._f401("import os\nimport sys\nprint(sys.argv)\n", tmp_path) == ["F401"]
+
+    def test_unused_from_import_flagged(self, tmp_path):
+        src = "from collections import OrderedDict, deque\nqueue = deque()\n"
+        assert self._f401(src, tmp_path) == ["F401"]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from collections import deque\n__all__ = ['deque']\n",
+            "from collections import deque\n__all__ = ('deque',)\n",
+            "import os  # noqa: F401\n",
+            "import os  # noqa\n",
+            "from collections import (\n    deque,  # noqa: F401\n)\n",
+            "from __future__ import annotations\n",
+            "import os.path\nos.path.join('a', 'b')\n",
+            "import numpy as np\nnp.zeros(1)\n",
+            "from m import *\n",
+        ],
+    )
+    def test_used_or_exempt_imports_pass(self, src, tmp_path):
+        assert self._f401(src, tmp_path) == []
+
+    @pytest.mark.parametrize("annotation", ['"Pipeline"', 'list["Pipeline"]', '"list[Pipeline] | None"'])
+    def test_names_in_string_annotations_are_used(self, annotation, tmp_path):
+        src = f"""
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.dataflow.manager import Pipeline
+
+
+def f(pipeline: {annotation}) -> None:
+    pass
+"""
+        assert self._f401(src, tmp_path) == []
+
+    def test_other_noqa_codes_do_not_exempt(self, tmp_path):
+        assert self._f401("import os  # noqa: E501\n", tmp_path) == ["F401"]
+
+    def test_function_import_counts_only_its_own_uses(self, tmp_path):
+        src = """
+import os
+
+
+def f():
+    import sys
+    return os.sep
+
+
+def g():
+    return sys.argv
+"""
+        assert self._f401(src, tmp_path) == ["F401"]
+
+    def test_src_tests_and_benchmarks_are_clean(self, capsys):
+        assert lint_kernels.main(["--select", "F401", "src", "tests", "benchmarks"]) == 0
+        assert "lint clean" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataflow import build_pipeline, skip_formula_bound, solve_skip_capacities
-from repro.kernels import AddKernel, ConvKernel, ForkKernel, ThresholdKernel
+from repro.kernels import AddKernel, ForkKernel
 from repro.nn import input_to_levels
 
 

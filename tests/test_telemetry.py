@@ -1,6 +1,8 @@
 """Tests for the live telemetry subsystem (src/repro/telemetry/)."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,8 @@ from repro.nn import input_to_levels
 from repro.nn.export import export_model
 from repro.telemetry import (
     OCCUPANCY_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
+    MetricFamily,
     Telemetry,
     deadlock_root_edge,
     exact_quantile,
@@ -38,22 +38,6 @@ from tests.conftest import inject_maxpool_fault, make_tiny_chain_model
 
 
 class TestRegistry:
-    def test_counter_is_monotone(self):
-        c = Counter()
-        c.inc(3)
-        c.set_total(10)
-        assert c.value == 10
-        with pytest.raises(ValueError):
-            c.set_total(9)
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_moves_freely(self):
-        g = Gauge()
-        g.set(5)
-        g.inc(-2)
-        assert g.value == 3
-
     def test_histogram_buckets_and_cumulative(self):
         h = Histogram([1, 4, 16])
         for v in (0, 1, 2, 5, 100):
@@ -63,31 +47,6 @@ class TestRegistry:
         cum = h.cumulative()
         assert [c for _, c in cum] == [2, 3, 4, 5]
         assert cum[-1][0] == float("inf")
-
-    def test_family_label_schema_enforced(self):
-        reg = MetricsRegistry()
-        fam = reg.counter("repro_test_total", "help.", ("kernel",))
-        fam.labels(kernel="a").inc()
-        with pytest.raises(ValueError):
-            fam.labels(stream="a")
-        with pytest.raises(ValueError):
-            fam.inc()  # labelled family has no default child
-
-    def test_registration_idempotent_but_schema_checked(self):
-        reg = MetricsRegistry()
-        a = reg.gauge("repro_g", "help.")
-        assert reg.gauge("repro_g", "help.") is a
-        with pytest.raises(ValueError):
-            reg.counter("repro_g", "help.")
-
-    def test_invalid_metric_and_label_names_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.gauge("0bad", "help.")
-        with pytest.raises(ValueError):
-            reg.gauge("repro_ok", "help.", ("bad-label",))
-        with pytest.raises(ValueError):
-            reg.gauge("repro_ok", "help.", ("__reserved",))
 
 
 # -- collector reconciliation ---------------------------------------------
@@ -105,25 +64,25 @@ def chain_case():
 def _assert_reconciles(telemetry, run):
     """Sealed telemetry counters must equal collect_stats bit for bit."""
     kstats, sstats = run.pipeline.engine.collect_stats()
-    kc = telemetry.registry.get("repro_kernel_cycles_total")
-    ke = telemetry.registry.get("repro_kernel_elements_total")
+    kc = telemetry.registry["repro_kernel_cycles_total"].values
+    ke = telemetry.registry["repro_kernel_elements_total"].values
     for name, st in kstats.items():
-        assert kc.labels(kernel=name, state="busy").value == st.active_cycles
-        assert kc.labels(kernel=name, state="starved").value == st.input_starved_cycles
-        assert kc.labels(kernel=name, state="blocked").value == st.output_blocked_cycles
-        assert kc.labels(kernel=name, state="idle").value == st.idle_cycles
-        assert ke.labels(kernel=name, direction="in").value == st.elements_in
-        assert ke.labels(kernel=name, direction="out").value == st.elements_out
-    se = telemetry.registry.get("repro_stream_events_total")
-    peak = telemetry.registry.get("repro_stream_occupancy_peak")
+        assert kc[name, "busy"] == st.active_cycles
+        assert kc[name, "starved"] == st.input_starved_cycles
+        assert kc[name, "blocked"] == st.output_blocked_cycles
+        assert kc[name, "idle"] == st.idle_cycles
+        assert ke[name, "in"] == st.elements_in
+        assert ke[name, "out"] == st.elements_out
+    se = telemetry.registry["repro_stream_events_total"].values
+    peak = telemetry.registry["repro_stream_occupancy_peak"].values
     for name, st in sstats.items():
-        assert se.labels(stream=name, event="push").value == st.pushes
-        assert se.labels(stream=name, event="pop").value == st.pops
-        assert se.labels(stream=name, event="reject").value == st.full_rejections
-        assert peak.labels(stream=name).value == st.max_occupancy
-    images = telemetry.registry.get("repro_images_completed_total")._default().value
+        assert se[name, "push"] == st.pushes
+        assert se[name, "pop"] == st.pops
+        assert se[name, "reject"] == st.full_rejections
+        assert peak[name,] == st.max_occupancy
+    images = telemetry.registry["repro_images_completed_total"].values[()]
     assert images == len(run.pipeline.sink.completion_cycles)
-    assert telemetry.registry.get("repro_cycles")._default().value == run.cycles
+    assert telemetry.registry["repro_cycles"].values[()] == run.cycles
 
 
 @pytest.mark.parametrize("mode", ["leap", "exhaustive"])
@@ -142,8 +101,8 @@ def test_telemetry_reconciles_with_pipeline_trace(chain_case, mode):
     telemetry = Telemetry(sample_every=100)
     tracer = Tracer()
     run = simulate(graph, levels, mode=mode, trace=tracer, telemetry=telemetry)
-    kc = telemetry.registry.get("repro_kernel_cycles_total")
-    duty = telemetry.registry.get("repro_kernel_duty_cycle")
+    kc = telemetry.registry["repro_kernel_cycles_total"].values
+    duty = telemetry.registry["repro_kernel_duty_cycle"].values
     rows = {row.name: row for row in LayerTable.of(run.pipeline).rows}
     firsts = []
     for name, spans in tracer.kernel_spans.items():
@@ -151,12 +110,12 @@ def test_telemetry_reconciles_with_pipeline_trace(chain_case, mode):
         firsts.append(compute[0].start)
         for kind, state in (("compute", "busy"), ("starved", "starved"), ("blocked", "blocked")):
             summed = sum(s.cycles for s in spans if s.kind == kind)
-            assert kc.labels(kernel=name, state=state).value == summed
+            assert kc[name, state] == summed
             assert getattr(rows[name], state) == summed
         assert (rows[name].first_active, rows[name].last_active) == (compute[0].start, compute[-1].end)
-        assert duty.labels(kernel=name).value == rows[name].duty
+        assert duty[name,] == rows[name].duty
     assert telemetry.last["initiation"] == max(firsts)
-    images = telemetry.registry.get("repro_images_completed_total")._default().value
+    images = telemetry.registry["repro_images_completed_total"].values[()]
     assert images == len(run.pipeline.sink.completion_cycles)
 
 
@@ -277,17 +236,17 @@ class _KeepsTimeline(Telemetry):
 
 
 def _registry_view(telemetry):
-    in_flight = telemetry.registry.get("repro_link_in_flight")
+    in_flight = telemetry.registry["repro_link_in_flight"].values
     return (
         telemetry.kernel_rows(),
         telemetry.stream_rows(),
         dict(telemetry.last),
-        {labels["edge"]: child.value for labels, child in in_flight.samples()},
+        {edge: value for (edge,), value in in_flight.items()},
     )
 
 
 def _samples_taken(telemetry):
-    return telemetry.registry.get("repro_telemetry_samples_total")._default().value
+    return telemetry.registry["repro_telemetry_samples_total"].values.get((), 0)
 
 
 def _midrun_case(case):
@@ -329,12 +288,12 @@ def _assert_samples_match(case):
             assert _samples_taken(telemetry) == len(instants), where
             assert telemetry.finished == (case != "abort"), where
             assert _registry_view(telemetry) == final, where
-            sampled = telemetry.registry.get("repro_stream_occupancy_sampled")
+            sampled = telemetry.registry["repro_stream_occupancy_sampled"].values
             for s, stream in enumerate(telemetry.pipeline.engine.streams):
                 expected = Histogram(OCCUPANCY_BUCKETS)
                 for cycle in instants:
                     expected.observe(oracle[cycle][1][s][0])
-                child = sampled.labels(stream=stream.name)
+                child = sampled[stream.name,]
                 assert child.cumulative() == expected.cumulative(), f"{where}: {stream.name}"
                 assert child.sum == expected.sum, f"{where}: {stream.name}"
     if kwargs.get("partition"):
@@ -387,10 +346,10 @@ def test_budget_below_the_cadence_takes_no_sample(chain_case):
         assert _samples_taken(telemetry) == 0
         assert not telemetry.finished and telemetry.total_cycles is None
         assert telemetry.last == {"cycle": 0, "images": 0}
-        assert telemetry.registry.get("repro_cycles")._default().value == 0
+        assert telemetry.registry["repro_cycles"].values == {}  # no sample writes it
         assert {row["busy"] + row["starved"] for row in telemetry.kernel_rows()} == {0}
-        sampled = telemetry.registry.get("repro_stream_occupancy_sampled")
-        assert {child.count for _, child in sampled.samples()} == {0}
+        sampled = telemetry.registry["repro_stream_occupancy_sampled"].values
+        assert {child.count for child in sampled.values()} == {0}
 
 
 def test_declined_runs_refuse_telemetry(chain_case, monkeypatch):
@@ -451,17 +410,17 @@ def test_derived_gauges(chain_case):
     telemetry = Telemetry()
     run = simulate(graph, levels, telemetry=telemetry)
     reg = telemetry.registry
-    latency = reg.get("repro_image_latency_cycles")._default().value
+    latency = reg["repro_image_latency_cycles"].values[()]
     assert latency == run.latency_cycles
-    interval = reg.get("repro_steady_state_interval_cycles")._default().value
+    interval = reg["repro_steady_state_interval_cycles"].values[()]
     assert interval == pytest.approx(run.run.steady_state_interval)
-    fps = reg.get("repro_throughput_fps")._default().value
+    fps = reg["repro_throughput_fps"].values[()]
     assert fps == pytest.approx(MAX4_FABRIC_MHZ * 1e6 / interval)
-    ii = reg.get("repro_initiation_interval_cycles")._default().value
+    ii = reg["repro_initiation_interval_cycles"].values[()]
     assert 0 < ii < run.cycles
-    duty = reg.get("repro_kernel_duty_cycle")
-    for _, child in duty.samples():
-        assert 0.0 <= child.value <= 1.0
+    duty = reg["repro_kernel_duty_cycle"].values
+    for value in duty.values():
+        assert 0.0 <= value <= 1.0
 
 
 # -- exporters -------------------------------------------------------------
@@ -481,9 +440,9 @@ class TestExporters:
         assert 'le="+Inf"' in text
 
     def test_validator_catches_corruption(self):
-        reg = MetricsRegistry()
-        reg.gauge("repro_x", "help.").set(1)
-        good = render_prometheus(reg)
+        family = MetricFamily("repro_x", "help.", "gauge")
+        family.values[()] = 1
+        good = render_prometheus([family])
         assert validate_exposition(good) == []
         assert validate_exposition("repro_orphan 1\n")  # no TYPE header
         assert validate_exposition("# TYPE repro_x gauge\nrepro_x{ 1\n")
@@ -502,10 +461,74 @@ class TestExporters:
         assert "repro_throughput_fps" in names
 
     def test_snapshot_registry_histograms_have_inf_bucket(self):
-        reg = MetricsRegistry()
-        reg.histogram("repro_h", "help.", [1, 2]).observe(1.5)
-        fam = snapshot_registry(reg)[0]
+        family = MetricFamily("repro_h", "help.", "histogram")
+        family.values[()] = Histogram([1, 2])
+        family.values[()].observe(1.5)
+        fam = snapshot_registry([family])[0]
         assert fam["samples"][0]["buckets"][-1][0] == "+Inf"
+
+
+# -- exported bytes --------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _golden_run(case):
+    """The telemetry of one pinned run: ``chain``, ``empty`` or ``resnet_2dfe``, or one cut at ``_cut<N>`` cycles."""
+    base, _, cut = case.partition("_cut")
+    model = make_tiny_chain_model()
+    graph = export_model(model, (16, 16, 3), name="tiny-chain")
+    levels = input_to_levels(
+        np.random.default_rng(0).uniform(0, 1, (2, 16, 16, 3)), model.layers[0].quantizer
+    )
+    kwargs = {"max_cycles": int(cut)} if cut else {}
+    if base == "empty":
+        levels = levels[:0]
+    elif base == "resnet_2dfe":
+        graph = direct_resnet18_graph(16, width=0.0625, classes=4, stages=[(64, 1, 1)])
+        levels = np.random.default_rng(0).integers(0, 4, size=(3, 16, 16, 3))
+        nodes = [n for n in graph.order if n != graph.input_name]
+        kwargs |= {"partition": [nodes[:2], nodes[2:]], "arrival_cycles": [0, 3_000, 6_500]}
+    telemetry = Telemetry(sample_every=97)
+    try:
+        simulate(graph, levels, telemetry=telemetry, **kwargs)
+    except CycleBudgetExceeded:
+        assert cut
+    return telemetry
+
+
+def _exported_bytes(telemetry):
+    """What a run exports, minus the host-dependent manifest: ``{suffix: text}``."""
+    prom = "".join(
+        line
+        for line in telemetry.export_prometheus().splitlines(keepends=True)
+        if not line.startswith(("repro_build_info", "# HELP repro_build_info", "# TYPE repro_build_info"))
+    )
+    metrics = json.dumps(telemetry.export_json()["metrics"], indent=1) + "\n"
+    return {"prom": prom, "json": metrics, "frame": render_frame(telemetry) + "\n"}
+
+
+@pytest.mark.parametrize(
+    "case", ["chain", "chain_cut100", "chain_cut96", "empty", "resnet_2dfe", "resnet_2dfe_cut96"]
+)
+def test_exported_bytes_are_pinned(case):
+    """The Prometheus text, the JSON metrics and the ``repro top`` frame equal the golden files.
+
+    ``json.dumps`` writes ``1`` and ``1.0`` apart, so the pinned JSON also
+    pins each value's int or float type.  At a 97-cycle cadence a cut at
+    100 takes one sample and a cut at 96 none, so only the rows written at
+    attach time show; the 2-DFE runs are the ones with link rows.
+    Regenerate with ``REPRO_UPDATE_GOLDEN=1``.
+    """
+    exported = _exported_bytes(_golden_run(case))
+    if case.startswith("resnet_2dfe"):
+        assert "repro_link_measured_mbps{" in exported["prom"]
+    for suffix, text in exported.items():
+        path = GOLDEN_DIR / f"telemetry_{case}.{suffix}"
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+        assert text == path.read_text(), f"{path.name} differs"
 
 
 # -- manifests -------------------------------------------------------------

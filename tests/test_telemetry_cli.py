@@ -150,6 +150,8 @@ def test_malformed_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypat
         (["simulate", "--images", "2", "--prom", "{blocked}"], 2),
         # The disk fills while an existing --out is replaced: it stays as it was.
         (["check", "vgg:16:0.0625", "--out", "{existing}", "--force"], 2),
+        # A deadlock (an undersized skip FIFO): the report names its root edge on stdout.
+        (["stats", "--network", "resnet18", "--skip-capacity", "1", "--max-cycles", "200000"], 1),
     ],
 )
 def test_failure_paths_exit_with_at_most_one_line(argv, code, capsys, tmp_path, monkeypatch):
@@ -166,10 +168,12 @@ def test_failure_paths_exit_with_at_most_one_line(argv, code, capsys, tmp_path, 
         monkeypatch.setattr(os, "replace", disk_full)
     paths = {"{blocked}": str(tmp_path / "blocker" / "out"), "{existing}": str(existing)}
     assert cli_main([paths.get(arg, arg) for arg in argv]) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err and err.count("\n") <= 1, err
     if argv[0] == "simulate" and code == 1:
         assert "ABORTED at the 50,000,000-cycle budget, 1 of 2 image(s) completed" in err
+    if "--skip-capacity" in argv:
+        assert "root bottleneck edge: 'maxpool->conv2_1.add1[1]'" in out
     # No temporary file, export or partial output is left behind.
     left = sorted(path.name for path in tmp_path.iterdir())
     assert left == (["blocker", "existing.json"] if "{existing}" in argv else ["blocker"]), left

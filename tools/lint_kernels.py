@@ -50,6 +50,14 @@ KC007  A Kernel subclass that defines ``tick()`` must declare its
        (idle arrival, starved input, blocked output), in the order tick()
        makes them, so an inherited or missing order misclassifies stalls.
 
+F401   An import its scope never reads (ruff's rule of that name, so hosts
+       without ruff can run it): a module-level import is used when the
+       module reads the name, a string annotation names it, or ``__all__``
+       lists it; an import inside a function only counts uses in that
+       function.  ``from __future__`` imports and lines marked
+       ``# noqa`` or ``# noqa: F401`` are exempt.  It applies to any
+       module, so CI runs it alone over ``src tests benchmarks``.
+
 Usage: ``python tools/lint_kernels.py [--select KC001,KC005] [paths...]``
 (default paths: the kernel and hot-path dataflow/fleet/planner modules).
 Exits 1 when any violation is found.  Wired into CI next to ruff.
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -496,9 +505,92 @@ def _check_stall_order(path: Path, cls: ast.ClassDef, out: list[Violation]) -> N
         )
 
 
+_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z]+[0-9]+(?:[\s,]+[A-Z]+[0-9]+)*))?", re.IGNORECASE)
+
+
+def _noqa_lines(source: str, code: str) -> set[int]:
+    """Lines whose ``# noqa`` comment is bare or names ``code``."""
+    lines = set()
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = _NOQA_RE.search(line)
+        if match and (match["codes"] is None or code in re.split(r"[\s,]+", match["codes"].upper())):
+            lines.add(lineno)
+    return lines
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__`` (assigned or extended)."""
+    names: set[str] = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            continue
+        value = getattr(node, "value", None)
+        if isinstance(value, (ast.List, ast.Tuple)):
+            names.update(e.value for e in value.elts if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    return names
+
+
+def _used_names(scope: ast.AST) -> set[str]:
+    """Names ``scope`` reads, counting those inside string annotations."""
+    used: set[str] = set()
+    pending: list[ast.AST] = [scope]
+    while pending:
+        root = pending.pop()
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            annotation = None
+            if isinstance(node, (ast.arg, ast.AnnAssign)):
+                annotation = node.annotation
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotation = node.returns
+            for const in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    try:
+                        pending.append(ast.parse(const.value, mode="eval"))
+                    except SyntaxError:
+                        pass
+    return used
+
+
+def _scope_imports(scope: ast.AST) -> list[ast.Import | ast.ImportFrom]:
+    """The import statements that bind in ``scope``, not in a function nested in it."""
+    found: list[ast.Import | ast.ImportFrom] = []
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _check_unused_imports(path: Path, tree: ast.Module, source: str, out: list[Violation]) -> None:
+    """F401: an import its scope (the module, or the function importing it) never reads."""
+    noqa = _noqa_lines(source, "F401")
+    exported = _exported_names(tree)
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in [tree, *functions]:
+        imports = _scope_imports(scope)
+        if not imports:
+            continue
+        used = _used_names(scope) | (exported if scope is tree else set())
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if alias.name == "*" or bound in used or {alias.lineno, node.lineno} & noqa:
+                    continue
+                out.append(Violation(path, alias.lineno, "F401", f"`{alias.name}` imported but unused"))
+
+
 def lint_file(path: Path) -> list[Violation]:
+    source = path.read_text()
     try:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         return [Violation(path, exc.lineno or 0, "KC000", f"syntax error: {exc.msg}")]
     out: list[Violation] = []
@@ -511,6 +603,7 @@ def lint_file(path: Path) -> list[Violation]:
         _check_op_program(path, cls, out)
         _check_stall_order(path, cls, out)
     _check_slots_dataclasses(path, tree, out)
+    _check_unused_imports(path, tree, source, out)
     out.sort(key=lambda v: (str(v.path), v.line, v.code))
     return out
 
@@ -543,12 +636,13 @@ def main(argv: list[str] | None = None) -> int:
         "--select",
         default=None,
         metavar="CODES",
-        help="comma-separated violation codes to report (e.g. KC001,KC005); default: all",
+        help="comma-separated violation codes to report (e.g. KC001,KC005; KC000 always); default: all",
     )
     args = parser.parse_args(argv)
     violations = lint_paths(list(args.paths))
     if args.select:
-        wanted = {code.strip().upper() for code in args.select.split(",") if code.strip()}
+        # KC000 (a missing path, a syntax error) means a file went unchecked: always shown.
+        wanted = {code.strip().upper() for code in args.select.split(",") if code.strip()} | {"KC000"}
         violations = [v for v in violations if v.code in wanted]
     for violation in violations:
         print(violation.render())
